@@ -9,7 +9,6 @@ from .arrays import (
     exact_steering,
     los_channel,
     multipath_channel,
-    polar_codebook,
 )
 from .beamsplit import (
     BeamFocus,
@@ -22,7 +21,6 @@ from .beamsplit import (
     distance_beamwidth,
     distance_gain,
     ellipse_coefficients,
-    ellipse_gain,
     fresnel_envelope,
     fresnel_integrals,
     gain_kernel,
@@ -59,7 +57,6 @@ from .training import (
     ongrid_train,
     rainbow_sweep_params,
     serve_beamformer,
-    simulate_pilot,
 )
 from .harness import (
     ExperimentSpec,

@@ -7,7 +7,7 @@ steering vectors are unit-norm complex arrays of length n_antennas.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,13 +40,19 @@ def exact_steering(cfg: SystemConfig, loc: PolarLocation, f: float) -> np.ndarra
     return np.exp(1j * phase) / np.sqrt(cfg.n_antennas)
 
 
-def approx_steering(cfg: SystemConfig, loc: PolarLocation, f: float) -> np.ndarray:
+def approx_steering(cfg: SystemConfig, loc, f: float) -> np.ndarray:
     """Quadratic-expansion steering vector at frequency f.
 
-    Element n carries phase k (n d theta - n^2 d^2 alpha).  Unit norm.
+    Element n carries phase k (n d theta - n^2 d^2 alpha).  Unit norm.  loc
+    may be a PolarLocation or a (theta, alpha) pair of arrays; the result has
+    the arrays' shape plus a trailing N_t axis.  Every codebook, beamformer
+    and grid search in the package uses this one copy.
     """
+    theta, alpha = (loc.theta, loc.alpha) if isinstance(loc, PolarLocation) else loc
+    theta = np.asarray(theta)[..., None]
+    alpha = np.asarray(alpha)[..., None]
     nd = cfg.element_indices() * cfg.spacing
-    phase = cfg.wavenumber(f) * (nd * loc.theta - nd * nd * loc.alpha)
+    phase = cfg.wavenumber(f) * (nd * theta - nd * nd * alpha)
     return np.exp(1j * phase) / np.sqrt(cfg.n_antennas)
 
 
@@ -74,13 +80,27 @@ class Channel:
     def n_subcarriers(self) -> int:
         return self.per_subcarrier.shape[0]
 
-    def with_vectors(self, vectors: np.ndarray) -> "Channel":
-        return replace(self, per_subcarrier=vectors)
-
 
 def path_loss(cfg: SystemConfig, r: float, f: float) -> float:
     """Free-space amplitude gain lambda_f / (4 pi r) at frequency f."""
     return SPEED_OF_LIGHT / f / (4 * np.pi * r)
+
+
+def los_rows(cfg: SystemConfig, theta, r, beta_c, f) -> np.ndarray:
+    """Exact line-of-sight channel rows sqrt(N_t) beta_f e^{-j k_f r^(n)},
+    beta_f = (f_c / f) beta_c.
+
+    theta, r and beta_c describe one user or a batch of users and f is one
+    frequency or an array of them; they broadcast against each other and the
+    result gains a trailing N_t axis.  los_channel and the sweep engine both
+    build their channels here.
+    """
+    rn = element_distances(cfg, np.asarray(theta)[..., None], np.asarray(r)[..., None])
+    beta = np.asarray((cfg.carrier_freq / f) * beta_c)[..., None]
+    k = np.asarray(cfg.wavenumber(f))[..., None]
+    # sqrt(Nt) * a_m collapses the 1/sqrt(Nt) normalization; the phase
+    # reference folds e^{-j k r} and the element profile into exp(-j k rn).
+    return beta * np.exp(-1j * k * rn)
 
 
 def los_channel(cfg: SystemConfig, loc: PolarLocation, steering: str = "exact") -> Channel:
@@ -99,13 +119,10 @@ def los_channel(cfg: SystemConfig, loc: PolarLocation, steering: str = "exact") 
     freqs = cfg.subcarrier_freqs()
     beta_c = path_loss(cfg, r, cfg.carrier_freq)
     betas = (cfg.carrier_freq / freqs) * beta_c
-    k = cfg.wavenumber(freqs)[:, None]
     if steering == "exact":
-        rn = element_distances(cfg, loc.theta, r)
-        # sqrt(Nt) * a_m collapses the 1/sqrt(Nt) normalization; phase
-        # reference folds e^{-j k r} and the element profile into exp(-j k rn).
-        h = betas[:, None] * np.exp(-1j * k * rn[None, :])
+        h = los_rows(cfg, loc.theta, r, beta_c, freqs)
     else:
+        k = cfg.wavenumber(freqs)[:, None]
         nd = cfg.element_indices() * cfg.spacing
         profile = nd * loc.theta - nd * nd * loc.alpha
         h = betas[:, None] * np.exp(-1j * k * r) * np.exp(1j * k * profile[None, :])
@@ -145,9 +162,8 @@ class PolarCodebook:
     """Uniform polar-domain grid of (theta, alpha) locations.
 
     Angles sample the served angle range; each angle carries its own list of
-    alpha rings inside [alpha_min, alpha_max].  Iterating yields
-    (PolarLocation, factory) pairs where factory(m) returns the codeword for
-    subcarrier m, the approximate steering vector at that grid point.
+    alpha rings inside [alpha_min, alpha_max].  The codeword of a location on
+    subcarrier m is its approximate steering vector, approx_steering.
     """
 
     def __init__(self, cfg: SystemConfig, angle_samples: int, distance_samples):
@@ -172,22 +188,10 @@ class PolarCodebook:
     def __len__(self) -> int:
         return len(self.locations)
 
-    def codeword(self, index: int, m: int) -> np.ndarray:
-        loc = self.locations[index]
-        return approx_steering(self.cfg, loc, self.cfg.subcarrier_freq(m))
-
-    def __iter__(self):
-        for i, loc in enumerate(self.locations):
-            yield loc, (lambda m, i=i: self.codeword(i, m))
-
-
-def polar_codebook(cfg: SystemConfig, angle_samples: int, distance_samples) -> PolarCodebook:
-    """Build the uniform polar codebook over the served region."""
-    return PolarCodebook(cfg, angle_samples, distance_samples)
-
 
 def _uniform_samples(lo: float, hi: float, n: int) -> np.ndarray:
-    # single sample sits at the region center
+    """n uniform samples of [lo, hi]; a single sample sits at the center.
+    Codebook, match-filter bank and rainbow rings all use these axes."""
     if n == 1:
         return np.array([0.5 * (lo + hi)])
     return np.linspace(lo, hi, n)

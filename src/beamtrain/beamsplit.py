@@ -229,9 +229,3 @@ def ellipse_coefficients(cfg: SystemConfig, f: float) -> tuple[float, float]:
     lam = SPEED_OF_LIGHT / f
     sigma2 = (np.pi**2 * cfg.n_antennas**4 * cfg.spacing**4) / (90 * lam**2)
     return float(sigma1), float(sigma2)
-
-
-def ellipse_gain(cfg: SystemConfig, focus: BeamFocus, loc: PolarLocation, f: float) -> float:
-    """Local quadratic model of the gain near a focus point."""
-    s1, s2 = ellipse_coefficients(cfg, f)
-    return float(1.0 - s1 * (loc.theta - focus.theta) ** 2 - s2 * (loc.alpha - focus.alpha) ** 2)

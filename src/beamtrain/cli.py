@@ -11,9 +11,10 @@ Errors exit nonzero with a machine-readable JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import sys
+from pathlib import Path
 
 from .config import PolarLocation
 from .arrays import PolarCodebook, los_channel
@@ -63,7 +64,7 @@ def _fail(message: str, code: int = 2, **detail):
 
 def _cmd_design(args):
     try:
-        inputs = DesignInputs.from_json(args.inputs)
+        inputs = DesignInputs.from_json(Path(args.inputs).read_text())
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         _fail(f"invalid design inputs: {exc}")
     from .design import design as run_design
@@ -85,7 +86,7 @@ def _cmd_design(args):
 
 def _cmd_pattern(args):
     try:
-        plan = PilotPlan.from_json(args.plan)
+        plan = PilotPlan.from_json(Path(args.plan).read_text())
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         _fail(f"invalid plan: {exc}")
     rows, text = dump_beam_pattern(plan, out=args.out)
@@ -98,7 +99,7 @@ def _cmd_pattern(args):
 
 def _cmd_train(args):
     try:
-        plan = PilotPlan.from_json(args.plan)
+        plan = PilotPlan.from_json(Path(args.plan).read_text())
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         _fail(f"invalid plan: {exc}")
     cfg = plan.cfg
@@ -146,7 +147,7 @@ def _cmd_train(args):
 def _cmd_sweep(args):
     try:
         if args.spec:
-            spec = ExperimentSpec.from_json(args.spec)
+            spec = ExperimentSpec.from_json(Path(args.spec).read_text())
         elif args.full_scale:
             spec = fullscale_experiment_spec()
         else:
@@ -156,8 +157,7 @@ def _cmd_sweep(args):
             overrides["master_seed"] = args.seed
         if args.trials is not None:
             overrides["n_trials"] = args.trials
-        if overrides:
-            spec = ExperimentSpec.from_dict({**spec.to_dict(), **_nest(overrides)})
+        spec = dataclasses.replace(spec, **overrides)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         _fail(f"invalid experiment spec: {exc}")
     result = run_sweep(spec)
@@ -167,15 +167,6 @@ def _cmd_sweep(args):
     result.to_json(json_path)
     print(f"{len(result.rows)} rows written to {csv_path}; summary in {json_path}")
     return 0
-
-
-def _nest(overrides: dict) -> dict:
-    out = dict(overrides)
-    if "master_seed" in out:
-        out["master_seed"] = int(out["master_seed"])
-    if "n_trials" in out:
-        out["n_trials"] = int(out["n_trials"])
-    return out
 
 
 def build_parser() -> argparse.ArgumentParser:

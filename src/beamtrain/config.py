@@ -138,12 +138,9 @@ class SystemConfig:
         return text
 
     @classmethod
-    def from_json(cls, source) -> "SystemConfig":
-        """Load from a JSON string or file path with keys mirroring field names."""
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            with open(text) as fh:
-                text = fh.read()
+    def from_json(cls, text: str) -> "SystemConfig":
+        """Parse JSON text with keys mirroring field names (read files with
+        Path.read_text)."""
         return cls.from_dict(json.loads(text))
 
 

@@ -87,11 +87,8 @@ class DesignInputs:
         )
 
     @classmethod
-    def from_json(cls, source) -> "DesignInputs":
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            with open(text) as fh:
-                text = fh.read()
+    def from_json(cls, text: str) -> "DesignInputs":
+        """Parse JSON text (read files with Path.read_text)."""
         return cls.from_dict(json.loads(text))
 
 
@@ -284,11 +281,8 @@ class PilotPlan:
         )
 
     @classmethod
-    def from_json(cls, source) -> "PilotPlan":
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            with open(text) as fh:
-                text = fh.read()
+    def from_json(cls, text: str) -> "PilotPlan":
+        """Parse JSON text (read files with Path.read_text)."""
         return cls.from_dict(json.loads(text))
 
     def summary(self) -> str:
@@ -368,11 +362,8 @@ class FixedTdNetwork:
         return text
 
     @classmethod
-    def from_csv(cls, source) -> "FixedTdNetwork":
-        text = str(source)
-        if "," not in text and "\n" not in text:
-            with open(text) as fh:
-                text = fh.read()
+    def from_csv(cls, text: str) -> "FixedTdNetwork":
+        """Parse CSV text as written by to_csv (read files with Path.read_text)."""
         rows = [
             [float(v) for v in line.split(",")]
             for line in text.strip().splitlines()

@@ -13,15 +13,17 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .config import PolarLocation, SystemConfig
-from .arrays import PolarCodebook
-from .beamsplit import InfeasibleFocusError, TdPsParams, gain_kernel
+from .arrays import PolarCodebook, _uniform_samples, approx_steering, los_rows
+from .beamsplit import InfeasibleFocusError, gain_kernel
 from .design import DesignInputs, PilotPlan, design
 from .training import (
     ALL_SCHEMES,
+    FAR_RINGS,
     SCHEME_AUX,
     SCHEME_EXHAUSTIVE,
     SCHEME_FAR_RAINBOW,
@@ -34,8 +36,12 @@ from .training import (
     TrainingEstimate,
     aux_pair_train,
     build_match_filter_bank,
-    rainbow_sweep_params,
-    _grid_axes,
+    exhaustive_estimate,
+    match_filter_estimate,
+    ongrid_estimate,
+    pilot_beamformers,
+    rainbow_estimate,
+    rainbow_probes,
 )
 
 AXES = ("snr_db", "overhead", "distance_m")
@@ -171,11 +177,8 @@ class ExperimentSpec:
         )
 
     @classmethod
-    def from_json(cls, source) -> "ExperimentSpec":
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            with open(text) as fh:
-                text = fh.read()
+    def from_json(cls, text: str) -> "ExperimentSpec":
+        """Parse JSON text (read files with Path.read_text)."""
         return cls.from_dict(json.loads(text))
 
     def spec_hash(self) -> str:
@@ -217,11 +220,8 @@ class SweepResult:
         return text
 
     @classmethod
-    def from_csv(cls, source) -> "SweepResult":
-        text = str(source)
-        if "\n" not in text and "," not in text:
-            with open(text) as fh:
-                text = fh.read()
+    def from_csv(cls, text: str) -> "SweepResult":
+        """Parse CSV text as written by to_csv (read files with Path.read_text)."""
         lines = text.strip().splitlines()
         if lines[0] != ",".join(_SWEEP_COLUMNS):
             raise ValueError("unrecognized sweep CSV header")
@@ -270,38 +270,14 @@ def _draw_users(cfg: SystemConfig, rng, n: int, r_fixed: float | None = None):
     return {"theta": theta, "alpha": alpha, "r": r, "beta_c": beta_c}
 
 
-def _h_rows(cfg: SystemConfig, users, f: float) -> np.ndarray:
-    """Channel rows h_m for all users at frequency f, shape (T, N_t)."""
-    nd = cfg.element_indices() * cfg.spacing
-    r = users["r"][:, None]
-    th = users["theta"][:, None]
-    rn = np.sqrt(r * r + nd * nd - 2 * r * th * nd)
-    beta = (cfg.carrier_freq / f) * users["beta_c"]
-    return beta[:, None] * np.exp(-1j * cfg.wavenumber(f) * rn)
-
-
-def _pilot_columns(cfg: SystemConfig, params_list, f: float) -> np.ndarray:
-    """Beamformers of each parameter set at frequency f, shape (N_t, K)."""
-    nd = cfg.element_indices() * cfg.spacing
-    k = cfg.wavenumber(f)
-    kc = cfg.wavenumber(cfg.carrier_freq)
-    cols = []
-    for p in params_list:
-        phase = -k * (nd * p.theta_t - nd * nd * p.alpha_t) - kc * (
-            nd * p.theta_p - nd * nd * p.alpha_p
-        )
-        cols.append(np.exp(1j * phase))
-    return np.stack(cols, axis=1) / np.sqrt(cfg.n_antennas)
-
-
 def _sweep_signal(cfg: SystemConfig, params_list, users) -> np.ndarray:
     """Noiseless pilot observations, shape (T, M, K)."""
     t = len(users["theta"])
     M = cfg.n_subcarriers
     out = np.empty((t, M, len(params_list)), dtype=complex)
     for i, f in enumerate(cfg.subcarrier_freqs()):
-        h = _h_rows(cfg, users, f)
-        w = _pilot_columns(cfg, params_list, f)
+        h = los_rows(cfg, users["theta"], users["r"], users["beta_c"], f)
+        w = pilot_beamformers(cfg, params_list, f)
         out[:, i, :] = math.sqrt(TX_POWER) * (h @ w)
     return out
 
@@ -317,26 +293,17 @@ def _sigma(cfg: SystemConfig, users, snr_linear: float) -> np.ndarray:
     return np.sqrt(TX_POWER * cfg.n_antennas * users["beta_c"] ** 2 / snr_linear)
 
 
-def _grid_phases(cfg: SystemConfig, thetas, alphas, f: float) -> np.ndarray:
-    """Approximate steering matrix over grid points, shape (G, N_t)."""
-    nd = cfg.element_indices() * cfg.spacing
-    k = cfg.wavenumber(f)
-    phase = k * (np.outer(thetas, nd) - np.outer(alphas, nd * nd))
-    return np.exp(1j * phase) / np.sqrt(cfg.n_antennas)
-
-
 def _exhaustive_moments(cfg: SystemConfig, locs, users, rng):
     """Accumulators (A, B, C): per-codeword power sum_m |p + sigma z|^2
     decomposes as A + 2 sigma B + sigma^2 C per user."""
-    thetas = np.array([l.theta for l in locs])
-    alphas = np.array([l.alpha for l in locs])
+    grid_points = (np.array([l.theta for l in locs]), np.array([l.alpha for l in locs]))
     t = len(users["theta"])
     a = np.zeros((t, len(locs)))
     b = np.zeros((t, len(locs)))
     c = np.zeros((t, len(locs)))
     for i, f in enumerate(cfg.subcarrier_freqs()):
-        grid = _grid_phases(cfg, thetas, alphas, f)
-        h = _h_rows(cfg, users, f)
+        grid = approx_steering(cfg, grid_points, f)
+        h = los_rows(cfg, users["theta"], users["r"], users["beta_c"], f)
         p = math.sqrt(TX_POWER) * (h @ grid.conj().T)
         z = _unit_noise(rng, p.shape)
         a += np.abs(p) ** 2
@@ -345,17 +312,23 @@ def _exhaustive_moments(cfg: SystemConfig, locs, users, rng):
     return a, b, c
 
 
-def _foci_tables(plan: PilotPlan):
-    """Clamped focus lookup (theta, alpha) arrays of shape (M, K)."""
-    M, K = plan.cfg.n_subcarriers, plan.K
-    th = np.empty((M, K))
-    al = np.empty((M, K))
-    for k in range(1, K + 1):
-        for m in range(1, M + 1):
-            focus = plan.focus(m, k, clamp=True)
-            th[m - 1, k - 1] = focus.theta
-            al[m - 1, k - 1] = max(focus.alpha, 0.0)
+def _aux_estimate(mags, plan: PilotPlan, budget, snr):
+    """Aux-pair estimates of mags (T, M, K), one Newton solve per trial."""
+    th = np.empty(len(mags))
+    al = np.empty(len(mags))
+    for i, trial in enumerate(mags):
+        est = aux_pair_train(ObservationGrid(magnitudes=trial[:, :budget], snr=snr), plan)
+        th[i], al[i] = est.theta, est.alpha
     return th, al
+
+
+class _Scheme(NamedTuple):
+    """One row of the sweep's scheme table."""
+
+    stream: int | None  # rng stream tag of the probe family; None: no probes
+    probes: Callable | None  # () -> pilot parameter sets; None: the codebook
+    estimate: Callable | None  # (observations, pilot budget, snr) -> (theta, alpha)
+    pilots: int  # full pilot count
 
 
 class _Engine:
@@ -363,99 +336,105 @@ class _Engine:
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
-        self.cfg = spec.cfg
-        self.plan = design(spec.design_inputs())
-        need_proposed = bool(
-            {SCHEME_ONGRID, SCHEME_AUX, SCHEME_MATCH} & set(spec.schemes)
-        )
-        self.plan_params = [self.plan.params(k) for k in range(1, self.plan.K + 1)]
-        self.foci = _foci_tables(self.plan) if need_proposed else None
-        self.bank = (
-            build_match_filter_bank(self.plan, spec.bank_angles, spec.bank_rings)
+        self.cfg = cfg = spec.cfg
+        self.plan = plan = design(spec.design_inputs())
+        self.bank = bank = (
+            build_match_filter_bank(plan, spec.bank_angles, spec.bank_rings)
             if SCHEME_MATCH in spec.schemes
             else None
         )
-        if self.bank is not None:
-            self._unit_sig = self.bank.unit_signatures()
-        self.codebook = (
-            PolarCodebook(self.cfg, spec.bank_angles, spec.bank_rings)
+        self.codebook = codebook = (
+            PolarCodebook(cfg, spec.bank_angles, spec.bank_rings)
             if SCHEME_EXHAUSTIVE in spec.schemes
             else None
         )
-        rainbow = {SCHEME_NEAR_RAINBOW, SCHEME_FAR_RAINBOW} & set(spec.schemes)
-        self.rainbow_params = rainbow_sweep_params(self.cfg) if rainbow else None
-        self.rings = _grid_axes(self.cfg.alpha_min, self.cfg.alpha_max, spec.bank_rings)
+        rings = _uniform_samples(cfg.alpha_min, cfg.alpha_max, spec.bank_rings)
 
-    # estimate extraction -------------------------------------------------
+        def plan_probes():
+            return [plan.params(k) for k in range(1, plan.K + 1)]
 
-    def _ongrid(self, mags, k_budget):
-        th, al = self.foci
-        t = mags.shape[0]
-        sub = mags[:, :, :k_budget].reshape(t, -1)
-        idx = np.argmax(sub, axis=1)
-        m_idx, k_idx = np.unravel_index(idx, (mags.shape[1], k_budget))
-        return th[m_idx, k_idx], al[m_idx, k_idx]
-
-    def _aux(self, mags, snr, k_budget):
-        t = mags.shape[0]
-        th = np.empty(t)
-        al = np.empty(t)
-        for i in range(t):
-            obs = ObservationGrid(magnitudes=mags[i, :, :k_budget], snr=snr)
-            est = aux_pair_train(obs, self.plan)
-            th[i], al[i] = est.theta, est.alpha
-        return th, al
-
-    def _match(self, mags, k_budget):
-        if k_budget == self.plan.K:
-            unit_sig = self._unit_sig
-        else:
-            sig = self.bank.signatures.reshape(
-                len(self.bank), self.cfg.n_subcarriers, self.plan.K
-            )[:, :, :k_budget].reshape(len(self.bank), -1)
-            norms = np.linalg.norm(sig, axis=1, keepdims=True)
-            unit_sig = sig / np.where(norms == 0, 1.0, norms)
-        t = mags.shape[0]
-        flat = mags[:, :, :k_budget].reshape(t, -1)
-        norms = np.linalg.norm(flat, axis=1, keepdims=True)
-        flat = flat / np.where(norms == 0, 1.0, norms)
-        idx = np.argmax(flat @ unit_sig.T, axis=1)
-        th = np.array([self.bank.locations[i].theta for i in idx])
-        al = np.array([self.bank.locations[i].alpha for i in idx])
-        return th, al
-
-    def _exhaustive(self, total, budget):
-        idx = np.argmax(total[:, :budget], axis=1)
-        th = np.array([self.codebook.locations[i].theta for i in idx])
-        al = np.array([self.codebook.locations[i].alpha for i in idx])
-        return th, al
-
-    def _rainbow(self, mags, s_budget):
-        t = mags.shape[0]
-        sub = mags[:, :, :s_budget].reshape(t, -1)
-        idx = np.argmax(sub, axis=1)
-        m_idx, s_idx = np.unravel_index(idx, (mags.shape[1], s_budget))
-        g = self.cfg.carrier_freq / self.cfg.subcarrier_freqs()[m_idx]
-        th = self.rainbow_params.theta_t + g * self.rainbow_params.theta_p
-        th = np.clip(th, -1.0, 1.0)
-        return th, self.rings[s_idx]
-
-    # rates ----------------------------------------------------------------
+        # Schemes of one probe family share its draws and observations.  The
+        # rows hold no reference to the engine, so a finished sweep frees its
+        # bank without waiting for the cycle collector.
+        self.table = {
+            SCHEME_PERFECT: _Scheme(None, None, None, 0),
+            SCHEME_ONGRID: _Scheme(
+                _STREAM_PROPOSED, plan_probes,
+                lambda obs, budget, snr: ongrid_estimate(obs, plan, budget)[:2], plan.K),
+            SCHEME_AUX: _Scheme(
+                _STREAM_PROPOSED, plan_probes,
+                lambda obs, budget, snr: _aux_estimate(obs, plan, budget, snr), plan.K),
+            SCHEME_MATCH: _Scheme(
+                _STREAM_PROPOSED, plan_probes,
+                lambda obs, budget, snr: match_filter_estimate(obs, bank, budget)[:2],
+                plan.K),
+            SCHEME_EXHAUSTIVE: _Scheme(
+                _STREAM_EXHAUSTIVE, None,
+                lambda obs, budget, snr: exhaustive_estimate(obs, codebook, budget)[:2],
+                spec.bank_angles * spec.bank_rings),
+            SCHEME_NEAR_RAINBOW: _Scheme(
+                _STREAM_NEAR, lambda: rainbow_probes(cfg, rings),
+                lambda obs, budget, snr: rainbow_estimate(obs, cfg, rings, budget)[:2],
+                spec.bank_rings),
+            SCHEME_FAR_RAINBOW: _Scheme(
+                _STREAM_FAR, lambda: rainbow_probes(cfg, FAR_RINGS),
+                lambda obs, budget, snr: rainbow_estimate(obs, cfg, FAR_RINGS, budget)[:2],
+                1),
+        }
 
     def _rates(self, users, th_hat, al_hat, snr) -> np.ndarray:
         gains = _serving_gains(self.cfg, users["theta"], users["alpha"], th_hat, al_hat)
         return np.mean(np.log2(1.0 + snr * gains**2), axis=1)
 
-    # sweep drivers ---------------------------------------------------------
+    def _point(self, idx, value):
+        """(snr in dB, pilot budget, draw key, fixed user distance) of one axis
+        point.  The draw key extends the rng keys: the SNR and overhead axes
+        share one draw, the distance axis redraws per point."""
+        spec = self.spec
+        if spec.sweep_axis == "snr_db":
+            return value, math.inf, (), None
+        if spec.sweep_axis == "overhead":
+            return spec.snr_db, int(value), (), None
+        return spec.snr_db, math.inf, (idx,), value
+
+    def _draw(self, scheme: _Scheme, users, key):
+        """Draw a probe family once per draw key; returns the map from the
+        per-user noise std (T, 1, 1) to the family's noisy observations."""
+        rng = _rng(self.spec.master_seed, scheme.stream, *key)
+        if scheme.probes is None:
+            a, b, c = _exhaustive_moments(self.cfg, self.codebook.locations, users, rng)
+            return lambda sg: a + 2 * sg[:, :, 0] * b + sg[:, :, 0] * sg[:, :, 0] * c
+        sig = _sweep_signal(self.cfg, scheme.probes(), users)
+        noise = _unit_noise(rng, sig.shape)
+        return lambda sg: np.abs(sig + sg * noise)
 
     def run(self) -> SweepResult:
         spec = self.spec
-        if spec.sweep_axis == "snr_db":
-            rows = self._run_snr_axis()
-        elif spec.sweep_axis == "distance_m":
-            rows = self._run_distance_axis()
-        else:
-            rows = self._run_overhead_axis()
+        t = spec.n_trials
+        rows = []
+        key = None
+        for idx, value in enumerate(spec.axis_values):
+            snr_db, budget, point_key, r_fixed = self._point(idx, value)
+            if point_key != key:
+                key, draws = point_key, {}
+                users = _draw_users(self.cfg, _rng(spec.master_seed, _STREAM_USERS, *key),
+                                    t, r_fixed=r_fixed)
+            snr = 10 ** (snr_db / 10)
+            sg = _sigma(self.cfg, users, snr)[:, None, None]
+            observed = {}
+            for name in spec.schemes:
+                scheme = self.table[name]
+                if scheme.stream is None:
+                    rates = np.full(t, math.log2(1.0 + snr))
+                else:
+                    if scheme.stream not in observed:
+                        if scheme.stream not in draws:
+                            draws[scheme.stream] = self._draw(scheme, users, key)
+                        observed[scheme.stream] = draws[scheme.stream](sg)
+                    th, al = scheme.estimate(observed[scheme.stream],
+                                             min(budget, scheme.pilots), snr)
+                    rates = self._rates(users, th, al, snr)
+                rows.append(self._row(name, value, rates, scheme.pilots))
         meta = {
             "spec_hash": spec.spec_hash(),
             "master_seed": spec.master_seed,
@@ -480,200 +459,7 @@ class _Engine:
         }
 
     def full_pilots(self, scheme: str) -> int:
-        if scheme == SCHEME_EXHAUSTIVE:
-            return len(self.codebook)
-        if scheme == SCHEME_NEAR_RAINBOW:
-            return self.spec.bank_rings
-        if scheme in (SCHEME_FAR_RAINBOW, SCHEME_PERFECT):
-            return 1 if scheme == SCHEME_FAR_RAINBOW else 0
-        return self.plan.K
-
-    def _run_snr_axis(self):
-        spec = self.spec
-        t = spec.n_trials
-        users = _draw_users(self.cfg, _rng(spec.master_seed, _STREAM_USERS), t)
-        snrs = [10 ** (v / 10) for v in spec.axis_values]
-        k = self.plan.K
-
-        prop_schemes = [s for s in spec.schemes
-                        if s in (SCHEME_ONGRID, SCHEME_AUX, SCHEME_MATCH)]
-        sig = noise = None
-        if prop_schemes:
-            sig = _sweep_signal(self.cfg, self.plan_params, users)
-            noise = _unit_noise(_rng(spec.master_seed, _STREAM_PROPOSED), sig.shape)
-        moments = None
-        if SCHEME_EXHAUSTIVE in spec.schemes:
-            moments = _exhaustive_moments(
-                self.cfg, self.codebook.locations, users,
-                _rng(spec.master_seed, _STREAM_EXHAUSTIVE),
-            )
-        near_sig = near_noise = None
-        if SCHEME_NEAR_RAINBOW in spec.schemes:
-            ring_params = [
-                TdPsParams(self.rainbow_params.theta_t, self.rainbow_params.theta_p,
-                           alpha_t=float(a))
-                for a in self.rings
-            ]
-            near_sig = _sweep_signal(self.cfg, ring_params, users)
-            near_noise = _unit_noise(_rng(spec.master_seed, _STREAM_NEAR), near_sig.shape)
-        far_sig = far_noise = None
-        if SCHEME_FAR_RAINBOW in spec.schemes:
-            far_sig = _sweep_signal(self.cfg, [self.rainbow_params], users)
-            far_noise = _unit_noise(_rng(spec.master_seed, _STREAM_FAR), far_sig.shape)
-
-        rows = []
-        for value, snr in zip(spec.axis_values, snrs):
-            sg = _sigma(self.cfg, users, snr)[:, None, None]
-            for scheme in spec.schemes:
-                if scheme == SCHEME_PERFECT:
-                    rates = np.full(t, math.log2(1.0 + snr))
-                elif scheme in (SCHEME_ONGRID, SCHEME_AUX, SCHEME_MATCH):
-                    mags = np.abs(sig + sg * noise)
-                    if scheme == SCHEME_ONGRID:
-                        th, al = self._ongrid(mags, k)
-                    elif scheme == SCHEME_AUX:
-                        th, al = self._aux(mags, snr, k)
-                    else:
-                        th, al = self._match(mags, k)
-                    rates = self._rates(users, th, al, snr)
-                elif scheme == SCHEME_EXHAUSTIVE:
-                    a, b, c = moments
-                    s1 = sg[:, :, 0]
-                    total = a + 2 * s1 * b + s1 * s1 * c
-                    th, al = self._exhaustive(total, total.shape[1])
-                    rates = self._rates(users, th, al, snr)
-                elif scheme == SCHEME_NEAR_RAINBOW:
-                    mags = np.abs(near_sig + sg * near_noise)
-                    th, al = self._rainbow(mags, len(self.rings))
-                    rates = self._rates(users, th, al, snr)
-                else:
-                    mags = np.abs(far_sig + sg * far_noise)
-                    th, _ = self._rainbow(mags, 1)
-                    rates = self._rates(users, th, np.zeros(t), snr)
-                rows.append(self._row(scheme, value, rates, self.full_pilots(scheme)))
-        return rows
-
-    def _run_distance_axis(self):
-        spec = self.spec
-        snr = 10 ** (spec.snr_db / 10)
-        rows = []
-        for idx, r_value in enumerate(spec.axis_values):
-            users = _draw_users(
-                self.cfg, _rng(spec.master_seed, _STREAM_USERS, idx),
-                spec.n_trials, r_fixed=r_value,
-            )
-            rows.extend(self._point_rows(users, snr, r_value, idx))
-        return rows
-
-    def _run_overhead_axis(self):
-        spec = self.spec
-        snr = 10 ** (spec.snr_db / 10)
-        t = spec.n_trials
-        users = _draw_users(self.cfg, _rng(spec.master_seed, _STREAM_USERS), t)
-        k = self.plan.K
-
-        mags = total = near_mags = far_mags = None
-        if {SCHEME_ONGRID, SCHEME_AUX, SCHEME_MATCH} & set(spec.schemes):
-            sig = _sweep_signal(self.cfg, self.plan_params, users)
-            z = _unit_noise(_rng(spec.master_seed, _STREAM_PROPOSED), sig.shape)
-            mags = np.abs(sig + _sigma(self.cfg, users, snr)[:, None, None] * z)
-        if SCHEME_EXHAUSTIVE in spec.schemes:
-            a, b, c = _exhaustive_moments(
-                self.cfg, self.codebook.locations, users,
-                _rng(spec.master_seed, _STREAM_EXHAUSTIVE),
-            )
-            s1 = _sigma(self.cfg, users, snr)[:, None]
-            total = a + 2 * s1 * b + s1 * s1 * c
-        if SCHEME_NEAR_RAINBOW in spec.schemes:
-            ring_params = [
-                TdPsParams(self.rainbow_params.theta_t, self.rainbow_params.theta_p,
-                           alpha_t=float(x))
-                for x in self.rings
-            ]
-            sig = _sweep_signal(self.cfg, ring_params, users)
-            z = _unit_noise(_rng(spec.master_seed, _STREAM_NEAR), sig.shape)
-            near_mags = np.abs(sig + _sigma(self.cfg, users, snr)[:, None, None] * z)
-        if SCHEME_FAR_RAINBOW in spec.schemes:
-            sig = _sweep_signal(self.cfg, [self.rainbow_params], users)
-            z = _unit_noise(_rng(spec.master_seed, _STREAM_FAR), sig.shape)
-            far_mags = np.abs(sig + _sigma(self.cfg, users, snr)[:, None, None] * z)
-
-        rows = []
-        for budget in spec.axis_values:
-            budget_i = int(budget)
-            for scheme in spec.schemes:
-                if scheme == SCHEME_PERFECT:
-                    rates = np.full(t, math.log2(1.0 + snr))
-                elif scheme == SCHEME_ONGRID:
-                    th, al = self._ongrid(mags, min(budget_i, k))
-                    rates = self._rates(users, th, al, snr)
-                elif scheme == SCHEME_AUX:
-                    th, al = self._aux(mags[:, :, : min(budget_i, k)], snr,
-                                       min(budget_i, k))
-                    rates = self._rates(users, th, al, snr)
-                elif scheme == SCHEME_MATCH:
-                    th, al = self._match(mags, min(budget_i, k))
-                    rates = self._rates(users, th, al, snr)
-                elif scheme == SCHEME_EXHAUSTIVE:
-                    th, al = self._exhaustive(total, min(budget_i, total.shape[1]))
-                    rates = self._rates(users, th, al, snr)
-                elif scheme == SCHEME_NEAR_RAINBOW:
-                    th, al = self._rainbow(near_mags, min(budget_i, len(self.rings)))
-                    rates = self._rates(users, th, al, snr)
-                else:
-                    th, _ = self._rainbow(far_mags, 1)
-                    rates = self._rates(users, th, np.zeros(t), snr)
-                rows.append(self._row(scheme, budget, rates, self.full_pilots(scheme)))
-        return rows
-
-    def _point_rows(self, users, snr, value, idx):
-        spec = self.spec
-        t = spec.n_trials
-        sg3 = _sigma(self.cfg, users, snr)[:, None, None]
-        rows = []
-        mags = None
-        if {SCHEME_ONGRID, SCHEME_AUX, SCHEME_MATCH} & set(spec.schemes):
-            sig = _sweep_signal(self.cfg, self.plan_params, users)
-            z = _unit_noise(_rng(spec.master_seed, _STREAM_PROPOSED, idx), sig.shape)
-            mags = np.abs(sig + sg3 * z)
-        for scheme in spec.schemes:
-            if scheme == SCHEME_PERFECT:
-                rates = np.full(t, math.log2(1.0 + snr))
-            elif scheme == SCHEME_ONGRID:
-                th, al = self._ongrid(mags, self.plan.K)
-                rates = self._rates(users, th, al, snr)
-            elif scheme == SCHEME_AUX:
-                th, al = self._aux(mags, snr, self.plan.K)
-                rates = self._rates(users, th, al, snr)
-            elif scheme == SCHEME_MATCH:
-                th, al = self._match(mags, self.plan.K)
-                rates = self._rates(users, th, al, snr)
-            elif scheme == SCHEME_EXHAUSTIVE:
-                a, b, c = _exhaustive_moments(
-                    self.cfg, self.codebook.locations, users,
-                    _rng(spec.master_seed, _STREAM_EXHAUSTIVE, idx),
-                )
-                s1 = _sigma(self.cfg, users, snr)[:, None]
-                total = a + 2 * s1 * b + s1 * s1 * c
-                th, al = self._exhaustive(total, total.shape[1])
-                rates = self._rates(users, th, al, snr)
-            elif scheme == SCHEME_NEAR_RAINBOW:
-                ring_params = [
-                    TdPsParams(self.rainbow_params.theta_t, self.rainbow_params.theta_p,
-                               alpha_t=float(x))
-                    for x in self.rings
-                ]
-                sig = _sweep_signal(self.cfg, ring_params, users)
-                z = _unit_noise(_rng(spec.master_seed, _STREAM_NEAR, idx), sig.shape)
-                th, al = self._rainbow(np.abs(sig + sg3 * z), len(self.rings))
-                rates = self._rates(users, th, al, snr)
-            else:
-                sig = _sweep_signal(self.cfg, [self.rainbow_params], users)
-                z = _unit_noise(_rng(spec.master_seed, _STREAM_FAR, idx), sig.shape)
-                th, _ = self._rainbow(np.abs(sig + sg3 * z), 1)
-                rates = self._rates(users, th, np.zeros(t), snr)
-            rows.append(self._row(scheme, value, rates, self.full_pilots(scheme)))
-        return rows
+        return self.table[scheme].pilots
 
 
 def run_sweep(spec: ExperimentSpec) -> SweepResult:
@@ -741,11 +527,8 @@ def pattern_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def pattern_from_csv(source):
-    text = str(source)
-    if "\n" not in text and "," not in text:
-        with open(text) as fh:
-            text = fh.read()
+def pattern_from_csv(text: str):
+    """Parse beam-pattern CSV text as written by pattern_to_csv."""
     lines = text.strip().splitlines()
     if lines[0] != ",".join(_PATTERN_COLUMNS):
         raise ValueError("unrecognized pattern CSV header")

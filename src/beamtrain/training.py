@@ -21,11 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PolarLocation, SystemConfig
-from .arrays import Channel, approx_steering
+from .arrays import Channel, _uniform_samples, approx_steering
 from .beamsplit import TdPsParams, ellipse_coefficients, gain_kernel
 from .design import PilotPlan
 
 TX_POWER = 1.0
+
+# the far-field rainbow is a near-field rainbow with one ring, at alpha = 0
+FAR_RINGS = (0.0,)
 
 SCHEME_PERFECT = "perfect_csi"
 SCHEME_EXHAUSTIVE = "exhaustive"
@@ -121,14 +124,24 @@ def _complex_noise(rng: np.random.Generator, sigma2: float, shape) -> np.ndarray
     return s * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def _pilot_matrix(cfg: SystemConfig, params: TdPsParams) -> np.ndarray:
-    """Beamformers of one pilot across all subcarriers, shape (M, N_t)."""
-    freqs = cfg.subcarrier_freqs()
-    nd = cfg.element_indices() * cfg.spacing
-    k = cfg.wavenumber(freqs)[:, None]
+def pilot_beamformers(cfg: SystemConfig, params_list, f) -> np.ndarray:
+    """Delay-phase beamformer of each parameter set at frequency f.
+
+    Element n of column k is e^{-j k_f (n d theta_t - n^2 d^2 alpha_t)
+    - j k_c (n d theta_p - n^2 d^2 alpha_p)} / sqrt(N_t).  f may be an array;
+    the shape is f.shape + (N_t, len(params_list)).  The pilot simulators of
+    the single-trial API and of the sweep engine both use this copy; the
+    beamsplit oracles td_vector / ps_vector stay separate on purpose.
+    """
+    nd = (cfg.element_indices() * cfg.spacing)[:, None]
+    k = np.asarray(cfg.wavenumber(f))[..., None, None]
     kc = cfg.wavenumber(cfg.carrier_freq)
-    phase = -k * (nd * params.theta_t - nd * nd * params.alpha_t)
-    phase = phase - kc * (nd * params.theta_p - nd * nd * params.alpha_p)
+    theta_t, theta_p, alpha_t, alpha_p = (
+        np.array([getattr(p, name) for p in params_list])
+        for name in ("theta_t", "theta_p", "alpha_t", "alpha_p")
+    )
+    phase = -k * (nd * theta_t - nd * nd * alpha_t)
+    phase = phase - kc * (nd * theta_p - nd * nd * alpha_p)
     return np.exp(1j * phase) / np.sqrt(cfg.n_antennas)
 
 
@@ -142,19 +155,14 @@ def observe_params(
     """
     gen, seed = _as_rng(rng)
     sigma2 = noise_power(cfg, channel, snr)
+    freqs = cfg.subcarrier_freqs()
     cols = []
     for params in params_list:
-        w = _pilot_matrix(cfg, params)
+        w = pilot_beamformers(cfg, [params], freqs)[..., 0]
         y = math.sqrt(TX_POWER) * np.sum(channel.per_subcarrier * w, axis=1)
         y = y + _complex_noise(gen, sigma2, y.shape)
         cols.append(np.abs(y))
     return ObservationGrid(magnitudes=np.stack(cols, axis=1), snr=snr, seed=seed)
-
-
-def simulate_pilot(channel: Channel, plan: PilotPlan, k: int, snr: float, rng) -> np.ndarray:
-    """Magnitude observations of pilot k (1-based) across all subcarriers."""
-    grid = observe_params(plan.cfg, channel, [plan.params(k)], snr, rng)
-    return grid.magnitudes[:, 0]
 
 
 def observe_plan(channel: Channel, plan: PilotPlan, snr: float, rng) -> ObservationGrid:
@@ -164,18 +172,52 @@ def observe_plan(channel: Channel, plan: PilotPlan, snr: float, rng) -> Observat
     )
 
 
+# Batch estimators take observations with a leading trial axis T and an
+# optional pilot budget (the first `budget` pilots, codewords or rings; None
+# uses all).  Each returns per-trial theta and alpha arrays first, then the
+# 0-based pick the single-trial *_train wrappers (their T = 1 case) report.
+
+
+def _argmax_rows(obs: np.ndarray, budget) -> np.ndarray:
+    """Flat index of each trial's largest entry among the first `budget`
+    columns of its trailing axis; ties go to the smaller index."""
+    sub = obs[..., :budget]
+    return np.argmax(sub.reshape(len(sub), -1), axis=1)
+
+
+def _pick(locations, idx):
+    """(theta, alpha) arrays of the grid points at indices idx."""
+    return (np.array([locations[i].theta for i in idx]),
+            np.array([locations[i].alpha for i in idx]))
+
+
+def ongrid_estimate(mags: np.ndarray, plan: PilotPlan, budget=None):
+    """Strongest beam's predicted focus per trial of mags (T, M, K); ties go
+    to smaller m, then smaller k.  Returns theta, alpha, clamped and the flat
+    (m, k) index over the budgeted (M, K') grid.  Only the picked beams' foci
+    are evaluated."""
+    flat = _argmax_rows(mags, budget)
+    n_cols = mags[..., :budget].shape[-1]
+    picks, inverse = np.unique(flat, return_inverse=True)
+    foci = [plan.focus(m + 1, k + 1, clamp=True)
+            for m, k in zip(*np.divmod(picks, n_cols))]
+    theta = np.array([f.theta for f in foci])[inverse]
+    alpha = np.array([max(f.alpha, 0.0) for f in foci])[inverse]
+    clamped = np.array([f.clamped or f.alpha < 0 for f in foci])[inverse]
+    return theta, alpha, clamped, flat
+
+
 def ongrid_train(obs: ObservationGrid, plan: PilotPlan) -> TrainingEstimate:
     """Strongest beam's predicted focus; ties go to smaller m, then smaller k."""
-    flat = int(np.argmax(obs.magnitudes))
-    m_idx, k_idx = divmod(flat, obs.magnitudes.shape[1])
-    focus = plan.focus(m_idx + 1, k_idx + 1, clamp=True)
+    theta, alpha, clamped, flat = ongrid_estimate(obs.magnitudes[None], plan)
+    m_idx, k_idx = divmod(int(flat[0]), obs.magnitudes.shape[1])
     return TrainingEstimate(
-        theta=focus.theta,
-        alpha=max(focus.alpha, 0.0),
+        theta=float(theta[0]),
+        alpha=float(alpha[0]),
         scheme=SCHEME_ONGRID,
         selected=(m_idx + 1, k_idx + 1),
         pilots_used=plan.K,
-        clamped=focus.clamped or focus.alpha < 0,
+        clamped=bool(clamped[0]),
     )
 
 
@@ -332,15 +374,12 @@ class MatchFilterBank:
     def __len__(self) -> int:
         return len(self.locations)
 
-    def unit_signatures(self) -> np.ndarray:
-        norms = np.linalg.norm(self.signatures, axis=1, keepdims=True)
-        return self.signatures / np.where(norms == 0, 1.0, norms)
-
-
-def _grid_axes(lo, hi, n):
-    if n == 1:
-        return np.array([0.5 * (lo + hi)])
-    return np.linspace(lo, hi, n)
+    def unit_signatures(self, budget=None) -> np.ndarray:
+        """Unit-norm signatures over the first `budget` pilots (None: all)."""
+        g = len(self)
+        sig = self.signatures.reshape(g, -1, self.plan.K)[:, :, :budget].reshape(g, -1)
+        norms = np.linalg.norm(sig, axis=1, keepdims=True)
+        return sig / np.where(norms == 0, 1.0, norms)
 
 
 def build_match_filter_bank(
@@ -359,12 +398,12 @@ def build_match_filter_bank(
     cfg = plan.cfg
     amin, amax = plan.inputs.alpha_bounds
     thetas = (
-        _grid_axes(cfg.angle_range[0], cfg.angle_range[1], angle_samples)
+        _uniform_samples(cfg.angle_range[0], cfg.angle_range[1], angle_samples)
         if theta_grid is None
         else np.asarray(theta_grid, dtype=float)
     )
     alphas = (
-        _grid_axes(amin, amax, distance_samples)
+        _uniform_samples(amin, amax, distance_samples)
         if alpha_grid is None
         else np.asarray(alpha_grid, dtype=float)
     )
@@ -387,23 +426,36 @@ def build_match_filter_bank(
     )
 
 
+def match_filter_estimate(mags: np.ndarray, bank: MatchFilterBank, budget=None):
+    """Grid point whose unit signature best correlates with each trial's
+    unit-normalized observation (cosine similarity) over the first `budget`
+    pilots; first index wins ties.  Returns theta, alpha, grid index."""
+    flat = mags[..., :budget].reshape(len(mags), -1)
+    norms = np.linalg.norm(flat, axis=1, keepdims=True)
+    flat = flat / np.where(norms == 0, 1.0, norms)
+    idx = np.argmax(flat @ bank.unit_signatures(budget).T, axis=1)
+    return (*_pick(bank.locations, idx), idx)
+
+
 def match_filter_train(obs: ObservationGrid, bank: MatchFilterBank) -> TrainingEstimate:
     """Pick the grid point whose unit signature best correlates with the
     unit-normalized observation (cosine similarity); first index wins ties."""
-    flat = obs.magnitudes.reshape(-1)
-    norm = np.linalg.norm(flat)
-    if norm > 0:
-        flat = flat / norm
-    scores = bank.unit_signatures() @ flat
-    idx = int(np.argmax(scores))
-    loc = bank.locations[idx]
+    theta, alpha, idx = match_filter_estimate(obs.magnitudes[None], bank)
     return TrainingEstimate(
-        theta=loc.theta,
-        alpha=loc.alpha,
+        theta=float(theta[0]),
+        alpha=float(alpha[0]),
         scheme=SCHEME_MATCH,
-        selected=idx,
+        selected=int(idx[0]),
         pilots_used=bank.plan.K,
     )
+
+
+def exhaustive_estimate(powers: np.ndarray, codebook, budget=None):
+    """Codeword with the largest received power per trial of powers (T, G),
+    searching the first `budget` codewords; ties go to the smaller grid
+    index.  Returns theta, alpha, codeword index."""
+    idx = _argmax_rows(powers, budget)
+    return (*_pick(codebook.locations, idx), idx)
 
 
 def exhaustive_polar_train(channel: Channel, codebook, snr: float, rng) -> TrainingEstimate:
@@ -412,25 +464,20 @@ def exhaustive_polar_train(channel: Channel, codebook, snr: float, rng) -> Train
     cfg = codebook.cfg
     gen, _ = _as_rng(rng)
     sigma2 = noise_power(cfg, channel, snr)
-    thetas = np.array([loc.theta for loc in codebook.locations])
-    alphas = np.array([loc.alpha for loc in codebook.locations])
-    nd = cfg.element_indices() * cfg.spacing
+    grid_points = (np.array([loc.theta for loc in codebook.locations]),
+                   np.array([loc.alpha for loc in codebook.locations]))
     powers = np.zeros(len(codebook))
-    freqs = cfg.subcarrier_freqs()
-    for i, f in enumerate(freqs):
-        km = cfg.wavenumber(f)
-        phase = km * (np.outer(thetas, nd) - np.outer(alphas, nd * nd))
-        grid = np.exp(1j * phase) / np.sqrt(cfg.n_antennas)
+    for i, f in enumerate(cfg.subcarrier_freqs()):
+        grid = approx_steering(cfg, grid_points, f)
         y = math.sqrt(TX_POWER) * (grid.conj() @ channel.per_subcarrier[i])
         y = y + _complex_noise(gen, sigma2, y.shape)
         powers += np.abs(y) ** 2
-    idx = int(np.argmax(powers))
-    loc = codebook.locations[idx]
+    theta, alpha, idx = exhaustive_estimate(powers[None], codebook)
     return TrainingEstimate(
-        theta=loc.theta,
-        alpha=loc.alpha,
+        theta=float(theta[0]),
+        alpha=float(alpha[0]),
         scheme=SCHEME_EXHAUSTIVE,
-        selected=idx,
+        selected=int(idx[0]),
         pilots_used=len(codebook),
     )
 
@@ -448,10 +495,36 @@ def rainbow_sweep_params(cfg: SystemConfig) -> TdPsParams:
     return TdPsParams(theta_t=theta_t, theta_p=theta_p)
 
 
-def _rainbow_theta(cfg: SystemConfig, params: TdPsParams, m: int) -> float:
-    f = cfg.subcarrier_freq(m)
-    th = params.theta_t + (cfg.carrier_freq / f) * params.theta_p
-    return min(max(th, -1.0), 1.0)
+def rainbow_probes(cfg: SystemConfig, rings) -> list:
+    """One frequency sweep per curvature ring: the sweep parameters with
+    alpha_t set to the ring.  The far-field sweep is the single ring 0."""
+    base = rainbow_sweep_params(cfg)
+    return [TdPsParams(theta_t=base.theta_t, theta_p=base.theta_p, alpha_t=float(a))
+            for a in rings]
+
+
+def rainbow_estimate(mags: np.ndarray, cfg: SystemConfig, rings, budget=None):
+    """Strongest (subcarrier, ring) per trial of mags (T, M, S) over the
+    first `budget` rings: the sweep's angle at that subcarrier and the ring's
+    curvature.  Returns theta, alpha and the 0-based subcarrier and ring."""
+    flat = _argmax_rows(mags, budget)
+    m_idx, s_idx = np.divmod(flat, mags[..., :budget].shape[-1])
+    params = rainbow_sweep_params(cfg)
+    g = cfg.carrier_freq / cfg.subcarrier_freqs()[m_idx]
+    theta = np.clip(params.theta_t + g * params.theta_p, -1.0, 1.0)
+    return theta, np.asarray(rings, dtype=float)[s_idx], m_idx, s_idx
+
+
+def _rainbow_train(channel: Channel, cfg: SystemConfig, rings, snr, rng, scheme):
+    obs = observe_params(cfg, channel, rainbow_probes(cfg, rings), snr, rng)
+    theta, alpha, m_idx, s_idx = rainbow_estimate(obs.magnitudes[None], cfg, rings)
+    return TrainingEstimate(
+        theta=float(theta[0]),
+        alpha=float(alpha[0]),
+        scheme=scheme,
+        selected=(int(m_idx[0]) + 1, int(s_idx[0]) + 1),
+        pilots_used=len(rings),
+    )
 
 
 def nearfield_rainbow_train(
@@ -461,38 +534,15 @@ def nearfield_rainbow_train(
     wins.  Every beam of a ring shares its curvature alpha."""
     if n_rings < 1:
         raise ValueError("need at least one ring")
-    base = rainbow_sweep_params(cfg)
-    rings = _grid_axes(cfg.alpha_min, cfg.alpha_max, n_rings)
-    params_list = [
-        TdPsParams(theta_t=base.theta_t, theta_p=base.theta_p, alpha_t=float(a))
-        for a in rings
-    ]
-    obs = observe_params(cfg, channel, params_list, snr, rng)
-    flat = int(np.argmax(obs.magnitudes))
-    m_idx, s_idx = divmod(flat, n_rings)
-    return TrainingEstimate(
-        theta=_rainbow_theta(cfg, base, m_idx + 1),
-        alpha=float(rings[s_idx]),
-        scheme=SCHEME_NEAR_RAINBOW,
-        selected=(m_idx + 1, s_idx + 1),
-        pilots_used=n_rings,
-    )
+    rings = _uniform_samples(cfg.alpha_min, cfg.alpha_max, n_rings)
+    return _rainbow_train(channel, cfg, rings, snr, rng, SCHEME_NEAR_RAINBOW)
 
 
 def farfield_rainbow_train(
     channel: Channel, cfg: SystemConfig, snr: float, rng
 ) -> TrainingEstimate:
     """Single frequency sweep, curvature ignored (alpha estimate is 0)."""
-    base = rainbow_sweep_params(cfg)
-    obs = observe_params(cfg, channel, [base], snr, rng)
-    m_idx = int(np.argmax(obs.magnitudes[:, 0]))
-    return TrainingEstimate(
-        theta=_rainbow_theta(cfg, base, m_idx + 1),
-        alpha=0.0,
-        scheme=SCHEME_FAR_RAINBOW,
-        selected=(m_idx + 1, 1),
-        pilots_used=1,
-    )
+    return _rainbow_train(channel, cfg, FAR_RINGS, snr, rng, SCHEME_FAR_RAINBOW)
 
 
 def serve_beamformer(cfg: SystemConfig, estimate, m: int) -> np.ndarray:

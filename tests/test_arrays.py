@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from beamtrain import (
+    PolarCodebook,
     PolarLocation,
     SystemConfig,
     approx_steering,
     exact_steering,
     los_channel,
     multipath_channel,
-    polar_codebook,
 )
 from beamtrain.arrays import element_distances, path_loss
 
@@ -109,7 +109,7 @@ def test_multipath_needs_a_path(cfg):
 
 
 def test_codebook_grid_layout(cfg):
-    book = polar_codebook(cfg, 5, 3)
+    book = PolarCodebook(cfg, 5, 3)
     assert len(book) == 15
     thetas = sorted({loc.theta for loc in book.locations})
     assert thetas == pytest.approx(list(np.linspace(*cfg.angle_range, 5)))
@@ -120,7 +120,7 @@ def test_codebook_grid_layout(cfg):
 
 
 def test_codebook_single_samples_centered(cfg):
-    book = polar_codebook(cfg, 1, 1)
+    book = PolarCodebook(cfg, 1, 1)
     assert len(book) == 1
     loc = book.locations[0]
     assert loc.theta == pytest.approx(0.5 * sum(cfg.angle_range))
@@ -128,16 +128,18 @@ def test_codebook_single_samples_centered(cfg):
 
 
 def test_codebook_per_angle_ring_counts(cfg):
-    book = polar_codebook(cfg, 3, [1, 2, 3])
+    book = PolarCodebook(cfg, 3, [1, 2, 3])
     assert len(book) == 6
 
 
 def test_codeword_is_approximate_steering(cfg):
-    book = polar_codebook(cfg, 4, 2)
-    idx, m = 5, 7
-    want = approx_steering(cfg, book.locations[idx], cfg.subcarrier_freq(m))
-    assert np.array_equal(book.codeword(idx, m), want)
-    # iterator hands back matching factories
-    loc, factory = next(iter(book))
-    assert loc == book.locations[0]
-    assert np.array_equal(factory(1), book.codeword(0, 1))
+    # the batched form over (theta, alpha) arrays gives each location's
+    # steering vector, bit for bit
+    book = PolarCodebook(cfg, 4, 2)
+    f = cfg.subcarrier_freq(7)
+    thetas = np.array([loc.theta for loc in book.locations])
+    alphas = np.array([loc.alpha for loc in book.locations])
+    grid = approx_steering(cfg, (thetas, alphas), f)
+    assert grid.shape == (len(book), cfg.n_antennas)
+    for row, loc in zip(grid, book.locations):
+        assert np.array_equal(row, approx_steering(cfg, loc, f))

@@ -16,7 +16,6 @@ from beamtrain import (
     distance_beamwidth,
     distance_gain,
     ellipse_coefficients,
-    ellipse_gain,
     fresnel_envelope,
     fresnel_integrals,
     gain_kernel,
@@ -238,13 +237,3 @@ def test_ellipse_model_near_half_power_at_the_angle_width(cfg):
     s1, _ = ellipse_coefficients(cfg, f)
     value = 1.0 - s1 * angle_beamwidth(cfg, f) ** 2
     assert value == pytest.approx(1 / math.sqrt(2), abs=0.05)
-
-
-def test_ellipse_gain_uses_the_coefficients(cfg):
-    f = 31e9
-    params = TdPsParams(theta_t=-16.876, theta_p=1.36, alpha_t=-1.05, alpha_p=1.19)
-    focus = predicted_focus(cfg, params, f)
-    loc = PolarLocation(focus.theta + 1e-3, max(focus.alpha - 2e-4, 0.0))
-    s1, s2 = ellipse_coefficients(cfg, f)
-    want = 1.0 - s1 * (loc.theta - focus.theta) ** 2 - s2 * (loc.alpha - focus.alpha) ** 2
-    assert ellipse_gain(cfg, focus, loc, f) == pytest.approx(want, rel=1e-12)

@@ -102,12 +102,12 @@ def test_design_writes_plan_and_delays(inputs_file, tmp_path):
     assert out.returncode == 0, out.stderr
     assert "pilot" in out.stdout
 
-    plan = PilotPlan.from_json(plan_path)
-    want = design(DesignInputs.from_json(inputs_file))
+    plan = PilotPlan.from_json(plan_path.read_text())
+    want = design(DesignInputs.from_json(inputs_file.read_text()))
     assert plan.K == want.K
     assert plan.params(1) == want.params(1)
 
-    table = FixedTdNetwork.from_csv(delays_path)
+    table = FixedTdNetwork.from_csv(delays_path.read_text())
     assert table.delays.shape == (plan.cfg.n_antennas, plan.K)
 
 
@@ -134,7 +134,7 @@ def test_pattern_to_file_and_stdout(plan_file, tmp_path):
     out = run_cli("pattern", "--plan", str(plan_file), "--out", str(csv_path))
     assert out.returncode == 0, out.stderr
 
-    plan = PilotPlan.from_json(plan_file)
+    plan = PilotPlan.from_json(plan_file.read_text())
     _, want_text = dump_beam_pattern(plan)
     assert csv_path.read_text() == want_text
 

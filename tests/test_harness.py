@@ -7,12 +7,14 @@ import pytest
 
 from beamtrain import (
     ExperimentSpec,
+    FixedTdNetwork,
     PolarLocation,
     SweepResult,
     TrainingEstimate,
     desk_config,
     desk_experiment_spec,
     dump_beam_pattern,
+    fixed_td_network,
     fullscale_config,
     fullscale_experiment_spec,
     rate_metric,
@@ -155,7 +157,7 @@ def test_sweep_is_deterministic():
 def test_sweep_csv_and_json_round_trip(tmp_path):
     result = run_sweep(_tiny_spec())
     text = result.to_csv(tmp_path / "rows.csv")
-    back = SweepResult.from_csv(tmp_path / "rows.csv")
+    back = SweepResult.from_csv((tmp_path / "rows.csv").read_text())
     assert back.to_csv() == text
     assert back.rows == result.rows
     payload = json.loads(result.to_json(tmp_path / "rows.json"))
@@ -163,6 +165,40 @@ def test_sweep_csv_and_json_round_trip(tmp_path):
     assert payload["metadata"]["master_seed"] == 7
     with pytest.raises(ValueError):
         SweepResult.from_csv("not,a,real,header\n1,2,3,4\n")
+
+
+def test_csv_readers_take_text_so_a_comma_in_the_path_is_harmless(tmp_path, desk_plan):
+    run_dir = tmp_path / "run,1"
+    run_dir.mkdir()
+    result = run_sweep(_tiny_spec())
+    rows_path = run_dir / "rows.csv"
+    result.to_csv(rows_path)
+    assert SweepResult.from_csv(rows_path.read_text()).rows == result.rows
+    with pytest.raises(ValueError):  # a path is text like any other
+        SweepResult.from_csv(str(rows_path))
+    net = fixed_td_network(desk_plan)
+    delays_path = run_dir / "delays.csv"
+    net.to_csv(delays_path)
+    back = FixedTdNetwork.from_csv(delays_path.read_text())
+    assert np.array_equal(back.delays, net.delays)
+    assert back.selection_bits == net.selection_bits
+
+
+def test_overhead_axis_past_every_pilot_count_reproduces_the_snr_axis():
+    # One loop serves both axes: with a budget covering every scheme's full
+    # pilot count, an overhead point is the SNR-axis point at the same SNR.
+    base = dict(n_trials=30, master_seed=9, bank_angles=24, bank_rings=4)
+    snr_rows = run_sweep(desk_experiment_spec(axis_values=(15.0,), **base)).rows
+    budget = 24.0 * 4
+    over_rows = run_sweep(desk_experiment_spec(
+        sweep_axis="overhead", axis_values=(budget, 10 * budget), snr_db=15.0, **base,
+    )).rows
+    fields = ("scheme", "mean_rate", "stderr", "pilots_used", "n_trials")
+    want = [tuple(r[f] for f in fields) for r in snr_rows]
+    assert len(want) == 7
+    for value in (budget, 10 * budget):
+        got = [tuple(r[f] for f in fields) for r in over_rows if r["axis_value"] == value]
+        assert got == want
 
 
 def test_distance_axis_redraws_users_per_point():
@@ -264,6 +300,6 @@ def test_beam_pattern_rows(desk_plan):
 def test_beam_pattern_csv_round_trip(tmp_path, desk_plan):
     rows, text = dump_beam_pattern(desk_plan, out=tmp_path / "pattern.csv")
     assert (tmp_path / "pattern.csv").read_text() == text
-    back = pattern_from_csv(tmp_path / "pattern.csv")
+    back = pattern_from_csv((tmp_path / "pattern.csv").read_text())
     assert pattern_to_csv(back) == text
     assert back == rows

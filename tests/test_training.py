@@ -7,6 +7,7 @@ import pytest
 from beamtrain import (
     DesignInputs,
     ObservationGrid,
+    PolarCodebook,
     PolarLocation,
     SystemConfig,
     TrainingEstimate,
@@ -22,14 +23,26 @@ from beamtrain import (
     nearfield_rainbow_train,
     observe_plan,
     ongrid_train,
-    polar_codebook,
     rainbow_sweep_params,
     serve_beamformer,
-    simulate_pilot,
 )
 from beamtrain.arrays import approx_steering
-from beamtrain.harness import fullscale_experiment_spec, rate_metric, run_sweep
-from beamtrain.training import MatchFilterBank, noise_power, observe_params
+from beamtrain.harness import (
+    _Engine,
+    _exhaustive_moments,
+    _sigma,
+    desk_experiment_spec,
+    fullscale_experiment_spec,
+    rate_metric,
+    run_sweep,
+)
+from beamtrain.training import (
+    FAR_RINGS,
+    MatchFilterBank,
+    noise_power,
+    observe_params,
+    rainbow_probes,
+)
 
 NOISELESS = float("inf")
 
@@ -69,8 +82,8 @@ def test_observe_plan_shape_and_order(desk_cfg, desk_plan):
     assert obs.magnitudes.shape == (desk_cfg.n_subcarriers, desk_plan.K)
     assert obs.seed == 3
     # pilot columns drawn in order: column k matches the single-pilot draw
-    single = simulate_pilot(chan, desk_plan, 1, 100.0, 3)
-    assert np.array_equal(obs.magnitudes[:, 0], single)
+    single = observe_params(desk_cfg, chan, [desk_plan.params(1)], 100.0, 3)
+    assert np.array_equal(obs.magnitudes[:, 0], single.magnitudes[:, 0])
 
 
 def test_noiseless_magnitude_is_scaled_array_gain(desk_cfg, desk_plan):
@@ -245,7 +258,7 @@ def test_match_filter_zero_observation_takes_first_index(desk_cfg, desk_plan):
 # exhaustive -----------------------------------------------------------------
 
 def test_exhaustive_recovers_codebook_point(desk_cfg):
-    book = polar_codebook(desk_cfg, 8, 2)
+    book = PolarCodebook(desk_cfg, 8, 2)
     target = book.locations[11]
     chan = _quad_channel(desk_cfg, target)
     est = exhaustive_polar_train(chan, book, NOISELESS, 0)
@@ -255,7 +268,7 @@ def test_exhaustive_recovers_codebook_point(desk_cfg):
 
 
 def test_exhaustive_is_seed_deterministic(desk_cfg):
-    book = polar_codebook(desk_cfg, 8, 2)
+    book = PolarCodebook(desk_cfg, 8, 2)
     chan = los_channel(desk_cfg, PolarLocation.from_angle_distance(0.1, 6.0))
     a = exhaustive_polar_train(chan, book, 10.0, 5)
     b = exhaustive_polar_train(chan, book, 10.0, 5)
@@ -350,3 +363,51 @@ def test_noiseless_consistency_at_a_focus(desk_cfg, desk_plan):
     ):
         assert abs(est.theta - user.theta) < 1e-6, est.scheme
         assert abs(est.alpha - user.alpha) < 1e-6, est.scheme
+
+
+def test_single_trial_api_matches_the_sweep_engine(desk_cfg):
+    # Same magnitudes (or, for exhaustive, the same noise draws) into the
+    # single-trial estimators and into the sweep engine's scheme table give
+    # the same estimate, trial by trial.
+    spec = desk_experiment_spec(bank_angles=24, bank_rings=3)
+    engine = _Engine(spec)
+    plan, snr = engine.plan, 10.0
+    rng = np.random.default_rng(4)
+    locs = [PolarLocation.from_angle_distance(t, r)
+            for t, r in zip(rng.uniform(-0.85, 0.85, 12), rng.uniform(2.0, 10.0, 12))]
+    channels = [los_channel(desk_cfg, loc) for loc in locs]
+
+    def check(scheme, singles, obs):
+        row = engine.table[scheme]
+        th, al = row.estimate(np.stack(obs), row.pilots, snr)
+        assert [(e.theta, e.alpha) for e in singles] == list(zip(th, al)), scheme
+
+    plan_obs = [observe_plan(ch, plan, snr, i) for i, ch in enumerate(channels)]
+    plan_mags = [o.magnitudes for o in plan_obs]
+    check("ongrid", [ongrid_train(o, plan) for o in plan_obs], plan_mags)
+    check("match_filter", [match_filter_train(o, engine.bank) for o in plan_obs],
+          plan_mags)
+
+    rings = np.linspace(desk_cfg.alpha_min, desk_cfg.alpha_max, spec.bank_rings)
+    for scheme, probes, train in (
+        ("nearfield_rainbow", rainbow_probes(desk_cfg, rings),
+         lambda ch, i: nearfield_rainbow_train(ch, desk_cfg, spec.bank_rings, snr, i)),
+        ("farfield_rainbow", rainbow_probes(desk_cfg, FAR_RINGS),
+         lambda ch, i: farfield_rainbow_train(ch, desk_cfg, snr, i)),
+    ):
+        mags = [observe_params(desk_cfg, ch, probes, snr, i).magnitudes
+                for i, ch in enumerate(channels)]
+        check(scheme, [train(ch, i) for i, ch in enumerate(channels)], mags)
+
+    # one user per moment draw: the engine's unit noise (1, G) per subcarrier
+    # consumes the same normals as the single-trial complex noise
+    singles, powers = [], []
+    for i, (loc, ch) in enumerate(zip(locs, channels)):
+        users = {"theta": np.array([loc.theta]), "r": np.array([loc.distance]),
+                 "beta_c": np.array([ch.beta_c])}
+        a, b, c = _exhaustive_moments(desk_cfg, engine.codebook.locations, users,
+                                      np.random.default_rng(i))
+        s1 = _sigma(desk_cfg, users, snr)[:, None]
+        powers.append((a + 2 * s1 * b + s1 * s1 * c)[0])
+        singles.append(exhaustive_polar_train(ch, engine.codebook, snr, i))
+    check("exhaustive", singles, powers)
