@@ -163,7 +163,8 @@ class PolarCodebook:
 
     Angles sample the served angle range; each angle carries its own list of
     alpha rings inside [alpha_min, alpha_max].  The codeword of a location on
-    subcarrier m is its approximate steering vector, approx_steering.
+    subcarrier m is its approximate steering vector, approx_steering, which
+    factors into an angle part and a ring part (see `factors`).
     """
 
     def __init__(self, cfg: SystemConfig, angle_samples: int, distance_samples):
@@ -184,9 +185,27 @@ class PolarCodebook:
         self.locations = locs
         self.angle_samples = int(angle_samples)
         self.distance_samples = [int(s) for s in distance_samples]
+        # Factored layout: the angle axis, every distinct ring, and the flat
+        # index of each codeword in the angle-major (angle, ring) grid; None
+        # when the codewords are that whole grid in order.
+        self.thetas = thetas
+        self.rings, ring_idx = np.unique([loc.alpha for loc in locs], return_inverse=True)
+        angle_idx = np.repeat(np.arange(angle_samples), self.distance_samples)
+        self.grid_index = (None if len(locs) == angle_samples * len(self.rings)
+                           else angle_idx * len(self.rings) + ring_idx)
 
     def __len__(self) -> int:
         return len(self.locations)
+
+    def factors(self, f):
+        """Angle factor (..., A, N_t) and ring factor (..., R, N_t) at the
+        frequencies f: approx_steering(thetas[a], rings[r]) = ang[a] * ring[r].
+        """
+        nd = self.cfg.element_indices() * self.cfg.spacing
+        k = np.asarray(self.cfg.wavenumber(f))[..., None, None]
+        ang = np.exp(1j * k * (self.thetas[:, None] * nd)) / np.sqrt(self.cfg.n_antennas)
+        ring = np.exp(-1j * k * (self.rings[:, None] * (nd * nd)))
+        return ang, ring
 
 
 def _uniform_samples(lo: float, hi: float, n: int) -> np.ndarray:

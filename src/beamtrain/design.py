@@ -39,7 +39,8 @@ class DesignInputs:
     (1 = critical 3 dB spacing).  alpha_min/alpha_max default to the config's
     served distance range.  k_override forces at least that many pilots;
     alpha_p_override substitutes the phase-shifter curvature (must still meet
-    the coverage slope bound).
+    the coverage slope bound).  The config must keep half-wavelength antenna
+    spacing: the focus prediction's lobe periods 2 p and 2 q / d assume it.
     """
 
     cfg: SystemConfig
@@ -57,6 +58,13 @@ class DesignInputs:
             raise ValueError("need 0 <= alpha_min < alpha_max")
         if self.k_override is not None and self.k_override < 1:
             raise ValueError("k_override must be >= 1")
+        d = self.cfg.antenna_spacing
+        half_wave = SPEED_OF_LIGHT / (2 * self.cfg.carrier_freq)
+        if d is not None and not math.isclose(d, half_wave, rel_tol=1e-12):
+            raise ValueError(
+                f"antenna_spacing {d!r} m is not supported: the design and focus "
+                f"prediction assume half-wavelength spacing c / (2 f_c) = {half_wave!r} m"
+            )
 
     @property
     def alpha_bounds(self) -> tuple[float, float]:

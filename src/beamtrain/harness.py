@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import PolarLocation, SystemConfig
-from .arrays import PolarCodebook, _uniform_samples, approx_steering, los_rows
+from .arrays import PolarCodebook, _uniform_samples, los_rows
 from .beamsplit import InfeasibleFocusError, gain_kernel
 from .design import DesignInputs, PilotPlan, design
 from .training import (
@@ -34,8 +34,11 @@ from .training import (
     TX_POWER,
     ObservationGrid,
     TrainingEstimate,
+    _response_entries,
+    _subcarrier_chunks,
     aux_pair_train,
     build_match_filter_bank,
+    codeword_responses,
     exhaustive_estimate,
     match_filter_estimate,
     ongrid_estimate,
@@ -124,6 +127,7 @@ class ExperimentSpec:
             raise ValueError("n_trials must be >= 2")
         if self.bank_angles < 1 or self.bank_rings < 1:
             raise ValueError("bank dimensions must be >= 1")
+        self.design_inputs()  # rejects what the design cannot serve
 
     def design_inputs(self) -> DesignInputs:
         return DesignInputs(
@@ -192,10 +196,13 @@ _SWEEP_COLUMNS = ("scheme", "axis", "axis_value", "mean_rate", "stderr",
 
 @dataclass
 class SweepResult:
-    """Rows of (scheme, axis value) -> mean rate, plus run metadata."""
+    """Rows of (scheme, axis value) -> mean rate, plus metadata that the
+    spec determines and facts of the run (its wall-clock time) kept apart,
+    so that rows and metadata of two runs of one spec compare equal."""
 
     rows: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
+    run: dict = field(default_factory=dict)
 
     def to_csv(self, path=None) -> str:
         lines = [",".join(_SWEEP_COLUMNS)]
@@ -242,7 +249,8 @@ class SweepResult:
         return cls(rows=rows)
 
     def to_json(self, path=None) -> str:
-        text = json.dumps({"metadata": self.metadata, "rows": self.rows}, indent=2)
+        text = json.dumps({"metadata": self.metadata, "rows": self.rows, "run": self.run},
+                          indent=2)
         if path is not None:
             with open(path, "w") as fh:
                 fh.write(text + "\n")
@@ -293,23 +301,26 @@ def _sigma(cfg: SystemConfig, users, snr_linear: float) -> np.ndarray:
     return np.sqrt(TX_POWER * cfg.n_antennas * users["beta_c"] ** 2 / snr_linear)
 
 
-def _exhaustive_moments(cfg: SystemConfig, locs, users, rng):
+def _exhaustive_moments(cfg: SystemConfig, codebook, users, rng):
     """Accumulators (A, B, C): per-codeword power sum_m |p + sigma z|^2
-    decomposes as A + 2 sigma B + sigma^2 C per user."""
-    grid_points = (np.array([l.theta for l in locs]), np.array([l.alpha for l in locs]))
-    t = len(users["theta"])
-    a = np.zeros((t, len(locs)))
-    b = np.zeros((t, len(locs)))
-    c = np.zeros((t, len(locs)))
-    for i, f in enumerate(cfg.subcarrier_freqs()):
-        grid = approx_steering(cfg, grid_points, f)
-        h = los_rows(cfg, users["theta"], users["r"], users["beta_c"], f)
-        p = math.sqrt(TX_POWER) * (h @ grid.conj().T)
-        z = _unit_noise(rng, p.shape)
-        a += np.abs(p) ** 2
-        b += np.real(p * np.conj(z))
-        c += np.abs(z) ** 2
-    return a, b, c
+    decomposes as A + 2 sigma B + sigma^2 C per user, with unit noise
+    z = (x + j y) / sqrt(2).  Subcarriers go in chunks: one (chunk, 2, T, G)
+    draw consumes the same normals as a real-then-imaginary (T, G) pair per
+    subcarrier."""
+    freqs = cfg.subcarrier_freqs()
+    t, g = len(users["theta"]), len(codebook)
+    a = np.zeros((t, g))
+    b = np.zeros((t, g))
+    c = np.zeros((t, g))
+    for chunk in _subcarrier_chunks(len(freqs), _response_entries(codebook, t)):
+        f = freqs[chunk]
+        h = los_rows(cfg, users["theta"], users["r"], users["beta_c"], f[:, None])
+        p = codeword_responses(codebook, h, f)
+        xy = rng.standard_normal((len(f), 2, t, g))
+        a += np.sum(p.real * p.real + p.imag * p.imag, axis=0)
+        b += np.sum(p.real * xy[:, 0] + p.imag * xy[:, 1], axis=0)
+        c += np.sum(xy * xy, axis=(0, 1))
+    return a, b / math.sqrt(2), c / 2
 
 
 def _aux_estimate(mags, plan: PilotPlan, budget, snr):
@@ -402,7 +413,7 @@ class _Engine:
         per-user noise std (T, 1, 1) to the family's noisy observations."""
         rng = _rng(self.spec.master_seed, scheme.stream, *key)
         if scheme.probes is None:
-            a, b, c = _exhaustive_moments(self.cfg, self.codebook.locations, users, rng)
+            a, b, c = _exhaustive_moments(self.cfg, self.codebook, users, rng)
             return lambda sg: a + 2 * sg[:, :, 0] * b + sg[:, :, 0] * sg[:, :, 0] * c
         sig = _sweep_signal(self.cfg, scheme.probes(), users)
         noise = _unit_noise(rng, sig.shape)
@@ -434,16 +445,16 @@ class _Engine:
                     th, al = scheme.estimate(observed[scheme.stream],
                                              min(budget, scheme.pilots), snr)
                     rates = self._rates(users, th, al, snr)
-                rows.append(self._row(name, value, rates, scheme.pilots))
+                rows.append(self._row(name, value, rates, min(budget, scheme.pilots)))
         meta = {
             "spec_hash": spec.spec_hash(),
             "master_seed": spec.master_seed,
             "sweep_axis": spec.sweep_axis,
             "n_trials": spec.n_trials,
-            "created": datetime.now(timezone.utc).isoformat(),
             "plan_K": self.plan.K,
         }
-        return SweepResult(rows=rows, metadata=meta)
+        run = {"created": datetime.now(timezone.utc).isoformat()}
+        return SweepResult(rows=rows, metadata=meta, run=run)
 
     def _row(self, scheme, value, rates, pilots_used):
         rates = np.asarray(rates, dtype=float)

@@ -22,10 +22,14 @@ import numpy as np
 
 from .config import PolarLocation, SystemConfig
 from .arrays import Channel, _uniform_samples, approx_steering
-from .beamsplit import TdPsParams, ellipse_coefficients, gain_kernel
+from .beamsplit import TdPsParams, ellipse_coefficients
 from .design import PilotPlan
 
 TX_POWER = 1.0
+
+# The grid kernels run over subcarriers in chunks whose largest temporary
+# holds about this many complex entries (1 MB).
+_CHUNK_ENTRIES = 1 << 16
 
 # the far-field rainbow is a near-field rainbow with one ring, at alpha = 0
 FAR_RINGS = (0.0,)
@@ -382,6 +386,61 @@ class MatchFilterBank:
         return sig / np.where(norms == 0, 1.0, norms)
 
 
+def _subcarrier_chunks(n_subcarriers: int, entries_per_subcarrier: int) -> list:
+    """Slices of consecutive subcarriers, each about _CHUNK_ENTRIES entries."""
+    step = max(1, _CHUNK_ENTRIES // max(1, entries_per_subcarrier))
+    return [slice(i, i + step) for i in range(0, n_subcarriers, step)]
+
+
+def _uniform_step(thetas: np.ndarray) -> float:
+    """Step of a uniform angle axis (0 for a single angle)."""
+    if len(thetas) < 2:
+        return 0.0
+    step = (thetas[-1] - thetas[0]) / (len(thetas) - 1)
+    # An angle off the uniform grid by delta moves the kernel by up to
+    # k u_max delta, about 400 delta at full scale: 1e-13 keeps that inside
+    # the 1e-10 of the oracle tests and still passes linspace rounding.
+    if np.max(np.abs(np.diff(thetas) - step)) > 1e-13:
+        raise ValueError(
+            "theta_grid must be uniform: the bank sums over angles with a chirp-z transform"
+        )
+    return step
+
+
+def _bank_slices(cfg: SystemConfig, params_list, thetas, alphas, f) -> np.ndarray:
+    """gain_kernel of each pilot's beams over the polar grid (thetas uniform)
+    at the frequencies f (C,), shape (C, K, R, A).
+
+    At (theta_a, alpha_r) the kernel's arguments are the mismatches
+    x_a = k theta_a - k theta_t - k_c theta_p and y_r, likewise in alpha.
+    With u_n = (n - c) d, the phase u_n x_a is a per-element part plus
+    w n a, w = k d (theta_1 - theta_0), up to a phase common to all n.
+    Bluestein's n a = (n^2 + a^2 - (a - n)^2) / 2 turns the element sum over
+    the whole angle axis into one convolution with the chirp e^{-j w m^2 / 2},
+    done by FFT; phases common to all n drop out of the magnitude.  So each
+    ring takes N_t exponentials instead of A N_t.
+    """
+    n_t, n_a = cfg.n_antennas, len(thetas)
+    n_fft = 1 << (n_t + n_a - 2).bit_length()  # power of two >= N_t + A - 1
+    lags = np.arange(n_fft)
+    lags = np.where(lags < n_a, lags, lags - n_fft)  # 0..A-1, then -(N_t-1)..-1
+    n = np.arange(n_t)
+    u = cfg.element_indices() * cfg.spacing
+    k = cfg.wavenumber(np.asarray(f, dtype=float))[:, None, None, None]
+    kc = cfg.wavenumber(cfg.carrier_freq)
+    theta_t, theta_p, alpha_t, alpha_p = (
+        np.array([getattr(p, name) for p in params_list])[:, None, None]
+        for name in ("theta_t", "theta_p", "alpha_t", "alpha_p")
+    )
+    w = k * cfg.spacing * _uniform_step(thetas)
+    x0 = k * (thetas[0] - theta_t) - kc * theta_p
+    y = k * (np.asarray(alphas)[:, None] - alpha_t) - kc * alpha_p
+    pre = np.exp(1j * (u * x0 - u * u * y + 0.5 * w * n * n))
+    chirp = np.fft.fft(np.exp(-0.5j * w * lags * lags))
+    conv = np.fft.ifft(np.fft.fft(pre, n_fft) * chirp)
+    return np.abs(conv[..., :n_a]) / n_t
+
+
 def build_match_filter_bank(
     plan: PilotPlan,
     angle_samples: int,
@@ -393,7 +452,8 @@ def build_match_filter_bank(
 
     Custom theta/alpha grids may be supplied (e.g. to place a known focus on
     the grid); defaults are uniform over the config's angle range and the
-    design's alpha bounds.
+    design's alpha bounds.  The theta grid must be uniform: the bank sums
+    over it with a chirp-z transform (see _bank_slices).
     """
     cfg = plan.cfg
     amin, amax = plan.inputs.alpha_bounds
@@ -407,20 +467,20 @@ def build_match_filter_bank(
         if alpha_grid is None
         else np.asarray(alpha_grid, dtype=float)
     )
+    if len(thetas) == 0 or len(alphas) == 0:
+        raise ValueError("the bank needs at least one angle and one ring")
+    _uniform_step(thetas)  # a nonuniform theta grid fails here, before any work
     th = np.repeat(thetas, len(alphas))
     al = np.tile(alphas, len(thetas))
     locs = tuple(PolarLocation(float(t), float(a)) for t, a in zip(th, al))
 
     freqs = cfg.subcarrier_freqs()
-    kc = cfg.wavenumber(cfg.carrier_freq)
-    sig = np.empty((len(locs), cfg.n_subcarriers, plan.K))
-    for k in range(1, plan.K + 1):
-        params = plan.params(k)
-        for i, f in enumerate(freqs):
-            km = cfg.wavenumber(f)
-            x = km * th - km * params.theta_t - kc * params.theta_p
-            y = km * al - km * params.alpha_t - kc * params.alpha_p
-            sig[:, i, k - 1] = gain_kernel(cfg, x, y)
+    params_list = [plan.params(k) for k in range(1, plan.K + 1)]
+    n_fft = 1 << (cfg.n_antennas + len(thetas) - 2).bit_length()
+    sig = np.empty((len(thetas), len(alphas), cfg.n_subcarriers, plan.K))
+    for chunk in _subcarrier_chunks(cfg.n_subcarriers, plan.K * len(alphas) * n_fft):
+        slices = _bank_slices(cfg, params_list, thetas, alphas, freqs[chunk])
+        sig[:, :, chunk, :] = slices.transpose(3, 2, 0, 1)
     return MatchFilterBank(
         signatures=sig.reshape(len(locs), -1), locations=locs, plan=plan
     )
@@ -451,11 +511,35 @@ def match_filter_train(obs: ObservationGrid, bank: MatchFilterBank) -> TrainingE
 
 
 def exhaustive_estimate(powers: np.ndarray, codebook, budget=None):
-    """Codeword with the largest received power per trial of powers (T, G),
-    searching the first `budget` codewords; ties go to the smaller grid
-    index.  Returns theta, alpha, codeword index."""
-    idx = _argmax_rows(powers, budget)
+    """Codeword with the largest received power per trial of powers (T, G).
+    A budget below G searches that many codewords evenly strided over the
+    codebook order, so they span the whole angle range; ties go to the
+    smaller grid index.  Returns theta, alpha, codeword index."""
+    g = powers.shape[-1]
+    searched = (np.arange(g) if budget is None or budget >= g
+                else np.round(_uniform_samples(0, g - 1, budget)).astype(int))
+    idx = searched[np.argmax(powers[:, searched], axis=1)]
     return (*_pick(codebook.locations, idx), idx)
+
+
+def codeword_responses(codebook, h: np.ndarray, f) -> np.ndarray:
+    """Noiseless response sqrt(P_t) sum_n h_n conj(b_n) of every codeword b:
+    channel rows h (C, T, N_t) at frequencies f (C,) give (C, T, G), columns
+    in codeword order.  Through the codebook's factors, each trial's
+    (ring, element) products meet the angle factor in one matrix product,
+    and no codeword vector is formed."""
+    ang, ring = codebook.factors(f)
+    x = h[:, :, None, :] * (math.sqrt(TX_POWER) * ring.conj())[:, None]  # (C, T, R, N_t)
+    p = ang.conj()[:, None] @ np.swapaxes(x, -1, -2)  # (C, T, A, R)
+    p = p.reshape(*p.shape[:2], -1)
+    return p if codebook.grid_index is None else p[..., codebook.grid_index]
+
+
+def _response_entries(codebook, n_trials: int) -> int:
+    """Entries of codeword_responses' largest temporary per subcarrier."""
+    n_t = codebook.cfg.n_antennas
+    n_a, n_r = codebook.angle_samples, len(codebook.rings)
+    return max(n_trials * n_a * n_r, n_trials * n_r * n_t, n_a * n_t)
 
 
 def exhaustive_polar_train(channel: Channel, codebook, snr: float, rng) -> TrainingEstimate:
@@ -464,14 +548,13 @@ def exhaustive_polar_train(channel: Channel, codebook, snr: float, rng) -> Train
     cfg = codebook.cfg
     gen, _ = _as_rng(rng)
     sigma2 = noise_power(cfg, channel, snr)
-    grid_points = (np.array([loc.theta for loc in codebook.locations]),
-                   np.array([loc.alpha for loc in codebook.locations]))
+    freqs = cfg.subcarrier_freqs()
     powers = np.zeros(len(codebook))
-    for i, f in enumerate(cfg.subcarrier_freqs()):
-        grid = approx_steering(cfg, grid_points, f)
-        y = math.sqrt(TX_POWER) * (grid.conj() @ channel.per_subcarrier[i])
-        y = y + _complex_noise(gen, sigma2, y.shape)
-        powers += np.abs(y) ** 2
+    for chunk in _subcarrier_chunks(len(freqs), _response_entries(codebook, 1)):
+        h = channel.per_subcarrier[chunk, None, :]
+        for y in codeword_responses(codebook, h, freqs[chunk])[:, 0]:
+            y = y + _complex_noise(gen, sigma2, y.shape)
+            powers += np.abs(y) ** 2
     theta, alpha, idx = exhaustive_estimate(powers[None], codebook)
     return TrainingEstimate(
         theta=float(theta[0]),

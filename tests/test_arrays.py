@@ -132,6 +132,25 @@ def test_codebook_per_angle_ring_counts(cfg):
     assert len(book) == 6
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (5, 3), (3, [1, 2, 3])])
+def test_codebook_factors_are_approximate_steering(cfg, shape):
+    # ang[a] * ring[r] is the codeword at (thetas[a], rings[r]); grid_index
+    # places each codeword in that angle-major grid
+    book = PolarCodebook(cfg, *shape)
+    freqs = cfg.subcarrier_freqs()[[0, 5]]
+    ang, ring = book.factors(freqs)
+    assert ang.shape == (2, book.angle_samples, cfg.n_antennas)
+    assert ring.shape == (2, len(book.rings), cfg.n_antennas)
+    grid = (ang[:, :, None, :] * ring[:, None]).reshape(2, -1, cfg.n_antennas)
+    if book.grid_index is not None:
+        grid = grid[:, book.grid_index]
+    thetas = np.array([loc.theta for loc in book.locations])
+    alphas = np.array([loc.alpha for loc in book.locations])
+    for i, f in enumerate(freqs):
+        want = approx_steering(cfg, (thetas, alphas), f)
+        assert np.max(np.abs(grid[i] - want)) < 1e-10
+
+
 def test_codeword_is_approximate_steering(cfg):
     # the batched form over (theta, alpha) arrays gives each location's
     # steering vector, bit for bit

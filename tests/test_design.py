@@ -1,4 +1,5 @@
 """Pilot parameter design: sweep budget, annulus interleaving, delay table."""
+import dataclasses
 import json
 import math
 
@@ -208,3 +209,14 @@ def test_delay_table_csv_round_trip(main_plan):
     again = FixedTdNetwork.from_csv(net.to_csv())
     assert np.array_equal(again.delays, net.delays)
     assert again.selection_bits == net.selection_bits
+
+
+def test_design_rejects_a_spacing_the_focus_prediction_cannot_serve(desk_cfg):
+    # at 4 mm the predicted foci of the desk design gain 0.006-0.015, not 1
+    odd = dataclasses.replace(desk_cfg, antenna_spacing=4e-3)
+    with pytest.raises(ValueError, match="half-wavelength spacing"):
+        DesignInputs(cfg=odd, gamma=0.5)
+    # the default spacing, given explicitly, is the same design
+    same = dataclasses.replace(desk_cfg, antenna_spacing=desk_cfg.spacing)
+    assert design(DesignInputs(cfg=same, gamma=0.5)).K == design(
+        DesignInputs(cfg=desk_cfg, gamma=0.5)).K

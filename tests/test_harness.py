@@ -1,4 +1,5 @@
 """Experiment harness: sweep engine, serialization, reference patterns."""
+import dataclasses
 import json
 import math
 
@@ -77,6 +78,7 @@ def test_default_experiment_specs():
         dict(sweep_axis="overhead", axis_values=(0.0, 2.0)),
         dict(sweep_axis="distance_m", axis_values=(-1.0,)),
         dict(bank_rings=0),
+        dict(cfg=dataclasses.replace(desk_config(), antenna_spacing=4e-3)),
     ],
 )
 def test_spec_validation(overrides):
@@ -152,6 +154,29 @@ def test_sweep_is_deterministic():
     a = run_sweep(_tiny_spec())
     b = run_sweep(_tiny_spec())
     assert a.rows == b.rows
+
+
+def test_sweep_json_rows_and_metadata_are_byte_stable():
+    # the wall-clock time sits under "run"; the rest depends on the spec only
+    a, b = (json.loads(run_sweep(_tiny_spec()).to_json()) for _ in range(2))
+    assert "created" in a["run"] and "created" not in a["metadata"]
+    assert (json.dumps([a["metadata"], a["rows"]])
+            == json.dumps([b["metadata"], b["rows"]]))
+
+
+def test_overhead_rows_report_the_pilots_spent():
+    spec = desk_experiment_spec(
+        schemes=("exhaustive", "nearfield_rainbow", "ongrid"),
+        sweep_axis="overhead", axis_values=(1.0, 2.0), n_trials=4,
+        bank_angles=12, bank_rings=3,
+    )
+    result = run_sweep(spec)
+    used = {(r["scheme"], r["axis_value"]): r["pilots_used"] for r in result.rows}
+    k = result.metadata["plan_K"]
+    for budget in (1, 2):
+        assert used[("exhaustive", budget)] == budget
+        assert used[("nearfield_rainbow", budget)] == budget
+        assert used[("ongrid", budget)] == min(budget, k)
 
 
 def test_sweep_csv_and_json_round_trip(tmp_path):

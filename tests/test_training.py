@@ -26,7 +26,8 @@ from beamtrain import (
     rainbow_sweep_params,
     serve_beamformer,
 )
-from beamtrain.arrays import approx_steering
+from beamtrain.arrays import _uniform_samples, approx_steering
+from beamtrain.beamsplit import gain_kernel
 from beamtrain.harness import (
     _Engine,
     _exhaustive_moments,
@@ -39,6 +40,9 @@ from beamtrain.harness import (
 from beamtrain.training import (
     FAR_RINGS,
     MatchFilterBank,
+    _bank_slices,
+    codeword_responses,
+    exhaustive_estimate,
     noise_power,
     observe_params,
     rainbow_probes,
@@ -255,6 +259,107 @@ def test_match_filter_zero_observation_takes_first_index(desk_cfg, desk_plan):
     assert match_filter_train(obs, bank).selected == 0
 
 
+# grid kernels against their oracles -----------------------------------------
+
+def _kernel_slices(plan, thetas, alphas, freqs):
+    """gain_kernel at every (subcarrier, pilot, ring, angle), the oracle of
+    the chirp-z bank."""
+    cfg = plan.cfg
+    kc = cfg.wavenumber(cfg.carrier_freq)
+    out = np.empty((len(freqs), plan.K, len(alphas), len(thetas)))
+    for i, f in enumerate(freqs):
+        km = cfg.wavenumber(f)
+        for k in range(plan.K):
+            p = plan.params(k + 1)
+            x = km * np.asarray(thetas) - km * p.theta_t - kc * p.theta_p
+            y = km * np.asarray(alphas)[:, None] - km * p.alpha_t - kc * p.alpha_p
+            out[i, k] = gain_kernel(cfg, x, y)
+    return out
+
+
+def _odd_plan():
+    cfg = SystemConfig(63, 30e9, 5e9, 48, distance_range=(2.0, 10.0))
+    return design(DesignInputs(cfg=cfg, gamma=0.5))
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["one_point", "odd_antennas", "custom_three_angles", "desk"],
+)
+def test_bank_matches_gain_kernel(case, desk_plan):
+    plan, kwargs = {
+        "one_point": (desk_plan, dict(angle_samples=1, distance_samples=1)),
+        "odd_antennas": (_odd_plan(), dict(angle_samples=17, distance_samples=3)),
+        "custom_three_angles": (desk_plan, dict(
+            angle_samples=0, distance_samples=0, theta_grid=[-0.31, -0.12, 0.07],
+            alpha_grid=[0.05, 0.2])),
+        "desk": (desk_plan, dict(angle_samples=40, distance_samples=4)),
+    }[case]
+    bank = build_match_filter_bank(plan, **kwargs)
+    thetas = sorted({loc.theta for loc in bank.locations})
+    alphas = sorted({loc.alpha for loc in bank.locations})
+    cfg = plan.cfg
+    want = _kernel_slices(plan, thetas, alphas, cfg.subcarrier_freqs())
+    got = bank.signatures.reshape(len(thetas), len(alphas), cfg.n_subcarriers, plan.K)
+    assert np.max(np.abs(got - want.transpose(3, 2, 0, 1))) < 1e-10
+
+
+def test_bank_slice_at_full_scale_matches_gain_kernel(main_plan):
+    # one subcarrier at each band edge of the 1024 x 10 full-scale bank
+    cfg = main_plan.cfg
+    thetas = _uniform_samples(*cfg.angle_range, 1024)
+    alphas = _uniform_samples(*main_plan.inputs.alpha_bounds, 10)
+    freqs = cfg.subcarrier_freq(np.array([1, cfg.n_subcarriers]))
+    params = [main_plan.params(k) for k in range(1, main_plan.K + 1)]
+    got = _bank_slices(cfg, params, thetas, alphas, freqs)
+    want = _kernel_slices(main_plan, thetas, alphas, freqs)
+    assert got.shape == (2, main_plan.K, 10, 1024)
+    assert np.max(np.abs(got - want)) < 1e-10
+
+
+def test_bank_rejects_a_nonuniform_theta_grid(desk_plan):
+    with pytest.raises(ValueError, match="uniform"):
+        build_match_filter_bank(desk_plan, 0, 0, theta_grid=[0.0, 0.1, 0.3],
+                                alpha_grid=[0.1])
+
+
+@pytest.mark.parametrize("rings", [3, [1, 2, 3, 1]])
+def test_codeword_responses_match_the_steering_contraction(rings):
+    # the factored contraction against h conj(b)^T with every codeword built
+    # by approx_steering, on an odd array, for dense and ragged codebooks
+    cfg = SystemConfig(63, 30e9, 5e9, 8, distance_range=(2.0, 10.0))
+    book = PolarCodebook(cfg, 4, rings)
+    freqs = cfg.subcarrier_freqs()[2:5]
+    rng = np.random.default_rng(0)
+    h = rng.standard_normal((3, 5, 63)) + 1j * rng.standard_normal((3, 5, 63))
+    thetas = np.array([loc.theta for loc in book.locations])
+    alphas = np.array([loc.alpha for loc in book.locations])
+    got = codeword_responses(book, h, freqs)
+    assert got.shape == (3, 5, len(book))
+    for i, f in enumerate(freqs):
+        want = h[i] @ approx_steering(cfg, (thetas, alphas), f).conj().T
+        assert np.max(np.abs(got[i] - want)) < 1e-10
+
+
+def test_budgeted_exhaustive_spans_the_angle_range(desk_cfg):
+    book = PolarCodebook(desk_cfg, 24, 3)
+    g = len(book)
+
+    def searched(budget):
+        # a one-hot power at codeword i wins only where i is searched
+        idx = exhaustive_estimate(np.eye(g), book, budget)[2]
+        return np.flatnonzero(idx == np.arange(g))
+
+    lo, hi = desk_cfg.angle_range
+    for budget in (2, 5, 11):
+        picked = searched(budget)
+        thetas = [book.locations[i].theta for i in picked]
+        assert len(picked) == budget
+        assert min(thetas) == pytest.approx(lo) and max(thetas) == pytest.approx(hi)
+    for budget in (None, g, g + 7):
+        assert np.array_equal(searched(budget), np.arange(g))
+
+
 # exhaustive -----------------------------------------------------------------
 
 def test_exhaustive_recovers_codebook_point(desk_cfg):
@@ -405,7 +510,7 @@ def test_single_trial_api_matches_the_sweep_engine(desk_cfg):
     for i, (loc, ch) in enumerate(zip(locs, channels)):
         users = {"theta": np.array([loc.theta]), "r": np.array([loc.distance]),
                  "beta_c": np.array([ch.beta_c])}
-        a, b, c = _exhaustive_moments(desk_cfg, engine.codebook.locations, users,
+        a, b, c = _exhaustive_moments(desk_cfg, engine.codebook, users,
                                       np.random.default_rng(i))
         s1 = _sigma(desk_cfg, users, snr)[:, None]
         powers.append((a + 2 * s1 * b + s1 * s1 * c)[0])
