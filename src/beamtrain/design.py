@@ -39,8 +39,9 @@ class DesignInputs:
     (1 = critical 3 dB spacing).  alpha_min/alpha_max default to the config's
     served distance range.  k_override forces at least that many pilots;
     alpha_p_override substitutes the phase-shifter curvature (must still meet
-    the coverage slope bound).  The config must keep half-wavelength antenna
-    spacing: the focus prediction's lobe periods 2 p and 2 q / d assume it.
+    the coverage slope bound).  The config must have positive bandwidth and
+    keep half-wavelength antenna spacing: the focus prediction's lobe periods
+    2 p and 2 q / d assume it.
     """
 
     cfg: SystemConfig
@@ -58,6 +59,11 @@ class DesignInputs:
             raise ValueError("need 0 <= alpha_min < alpha_max")
         if self.k_override is not None and self.k_override < 1:
             raise ValueError("k_override must be >= 1")
+        if self.cfg.bandwidth <= 0:
+            raise ValueError(
+                "beam split needs bandwidth: the pilots sweep their beams across "
+                "the band, so bandwidth must be positive"
+            )
         d = self.cfg.antenna_spacing
         half_wave = SPEED_OF_LIGHT / (2 * self.cfg.carrier_freq)
         if d is not None and not math.isclose(d, half_wave, rel_tol=1e-12):

@@ -73,15 +73,14 @@ def rate_metric(cfg: SystemConfig, true_loc: PolarLocation, estimate, snr: float
 
 
 def _serving_gains(cfg, theta0, alpha0, theta_hat, alpha_hat):
-    """Array gain per (trial, subcarrier): kernel at the polar mismatch."""
-    freqs = cfg.subcarrier_freqs()
-    t = len(theta0)
-    out = np.empty((t, cfg.n_subcarriers))
+    """Array gain per (trial, subcarrier): kernel at the polar mismatch, one
+    gain_kernel call per chunk of subcarriers."""
+    k = cfg.wavenumber(cfg.subcarrier_freqs())
+    out = np.empty((len(theta0), len(k)))
     dth = theta0 - theta_hat
     dal = alpha0 - alpha_hat
-    for i, f in enumerate(freqs):
-        k = cfg.wavenumber(f)
-        out[:, i] = gain_kernel(cfg, k * dth, k * dal)
+    for chunk in _subcarrier_chunks(len(k), len(theta0) * cfg.n_antennas):
+        out[:, chunk] = gain_kernel(cfg, k[chunk, None] * dth, k[chunk, None] * dal).T
     return out
 
 
@@ -127,6 +126,10 @@ class ExperimentSpec:
             raise ValueError("n_trials must be >= 2")
         if self.bank_angles < 1 or self.bank_rings < 1:
             raise ValueError("bank dimensions must be >= 1")
+        rainbow = {SCHEME_NEAR_RAINBOW, SCHEME_FAR_RAINBOW} & set(self.schemes)
+        if rainbow and self.cfg.n_subcarriers < 2:
+            raise ValueError(f"{sorted(rainbow)} sweep the angle across subcarriers: "
+                             "need n_subcarriers >= 2")
         self.design_inputs()  # rejects what the design cannot serve
 
     def design_inputs(self) -> DesignInputs:
@@ -278,18 +281,6 @@ def _draw_users(cfg: SystemConfig, rng, n: int, r_fixed: float | None = None):
     return {"theta": theta, "alpha": alpha, "r": r, "beta_c": beta_c}
 
 
-def _sweep_signal(cfg: SystemConfig, params_list, users) -> np.ndarray:
-    """Noiseless pilot observations, shape (T, M, K)."""
-    t = len(users["theta"])
-    M = cfg.n_subcarriers
-    out = np.empty((t, M, len(params_list)), dtype=complex)
-    for i, f in enumerate(cfg.subcarrier_freqs()):
-        h = los_rows(cfg, users["theta"], users["r"], users["beta_c"], f)
-        w = pilot_beamformers(cfg, params_list, f)
-        out[:, i, :] = math.sqrt(TX_POWER) * (h @ w)
-    return out
-
-
 def _unit_noise(rng, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
 
@@ -301,26 +292,51 @@ def _sigma(cfg: SystemConfig, users, snr_linear: float) -> np.ndarray:
     return np.sqrt(TX_POWER * cfg.n_antennas * users["beta_c"] ** 2 / snr_linear)
 
 
-def _exhaustive_moments(cfg: SystemConfig, codebook, users, rng):
-    """Accumulators (A, B, C): per-codeword power sum_m |p + sigma z|^2
-    decomposes as A + 2 sigma B + sigma^2 C per user, with unit noise
-    z = (x + j y) / sqrt(2).  Subcarriers go in chunks: one (chunk, 2, T, G)
-    draw consumes the same normals as a real-then-imaginary (T, G) pair per
-    subcarrier."""
+def _synthesize(cfg: SystemConfig, families, codebook, users, rng):
+    """Noiseless observations of every probe family, and with a codebook the
+    exhaustive moments, in one pass over subcarrier chunks: each chunk's
+    channel rows are built once and feed them all.
+
+    families holds one pilot parameter list per family; its observations
+    have shape (T, M, K).  The moments (A, B, C), None without a codebook,
+    decompose the per-codeword power sum_m |p + sigma z|^2 as
+    A + 2 sigma B + sigma^2 C per user, with unit noise z = (x + j y) / sqrt(2)
+    drawn from rng.  The chunks are sized for the codebook when there is one:
+    one (chunk, 2, T, G) draw consumes the same normals as a
+    real-then-imaginary (T, G) pair per subcarrier.
+    """
     freqs = cfg.subcarrier_freqs()
-    t, g = len(users["theta"]), len(codebook)
-    a = np.zeros((t, g))
-    b = np.zeros((t, g))
-    c = np.zeros((t, g))
-    for chunk in _subcarrier_chunks(len(freqs), _response_entries(codebook, t)):
+    t = len(users["theta"])
+    signals = [np.empty((t, len(freqs), len(params)), dtype=complex) for params in families]
+    entries = cfg.n_antennas * max([t] + [len(params) for params in families])
+    if codebook is not None:
+        g = len(codebook)
+        a, b, c = np.zeros((t, g)), np.zeros((t, g)), np.zeros((t, g))
+        entries = _response_entries(codebook, t)
+    for chunk in _subcarrier_chunks(len(freqs), entries):
         f = freqs[chunk]
         h = los_rows(cfg, users["theta"], users["r"], users["beta_c"], f[:, None])
-        p = codeword_responses(codebook, h, f)
-        xy = rng.standard_normal((len(f), 2, t, g))
-        a += np.sum(p.real * p.real + p.imag * p.imag, axis=0)
-        b += np.sum(p.real * xy[:, 0] + p.imag * xy[:, 1], axis=0)
-        c += np.sum(xy * xy, axis=(0, 1))
-    return a, b / math.sqrt(2), c / 2
+        for sig, params in zip(signals, families):
+            y = math.sqrt(TX_POWER) * (h @ pilot_beamformers(cfg, params, f))
+            sig[:, chunk] = np.swapaxes(y, 0, 1)
+        if codebook is not None:
+            p = codeword_responses(codebook, h, f)
+            xy = rng.standard_normal((len(f), 2, t, g))
+            a += np.sum(p.real * p.real + p.imag * p.imag, axis=0)
+            b += np.sum(p.real * xy[:, 0] + p.imag * xy[:, 1], axis=0)
+            c += np.sum(xy * xy, axis=(0, 1))
+    moments = None if codebook is None else (a, b / math.sqrt(2), c / 2)
+    return signals, moments
+
+
+def _magnitudes(sig, noise):
+    """Per-user noise std (T, 1, 1) -> pilot magnitudes |sig + sigma z|."""
+    return lambda sg: np.abs(sig + sg * noise)
+
+
+def _powers(a, b, c):
+    """Per-user noise std (T, 1, 1) -> per-codeword powers from the moments."""
+    return lambda sg: a + 2 * sg[:, :, 0] * b + sg[:, :, 0] * sg[:, :, 0] * c
 
 
 def _aux_estimate(mags, plan: PilotPlan, budget, snr):
@@ -408,16 +424,24 @@ class _Engine:
             return spec.snr_db, int(value), (), None
         return spec.snr_db, math.inf, (idx,), value
 
-    def _draw(self, scheme: _Scheme, users, key):
-        """Draw a probe family once per draw key; returns the map from the
-        per-user noise std (T, 1, 1) to the family's noisy observations."""
-        rng = _rng(self.spec.master_seed, scheme.stream, *key)
-        if scheme.probes is None:
-            a, b, c = _exhaustive_moments(self.cfg, self.codebook, users, rng)
-            return lambda sg: a + 2 * sg[:, :, 0] * b + sg[:, :, 0] * sg[:, :, 0] * c
-        sig = _sweep_signal(self.cfg, scheme.probes(), users)
-        noise = _unit_noise(rng, sig.shape)
-        return lambda sg: np.abs(sig + sg * noise)
+    def _draw(self, users, key):
+        """Synthesize every probe family of the spec in one pass per draw key;
+        returns, per stream tag, the map from the per-user noise std (T, 1, 1)
+        to that family's noisy observations.  Each family's unit noise comes
+        from its own keyed stream."""
+        seed = self.spec.master_seed
+        families = {}
+        for name in self.spec.schemes:
+            scheme = self.table[name]
+            if scheme.probes is not None and scheme.stream not in families:
+                families[scheme.stream] = scheme.probes()
+        signals, moments = _synthesize(self.cfg, list(families.values()), self.codebook,
+                                       users, _rng(seed, _STREAM_EXHAUSTIVE, *key))
+        draws = {stream: _magnitudes(sig, _unit_noise(_rng(seed, stream, *key), sig.shape))
+                 for stream, sig in zip(families, signals)}
+        if moments is not None:
+            draws[_STREAM_EXHAUSTIVE] = _powers(*moments)
+        return draws
 
     def run(self) -> SweepResult:
         spec = self.spec
@@ -426,21 +450,22 @@ class _Engine:
         key = None
         for idx, value in enumerate(spec.axis_values):
             snr_db, budget, point_key, r_fixed = self._point(idx, value)
+            # the last point's observations and the last key's draws are
+            # dropped before the next key's are made, so that they never coexist
+            observed = {}
             if point_key != key:
-                key, draws = point_key, {}
+                key, draws = point_key, None
                 users = _draw_users(self.cfg, _rng(spec.master_seed, _STREAM_USERS, *key),
                                     t, r_fixed=r_fixed)
+                draws = self._draw(users, key)
             snr = 10 ** (snr_db / 10)
             sg = _sigma(self.cfg, users, snr)[:, None, None]
-            observed = {}
             for name in spec.schemes:
                 scheme = self.table[name]
                 if scheme.stream is None:
                     rates = np.full(t, math.log2(1.0 + snr))
                 else:
                     if scheme.stream not in observed:
-                        if scheme.stream not in draws:
-                            draws[scheme.stream] = self._draw(scheme, users, key)
                         observed[scheme.stream] = draws[scheme.stream](sg)
                     th, al = scheme.estimate(observed[scheme.stream],
                                              min(budget, scheme.pilots), snr)

@@ -220,3 +220,10 @@ def test_design_rejects_a_spacing_the_focus_prediction_cannot_serve(desk_cfg):
     same = dataclasses.replace(desk_cfg, antenna_spacing=desk_cfg.spacing)
     assert design(DesignInputs(cfg=same, gamma=0.5)).K == design(
         DesignInputs(cfg=desk_cfg, gamma=0.5)).K
+
+
+def test_design_inputs_reject_zero_bandwidth(desk_cfg):
+    # without bandwidth the angle budget divides by zero inside the design
+    flat = dataclasses.replace(desk_cfg, bandwidth=0.0)
+    with pytest.raises(ValueError, match="beam split needs bandwidth"):
+        DesignInputs(cfg=flat, gamma=0.5)

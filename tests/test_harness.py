@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from beamtrain import (
     FixedTdNetwork,
     PolarLocation,
     SweepResult,
+    SystemConfig,
     TrainingEstimate,
+    design,
     desk_config,
     desk_experiment_spec,
     dump_beam_pattern,
@@ -21,12 +24,23 @@ from beamtrain import (
     rate_metric,
     run_sweep,
 )
+from beamtrain.arrays import PolarCodebook, los_rows
+from beamtrain.beamsplit import gain_kernel
 from beamtrain.harness import (
     _draw_users,
     _Engine,
     _rng,
+    _serving_gains,
+    _synthesize,
     pattern_from_csv,
     pattern_to_csv,
+)
+from beamtrain.training import (
+    _CHUNK_ENTRIES,
+    FAR_RINGS,
+    TX_POWER,
+    pilot_beamformers,
+    rainbow_probes,
 )
 
 from conftest import sweep_rate
@@ -79,6 +93,12 @@ def test_default_experiment_specs():
         dict(sweep_axis="distance_m", axis_values=(-1.0,)),
         dict(bank_rings=0),
         dict(cfg=dataclasses.replace(desk_config(), antenna_spacing=4e-3)),
+        # caught here, not mid-run in the design or the rainbow sweep
+        dict(cfg=dataclasses.replace(desk_config(), bandwidth=0.0)),
+        dict(cfg=dataclasses.replace(desk_config(), n_subcarriers=1),
+             schemes=("perfect_csi", "nearfield_rainbow")),
+        dict(cfg=dataclasses.replace(desk_config(), n_subcarriers=1),
+             schemes=("perfect_csi", "farfield_rainbow")),
     ],
 )
 def test_spec_validation(overrides):
@@ -239,6 +259,25 @@ def test_distance_axis_redraws_users_per_point():
     )
 
 
+def _peak_bytes(spec) -> int:
+    tracemalloc.start()
+    try:
+        run_sweep(spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_distance_axis_frees_each_points_draws_before_the_next():
+    # Each distance point redraws; holding the last point's draws while the
+    # next are made raised the 3-point peak to 1.31 x the 1-point peak.
+    base = dict(sweep_axis="distance_m", n_trials=20,
+                schemes=("perfect_csi", "ongrid", "nearfield_rainbow", "farfield_rainbow"))
+    one = _peak_bytes(desk_experiment_spec(axis_values=(3.0,), **base))
+    three = _peak_bytes(desk_experiment_spec(axis_values=(3.0, 6.0, 9.0), **base))
+    assert three <= 1.1 * one
+
+
 def test_overhead_axis_clamps_at_the_plan_size():
     spec = _tiny_spec(sweep_axis="overhead", axis_values=(1.0, 4.0),
                       schemes=("ongrid", "nearfield_rainbow"), n_trials=40)
@@ -286,6 +325,59 @@ def test_rates_rise_with_snr(desk_sweep):
 
 
 # rate metric -----------------------------------------------------------------
+
+@pytest.mark.parametrize("n_trials", [1, 7])
+def test_serving_gains_equal_a_per_subcarrier_kernel_loop(n_trials):
+    # 63 antennas and 1100 subcarriers: the last chunk is a short one
+    cfg = SystemConfig(n_antennas=63, carrier_freq=30e9, bandwidth=5e9,
+                       n_subcarriers=1100, distance_range=(2.0, 10.0))
+    assert cfg.n_subcarriers % (_CHUNK_ENTRIES // (n_trials * cfg.n_antennas)) != 0
+    rng = np.random.default_rng(n_trials)
+    theta0, theta_hat = rng.uniform(-0.8, 0.8, (2, n_trials))
+    alpha0, alpha_hat = rng.uniform(0.0, 0.2, (2, n_trials))
+    want = np.empty((n_trials, cfg.n_subcarriers))
+    for i, f in enumerate(cfg.subcarrier_freqs()):
+        k = cfg.wavenumber(f)
+        want[:, i] = gain_kernel(cfg, k * (theta0 - theta_hat), k * (alpha0 - alpha_hat))
+    got = _serving_gains(cfg, theta0, alpha0, theta_hat, alpha_hat)
+    assert np.array_equal(got, want)
+
+
+def _synthesis_inputs(n_trials):
+    spec = desk_experiment_spec(bank_angles=16, bank_rings=4)
+    cfg = spec.cfg
+    plan = design(spec.design_inputs())
+    rings = np.linspace(cfg.alpha_min, cfg.alpha_max, spec.bank_rings)
+    families = [
+        [plan.params(k) for k in range(1, plan.K + 1)],
+        rainbow_probes(cfg, rings),
+        rainbow_probes(cfg, FAR_RINGS),
+    ]
+    codebook = PolarCodebook(cfg, spec.bank_angles, spec.bank_rings)
+    return cfg, families, codebook, _draw_users(cfg, _rng(5, 0), n_trials)
+
+
+@pytest.mark.parametrize("with_codebook", [False, True])
+def test_synthesized_observations_equal_per_subcarrier_products(with_codebook):
+    cfg, families, codebook, users = _synthesis_inputs(9)
+    signals, moments = _synthesize(cfg, families, codebook if with_codebook else None,
+                                   users, np.random.default_rng(0))
+    assert (moments is not None) == with_codebook
+    for sig, params in zip(signals, families):
+        want = np.empty_like(sig)
+        for i, f in enumerate(cfg.subcarrier_freqs()):
+            h = los_rows(cfg, users["theta"], users["r"], users["beta_c"], f)
+            want[:, i] = math.sqrt(TX_POWER) * (h @ pilot_beamformers(cfg, params, f))
+        assert np.array_equal(sig, want)
+
+
+def test_exhaustive_moments_do_not_depend_on_the_families_alongside():
+    cfg, families, codebook, users = _synthesis_inputs(9)
+    _, alone = _synthesize(cfg, [], codebook, users, np.random.default_rng(4))
+    _, shared = _synthesize(cfg, families, codebook, users, np.random.default_rng(4))
+    for a, b in zip(alone, shared):
+        assert np.array_equal(a, b)
+
 
 def test_rate_metric_penalizes_mismatch(desk_cfg):
     loc = PolarLocation.from_angle_distance(0.2, 5.0)

@@ -30,8 +30,8 @@ from beamtrain.arrays import _uniform_samples, approx_steering
 from beamtrain.beamsplit import gain_kernel
 from beamtrain.harness import (
     _Engine,
-    _exhaustive_moments,
     _sigma,
+    _synthesize,
     desk_experiment_spec,
     fullscale_experiment_spec,
     rate_metric,
@@ -510,8 +510,8 @@ def test_single_trial_api_matches_the_sweep_engine(desk_cfg):
     for i, (loc, ch) in enumerate(zip(locs, channels)):
         users = {"theta": np.array([loc.theta]), "r": np.array([loc.distance]),
                  "beta_c": np.array([ch.beta_c])}
-        a, b, c = _exhaustive_moments(desk_cfg, engine.codebook, users,
-                                      np.random.default_rng(i))
+        _, (a, b, c) = _synthesize(desk_cfg, [], engine.codebook, users,
+                                   np.random.default_rng(i))
         s1 = _sigma(desk_cfg, users, snr)[:, None]
         powers.append((a + 2 * s1 * b + s1 * s1 * c)[0])
         singles.append(exhaustive_polar_train(ch, engine.codebook, snr, i))
