@@ -6,20 +6,16 @@ from .arrays import (
     Channel,
     PolarCodebook,
     approx_steering,
-    exact_steering,
     los_channel,
-    multipath_channel,
 )
 from .beamsplit import (
     BeamFocus,
     InfeasibleFocusError,
     TdPsParams,
     angle_beamwidth,
-    array_gain,
     combined_beamformer,
     dirichlet_sinc,
     distance_beamwidth,
-    distance_gain,
     ellipse_coefficients,
     fresnel_envelope,
     fresnel_integrals,
@@ -56,7 +52,6 @@ from .training import (
     observe_plan,
     ongrid_train,
     rainbow_sweep_params,
-    serve_beamformer,
 )
 from .harness import (
     ExperimentSpec,

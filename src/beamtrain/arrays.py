@@ -1,9 +1,9 @@
 """Steering vectors, wideband channels, and the polar-domain codebook.
 
-Exact steering uses per-element spherical distances; approximate steering
-keeps the quadratic (Fresnel) expansion in the element coordinate, which is
-the model every codebook and beamformer in this package is built on.  All
-steering vectors are unit-norm complex arrays of length n_antennas.
+Channels use the exact per-element spherical distances; approximate
+steering keeps the quadratic (Fresnel) expansion in the element coordinate,
+which is the model every codebook and beamformer in this package is built
+on.  Steering vectors are unit-norm complex arrays of length n_antennas.
 """
 from __future__ import annotations
 
@@ -23,30 +23,14 @@ def element_distances(cfg: SystemConfig, theta: float, r: float) -> np.ndarray:
     return np.sqrt(r * r + nd * nd - 2 * r * theta * nd)
 
 
-def exact_steering(cfg: SystemConfig, loc: PolarLocation, f: float) -> np.ndarray:
-    """Spherical-wave steering vector at frequency f.
-
-    Element n carries phase -k (r^(n) - r) relative to the reference element,
-    k = 2 pi f / c.  Unit norm.  Far-field locations (alpha = 0) use the
-    planar limit of the same phase profile.
-    """
-    if loc.alpha == 0.0:
-        nd = cfg.element_indices() * cfg.spacing
-        phase = cfg.wavenumber(f) * nd * loc.theta
-        return np.exp(1j * phase) / np.sqrt(cfg.n_antennas)
-    r = loc.distance
-    rn = element_distances(cfg, loc.theta, r)
-    phase = -cfg.wavenumber(f) * (rn - r)
-    return np.exp(1j * phase) / np.sqrt(cfg.n_antennas)
-
-
 def approx_steering(cfg: SystemConfig, loc, f: float) -> np.ndarray:
     """Quadratic-expansion steering vector at frequency f.
 
     Element n carries phase k (n d theta - n^2 d^2 alpha).  Unit norm.  loc
     may be a PolarLocation or a (theta, alpha) pair of arrays; the result has
-    the arrays' shape plus a trailing N_t axis.  Every codebook, beamformer
-    and grid search in the package uses this one copy.
+    the arrays' shape plus a trailing N_t axis.  It is the model of every
+    codebook, beamformer and grid search in the package, and the tests check
+    the factored codebook and the rate kernel against it.
     """
     theta, alpha = (loc.theta, loc.alpha) if isinstance(loc, PolarLocation) else loc
     theta = np.asarray(theta)[..., None]
@@ -129,70 +113,24 @@ def los_channel(cfg: SystemConfig, loc: PolarLocation, steering: str = "exact") 
     return Channel(per_subcarrier=h, path_gains=betas, beta_c=beta_c, location=loc)
 
 
-def multipath_channel(cfg: SystemConfig, paths) -> Channel:
-    """Multipath channel from (gain, delay, theta, r) path tuples.
-
-    h_m = sqrt(N_t / L) sum_l beta_{m,l} e^{-j 2 pi f_m tau_l} a_m(theta_l, r_l)
-    where the supplied gain is the center-frequency amplitude of the path and
-    beta_{m,l} = (f_c / f_m) gain_l.  A single path with tau = r / c and gain
-    lambda_c / (4 pi r) reproduces the line-of-sight channel.
-    """
-    paths = list(paths)
-    if not paths:
-        raise ValueError("need at least one path")
-    L = len(paths)
-    freqs = cfg.subcarrier_freqs()
-    M = cfg.n_subcarriers
-    h = np.zeros((M, cfg.n_antennas), dtype=complex)
-    scale = np.sqrt(cfg.n_antennas / L)
-    for gain, tau, theta, r in paths:
-        loc = PolarLocation.from_angle_distance(theta, r)
-        betas = (cfg.carrier_freq / freqs) * gain
-        for i, f in enumerate(freqs):
-            a = exact_steering(cfg, loc, f)
-            h[i] += scale * betas[i] * np.exp(-2j * np.pi * f * tau) * a
-    rss = np.sqrt(np.mean([g * g for g, *_ in paths]))
-    betas = (cfg.carrier_freq / freqs) * rss
-    main = max(paths, key=lambda p: p[0])
-    loc = PolarLocation.from_angle_distance(main[2], main[3])
-    return Channel(per_subcarrier=h, path_gains=betas, beta_c=float(rss), location=loc)
-
-
 class PolarCodebook:
     """Uniform polar-domain grid of (theta, alpha) locations.
 
-    Angles sample the served angle range; each angle carries its own list of
-    alpha rings inside [alpha_min, alpha_max].  The codeword of a location on
-    subcarrier m is its approximate steering vector, approx_steering, which
-    factors into an angle part and a ring part (see `factors`).
+    Angles sample the served angle range and every angle carries the same
+    alpha rings inside [alpha_min, alpha_max]; locations run angle-major,
+    then ring.  The codeword of a location on subcarrier m is its
+    approximate steering vector, approx_steering, which factors into an
+    angle part and a ring part (see `factors`).
     """
 
-    def __init__(self, cfg: SystemConfig, angle_samples: int, distance_samples):
-        if angle_samples < 1:
-            raise ValueError("angle_samples must be >= 1")
-        if np.isscalar(distance_samples):
-            distance_samples = [int(distance_samples)] * angle_samples
-        if len(distance_samples) != angle_samples:
-            raise ValueError("need one distance count per angle sample")
-        if any(s < 1 for s in distance_samples):
-            raise ValueError("distance sample counts must be >= 1")
+    def __init__(self, cfg: SystemConfig, angle_samples: int, distance_samples: int):
+        if angle_samples < 1 or distance_samples < 1:
+            raise ValueError("angle_samples and distance_samples must be >= 1")
         self.cfg = cfg
-        thetas = _uniform_samples(*cfg.angle_range, angle_samples)
-        locs = []
-        for theta, s in zip(thetas, distance_samples):
-            alphas = _uniform_samples(cfg.alpha_min, cfg.alpha_max, s)
-            locs.extend(PolarLocation(float(theta), float(a)) for a in alphas)
-        self.locations = locs
-        self.angle_samples = int(angle_samples)
-        self.distance_samples = [int(s) for s in distance_samples]
-        # Factored layout: the angle axis, every distinct ring, and the flat
-        # index of each codeword in the angle-major (angle, ring) grid; None
-        # when the codewords are that whole grid in order.
-        self.thetas = thetas
-        self.rings, ring_idx = np.unique([loc.alpha for loc in locs], return_inverse=True)
-        angle_idx = np.repeat(np.arange(angle_samples), self.distance_samples)
-        self.grid_index = (None if len(locs) == angle_samples * len(self.rings)
-                           else angle_idx * len(self.rings) + ring_idx)
+        self.thetas = _uniform_samples(*cfg.angle_range, angle_samples)
+        self.rings = _uniform_samples(cfg.alpha_min, cfg.alpha_max, distance_samples)
+        self.locations = [PolarLocation(float(t), float(a))
+                          for t in self.thetas for a in self.rings]
 
     def __len__(self) -> int:
         return len(self.locations)

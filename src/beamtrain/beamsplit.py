@@ -16,7 +16,6 @@ import numpy as np
 from scipy.special import fresnel as _fresnel_cs
 
 from .config import SPEED_OF_LIGHT, PolarLocation, SystemConfig
-from .arrays import approx_steering
 
 # 3 dB point of the Fresnel envelope |C(b) + j S(b)| / b, root of F = 1/sqrt(2)
 FRESNEL_3DB = 1.318
@@ -103,12 +102,6 @@ def gain_kernel(cfg: SystemConfig, x, y):
     phase = np.multiply.outer(x, nd) - np.multiply.outer(y, nd * nd)
     out = np.abs(np.exp(1j * phase).sum(axis=-1)) / cfg.n_antennas
     return float(out) if out.ndim == 0 else out
-
-
-def array_gain(cfg: SystemConfig, w: np.ndarray, loc: PolarLocation, f: float) -> float:
-    """|w^T b_f(theta, alpha)| for an arbitrary unit-norm beamformer w."""
-    b = approx_steering(cfg, loc, f)
-    return float(np.abs(w @ b))
 
 
 def tdps_gain(cfg: SystemConfig, params: TdPsParams, loc, f):
@@ -201,14 +194,6 @@ def fresnel_envelope(beta):
     return float(out) if out.ndim == 0 else out
 
 
-def distance_gain(cfg: SystemConfig, dalpha, f):
-    """Gain against pure curvature mismatch dalpha at frequency f, via the
-    Fresnel envelope with beta = N_t d sqrt(|dalpha| f / c)."""
-    dalpha = np.asarray(dalpha, dtype=float)
-    beta = cfg.n_antennas * cfg.spacing * np.sqrt(np.abs(dalpha) * f / SPEED_OF_LIGHT)
-    return fresnel_envelope(beta)
-
-
 def angle_beamwidth(cfg: SystemConfig, f: float) -> float:
     """3 dB half-width in theta at frequency f: 0.88 f_c / (N_t f)."""
     return DIRICHLET_3DB * cfg.carrier_freq / (cfg.n_antennas * f)
@@ -222,10 +207,11 @@ def distance_beamwidth(cfg: SystemConfig, f: float) -> float:
     )
 
 
-def ellipse_coefficients(cfg: SystemConfig, f: float) -> tuple[float, float]:
+def ellipse_coefficients(cfg: SystemConfig, f):
     """Quadratic coefficients (sigma1, sigma2) of the near-peak gain model
-    gain ~= 1 - sigma1 (theta - theta_f)^2 - sigma2 (alpha - alpha_f)^2."""
+    gain ~= 1 - sigma1 (theta - theta_f)^2 - sigma2 (alpha - alpha_f)^2 at
+    the frequency f, a number or an array."""
     sigma1 = (cfg.n_antennas**2 * np.pi**2 * f**2) / (24 * cfg.carrier_freq**2)
     lam = SPEED_OF_LIGHT / f
     sigma2 = (np.pi**2 * cfg.n_antennas**4 * cfg.spacing**4) / (90 * lam**2)
-    return float(sigma1), float(sigma2)
+    return sigma1, sigma2

@@ -65,7 +65,7 @@ def _fail(message: str, code: int = 2, **detail):
 def _cmd_design(args):
     try:
         inputs = DesignInputs.from_json(Path(args.inputs).read_text())
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         _fail(f"invalid design inputs: {exc}")
     from .design import design as run_design
 
@@ -73,11 +73,15 @@ def _cmd_design(args):
         plan = run_design(inputs)
     except ValueError as exc:
         _fail(f"design failed: {exc}")
-    if args.out:
-        plan.to_json(args.out)
+    try:
+        if args.out:
+            plan.to_json(args.out)
+        if args.delays_csv:
+            fixed_td_network(plan).to_csv(args.delays_csv)
+    except OSError as exc:
+        _fail(f"cannot write output: {exc}")
     print(plan.summary())
     if args.delays_csv:
-        fixed_td_network(plan).to_csv(args.delays_csv)
         print(f"delay table written to {args.delays_csv}")
     if args.out:
         print(f"plan written to {args.out}")
@@ -87,9 +91,12 @@ def _cmd_design(args):
 def _cmd_pattern(args):
     try:
         plan = PilotPlan.from_json(Path(args.plan).read_text())
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         _fail(f"invalid plan: {exc}")
-    rows, text = dump_beam_pattern(plan, out=args.out)
+    try:
+        rows, text = dump_beam_pattern(plan, out=args.out)
+    except OSError as exc:
+        _fail(f"cannot write output: {exc}")
     if args.out:
         print(f"{len(rows)} rows written to {args.out}")
     else:
@@ -100,7 +107,7 @@ def _cmd_pattern(args):
 def _cmd_train(args):
     try:
         plan = PilotPlan.from_json(Path(args.plan).read_text())
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         _fail(f"invalid plan: {exc}")
     cfg = plan.cfg
     if (args.theta is None) == (args.angle_deg is None):
@@ -158,13 +165,16 @@ def _cmd_sweep(args):
         if args.trials is not None:
             overrides["n_trials"] = args.trials
         spec = dataclasses.replace(spec, **overrides)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         _fail(f"invalid experiment spec: {exc}")
     result = run_sweep(spec)
     csv_path = args.out + ".csv"
     json_path = args.out + ".json"
-    result.to_csv(csv_path)
-    result.to_json(json_path)
+    try:
+        result.to_csv(csv_path)
+        result.to_json(json_path)
+    except OSError as exc:
+        _fail(f"cannot write output: {exc}")
     print(f"{len(result.rows)} rows written to {csv_path}; summary in {json_path}")
     return 0
 

@@ -10,9 +10,10 @@ the far-field limit.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,24 +118,15 @@ class SystemConfig:
         return 2 * np.pi * np.asarray(f) / SPEED_OF_LIGHT
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["angle_range"] = list(self.angle_range)
-        d["distance_range"] = list(self.distance_range)
-        return d
+        return fields_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SystemConfig":
-        kwargs = dict(data)
-        for key in ("angle_range", "distance_range"):
-            if key in kwargs and kwargs[key] is not None:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return cls(**fields_from_dict(cls, data))
 
     def to_json(self, path=None) -> str:
         text = json.dumps(self.to_dict(), indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
+        write_text(path, text + "\n")
         return text
 
     @classmethod
@@ -142,6 +134,55 @@ class SystemConfig:
         """Parse JSON text with keys mirroring field names (read files with
         Path.read_text)."""
         return cls.from_dict(json.loads(text))
+
+
+def fields_to_dict(obj, omit=()) -> dict:
+    """JSON-ready dict of the fields of dataclass obj, in field order: cfg
+    under "config" as its own dict, a nested record as its dict without
+    "config" (it shares the outer one), tuples as lists.  Fields named in
+    omit are left out."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        if f.name in omit:
+            continue
+        value = getattr(obj, f.name)
+        if f.name == "cfg":
+            out["config"] = value.to_dict()
+        elif dataclasses.is_dataclass(value):
+            out[f.name] = fields_to_dict(value, omit=("cfg",))
+        else:
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
+def fields_from_dict(cls, data: dict, omit=()) -> dict:
+    """Keyword arguments of dataclass cls from a dict in the layout of
+    fields_to_dict: "config" gives cfg and lists give tuples; a nested
+    record stays a dict for the caller.  Raises ValueError naming every key
+    that is not a field of cls (fields in omit included) and every field
+    without a default that is missing."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object")
+    fields = {("config" if f.name == "cfg" else f.name): f
+              for f in dataclasses.fields(cls) if f.name not in omit}
+    unknown = sorted(set(data) - set(fields))
+    missing = [key for key, f in fields.items() if key not in data
+               and f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING]
+    problems = [f"{what} key(s) {', '.join(map(repr, keys))}"
+                for what, keys in (("unknown", unknown), ("missing", missing)) if keys]
+    if problems:
+        raise ValueError(f"{cls.__name__}: " + "; ".join(problems))
+    return {fields[key].name: SystemConfig.from_dict(value) if key == "config"
+            else tuple(value) if isinstance(value, list) else value
+            for key, value in data.items()}
+
+
+def write_text(path, text: str) -> None:
+    """Write text to path; writers take an optional path, None writes nothing."""
+    if path is not None:
+        with open(path, "w") as fh:
+            fh.write(text)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SPEED_OF_LIGHT, SystemConfig
+from .config import (SPEED_OF_LIGHT, SystemConfig, fields_from_dict, fields_to_dict,
+                     write_text)
 from .beamsplit import (
     FRESNEL_3DB,
     DIRICHLET_3DB,
@@ -79,26 +80,11 @@ class DesignInputs:
         return lo, hi
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.cfg.to_dict(),
-            "gamma": self.gamma,
-            "alpha_min": self.alpha_min,
-            "alpha_max": self.alpha_max,
-            "k_override": self.k_override,
-            "alpha_p_override": self.alpha_p_override,
-        }
+        return fields_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "DesignInputs":
-        cfg = SystemConfig.from_dict(data["config"])
-        return cls(
-            cfg=cfg,
-            gamma=data.get("gamma", 1.0),
-            alpha_min=data.get("alpha_min"),
-            alpha_max=data.get("alpha_max"),
-            k_override=data.get("k_override"),
-            alpha_p_override=data.get("alpha_p_override"),
-        )
+        return cls(**fields_from_dict(cls, data))
 
     @classmethod
     def from_json(cls, text: str) -> "DesignInputs":
@@ -243,56 +229,20 @@ class PilotPlan:
                                subcarrier=m, clamp=clamp)
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.cfg.to_dict(),
-            "inputs": {
-                "gamma": self.inputs.gamma,
-                "alpha_min": self.inputs.alpha_min,
-                "alpha_max": self.inputs.alpha_max,
-                "k_override": self.inputs.k_override,
-                "alpha_p_override": self.inputs.alpha_p_override,
-            },
-            "theta_p": self.theta_p,
-            "theta_t_list": list(self.theta_t_list),
-            "alpha_p": self.alpha_p,
-            "alpha_t": self.alpha_t,
-            "alpha_t_interval": list(self.alpha_t_interval),
-            "p1": self.p1,
-            "pM": self.pM,
-            "q": self.q,
-            "K": self.K,
-            "ending_directions": list(self.ending_directions),
-            "alpha_slope_min": self.alpha_slope_min,
-        }
+        return fields_to_dict(self)
 
     def to_json(self, path=None) -> str:
         text = json.dumps(self.to_dict(), indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
+        write_text(path, text + "\n")
         return text
 
     @classmethod
     def from_dict(cls, data: dict) -> "PilotPlan":
-        cfg = SystemConfig.from_dict(data["config"])
-        inp = dict(data["inputs"])
-        inp["config"] = data["config"]
-        inputs = DesignInputs.from_dict(inp)
-        return cls(
-            cfg=cfg,
-            inputs=inputs,
-            theta_p=data["theta_p"],
-            theta_t_list=tuple(data["theta_t_list"]),
-            alpha_p=data["alpha_p"],
-            alpha_t=data["alpha_t"],
-            alpha_t_interval=tuple(data["alpha_t_interval"]),
-            p1=data["p1"],
-            pM=data["pM"],
-            q=data["q"],
-            K=data["K"],
-            ending_directions=tuple(data["ending_directions"]),
-            alpha_slope_min=data["alpha_slope_min"],
-        )
+        kwargs = fields_from_dict(cls, data)
+        # the inputs share the plan's config
+        kwargs["inputs"] = DesignInputs.from_dict(
+            {**kwargs["inputs"], "config": data["config"]})
+        return cls(**kwargs)
 
     @classmethod
     def from_json(cls, text: str) -> "PilotPlan":
@@ -370,9 +320,7 @@ class FixedTdNetwork:
             ",".join(f"{v:.16e}" for v in row) for row in np.atleast_2d(self.delays)
         ]
         text = "\n".join(lines) + "\n"
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
+        write_text(path, text)
         return text
 
     @classmethod

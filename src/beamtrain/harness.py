@@ -8,6 +8,7 @@ schemes are compared on identical user draws.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -17,7 +18,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import PolarLocation, SystemConfig
+from .config import (PolarLocation, SystemConfig, fields_from_dict, fields_to_dict,
+                     write_text)
 from .arrays import PolarCodebook, _uniform_samples, los_rows
 from .beamsplit import InfeasibleFocusError, gain_kernel
 from .design import DesignInputs, PilotPlan, design
@@ -32,11 +34,10 @@ from .training import (
     SCHEME_ONGRID,
     SCHEME_PERFECT,
     TX_POWER,
-    ObservationGrid,
     TrainingEstimate,
     _response_entries,
     _subcarrier_chunks,
-    aux_pair_train,
+    aux_pair_estimate,
     build_match_filter_bank,
     codeword_responses,
     exhaustive_estimate,
@@ -45,6 +46,7 @@ from .training import (
     pilot_beamformers,
     rainbow_estimate,
     rainbow_probes,
+    rainbow_sweep_params,
 )
 
 AXES = ("snr_db", "overhead", "distance_m")
@@ -82,6 +84,11 @@ def _serving_gains(cfg, theta0, alpha0, theta_hat, alpha_hat):
     for chunk in _subcarrier_chunks(len(k), len(theta0) * cfg.n_antennas):
         out[:, chunk] = gain_kernel(cfg, k[chunk, None] * dth, k[chunk, None] * dal).T
     return out
+
+
+# the DesignInputs fields besides cfg, which ExperimentSpec holds flat and
+# writes under "design"
+_DESIGN_FIELDS = tuple(f.name for f in dataclasses.fields(DesignInputs) if f.name != "cfg")
 
 
 @dataclass(frozen=True)
@@ -126,62 +133,24 @@ class ExperimentSpec:
             raise ValueError("n_trials must be >= 2")
         if self.bank_angles < 1 or self.bank_rings < 1:
             raise ValueError("bank dimensions must be >= 1")
-        rainbow = {SCHEME_NEAR_RAINBOW, SCHEME_FAR_RAINBOW} & set(self.schemes)
-        if rainbow and self.cfg.n_subcarriers < 2:
-            raise ValueError(f"{sorted(rainbow)} sweep the angle across subcarriers: "
-                             "need n_subcarriers >= 2")
-        self.design_inputs()  # rejects what the design cannot serve
+        design(self.design_inputs())  # rejects what the design cannot serve
+        if {SCHEME_NEAR_RAINBOW, SCHEME_FAR_RAINBOW} & set(self.schemes):
+            rainbow_sweep_params(self.cfg)  # rejects a config the sweeps cannot serve
 
     def design_inputs(self) -> DesignInputs:
-        return DesignInputs(
-            cfg=self.cfg,
-            gamma=self.gamma,
-            alpha_min=self.alpha_min,
-            alpha_max=self.alpha_max,
-            k_override=self.k_override,
-            alpha_p_override=self.alpha_p_override,
-        )
+        return DesignInputs(self.cfg, **{name: getattr(self, name)
+                                         for name in _DESIGN_FIELDS})
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.cfg.to_dict(),
-            "design": {
-                "gamma": self.gamma,
-                "alpha_min": self.alpha_min,
-                "alpha_max": self.alpha_max,
-                "k_override": self.k_override,
-                "alpha_p_override": self.alpha_p_override,
-            },
-            "schemes": list(self.schemes),
-            "sweep_axis": self.sweep_axis,
-            "axis_values": list(self.axis_values),
-            "n_trials": self.n_trials,
-            "master_seed": self.master_seed,
-            "snr_db": self.snr_db,
-            "bank_angles": self.bank_angles,
-            "bank_rings": self.bank_rings,
-        }
+        rest = fields_to_dict(self, omit=_DESIGN_FIELDS)
+        inputs = fields_to_dict(self.design_inputs(), omit=("cfg",))
+        return {"config": rest.pop("config"), "design": inputs, **rest}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
-        cfg = SystemConfig.from_dict(data["config"])
-        dsn = data.get("design", {})
-        return cls(
-            cfg=cfg,
-            gamma=dsn.get("gamma", 1.0),
-            alpha_min=dsn.get("alpha_min"),
-            alpha_max=dsn.get("alpha_max"),
-            k_override=dsn.get("k_override"),
-            alpha_p_override=dsn.get("alpha_p_override"),
-            schemes=tuple(data.get("schemes", ALL_SCHEMES)),
-            sweep_axis=data.get("sweep_axis", "snr_db"),
-            axis_values=tuple(data.get("axis_values", (0.0, 5.0, 10.0, 15.0, 20.0))),
-            n_trials=data.get("n_trials", 200),
-            master_seed=data.get("master_seed", 1),
-            snr_db=data.get("snr_db", 15.0),
-            bank_angles=data.get("bank_angles", 192),
-            bank_rings=data.get("bank_rings", 8),
-        )
+        rest = dict(data)
+        inputs = fields_from_dict(DesignInputs, rest.pop("design", {}), omit=("cfg",))
+        return cls(**fields_from_dict(cls, rest, omit=_DESIGN_FIELDS), **inputs)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
@@ -193,8 +162,37 @@ class ExperimentSpec:
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-_SWEEP_COLUMNS = ("scheme", "axis", "axis_value", "mean_rate", "stderr",
-                  "pilots_used", "n_trials")
+_SWEEP_COLUMNS = (("scheme", str), ("axis", str), ("axis_value", float),
+                  ("mean_rate", float), ("stderr", float), ("pilots_used", int),
+                  ("n_trials", int))
+
+
+def write_csv(columns, rows, path=None) -> str:
+    """CSV text of rows (dicts) under a header of the (name, type) columns,
+    each value written as str of its column type; also written to path when
+    one is given."""
+    lines = [",".join(name for name, _ in columns)]
+    lines += [",".join(str(kind(r[name])) for name, kind in columns) for r in rows]
+    text = "\n".join(lines) + "\n"
+    write_text(path, text)
+    return text
+
+
+def read_csv(columns, text: str) -> list:
+    """Rows of CSV text as written by write_csv with the same columns (read
+    files with Path.read_text).  Raises ValueError on another header and on a
+    line whose field count differs from the header's."""
+    lines = text.strip().splitlines()
+    if lines[:1] != [",".join(name for name, _ in columns)]:
+        raise ValueError("unrecognized CSV header")
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != len(columns):
+            raise ValueError(f"CSV line {number} has {len(parts)} fields, "
+                             f"the header {len(columns)}")
+        rows.append({name: kind(p) for (name, kind), p in zip(columns, parts)})
+    return rows
 
 
 @dataclass
@@ -208,59 +206,18 @@ class SweepResult:
     run: dict = field(default_factory=dict)
 
     def to_csv(self, path=None) -> str:
-        lines = [",".join(_SWEEP_COLUMNS)]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        r["scheme"],
-                        r["axis"],
-                        repr(float(r["axis_value"])),
-                        repr(float(r["mean_rate"])),
-                        repr(float(r["stderr"])),
-                        str(int(r["pilots_used"])),
-                        str(int(r["n_trials"])),
-                    ]
-                )
-            )
-        text = "\n".join(lines) + "\n"
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+        return write_csv(_SWEEP_COLUMNS, self.rows, path)
 
     @classmethod
     def from_csv(cls, text: str) -> "SweepResult":
         """Parse CSV text as written by to_csv (read files with Path.read_text)."""
-        lines = text.strip().splitlines()
-        if lines[0] != ",".join(_SWEEP_COLUMNS):
-            raise ValueError("unrecognized sweep CSV header")
-        rows = []
-        for line in lines[1:]:
-            parts = line.split(",")
-            rows.append(
-                {
-                    "scheme": parts[0],
-                    "axis": parts[1],
-                    "axis_value": float(parts[2]),
-                    "mean_rate": float(parts[3]),
-                    "stderr": float(parts[4]),
-                    "pilots_used": int(parts[5]),
-                    "n_trials": int(parts[6]),
-                }
-            )
-        return cls(rows=rows)
+        return cls(rows=read_csv(_SWEEP_COLUMNS, text))
 
     def to_json(self, path=None) -> str:
         text = json.dumps({"metadata": self.metadata, "rows": self.rows, "run": self.run},
                           indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
+        write_text(path, text + "\n")
         return text
-
-    def scheme_rates(self, scheme: str) -> list:
-        return [r for r in self.rows if r["scheme"] == scheme]
 
 
 def _rng(*key) -> np.random.Generator:
@@ -339,22 +296,12 @@ def _powers(a, b, c):
     return lambda sg: a + 2 * sg[:, :, 0] * b + sg[:, :, 0] * sg[:, :, 0] * c
 
 
-def _aux_estimate(mags, plan: PilotPlan, budget, snr):
-    """Aux-pair estimates of mags (T, M, K), one Newton solve per trial."""
-    th = np.empty(len(mags))
-    al = np.empty(len(mags))
-    for i, trial in enumerate(mags):
-        est = aux_pair_train(ObservationGrid(magnitudes=trial[:, :budget], snr=snr), plan)
-        th[i], al[i] = est.theta, est.alpha
-    return th, al
-
-
 class _Scheme(NamedTuple):
     """One row of the sweep's scheme table."""
 
     stream: int | None  # rng stream tag of the probe family; None: no probes
     probes: Callable | None  # () -> pilot parameter sets; None: the codebook
-    estimate: Callable | None  # (observations, pilot budget, snr) -> (theta, alpha)
+    estimate: Callable | None  # (observations, pilot budget) -> (theta, alpha)
     pilots: int  # full pilot count
 
 
@@ -387,25 +334,25 @@ class _Engine:
             SCHEME_PERFECT: _Scheme(None, None, None, 0),
             SCHEME_ONGRID: _Scheme(
                 _STREAM_PROPOSED, plan_probes,
-                lambda obs, budget, snr: ongrid_estimate(obs, plan, budget)[:2], plan.K),
+                lambda obs, budget: ongrid_estimate(obs, plan, budget)[:2], plan.K),
             SCHEME_AUX: _Scheme(
                 _STREAM_PROPOSED, plan_probes,
-                lambda obs, budget, snr: _aux_estimate(obs, plan, budget, snr), plan.K),
+                lambda obs, budget: aux_pair_estimate(obs, plan, budget)[:2], plan.K),
             SCHEME_MATCH: _Scheme(
                 _STREAM_PROPOSED, plan_probes,
-                lambda obs, budget, snr: match_filter_estimate(obs, bank, budget)[:2],
+                lambda obs, budget: match_filter_estimate(obs, bank, budget)[:2],
                 plan.K),
             SCHEME_EXHAUSTIVE: _Scheme(
                 _STREAM_EXHAUSTIVE, None,
-                lambda obs, budget, snr: exhaustive_estimate(obs, codebook, budget)[:2],
+                lambda obs, budget: exhaustive_estimate(obs, codebook, budget)[:2],
                 spec.bank_angles * spec.bank_rings),
             SCHEME_NEAR_RAINBOW: _Scheme(
                 _STREAM_NEAR, lambda: rainbow_probes(cfg, rings),
-                lambda obs, budget, snr: rainbow_estimate(obs, cfg, rings, budget)[:2],
+                lambda obs, budget: rainbow_estimate(obs, cfg, rings, budget)[:2],
                 spec.bank_rings),
             SCHEME_FAR_RAINBOW: _Scheme(
                 _STREAM_FAR, lambda: rainbow_probes(cfg, FAR_RINGS),
-                lambda obs, budget, snr: rainbow_estimate(obs, cfg, FAR_RINGS, budget)[:2],
+                lambda obs, budget: rainbow_estimate(obs, cfg, FAR_RINGS, budget)[:2],
                 1),
         }
 
@@ -468,7 +415,7 @@ class _Engine:
                     if scheme.stream not in observed:
                         observed[scheme.stream] = draws[scheme.stream](sg)
                     th, al = scheme.estimate(observed[scheme.stream],
-                                             min(budget, scheme.pilots), snr)
+                                             min(budget, scheme.pilots))
                     rates = self._rates(users, th, al, snr)
                 rows.append(self._row(name, value, rates, min(budget, scheme.pilots)))
         meta = {
@@ -505,8 +452,9 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
 
 # beam pattern dump ---------------------------------------------------------
 
-_PATTERN_COLUMNS = ("pilot", "subcarrier", "freq_hz", "theta", "alpha",
-                    "distance_m", "regime")
+_PATTERN_COLUMNS = (("pilot", int), ("subcarrier", int), ("freq_hz", float),
+                    ("theta", float), ("alpha", float), ("distance_m", float),
+                    ("regime", str))
 
 
 def dump_beam_pattern(plan: PilotPlan, out=None):
@@ -537,52 +485,7 @@ def dump_beam_pattern(plan: PilotPlan, out=None):
                     "regime": "near" if near else "far",
                 }
             )
-    text = pattern_to_csv(rows)
-    if out is not None:
-        with open(out, "w") as fh:
-            fh.write(text)
-    return rows, text
-
-
-def pattern_to_csv(rows) -> str:
-    lines = [",".join(_PATTERN_COLUMNS)]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(int(r["pilot"])),
-                    str(int(r["subcarrier"])),
-                    repr(float(r["freq_hz"])),
-                    repr(float(r["theta"])),
-                    repr(float(r["alpha"])),
-                    repr(float(r["distance_m"])),
-                    r["regime"],
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def pattern_from_csv(text: str):
-    """Parse beam-pattern CSV text as written by pattern_to_csv."""
-    lines = text.strip().splitlines()
-    if lines[0] != ",".join(_PATTERN_COLUMNS):
-        raise ValueError("unrecognized pattern CSV header")
-    rows = []
-    for line in lines[1:]:
-        p = line.split(",")
-        rows.append(
-            {
-                "pilot": int(p[0]),
-                "subcarrier": int(p[1]),
-                "freq_hz": float(p[2]),
-                "theta": float(p[3]),
-                "alpha": float(p[4]),
-                "distance_m": float(p[5]),
-                "regime": p[6],
-            }
-        )
-    return rows
+    return rows, write_csv(_PATTERN_COLUMNS, rows, out)
 
 
 # default experiment specs ---------------------------------------------------

@@ -20,12 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PolarLocation, SystemConfig
-from .arrays import Channel, _uniform_samples, approx_steering
+from .config import PolarLocation, SystemConfig, fields_to_dict
+from .arrays import Channel, _uniform_samples
 from .beamsplit import TdPsParams, ellipse_coefficients
 from .design import PilotPlan
 
 TX_POWER = 1.0
+
+# aux-pair Newton solve: residual-norm tolerance and iteration cap
+_AUX_TOL = 1e-8
+_AUX_MAX_ITER = 50
 
 # The grid kernels run over subcarriers in chunks whose largest temporary
 # holds about this many complex entries (1 MB).
@@ -91,18 +95,7 @@ class TrainingEstimate:
         return PolarLocation(self.theta, self.alpha)
 
     def to_dict(self) -> dict:
-        sel = self.selected
-        if isinstance(sel, tuple):
-            sel = list(sel)
-        return {
-            "theta": self.theta,
-            "alpha": self.alpha,
-            "scheme": self.scheme,
-            "selected": sel,
-            "pilots_used": self.pilots_used,
-            "clamped": self.clamped,
-            "fallback": self.fallback,
-        }
+        return fields_to_dict(self)
 
 
 def _as_rng(rng) -> tuple[np.random.Generator, int | None]:
@@ -195,20 +188,27 @@ def _pick(locations, idx):
             np.array([locations[i].alpha for i in idx]))
 
 
+def _foci(plan: PilotPlan, flat: np.ndarray, n_cols: int):
+    """Predicted focus, plan.focus(..., clamp=True), of the beam at each
+    0-based flat index m * n_cols + k of an array: theta, alpha (which may be
+    negative) and the clamped flag, each of flat's shape.  Each distinct
+    beam's focus is evaluated once."""
+    beams, inverse = np.unique(flat, return_inverse=True)
+    foci = [plan.focus(m + 1, k + 1, clamp=True) for m, k in zip(*np.divmod(beams, n_cols))]
+    inverse = inverse.reshape(np.shape(flat))
+    return (np.array([f.theta for f in foci])[inverse],
+            np.array([f.alpha for f in foci])[inverse],
+            np.array([f.clamped for f in foci])[inverse])
+
+
 def ongrid_estimate(mags: np.ndarray, plan: PilotPlan, budget=None):
     """Strongest beam's predicted focus per trial of mags (T, M, K); ties go
     to smaller m, then smaller k.  Returns theta, alpha, clamped and the flat
     (m, k) index over the budgeted (M, K') grid.  Only the picked beams' foci
     are evaluated."""
     flat = _argmax_rows(mags, budget)
-    n_cols = mags[..., :budget].shape[-1]
-    picks, inverse = np.unique(flat, return_inverse=True)
-    foci = [plan.focus(m + 1, k + 1, clamp=True)
-            for m, k in zip(*np.divmod(picks, n_cols))]
-    theta = np.array([f.theta for f in foci])[inverse]
-    alpha = np.array([max(f.alpha, 0.0) for f in foci])[inverse]
-    clamped = np.array([f.clamped or f.alpha < 0 for f in foci])[inverse]
-    return theta, alpha, clamped, flat
+    theta, alpha, clamped = _foci(plan, flat, mags[..., :budget].shape[-1])
+    return theta, np.maximum(alpha, 0.0), clamped | (alpha < 0), flat
 
 
 def ongrid_train(obs: ObservationGrid, plan: PilotPlan) -> TrainingEstimate:
@@ -225,135 +225,109 @@ def ongrid_train(obs: ObservationGrid, plan: PilotPlan) -> TrainingEstimate:
     )
 
 
-def aux_pair_train(
-    obs: ObservationGrid,
-    plan: PilotPlan,
-    tol: float = 1e-8,
-    max_iter: int = 50,
-) -> TrainingEstimate:
-    """Refine the on-grid pick by intersecting two gain ellipses.
+def aux_pair_estimate(mags: np.ndarray, plan: PilotPlan, budget=None):
+    """Refine each trial's on-grid pick by intersecting two gain ellipses.
 
-    Takes the strongest beam and its stronger in-band neighbor on the same
-    pilot, converts both magnitudes to model gains via the path-gain at the
-    on-grid distance, and Newton-solves the two quadratic gain models for
-    (theta, alpha).  Falls back to the on-grid answer (flagged) on a singular
-    Jacobian, no convergence, or an unusable on-grid distance.
+    Per trial of mags (T, M, K), over the first `budget` pilots: take the
+    strongest beam and its stronger in-band neighbor on the same pilot (the
+    lower one on a tie), convert both magnitudes to model gains via the
+    path gain at the on-grid distance, and Newton-solve the two quadratic
+    gain models for (theta, alpha).  A trial falls back to the on-grid
+    answer on a zero Jacobian, no convergence, no neighbor or an unusable
+    on-grid distance.  Returns theta, alpha, fallback, clamped and the
+    on-grid pick's flat (m, k) index.
     """
-    base = ongrid_train(obs, plan)
     cfg = plan.cfg
-    m_hat, k_hat = base.selected
-    M = cfg.n_subcarriers
-    col = obs.magnitudes[:, k_hat - 1]
-    neighbors = [m for m in (m_hat - 1, m_hat + 1) if 1 <= m <= M]
-    if not neighbors:
-        return _fallback(base)
-    m_b = max(neighbors, key=lambda m: col[m - 1])
-    r_hat = base.location.distance
-    if not np.isfinite(r_hat) or r_hat <= 0:
-        return _fallback(base)
+    theta0, alpha0, clamped0, flat = ongrid_estimate(mags, plan, budget)
+    n_cols = mags[..., :budget].shape[-1]
+    m_hat, k_hat = np.divmod(flat, n_cols)
+    rows, n_sub = np.arange(len(mags)), mags.shape[1]
+    col = mags[rows, :, k_hat]  # (T, M): the picked pilot's magnitudes
+    lo, hi = np.maximum(m_hat - 1, 0), np.minimum(m_hat + 1, n_sub - 1)
+    lower = (m_hat > 0) & ((m_hat == n_sub - 1) | (col[rows, hi] <= col[rows, lo]))
+    pair = np.stack([m_hat, np.where(lower, lo, hi)], axis=1)  # (T, 2) subcarriers
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_hat = (1.0 - theta0**2) / (2.0 * alpha0)
+    fallback = (n_sub == 1) | ~np.isfinite(r_hat) | (r_hat <= 0)
+    r_hat = np.where(fallback, 1.0, r_hat)
 
-    pair = []
-    for m in (m_hat, m_b):
-        f = cfg.subcarrier_freq(m)
-        focus = plan.focus(m, k_hat, clamp=True)
-        beta = (cfg.carrier_freq / f) * (cfg.wavelength / (4 * np.pi * r_hat))
-        g = col[m - 1] / (math.sqrt(TX_POWER * cfg.n_antennas) * beta)
-        g = min(max(g, 1e-6), 1.0)
-        s1, s2 = ellipse_coefficients(cfg, f)
-        pair.append((focus.theta, focus.alpha, s1, s2, 1.0 - g))
+    t0, a0, _ = _foci(plan, pair * n_cols + k_hat[:, None], n_cols)  # (T, 2) centers
+    f = cfg.subcarrier_freqs()[pair]
+    beta = (cfg.carrier_freq / f) * (cfg.wavelength / (4 * np.pi * r_hat[:, None]))
+    g = col[rows[:, None], pair] / (math.sqrt(TX_POWER * cfg.n_antennas) * beta)
+    rhs = 1.0 - np.clip(g, 1e-6, 1.0)
+    s1, s2 = ellipse_coefficients(cfg, f)
 
     # Gain 1 at the peak collapses its ellipse to a point: the system's root
     # is that focus itself, no iteration needed.
-    if pair[0][4] <= 1e-12:
-        return TrainingEstimate(
-            theta=float(pair[0][0]),
-            alpha=float(max(pair[0][1], 0.0)),
-            scheme=SCHEME_AUX,
-            selected=(m_hat, k_hat),
-            pilots_used=plan.K,
-        )
-
-    th = 0.5 * (pair[0][0] + pair[1][0])
-    al = 0.5 * (pair[0][1] + pair[1][1])
-    # Damped Newton on the two residuals.  The geometry has two rough spots:
-    # the midpoint start sits on the line through both centers, where the
-    # Jacobian is rank-deficient (anti-parallel gradients), and noisy gains
-    # can leave the ellipses tangent or disjoint so that no exact root exists.
-    # lstsq with a loose rcond handles the first; backtracking on the residual
-    # norm handles the second (the Newton direction always descends ||r||^2,
-    # so the iterates settle on the least-squares point when the system is
+    exact = ~fallback & (rhs[:, 0] <= 1e-12)
+    # Damped Newton on the two residuals, from the midpoint of the centers.
+    # The geometry has two rough spots: the midpoint start sits on the line
+    # through both centers, where the Jacobian is rank-deficient
+    # (anti-parallel gradients), and noisy gains can leave the ellipses
+    # tangent or disjoint so that no exact root exists.  A pseudo-inverse
+    # with a loose cutoff handles the first; backtracking on the residual norm
+    # handles the second (the Newton direction always descends ||r||^2, so
+    # the iterates settle on the least-squares point when the system is
     # inconsistent, and converge quadratically to a root when it is not).
-    def _resid(t, a):
-        return np.array(
-            [s1 * (t0 - t) ** 2 + s2 * (a0 - a) ** 2 - rhs
-             for t0, a0, s1, s2, rhs in pair]
-        )
+    center = np.stack([t0, a0], axis=2)  # (T, 2, 2): pair member, (theta, alpha)
+    weight = np.stack([s1, s2], axis=2)
+    x = 0.5 * (center[:, 0] + center[:, 1])  # (T, 2) iterates
+    halvings = 0.5 ** np.arange(30)[:, None]  # up to 30 halvings of each step
+    live = np.flatnonzero(~fallback & ~exact)
+    for _ in range(_AUX_MAX_ITER):
+        if not len(live):
+            break
+        c, w, b = center[live], weight[live], rhs[live]
+        d = c - x[live, None]
+        r = (w * d**2).sum(2) - b
+        norm = np.sqrt((r * r).sum(1))
+        jac = -2 * w * d
+        zero = ~jac.any(axis=(1, 2))
+        step = -(np.linalg.pinv(jac, rtol=1e-6) @ r[:, :, None])[:, :, 0]
+        search = (norm >= _AUX_TOL) & ~zero & (np.sqrt((step * step).sum(1)) >= 1e-10)
+        fallback[live[(norm >= _AUX_TOL) & zero]] = True
+        cand = x[live, None] + step[:, None] * halvings  # (L, 30, 2)
+        rc = (w[:, None] * (c[:, None] - cand[:, :, None]) ** 2).sum(3) - b[:, None]
+        ok = (search[:, None] & (-1.0 <= cand[..., 0]) & (cand[..., 0] <= 1.0)
+              & (cand[..., 1] >= 0.0) & (np.sqrt((rc * rc).sum(2)) < norm[:, None]))
+        # a trial with no descent sits on the least-squares stationary point
+        # and is done, like one whose residual or step vanished
+        moved = ok.any(1)
+        live = live[moved]
+        x[live] = cand[moved, ok[moved].argmax(1)]
+    fallback[live] = True  # no convergence in _AUX_MAX_ITER steps
+    th, al = x[:, 0], x[:, 1]
 
-    th = float(th)
-    al = float(al)
-    converged = False
-    for _ in range(max_iter):
-        resid = _resid(th, al)
-        norm = np.linalg.norm(resid)
-        if norm < tol:
-            converged = True
-            break
-        jac = np.array(
-            [[-2 * s1 * (t0 - th), -2 * s2 * (a0 - al)]
-             for t0, a0, s1, s2, rhs in pair]
-        )
-        if np.abs(jac).max() == 0:
-            return _fallback(base)
-        step = np.linalg.lstsq(jac, -resid, rcond=1e-6)[0]
-        if np.linalg.norm(step) < 1e-10:
-            converged = True
-            break
-        improved = False
-        for _ in range(30):
-            t_new, a_new = th + step[0], al + step[1]
-            if -1.0 <= t_new <= 1.0 and a_new >= 0.0:
-                if np.linalg.norm(_resid(t_new, a_new)) < norm:
-                    improved = True
-                    break
-            step = step * 0.5
-        if not improved:
-            # no descent left: this is the least-squares stationary point
-            converged = True
-            break
-        th, al = float(t_new), float(a_new)
-    if not converged:
-        return _fallback(base)
     # The beam pair only resolves the user along its own spacing; project the
     # root into the pair's bounding cell (one spacing of margin) so the barely
     # observable coordinate cannot absorb model error and wander off.
-    dt = abs(pair[1][0] - pair[0][0])
-    da = abs(pair[1][1] - pair[0][1])
-    t_lo, t_hi = min(pair[0][0], pair[1][0]) - dt, max(pair[0][0], pair[1][0]) + dt
-    a_lo, a_hi = min(pair[0][1], pair[1][1]) - da, max(pair[0][1], pair[1][1]) + da
-    th = min(max(th, t_lo), t_hi)
-    al = min(max(al, a_lo), a_hi)
-    clamped = not (-1.0 <= th <= 1.0) or al < 0
-    th = min(max(th, -1.0), 1.0)
-    al = max(al, 0.0)
+    dt = np.abs(t0[:, 1] - t0[:, 0])
+    da = np.abs(a0[:, 1] - a0[:, 0])
+    th = np.clip(th, t0.min(axis=1) - dt, t0.max(axis=1) + dt)
+    al = np.clip(al, a0.min(axis=1) - da, a0.max(axis=1) + da)
+    clamped = (th < -1.0) | (th > 1.0) | (al < 0)
+    th = np.where(exact, t0[:, 0], np.clip(th, -1.0, 1.0))
+    al = np.maximum(np.where(exact, a0[:, 0], al), 0.0)
+    clamped &= ~exact
+    return (np.where(fallback, theta0, th), np.where(fallback, alpha0, al), fallback,
+            np.where(fallback, clamped0, clamped), flat)
+
+
+def aux_pair_train(obs: ObservationGrid, plan: PilotPlan) -> TrainingEstimate:
+    """Refine the on-grid pick by intersecting two gain ellipses: the T = 1
+    case of aux_pair_estimate, flagged fallback when it keeps the on-grid
+    answer."""
+    theta, alpha, fallback, clamped, flat = aux_pair_estimate(obs.magnitudes[None], plan)
+    m_idx, k_idx = divmod(int(flat[0]), obs.magnitudes.shape[1])
     return TrainingEstimate(
-        theta=float(th),
-        alpha=float(al),
+        theta=float(theta[0]),
+        alpha=float(alpha[0]),
         scheme=SCHEME_AUX,
-        selected=(m_hat, k_hat),
+        selected=(m_idx + 1, k_idx + 1),
         pilots_used=plan.K,
-        clamped=clamped,
-    )
-
-
-def _fallback(base: TrainingEstimate) -> TrainingEstimate:
-    return TrainingEstimate(
-        theta=base.theta,
-        alpha=base.alpha,
-        scheme=SCHEME_AUX,
-        selected=base.selected,
-        pilots_used=base.pilots_used,
-        clamped=base.clamped,
-        fallback=True,
+        clamped=bool(clamped[0]),
+        fallback=bool(fallback[0]),
     )
 
 
@@ -531,14 +505,13 @@ def codeword_responses(codebook, h: np.ndarray, f) -> np.ndarray:
     ang, ring = codebook.factors(f)
     x = h[:, :, None, :] * (math.sqrt(TX_POWER) * ring.conj())[:, None]  # (C, T, R, N_t)
     p = ang.conj()[:, None] @ np.swapaxes(x, -1, -2)  # (C, T, A, R)
-    p = p.reshape(*p.shape[:2], -1)
-    return p if codebook.grid_index is None else p[..., codebook.grid_index]
+    return p.reshape(*p.shape[:2], -1)
 
 
 def _response_entries(codebook, n_trials: int) -> int:
     """Entries of codeword_responses' largest temporary per subcarrier."""
     n_t = codebook.cfg.n_antennas
-    n_a, n_r = codebook.angle_samples, len(codebook.rings)
+    n_a, n_r = len(codebook.thetas), len(codebook.rings)
     return max(n_trials * n_a * n_r, n_trials * n_r * n_t, n_a * n_t)
 
 
@@ -568,6 +541,9 @@ def exhaustive_polar_train(channel: Channel, codebook, snr: float, rng) -> Train
 def rainbow_sweep_params(cfg: SystemConfig) -> TdPsParams:
     """Delay/phase pair whose foci sweep theta from +1 at the lowest
     subcarrier to -1 at the highest, with period integer 0."""
+    if cfg.n_subcarriers < 2:
+        raise ValueError("the rainbow sweeps the angle across subcarriers: "
+                         "need n_subcarriers >= 2")
     f1 = cfg.subcarrier_freq(1)
     fM = cfg.subcarrier_freq(cfg.n_subcarriers)
     span = cfg.carrier_freq / f1 - cfg.carrier_freq / fM
@@ -627,10 +603,3 @@ def farfield_rainbow_train(
     """Single frequency sweep, curvature ignored (alpha estimate is 0)."""
     return _rainbow_train(channel, cfg, FAR_RINGS, snr, rng, SCHEME_FAR_RAINBOW)
 
-
-def serve_beamformer(cfg: SystemConfig, estimate, m: int) -> np.ndarray:
-    """Data beamformer for subcarrier m focused on the estimated location:
-    the conjugate approximate steering vector, so a perfect estimate gives
-    array gain exactly 1."""
-    loc = estimate.location if isinstance(estimate, TrainingEstimate) else estimate
-    return np.conj(approx_steering(cfg, loc, cfg.subcarrier_freq(m)))

@@ -1,4 +1,5 @@
 """End-to-end checks of the beamtrain command line."""
+import dataclasses
 import importlib.metadata
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 
 from beamtrain import DesignInputs, FixedTdNetwork, PilotPlan, design, dump_beam_pattern
 from beamtrain.cli import build_parser
-from beamtrain.harness import desk_experiment_spec
+from beamtrain.harness import desk_config, desk_experiment_spec
 
 if sys.version_info >= (3, 11):
     import tomllib
@@ -117,6 +118,28 @@ def test_design_rejects_missing_inputs(tmp_path):
     assert "error" in json.loads(out.stderr)
 
 
+def _error(out) -> str:
+    assert out.returncode == 2, out.stderr
+    return json.loads(out.stderr)["error"]
+
+
+@pytest.mark.parametrize("where", ["config", "inputs"])
+def test_design_rejects_an_unknown_key(tmp_path, where):
+    payload = desk_experiment_spec().design_inputs().to_dict()
+    (payload["config"] if where == "config" else payload)["n_trails"] = 3
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert "'n_trails'" in _error(run_cli("design", "--inputs", str(bad)))
+
+
+def test_design_rejects_an_ill_typed_value(tmp_path):
+    payload = desk_experiment_spec().design_inputs().to_dict()
+    payload["config"]["n_antennas"] = "64"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert "invalid design inputs" in _error(run_cli("design", "--inputs", str(bad)))
+
+
 def test_design_rejects_bad_gamma(tmp_path):
     payload = desk_experiment_spec().design_inputs().to_dict()
     payload["gamma"] = 1.5
@@ -125,6 +148,15 @@ def test_design_rejects_bad_gamma(tmp_path):
     out = run_cli("design", "--inputs", str(bad))
     assert out.returncode == 2
     assert "error" in json.loads(out.stderr)
+
+
+@pytest.mark.parametrize("command", ["design", "pattern"])
+def test_write_to_a_missing_directory_is_reported(inputs_file, plan_file, tmp_path,
+                                                  command):
+    source = ["--inputs", str(inputs_file)] if command == "design" else [
+        "--plan", str(plan_file)]
+    out = run_cli(command, *source, "--out", str(tmp_path / "missing" / "out"))
+    assert "cannot write output" in _error(out)
 
 
 # pattern ---------------------------------------------------------------------
@@ -215,14 +247,30 @@ def test_train_rejects_out_of_range_user(plan_file):
     assert "error" in json.loads(out.stderr)
 
 
+def test_rainbow_on_one_subcarrier_names_the_cause(tmp_path):
+    cfg = dataclasses.replace(desk_config(), n_subcarriers=1)
+    plan_path = tmp_path / "plan.json"
+    design(DesignInputs(cfg=cfg, gamma=0.5)).to_json(plan_path)
+    out = run_cli("train", f"--plan={plan_path}", "--scheme=farfield_rainbow",
+                  "--theta=0.2", "--distance=4")
+    assert "need n_subcarriers >= 2" in _error(out)
+
+
 # sweep -----------------------------------------------------------------------
 
-def test_sweep_writes_csv_and_json(tmp_path):
-    spec = desk_experiment_spec(
+def _small_spec_file(tmp_path, edit=None):
+    """A two-scheme, four-trial desk spec written as JSON, after edit(payload)."""
+    payload = desk_experiment_spec(
         schemes=("perfect_csi", "ongrid"), axis_values=(10.0, 20.0), n_trials=4
-    )
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec.to_dict()))
+    ).to_dict()
+    if edit is not None:
+        edit(payload)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+def test_sweep_writes_csv_and_json(tmp_path):
+    spec_path = _small_spec_file(tmp_path)
     prefix = tmp_path / "result"
     out = run_cli("sweep", "--spec", str(spec_path), "--out", str(prefix),
                   "--trials", "5", "--seed", "9")
@@ -245,6 +293,37 @@ def test_sweep_rejects_bad_spec(tmp_path):
                   str(tmp_path / "x"))
     assert out.returncode == 2
     assert "error" in json.loads(out.stderr)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: p.update(n_trails=3),
+    lambda p: p["design"].update(n_trails=3),
+    lambda p: p["config"].update(n_trails=3),
+], ids=["spec", "design", "config"])
+def test_sweep_rejects_an_unknown_key(tmp_path, edit):
+    spec_path = _small_spec_file(tmp_path, edit)
+    out = run_cli("sweep", "--spec", str(spec_path), "--out", str(tmp_path / "x"))
+    assert "'n_trails'" in _error(out)
+
+
+def test_sweep_rejects_an_ill_typed_value(tmp_path):
+    spec_path = _small_spec_file(tmp_path, lambda p: p["config"].update(n_antennas="64"))
+    out = run_cli("sweep", "--spec", str(spec_path), "--out", str(tmp_path / "x"))
+    assert "invalid experiment spec" in _error(out)
+
+
+def test_sweep_rejects_a_spec_the_design_cannot_serve(tmp_path):
+    # caught when the spec is read, not inside the sweep
+    spec_path = _small_spec_file(
+        tmp_path, lambda p: p["design"].update(alpha_p_override=1e-6))
+    out = run_cli("sweep", "--spec", str(spec_path), "--out", str(tmp_path / "x"))
+    assert "coverage slope bound" in _error(out)
+
+
+def test_sweep_to_a_missing_directory_is_reported(tmp_path):
+    out = run_cli("sweep", "--spec", str(_small_spec_file(tmp_path)),
+                  "--out", str(tmp_path / "missing" / "x"))
+    assert "cannot write output" in _error(out)
 
 
 def test_sweep_requires_out_prefix():

@@ -31,9 +31,11 @@ from beamtrain.harness import (
     _Engine,
     _rng,
     _serving_gains,
+    _PATTERN_COLUMNS,
+    _SWEEP_COLUMNS,
     _synthesize,
-    pattern_from_csv,
-    pattern_to_csv,
+    read_csv,
+    write_csv,
 )
 from beamtrain.training import (
     _CHUNK_ENTRIES,
@@ -99,6 +101,8 @@ def test_default_experiment_specs():
              schemes=("perfect_csi", "nearfield_rainbow")),
         dict(cfg=dataclasses.replace(desk_config(), n_subcarriers=1),
              schemes=("perfect_csi", "farfield_rainbow")),
+        # the design itself fails: the override breaks the coverage slope bound
+        dict(alpha_p_override=1e-6),
     ],
 )
 def test_spec_validation(overrides):
@@ -210,6 +214,12 @@ def test_sweep_csv_and_json_round_trip(tmp_path):
     assert payload["metadata"]["master_seed"] == 7
     with pytest.raises(ValueError):
         SweepResult.from_csv("not,a,real,header\n1,2,3,4\n")
+    # every row must have the header's field count
+    lines = text.splitlines()
+    for bad in (lines[2].rsplit(",", 1)[0], lines[2] + ",7"):
+        broken = "\n".join(lines[:2] + [bad] + lines[3:]) + "\n"
+        with pytest.raises(ValueError, match="line 3"):
+            SweepResult.from_csv(broken)
 
 
 def test_csv_readers_take_text_so_a_comma_in_the_path_is_harmless(tmp_path, desk_plan):
@@ -417,6 +427,12 @@ def test_beam_pattern_rows(desk_plan):
 def test_beam_pattern_csv_round_trip(tmp_path, desk_plan):
     rows, text = dump_beam_pattern(desk_plan, out=tmp_path / "pattern.csv")
     assert (tmp_path / "pattern.csv").read_text() == text
-    back = pattern_from_csv((tmp_path / "pattern.csv").read_text())
-    assert pattern_to_csv(back) == text
+    back = read_csv(_PATTERN_COLUMNS, (tmp_path / "pattern.csv").read_text())
+    assert write_csv(_PATTERN_COLUMNS, back) == text
     assert back == rows
+    lines = text.splitlines()
+    for bad in (lines[1].rsplit(",", 1)[0], lines[1] + ",near"):
+        with pytest.raises(ValueError, match="line 2"):
+            read_csv(_PATTERN_COLUMNS, "\n".join([lines[0], bad] + lines[2:]))
+    with pytest.raises(ValueError):  # a pattern is not a sweep
+        read_csv(_SWEEP_COLUMNS, text)
