@@ -30,7 +30,7 @@ def approx_steering(cfg: SystemConfig, loc, f: float) -> np.ndarray:
     may be a PolarLocation or a (theta, alpha) pair of arrays; the result has
     the arrays' shape plus a trailing N_t axis.  It is the model of every
     codebook, beamformer and grid search in the package, and the tests check
-    the factored codebook and the rate kernel against it.
+    the codebook's chirp-z powers and the rate kernel against it.
     """
     theta, alpha = (loc.theta, loc.alpha) if isinstance(loc, PolarLocation) else loc
     theta = np.asarray(theta)[..., None]
@@ -119,8 +119,8 @@ class PolarCodebook:
     Angles sample the served angle range and every angle carries the same
     alpha rings inside [alpha_min, alpha_max]; locations run angle-major,
     then ring.  The codeword of a location on subcarrier m is its
-    approximate steering vector, approx_steering, which factors into an
-    angle part and a ring part (see `factors`).
+    approximate steering vector, approx_steering; training.codeword_powers
+    sums each ring over the uniform angle axis without forming codewords.
     """
 
     def __init__(self, cfg: SystemConfig, angle_samples: int, distance_samples: int):
@@ -134,16 +134,6 @@ class PolarCodebook:
 
     def __len__(self) -> int:
         return len(self.locations)
-
-    def factors(self, f):
-        """Angle factor (..., A, N_t) and ring factor (..., R, N_t) at the
-        frequencies f: approx_steering(thetas[a], rings[r]) = ang[a] * ring[r].
-        """
-        nd = self.cfg.element_indices() * self.cfg.spacing
-        k = np.asarray(self.cfg.wavenumber(f))[..., None, None]
-        ang = np.exp(1j * k * (self.thetas[:, None] * nd)) / np.sqrt(self.cfg.n_antennas)
-        ring = np.exp(-1j * k * (self.rings[:, None] * (nd * nd)))
-        return ang, ring
 
 
 def _uniform_samples(lo: float, hi: float, n: int) -> np.ndarray:

@@ -167,6 +167,9 @@ def _cmd_sweep(args):
         spec = dataclasses.replace(spec, **overrides)
     except (OSError, ValueError, TypeError) as exc:
         _fail(f"invalid experiment spec: {exc}")
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():  # fail before the sweep, not after minutes of it
+        _fail(f"cannot write output: no directory {out_dir}")
     result = run_sweep(spec)
     csv_path = args.out + ".csv"
     json_path = args.out + ".json"

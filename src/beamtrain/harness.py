@@ -35,12 +35,13 @@ from .training import (
     SCHEME_PERFECT,
     TX_POWER,
     TrainingEstimate,
-    _response_entries,
+    _power_entries,
     _subcarrier_chunks,
     aux_pair_estimate,
     build_match_filter_bank,
-    codeword_responses,
+    codeword_powers,
     exhaustive_estimate,
+    exhaustive_moments,
     match_filter_estimate,
     ongrid_estimate,
     pilot_beamformers,
@@ -255,21 +256,17 @@ def _synthesize(cfg: SystemConfig, families, codebook, users, rng):
     channel rows are built once and feed them all.
 
     families holds one pilot parameter list per family; its observations
-    have shape (T, M, K).  The moments (A, B, C), None without a codebook,
-    decompose the per-codeword power sum_m |p + sigma z|^2 as
-    A + 2 sigma B + sigma^2 C per user, with unit noise z = (x + j y) / sqrt(2)
-    drawn from rng.  The chunks are sized for the codebook when there is one:
-    one (chunk, 2, T, G) draw consumes the same normals as a
-    real-then-imaginary (T, G) pair per subcarrier.
+    have shape (T, M, K).  The moments (A, B, C) are exhaustive_moments',
+    None without a codebook: the chunks, sized for the codebook, sum the
+    noiseless A, and the noise law is then drawn once from rng.
     """
     freqs = cfg.subcarrier_freqs()
     t = len(users["theta"])
     signals = [np.empty((t, len(freqs), len(params)), dtype=complex) for params in families]
     entries = cfg.n_antennas * max([t] + [len(params) for params in families])
     if codebook is not None:
-        g = len(codebook)
-        a, b, c = np.zeros((t, g)), np.zeros((t, g)), np.zeros((t, g))
-        entries = _response_entries(codebook, t)
+        a = np.zeros((t, len(codebook)))
+        entries = _power_entries(codebook, t)
     for chunk in _subcarrier_chunks(len(freqs), entries):
         f = freqs[chunk]
         h = los_rows(cfg, users["theta"], users["r"], users["beta_c"], f[:, None])
@@ -277,12 +274,8 @@ def _synthesize(cfg: SystemConfig, families, codebook, users, rng):
             y = math.sqrt(TX_POWER) * (h @ pilot_beamformers(cfg, params, f))
             sig[:, chunk] = np.swapaxes(y, 0, 1)
         if codebook is not None:
-            p = codeword_responses(codebook, h, f)
-            xy = rng.standard_normal((len(f), 2, t, g))
-            a += np.sum(p.real * p.real + p.imag * p.imag, axis=0)
-            b += np.sum(p.real * xy[:, 0] + p.imag * xy[:, 1], axis=0)
-            c += np.sum(xy * xy, axis=(0, 1))
-    moments = None if codebook is None else (a, b / math.sqrt(2), c / 2)
+            a += codeword_powers(codebook, h, f).sum(axis=0)
+    moments = None if codebook is None else exhaustive_moments(a, len(freqs), rng)
     return signals, moments
 
 

@@ -97,6 +97,12 @@ class TrainingEstimate:
     def to_dict(self) -> dict:
         return fields_to_dict(self)
 
+    @classmethod
+    def from_batch(cls, theta, alpha, scheme, selected, pilots_used, **flags):
+        """Trial 0 of a batch estimator's theta, alpha and flag arrays."""
+        return cls(float(theta[0]), float(alpha[0]), scheme, selected, pilots_used,
+                   **{name: bool(flag[0]) for name, flag in flags.items()})
+
 
 def _as_rng(rng) -> tuple[np.random.Generator, int | None]:
     if isinstance(rng, np.random.Generator):
@@ -215,14 +221,8 @@ def ongrid_train(obs: ObservationGrid, plan: PilotPlan) -> TrainingEstimate:
     """Strongest beam's predicted focus; ties go to smaller m, then smaller k."""
     theta, alpha, clamped, flat = ongrid_estimate(obs.magnitudes[None], plan)
     m_idx, k_idx = divmod(int(flat[0]), obs.magnitudes.shape[1])
-    return TrainingEstimate(
-        theta=float(theta[0]),
-        alpha=float(alpha[0]),
-        scheme=SCHEME_ONGRID,
-        selected=(m_idx + 1, k_idx + 1),
-        pilots_used=plan.K,
-        clamped=bool(clamped[0]),
-    )
+    return TrainingEstimate.from_batch(theta, alpha, SCHEME_ONGRID, (m_idx + 1, k_idx + 1),
+                                       plan.K, clamped=clamped)
 
 
 def aux_pair_estimate(mags: np.ndarray, plan: PilotPlan, budget=None):
@@ -320,15 +320,8 @@ def aux_pair_train(obs: ObservationGrid, plan: PilotPlan) -> TrainingEstimate:
     answer."""
     theta, alpha, fallback, clamped, flat = aux_pair_estimate(obs.magnitudes[None], plan)
     m_idx, k_idx = divmod(int(flat[0]), obs.magnitudes.shape[1])
-    return TrainingEstimate(
-        theta=float(theta[0]),
-        alpha=float(alpha[0]),
-        scheme=SCHEME_AUX,
-        selected=(m_idx + 1, k_idx + 1),
-        pilots_used=plan.K,
-        clamped=bool(clamped[0]),
-        fallback=bool(fallback[0]),
-    )
+    return TrainingEstimate.from_batch(theta, alpha, SCHEME_AUX, (m_idx + 1, k_idx + 1),
+                                       plan.K, clamped=clamped, fallback=fallback)
 
 
 @dataclass(frozen=True)
@@ -381,6 +374,27 @@ def _uniform_step(thetas: np.ndarray) -> float:
     return step
 
 
+def _fft_length(n: int, n_out: int, odd=(1, 5, 25)) -> int:
+    """Smallest p 2^b >= n + n_out - 1 over the odd factors p, which pocketfft
+    runs fast: _chirp_z's FFT length.  The bank passes odd=(1,) to keep the
+    power of two its outputs were made with (2048 where 1280 would do)."""
+    size = n + n_out - 1
+    return min(p << (-(-size // p) - 1).bit_length() for p in odd)
+
+
+def _chirp_z(pre: np.ndarray, w, n_out: int, n_fft: int) -> np.ndarray:
+    """|sum_n q_n e^{j w n a}| for a < n_out over the last axis, from the
+    pre-chirped pre_n = q_n e^{j w n^2 / 2}; w broadcasts against pre[..., :1].
+    Bluestein's n a = (n^2 + a^2 - (a - n)^2) / 2 makes the sum a convolution
+    with the chirp e^{-j w m^2 / 2}, by FFT at n_fft >= N + n_out - 1, and
+    e^{j w a^2 / 2} drops out of the magnitude.  Bank and codebook use it."""
+    lags = np.arange(n_fft)
+    lags = np.where(lags < n_out, lags, lags - n_fft)  # 0..A-1, then -(N-1)..-1
+    spectrum = np.fft.fft(pre, n_fft)
+    spectrum *= np.fft.fft(np.exp(-0.5j * w * lags * lags))
+    return np.abs(np.fft.ifft(spectrum)[..., :n_out])
+
+
 def _bank_slices(cfg: SystemConfig, params_list, thetas, alphas, f) -> np.ndarray:
     """gain_kernel of each pilot's beams over the polar grid (thetas uniform)
     at the frequencies f (C,), shape (C, K, R, A).
@@ -388,16 +402,10 @@ def _bank_slices(cfg: SystemConfig, params_list, thetas, alphas, f) -> np.ndarra
     At (theta_a, alpha_r) the kernel's arguments are the mismatches
     x_a = k theta_a - k theta_t - k_c theta_p and y_r, likewise in alpha.
     With u_n = (n - c) d, the phase u_n x_a is a per-element part plus
-    w n a, w = k d (theta_1 - theta_0), up to a phase common to all n.
-    Bluestein's n a = (n^2 + a^2 - (a - n)^2) / 2 turns the element sum over
-    the whole angle axis into one convolution with the chirp e^{-j w m^2 / 2},
-    done by FFT; phases common to all n drop out of the magnitude.  So each
-    ring takes N_t exponentials instead of A N_t.
+    w n a, w = k d (theta_1 - theta_0), up to a phase common to all n: one
+    _chirp_z per ring, N_t exponentials instead of A N_t.
     """
-    n_t, n_a = cfg.n_antennas, len(thetas)
-    n_fft = 1 << (n_t + n_a - 2).bit_length()  # power of two >= N_t + A - 1
-    lags = np.arange(n_fft)
-    lags = np.where(lags < n_a, lags, lags - n_fft)  # 0..A-1, then -(N_t-1)..-1
+    n_t = cfg.n_antennas
     n = np.arange(n_t)
     u = cfg.element_indices() * cfg.spacing
     k = cfg.wavenumber(np.asarray(f, dtype=float))[:, None, None, None]
@@ -410,9 +418,7 @@ def _bank_slices(cfg: SystemConfig, params_list, thetas, alphas, f) -> np.ndarra
     x0 = k * (thetas[0] - theta_t) - kc * theta_p
     y = k * (np.asarray(alphas)[:, None] - alpha_t) - kc * alpha_p
     pre = np.exp(1j * (u * x0 - u * u * y + 0.5 * w * n * n))
-    chirp = np.fft.fft(np.exp(-0.5j * w * lags * lags))
-    conv = np.fft.ifft(np.fft.fft(pre, n_fft) * chirp)
-    return np.abs(conv[..., :n_a]) / n_t
+    return _chirp_z(pre, w, len(thetas), _fft_length(n_t, len(thetas), odd=(1,))) / n_t
 
 
 def build_match_filter_bank(
@@ -450,7 +456,7 @@ def build_match_filter_bank(
 
     freqs = cfg.subcarrier_freqs()
     params_list = [plan.params(k) for k in range(1, plan.K + 1)]
-    n_fft = 1 << (cfg.n_antennas + len(thetas) - 2).bit_length()
+    n_fft = _fft_length(cfg.n_antennas, len(thetas), odd=(1,))
     sig = np.empty((len(thetas), len(alphas), cfg.n_subcarriers, plan.K))
     for chunk in _subcarrier_chunks(cfg.n_subcarriers, plan.K * len(alphas) * n_fft):
         slices = _bank_slices(cfg, params_list, thetas, alphas, freqs[chunk])
@@ -475,13 +481,7 @@ def match_filter_train(obs: ObservationGrid, bank: MatchFilterBank) -> TrainingE
     """Pick the grid point whose unit signature best correlates with the
     unit-normalized observation (cosine similarity); first index wins ties."""
     theta, alpha, idx = match_filter_estimate(obs.magnitudes[None], bank)
-    return TrainingEstimate(
-        theta=float(theta[0]),
-        alpha=float(alpha[0]),
-        scheme=SCHEME_MATCH,
-        selected=int(idx[0]),
-        pilots_used=bank.plan.K,
-    )
+    return TrainingEstimate.from_batch(theta, alpha, SCHEME_MATCH, int(idx[0]), bank.plan.K)
 
 
 def exhaustive_estimate(powers: np.ndarray, codebook, budget=None):
@@ -496,46 +496,65 @@ def exhaustive_estimate(powers: np.ndarray, codebook, budget=None):
     return (*_pick(codebook.locations, idx), idx)
 
 
-def codeword_responses(codebook, h: np.ndarray, f) -> np.ndarray:
-    """Noiseless response sqrt(P_t) sum_n h_n conj(b_n) of every codeword b:
+def codeword_powers(codebook, h: np.ndarray, f) -> np.ndarray:
+    """Noiseless power |sqrt(P_t) sum_n h_n conj(b_n)|^2 of every codeword b:
     channel rows h (C, T, N_t) at frequencies f (C,) give (C, T, G), columns
-    in codeword order.  Through the codebook's factors, each trial's
-    (ring, element) products meet the angle factor in one matrix product,
-    and no codeword vector is formed."""
-    ang, ring = codebook.factors(f)
-    x = h[:, :, None, :] * (math.sqrt(TX_POWER) * ring.conj())[:, None]  # (C, T, R, N_t)
-    p = ang.conj()[:, None] @ np.swapaxes(x, -1, -2)  # (C, T, A, R)
-    return p.reshape(*p.shape[:2], -1)
+    in codeword order.  With u_n = (n - c) d, conj(b_n) at (theta_0 + a dtheta,
+    alpha_r) has the phase k (u_n^2 alpha_r - u_n theta_0) + w n a,
+    w = -k d dtheta, up to a phase common to all n: one _chirp_z per (trial,
+    ring), and no codeword vector is formed."""
+    cfg = codebook.cfg
+    n_t = cfg.n_antennas
+    n = np.arange(n_t)
+    u = cfg.element_indices() * cfg.spacing
+    k = cfg.wavenumber(np.asarray(f, dtype=float))[:, None, None]
+    w = -k * cfg.spacing * _uniform_step(codebook.thetas)
+    phase = k * (u * u * codebook.rings[:, None] - u * codebook.thetas[0])
+    pre = h[:, :, None, :] * np.exp(1j * (phase + 0.5 * w * n * n))[:, None]
+    n_fft, (c, t, r) = _fft_length(n_t, len(codebook.thetas)), pre.shape[:3]
+    mag = np.empty((c, t, len(codebook.thetas), r))  # angle-major, as the codewords
+    step = max(1, _CHUNK_ENTRIES // (c * r * n_fft))  # blocks of trials: small FFT buffers
+    for i in range(0, t, step):
+        block = _chirp_z(pre[:, i:i + step], w[:, None], mag.shape[2], n_fft)
+        mag[:, i:i + step] = np.swapaxes(block, 2, 3)
+    mag *= mag
+    return mag.reshape(c, t, -1) * (TX_POWER / n_t)
 
 
-def _response_entries(codebook, n_trials: int) -> int:
-    """Entries of codeword_responses' largest temporary per subcarrier."""
-    n_t = codebook.cfg.n_antennas
-    n_a, n_r = len(codebook.thetas), len(codebook.rings)
-    return max(n_trials * n_a * n_r, n_trials * n_r * n_t, n_a * n_t)
+def _power_entries(codebook, n_trials: int) -> int:
+    """Entries of codeword_powers' largest temporary per subcarrier."""
+    n_fft = _fft_length(codebook.cfg.n_antennas, len(codebook.thetas))
+    return n_trials * len(codebook.rings) * n_fft
+
+
+def exhaustive_moments(a: np.ndarray, n_subcarriers: int, rng):
+    """Moments (A, B, C), power A + 2 sigma B + sigma^2 C, of the exhaustive
+    search from its noiseless powers a = A (..., G) over M = n_subcarriers:
+    sum_m |p_m + sigma z_m|^2, z ~ CN(0, I_M), equals A + 2 sigma sqrt(A) Re(w)
+    + sigma^2 (|w|^2 + Gamma) in distribution, w = p^H z / sqrt(A) ~ CN(0, 1)
+    and Gamma ~ Gamma(M - 1, 1) from the rest of z (Cochran's theorem).  Draws
+    Re(w), Im(w), then Gamma; none depends on sigma, so SNR points share them."""
+    x = rng.standard_normal((2,) + a.shape) / math.sqrt(2)
+    gamma = rng.gamma(n_subcarriers - 1.0, size=a.shape)
+    return a, np.sqrt(a) * x[0], x[0] * x[0] + x[1] * x[1] + gamma
 
 
 def exhaustive_polar_train(channel: Channel, codebook, snr: float, rng) -> TrainingEstimate:
     """One pilot per codeword; pick the codeword with the largest power summed
-    across subcarriers.  Ties go to the smaller grid index."""
+    across subcarriers, its noise drawn by exhaustive_moments as the sweep
+    engine draws it.  Ties go to the smaller grid index."""
     cfg = codebook.cfg
     gen, _ = _as_rng(rng)
-    sigma2 = noise_power(cfg, channel, snr)
+    s = math.sqrt(noise_power(cfg, channel, snr))
     freqs = cfg.subcarrier_freqs()
-    powers = np.zeros(len(codebook))
-    for chunk in _subcarrier_chunks(len(freqs), _response_entries(codebook, 1)):
+    a = np.zeros((1, len(codebook)))
+    for chunk in _subcarrier_chunks(len(freqs), _power_entries(codebook, 1)):
         h = channel.per_subcarrier[chunk, None, :]
-        for y in codeword_responses(codebook, h, freqs[chunk])[:, 0]:
-            y = y + _complex_noise(gen, sigma2, y.shape)
-            powers += np.abs(y) ** 2
-    theta, alpha, idx = exhaustive_estimate(powers[None], codebook)
-    return TrainingEstimate(
-        theta=float(theta[0]),
-        alpha=float(alpha[0]),
-        scheme=SCHEME_EXHAUSTIVE,
-        selected=int(idx[0]),
-        pilots_used=len(codebook),
-    )
+        a += codeword_powers(codebook, h, freqs[chunk]).sum(axis=0)
+    a, b, c = exhaustive_moments(a, len(freqs), gen)
+    theta, alpha, idx = exhaustive_estimate(a + 2 * s * b + s * s * c, codebook)
+    return TrainingEstimate.from_batch(theta, alpha, SCHEME_EXHAUSTIVE, int(idx[0]),
+                                       len(codebook))
 
 
 def rainbow_sweep_params(cfg: SystemConfig) -> TdPsParams:
@@ -577,13 +596,8 @@ def rainbow_estimate(mags: np.ndarray, cfg: SystemConfig, rings, budget=None):
 def _rainbow_train(channel: Channel, cfg: SystemConfig, rings, snr, rng, scheme):
     obs = observe_params(cfg, channel, rainbow_probes(cfg, rings), snr, rng)
     theta, alpha, m_idx, s_idx = rainbow_estimate(obs.magnitudes[None], cfg, rings)
-    return TrainingEstimate(
-        theta=float(theta[0]),
-        alpha=float(alpha[0]),
-        scheme=scheme,
-        selected=(int(m_idx[0]) + 1, int(s_idx[0]) + 1),
-        pilots_used=len(rings),
-    )
+    return TrainingEstimate.from_batch(theta, alpha, scheme,
+                                       (int(m_idx[0]) + 1, int(s_idx[0]) + 1), len(rings))
 
 
 def nearfield_rainbow_train(

@@ -12,6 +12,7 @@ from beamtrain import (
     los_channel,
 )
 from beamtrain.arrays import element_distances, los_rows, path_loss
+from beamtrain.training import codeword_powers
 
 
 @pytest.fixture()
@@ -119,19 +120,21 @@ def test_codebook_single_samples_centered(cfg):
 
 @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (4, 1)])
 def test_codebook_factors_are_approximate_steering(cfg, shape):
-    # ang[a] * ring[r] is the codeword at (thetas[a], rings[r]), in the
+    # the codebook's angle x ring factoring, summed by the chirp-z kernel, gives
+    # |h^T conj(b)|^2 of the codeword b at (thetas[a], rings[r]), in the
     # codebook's angle-major order
     book = PolarCodebook(cfg, *shape)
     freqs = cfg.subcarrier_freqs()[[0, 5]]
-    ang, ring = book.factors(freqs)
-    assert ang.shape == (2, shape[0], cfg.n_antennas)
-    assert ring.shape == (2, shape[1], cfg.n_antennas)
-    grid = (ang[:, :, None, :] * ring[:, None]).reshape(2, -1, cfg.n_antennas)
+    rng = np.random.default_rng(1)
+    rows = (2, 3, cfg.n_antennas)
+    h = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    got = codeword_powers(book, h, freqs)
+    assert got.shape == (2, 3, len(book))
     thetas = np.array([loc.theta for loc in book.locations])
     alphas = np.array([loc.alpha for loc in book.locations])
     for i, f in enumerate(freqs):
-        want = approx_steering(cfg, (thetas, alphas), f)
-        assert np.max(np.abs(grid[i] - want)) < 1e-10
+        want = np.abs(h[i] @ approx_steering(cfg, (thetas, alphas), f).conj().T) ** 2
+        assert np.max(np.abs(got[i] - want)) < 1e-10 * np.max(want)
 
 
 def test_codeword_is_approximate_steering(cfg):

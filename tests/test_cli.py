@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from beamtrain import DesignInputs, FixedTdNetwork, PilotPlan, design, dump_beam_pattern
+from beamtrain import cli
 from beamtrain.cli import build_parser
 from beamtrain.harness import desk_config, desk_experiment_spec
 
@@ -324,6 +325,18 @@ def test_sweep_to_a_missing_directory_is_reported(tmp_path):
     out = run_cli("sweep", "--spec", str(_small_spec_file(tmp_path)),
                   "--out", str(tmp_path / "missing" / "x"))
     assert "cannot write output" in _error(out)
+
+
+def test_sweep_to_a_missing_directory_fails_before_the_sweep(tmp_path, monkeypatch,
+                                                              capsys):
+    def run_sweep(spec):
+        raise AssertionError("the sweep ran before the output check")
+
+    monkeypatch.setattr(cli, "run_sweep", run_sweep)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--trials", "2", "--out", str(tmp_path / "missing" / "x")])
+    assert exc.value.code == 2
+    assert json.loads(capsys.readouterr().err)["error"].startswith("cannot write output")
 
 
 def test_sweep_requires_out_prefix():

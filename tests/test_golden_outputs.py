@@ -10,6 +10,11 @@ stored ones by at most 1e-9 relative in `mean_rate` and `stderr`, because
 the batch aux-pair solver's pseudo-inverse may move the last digits of a
 Newton step.  Every other field of every row must match exactly.
 
+The two `exhaustive` rows (5 and 15 dB) were rewritten when the exhaustive
+search moved to its two-number noise law (training.exhaustive_moments),
+which draws its noise stream differently and is exact in distribution; every
+other stored line is as the earlier code wrote it.
+
 Running this file as a script rewrites the stored files from the current
 code: `PYTHONPATH=src python tests/test_golden_outputs.py`.
 """

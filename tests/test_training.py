@@ -45,7 +45,7 @@ from beamtrain.training import (
     MatchFilterBank,
     _bank_slices,
     aux_pair_estimate,
-    codeword_responses,
+    codeword_powers,
     exhaustive_estimate,
     noise_power,
     observe_params,
@@ -347,8 +347,8 @@ def test_bank_rejects_a_nonuniform_theta_grid(desk_plan):
 
 @pytest.mark.parametrize("rings", [3, 1])
 def test_codeword_responses_match_the_steering_contraction(rings):
-    # the factored contraction against h conj(b)^T with every codeword built
-    # by approx_steering, on an odd array
+    # the chirp-z powers against |h conj(b)^T|^2 with every codeword built by
+    # approx_steering, on an odd array
     cfg = SystemConfig(63, 30e9, 5e9, 8, distance_range=(2.0, 10.0))
     book = PolarCodebook(cfg, 4, rings)
     freqs = cfg.subcarrier_freqs()[2:5]
@@ -356,11 +356,11 @@ def test_codeword_responses_match_the_steering_contraction(rings):
     h = rng.standard_normal((3, 5, 63)) + 1j * rng.standard_normal((3, 5, 63))
     thetas = np.array([loc.theta for loc in book.locations])
     alphas = np.array([loc.alpha for loc in book.locations])
-    got = codeword_responses(book, h, freqs)
+    got = codeword_powers(book, h, freqs)
     assert got.shape == (3, 5, len(book))
     for i, f in enumerate(freqs):
-        want = h[i] @ approx_steering(cfg, (thetas, alphas), f).conj().T
-        assert np.max(np.abs(got[i] - want)) < 1e-10
+        want = np.abs(h[i] @ approx_steering(cfg, (thetas, alphas), f).conj().T) ** 2
+        assert np.max(np.abs(got[i] - want)) < 1e-10 * np.max(want)
 
 
 def test_budgeted_exhaustive_spans_the_angle_range(desk_cfg):
@@ -517,8 +517,9 @@ def test_single_trial_api_matches_the_sweep_engine(desk_cfg):
                 for i, ch in enumerate(channels)]
         check(scheme, [train(ch, i) for i, ch in enumerate(channels)], mags)
 
-    # one user per moment draw: the engine's unit noise (1, G) per subcarrier
-    # consumes the same normals as the single-trial complex noise
+    # one user per moment draw: the engine and the single-trial path both sum
+    # the noiseless powers over the same subcarrier chunks, then draw the
+    # noise law's Re(w), Im(w) and Gamma in that order from the same seed
     singles, powers = [], []
     for i, (loc, ch) in enumerate(zip(locs, channels)):
         users = {"theta": np.array([loc.theta]), "r": np.array([loc.distance]),
