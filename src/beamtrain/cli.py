@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -167,8 +168,11 @@ def _cmd_sweep(args):
         spec = dataclasses.replace(spec, **overrides)
     except (OSError, ValueError, TypeError) as exc:
         _fail(f"invalid experiment spec: {exc}")
+    # fail before the sweep, not after minutes of it
+    if not os.path.basename(args.out):  # "DIR/" would write DIR/.csv
+        _fail(f"cannot write output: prefix {args.out!r} has no file name")
     out_dir = Path(args.out).parent
-    if not out_dir.is_dir():  # fail before the sweep, not after minutes of it
+    if not out_dir.is_dir():
         _fail(f"cannot write output: no directory {out_dir}")
     result = run_sweep(spec)
     csv_path = args.out + ".csv"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -35,6 +36,7 @@ from .training import (
     SCHEME_PERFECT,
     TX_POWER,
     TrainingEstimate,
+    _CHUNK_ENTRIES,
     _power_entries,
     _subcarrier_chunks,
     aux_pair_estimate,
@@ -85,6 +87,35 @@ def _serving_gains(cfg, theta0, alpha0, theta_hat, alpha_hat):
     for chunk in _subcarrier_chunks(len(k), len(theta0) * cfg.n_antennas):
         out[:, chunk] = gain_kernel(cfg, k[chunk, None] * dth, k[chunk, None] * dal).T
     return out
+
+
+def _distinct_rates(cfg, users, snrs, theta_hat, alpha_hat) -> np.ndarray:
+    """Rates (P, T) of P estimate sets (P, T) of the same T users, set p
+    served at the linear SNR snrs[p].
+
+    The serving gain of each distinct (trial, theta_hat, alpha_hat) row,
+    compared bit for bit, is computed once: an estimator that repeats its
+    pick across SNR points or schemes costs one kernel row.  The distinct
+    rows go through _serving_gains in blocks of about _CHUNK_ENTRIES gains,
+    and each row is the same computation as alone, so every rate is too.
+    """
+    p, t = theta_hat.shape
+    trial = np.tile(np.arange(t), p)
+    theta_hat, alpha_hat = theta_hat.ravel(), alpha_hat.ravel()
+    bits = np.stack([trial, theta_hat.view(np.int64), alpha_hat.view(np.int64)], axis=1)
+    _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+    inverse = inverse.ravel()  # (N, 1) on some NumPy 2.0 releases
+    snr = np.repeat(snrs, t)[:, None]
+    rates = np.empty(p * t)
+    step = max(1, _CHUNK_ENTRIES // cfg.n_subcarriers)
+    for lo in range(0, len(first), step):
+        rows = first[lo:lo + step]
+        gains = _serving_gains(cfg, users["theta"][trial[rows]], users["alpha"][trial[rows]],
+                               theta_hat[rows], alpha_hat[rows])
+        reads = np.flatnonzero((inverse >= lo) & (inverse < lo + step))
+        g = gains[inverse[reads] - lo]
+        rates[reads] = np.mean(np.log2(1.0 + snr[reads] * g**2), axis=1)
+    return rates.reshape(p, t)
 
 
 # the DesignInputs fields besides cfg, which ExperimentSpec holds flat and
@@ -320,6 +351,14 @@ class _Engine:
         def plan_probes():
             return [plan.params(k) for k in range(1, plan.K + 1)]
 
+        units = {}  # the last budget's unit signatures: one bank copy at a time
+
+        def match_filter(obs, budget):
+            if budget not in units:
+                units.clear()
+                units[budget] = bank.unit_signatures(budget)
+            return match_filter_estimate(obs, bank, budget, units[budget])[:2]
+
         # Schemes of one probe family share its draws and observations.  The
         # rows hold no reference to the engine, so a finished sweep frees its
         # bank without waiting for the cycle collector.
@@ -333,8 +372,7 @@ class _Engine:
                 lambda obs, budget: aux_pair_estimate(obs, plan, budget)[:2], plan.K),
             SCHEME_MATCH: _Scheme(
                 _STREAM_PROPOSED, plan_probes,
-                lambda obs, budget: match_filter_estimate(obs, bank, budget)[:2],
-                plan.K),
+                match_filter, plan.K),
             SCHEME_EXHAUSTIVE: _Scheme(
                 _STREAM_EXHAUSTIVE, None,
                 lambda obs, budget: exhaustive_estimate(obs, codebook, budget)[:2],
@@ -348,10 +386,6 @@ class _Engine:
                 lambda obs, budget: rainbow_estimate(obs, cfg, FAR_RINGS, budget)[:2],
                 1),
         }
-
-    def _rates(self, users, th_hat, al_hat, snr) -> np.ndarray:
-        gains = _serving_gains(self.cfg, users["theta"], users["alpha"], th_hat, al_hat)
-        return np.mean(np.log2(1.0 + snr * gains**2), axis=1)
 
     def _point(self, idx, value):
         """(snr in dB, pilot budget, draw key, fixed user distance) of one axis
@@ -385,32 +419,11 @@ class _Engine:
 
     def run(self) -> SweepResult:
         spec = self.spec
-        t = spec.n_trials
+        points = [(value, *self._point(idx, value))
+                  for idx, value in enumerate(spec.axis_values)]
         rows = []
-        key = None
-        for idx, value in enumerate(spec.axis_values):
-            snr_db, budget, point_key, r_fixed = self._point(idx, value)
-            # the last point's observations and the last key's draws are
-            # dropped before the next key's are made, so that they never coexist
-            observed = {}
-            if point_key != key:
-                key, draws = point_key, None
-                users = _draw_users(self.cfg, _rng(spec.master_seed, _STREAM_USERS, *key),
-                                    t, r_fixed=r_fixed)
-                draws = self._draw(users, key)
-            snr = 10 ** (snr_db / 10)
-            sg = _sigma(self.cfg, users, snr)[:, None, None]
-            for name in spec.schemes:
-                scheme = self.table[name]
-                if scheme.stream is None:
-                    rates = np.full(t, math.log2(1.0 + snr))
-                else:
-                    if scheme.stream not in observed:
-                        observed[scheme.stream] = draws[scheme.stream](sg)
-                    th, al = scheme.estimate(observed[scheme.stream],
-                                             min(budget, scheme.pilots))
-                    rates = self._rates(users, th, al, snr)
-                rows.append(self._row(name, value, rates, min(budget, scheme.pilots)))
+        for key, group in itertools.groupby(points, key=lambda point: point[3]):
+            rows += self._key_rows(key, list(group))
         meta = {
             "spec_hash": spec.spec_hash(),
             "master_seed": spec.master_seed,
@@ -420,6 +433,46 @@ class _Engine:
         }
         run = {"created": datetime.now(timezone.utc).isoformat()}
         return SweepResult(rows=rows, metadata=meta, run=run)
+
+    def _key_rows(self, key, points):
+        """Rows of the axis points (value, snr in dB, budget, key, distance)
+        that share one draw key: every scheme's estimates first, then one
+        rate pass over them all."""
+        t = self.spec.n_trials
+        users = _draw_users(self.cfg, _rng(self.spec.master_seed, _STREAM_USERS, *key),
+                            t, r_fixed=points[0][4])
+        picks = self._estimates(users, key, points)
+        trained = [(snr, est) for _, _, _, snr, est in picks if est is not None]
+        if trained:
+            snrs, estimates = zip(*trained)
+            theta_hat, alpha_hat = np.array(estimates, dtype=float).swapaxes(0, 1)
+            rates = iter(_distinct_rates(self.cfg, users, np.array(snrs), theta_hat, alpha_hat))
+        return [self._row(name, value,
+                          np.full(t, math.log2(1.0 + snr)) if est is None else next(rates),
+                          pilots)
+                for value, name, pilots, snr, est in picks]
+
+    def _estimates(self, users, key, points) -> list:
+        """(axis value, scheme, pilots used, linear snr, (theta, alpha) or
+        None without training) per point and scheme, in row order.  The
+        key's draws are dropped on return, and each point's observations
+        before the next point's are made, so that they never coexist."""
+        draws = self._draw(users, key)
+        picks = []
+        for value, snr_db, budget, _, _ in points:
+            snr = 10 ** (snr_db / 10)
+            sg = _sigma(self.cfg, users, snr)[:, None, None]
+            observed = {}
+            for name in self.spec.schemes:
+                scheme = self.table[name]
+                pilots = min(budget, scheme.pilots)
+                est = None
+                if scheme.stream is not None:
+                    if scheme.stream not in observed:
+                        observed[scheme.stream] = draws[scheme.stream](sg)
+                    est = scheme.estimate(observed[scheme.stream], pilots)
+                picks.append((value, name, pilots, snr, est))
+        return picks
 
     def _row(self, scheme, value, rates, pilots_used):
         rates = np.asarray(rates, dtype=float)

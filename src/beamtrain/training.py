@@ -466,14 +466,19 @@ def build_match_filter_bank(
     )
 
 
-def match_filter_estimate(mags: np.ndarray, bank: MatchFilterBank, budget=None):
+def match_filter_estimate(mags: np.ndarray, bank: MatchFilterBank, budget=None,
+                          unit=None):
     """Grid point whose unit signature best correlates with each trial's
     unit-normalized observation (cosine similarity) over the first `budget`
-    pilots; first index wins ties.  Returns theta, alpha, grid index."""
+    pilots; first index wins ties.  unit is bank.unit_signatures(budget)
+    when the caller holds it (a copy of the whole bank).  Returns theta,
+    alpha, grid index."""
     flat = mags[..., :budget].reshape(len(mags), -1)
     norms = np.linalg.norm(flat, axis=1, keepdims=True)
     flat = flat / np.where(norms == 0, 1.0, norms)
-    idx = np.argmax(flat @ bank.unit_signatures(budget).T, axis=1)
+    if unit is None:
+        unit = bank.unit_signatures(budget)
+    idx = np.argmax(flat @ unit.T, axis=1)
     return (*_pick(bank.locations, idx), idx)
 
 

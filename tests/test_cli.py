@@ -339,6 +339,22 @@ def test_sweep_to_a_missing_directory_fails_before_the_sweep(tmp_path, monkeypat
     assert json.loads(capsys.readouterr().err)["error"].startswith("cannot write output")
 
 
+@pytest.mark.parametrize("prefix", ["out/", ""])
+def test_sweep_to_a_prefix_without_a_file_name_fails_before_the_sweep(
+        tmp_path, monkeypatch, capsys, prefix):
+    def run_sweep(spec):
+        raise AssertionError("the sweep ran before the output check")
+
+    monkeypatch.setattr(cli, "run_sweep", run_sweep)
+    (tmp_path / "out").mkdir()
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--trials", "2", "--out", prefix])
+    assert exc.value.code == 2
+    assert json.loads(capsys.readouterr().err)["error"].startswith("cannot write output")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_sweep_requires_out_prefix():
     out = run_cli("sweep")
     assert out.returncode != 0

@@ -15,6 +15,12 @@ search moved to its two-number noise law (training.exhaustive_moments),
 which draws its noise stream differently and is exact in distribution; every
 other stored line is as the earlier code wrote it.
 
+`sweep_overhead.csv` and `sweep_distance.csv` hold a small desk overhead
+axis (budgets 1, 2, 4, 8) and distance axis (3, 6, 9 m) of every scheme.
+They were written by the code that evaluated the rates once per (axis
+point, scheme), before the sweep engine computed each distinct (trial,
+estimate) serving gain once per draw key; that change must keep every byte.
+
 Running this file as a script rewrites the stored files from the current
 code: `PYTHONPATH=src python tests/test_golden_outputs.py`.
 """
@@ -38,6 +44,17 @@ def _spec() -> ExperimentSpec:
                                 bank_angles=48, bank_rings=4)
 
 
+def _axis_specs() -> dict:
+    """Golden file name -> a small spec on the overhead or the distance axis."""
+    small = dict(n_trials=20, bank_angles=48, bank_rings=4)
+    return {
+        "sweep_overhead.csv": desk_experiment_spec(
+            sweep_axis="overhead", axis_values=(1.0, 2.0, 4.0, 8.0), **small),
+        "sweep_distance.csv": desk_experiment_spec(
+            sweep_axis="distance_m", axis_values=(3.0, 6.0, 9.0), **small),
+    }
+
+
 def _cli(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(list(argv)) == 0
@@ -55,6 +72,7 @@ def _write_outputs(inputs: Path, out: Path) -> dict:
         "spec.json": json.dumps(spec.to_dict(), indent=2) + "\n",
         "spec_hash.txt": spec.spec_hash() + "\n",
         "sweep.csv": run_sweep(spec).to_csv(),
+        **{name: run_sweep(axis).to_csv() for name, axis in _axis_specs().items()},
     }
 
 
@@ -63,7 +81,8 @@ def outputs(tmp_path_factory):
     return _write_outputs(GOLDEN / "inputs.json", tmp_path_factory.mktemp("golden"))
 
 
-@pytest.mark.parametrize("name", ["plan.json", "pattern.csv", "spec.json", "spec_hash.txt"])
+@pytest.mark.parametrize("name", ["plan.json", "pattern.csv", "spec.json", "spec_hash.txt",
+                                  "sweep_overhead.csv", "sweep_distance.csv"])
 def test_file_matches_golden(outputs, name):
     assert outputs[name] == (GOLDEN / name).read_text()
 

@@ -24,9 +24,11 @@ from beamtrain import (
     rate_metric,
     run_sweep,
 )
+from beamtrain import harness
 from beamtrain.arrays import PolarCodebook, los_rows
 from beamtrain.beamsplit import gain_kernel
 from beamtrain.harness import (
+    _STREAM_USERS,
     _draw_users,
     _Engine,
     _rng,
@@ -39,6 +41,7 @@ from beamtrain.harness import (
 )
 from beamtrain.training import (
     _CHUNK_ENTRIES,
+    MatchFilterBank,
     FAR_RINGS,
     TX_POWER,
     pilot_beamformers,
@@ -351,6 +354,95 @@ def test_serving_gains_equal_a_per_subcarrier_kernel_loop(n_trials):
         want[:, i] = gain_kernel(cfg, k * (theta0 - theta_hat), k * (alpha0 - alpha_hat))
     got = _serving_gains(cfg, theta0, alpha0, theta_hat, alpha_hat)
     assert np.array_equal(got, want)
+
+
+def _recording_engine(spec):
+    """An engine whose scheme table also records, in call order, every
+    (scheme, theta, alpha) estimate it hands to the rate pass."""
+    engine = _Engine(spec)
+    calls = []
+    for name, scheme in engine.table.items():
+        if scheme.estimate is not None:
+            def estimate(obs, budget, name=name, inner=scheme.estimate):
+                theta, alpha = inner(obs, budget)
+                calls.append((name, theta, alpha))
+                return theta, alpha
+            engine.table[name] = scheme._replace(estimate=estimate)
+    return engine, calls
+
+
+def _small_desk_spec(**overrides):
+    return desk_experiment_spec(n_trials=20, bank_angles=48, bank_rings=4, **overrides)
+
+
+def test_sweep_rows_equal_a_per_row_rate_reference():
+    # The reference is the rate pass as it was before the engine evaluated
+    # each distinct (trial, estimate) once per draw key: one _serving_gains
+    # call per (point, scheme) over all its trials.
+    spec = _small_desk_spec(axis_values=(5.0, 10.0, 20.0))
+    engine, calls = _recording_engine(spec)
+    result = engine.run()
+    users = _draw_users(spec.cfg, _rng(spec.master_seed, _STREAM_USERS), spec.n_trials)
+    estimates = iter(calls)
+    for row in result.rows:
+        snr = 10 ** (row["axis_value"] / 10)
+        if row["scheme"] == "perfect_csi":
+            rates = np.full(spec.n_trials, math.log2(1.0 + snr))
+        else:
+            name, theta, alpha = next(estimates)
+            assert name == row["scheme"]
+            gains = _serving_gains(spec.cfg, users["theta"], users["alpha"], theta, alpha)
+            rates = np.mean(np.log2(1.0 + snr * gains**2), axis=1)
+        want = engine._row(row["scheme"], row["axis_value"], rates, row["pilots_used"])
+        assert row == want  # floats compared with ==: bit for bit
+    assert next(estimates, None) is None
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("snr_db", (5.0, 10.0, 20.0)),
+    ("overhead", (1.0, 2.0, 8.0)),
+    ("distance_m", (3.0, 6.0)),
+])
+def test_rate_pass_evaluates_each_distinct_estimate_once(monkeypatch, axis, values):
+    spec = _small_desk_spec(sweep_axis=axis, axis_values=values)
+    engine, calls = _recording_engine(spec)
+    rows = []
+
+    def counting(cfg, theta0, alpha0, theta_hat, alpha_hat):
+        rows.append(len(theta0))
+        return _serving_gains(cfg, theta0, alpha0, theta_hat, alpha_hat)
+
+    monkeypatch.setattr(harness, "_serving_gains", counting)
+    engine.run()
+    # the SNR and overhead axes share one draw key, the distance axis has one
+    # per point
+    keys = len(values) if axis == "distance_m" else 1
+    per_key = len(calls) // keys
+    distinct = sum(
+        len({(i, theta[i], alpha[i])
+             for _, theta, alpha in calls[j * per_key:(j + 1) * per_key]
+             for i in range(spec.n_trials)})
+        for j in range(keys))
+    assert sum(rows) == distinct < len(calls) * spec.n_trials
+
+
+def test_match_filter_unit_signatures_are_built_once_per_budget(monkeypatch):
+    budgets = []
+    unit_signatures = MatchFilterBank.unit_signatures
+
+    def counting(bank, budget=None):
+        budgets.append(budget)
+        return unit_signatures(bank, budget)
+
+    monkeypatch.setattr(MatchFilterBank, "unit_signatures", counting)
+    # three pilots, so that the overhead axis spends three distinct budgets
+    schemes = ("perfect_csi", "match_filter")
+    run_sweep(_small_desk_spec(schemes=schemes, k_override=3, axis_values=(5.0, 10.0, 20.0)))
+    assert budgets == [3]
+    budgets.clear()
+    run_sweep(_small_desk_spec(schemes=schemes, k_override=3, sweep_axis="overhead",
+                               axis_values=(1.0, 2.0, 3.0, 4.0)))
+    assert budgets == [1, 2, 3]
 
 
 def _synthesis_inputs(n_trials):
