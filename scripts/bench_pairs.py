@@ -61,9 +61,9 @@ def export(rev: str, into: Path) -> str:
     return commit
 
 
-def run_once(tree: Path, workload: str, seed: int, trace: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, trace: int) -> dict:
     command = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", f"{seconds:g}", "--trace", str(trace)]
+               "--trace", str(trace)]
     proc = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -119,7 +119,6 @@ def main(argv=None) -> int:
     parser.add_argument("change", help="git revision of the change")
     parser.add_argument("pairs", nargs="+", type=parse_pair,
                         help="WORKLOAD:SEEDS[:trace], e.g. desk_snr_sweep:21-30")
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--out", required=True, help="the BENCH_*.json to write")
     parser.add_argument("--what", default="", help="one line saying what is compared")
     args = parser.parse_args(argv)
@@ -133,9 +132,9 @@ def main(argv=None) -> int:
             result[f"{tree}_commit"] = export(rev, trees[tree])
         result["how"] = (
             "each revision exported with git archive to its own directory; runs made one "
-            f"at a time with --seconds {args.seconds:g}; one pair per seed, which tree ran "
-            "first alternating from pair to pair, parent first in each workload's first "
-            "pair; timings are scaled to reference machine speed by perfbench/speed.py "
+            "at a time, each as long as perfbench/run.py's default; one pair per seed, which "
+            "tree ran first alternating from pair to pair, parent first in each workload's "
+            "first pair; timings are scaled to reference machine speed by perfbench/speed.py "
             "(unscaled figures in 'runs'); 'change_lower_in' counts the pairs where the "
             "change read lower")
         for workload, seeds, trace in args.pairs:
@@ -143,7 +142,7 @@ def main(argv=None) -> int:
             runs = {"parent": [], "change": []}
             for seed in seeds:
                 for tree in order:
-                    run = run_once(trees[tree], workload, seed, trace, args.seconds)
+                    run = run_once(trees[tree], workload, seed, trace)
                     runs[tree].append(run)
                     all_runs.append({"tree": tree, "workload": workload, "trace": trace,
                                      "seed": seed, **run})

@@ -169,7 +169,7 @@ def _cmd_sweep(args):
     except (OSError, ValueError, TypeError) as exc:
         _fail(f"invalid experiment spec: {exc}")
     # fail before the sweep, not after minutes of it
-    if not os.path.basename(args.out):  # "DIR/" would write DIR/.csv
+    if os.path.basename(args.out) in ("", ".", ".."):  # "DIR/" would write DIR/.csv
         _fail(f"cannot write output: prefix {args.out!r} has no file name")
     out_dir = Path(args.out).parent
     if not out_dir.is_dir():

@@ -9,6 +9,7 @@ schemes are compared on identical user draws.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -351,13 +352,11 @@ class _Engine:
         def plan_probes():
             return [plan.params(k) for k in range(1, plan.K + 1)]
 
-        units = {}  # the last budget's unit signatures: one bank copy at a time
+        # the last budget's unit signatures: one bank copy at a time
+        unit = None if bank is None else functools.lru_cache(maxsize=1)(bank.unit_signatures)
 
         def match_filter(obs, budget):
-            if budget not in units:
-                units.clear()
-                units[budget] = bank.unit_signatures(budget)
-            return match_filter_estimate(obs, bank, budget, units[budget])[:2]
+            return match_filter_estimate(obs, bank, unit(budget), budget)[:2]
 
         # Schemes of one probe family share its draws and observations.  The
         # rows hold no reference to the engine, so a finished sweep frees its

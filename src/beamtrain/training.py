@@ -466,18 +466,16 @@ def build_match_filter_bank(
     )
 
 
-def match_filter_estimate(mags: np.ndarray, bank: MatchFilterBank, budget=None,
-                          unit=None):
+def match_filter_estimate(mags: np.ndarray, bank: MatchFilterBank, unit: np.ndarray,
+                          budget=None):
     """Grid point whose unit signature best correlates with each trial's
     unit-normalized observation (cosine similarity) over the first `budget`
-    pilots; first index wins ties.  unit is bank.unit_signatures(budget)
-    when the caller holds it (a copy of the whole bank).  Returns theta,
-    alpha, grid index."""
+    pilots; first index wins ties.  unit is bank.unit_signatures(budget), a
+    copy of the whole bank that the caller builds once per budget.  Returns
+    theta, alpha, grid index."""
     flat = mags[..., :budget].reshape(len(mags), -1)
     norms = np.linalg.norm(flat, axis=1, keepdims=True)
     flat = flat / np.where(norms == 0, 1.0, norms)
-    if unit is None:
-        unit = bank.unit_signatures(budget)
     idx = np.argmax(flat @ unit.T, axis=1)
     return (*_pick(bank.locations, idx), idx)
 
@@ -485,7 +483,8 @@ def match_filter_estimate(mags: np.ndarray, bank: MatchFilterBank, budget=None,
 def match_filter_train(obs: ObservationGrid, bank: MatchFilterBank) -> TrainingEstimate:
     """Pick the grid point whose unit signature best correlates with the
     unit-normalized observation (cosine similarity); first index wins ties."""
-    theta, alpha, idx = match_filter_estimate(obs.magnitudes[None], bank)
+    theta, alpha, idx = match_filter_estimate(obs.magnitudes[None], bank,
+                                              bank.unit_signatures())
     return TrainingEstimate.from_batch(theta, alpha, SCHEME_MATCH, int(idx[0]), bank.plan.K)
 
 

@@ -339,7 +339,7 @@ def test_sweep_to_a_missing_directory_fails_before_the_sweep(tmp_path, monkeypat
     assert json.loads(capsys.readouterr().err)["error"].startswith("cannot write output")
 
 
-@pytest.mark.parametrize("prefix", ["out/", ""])
+@pytest.mark.parametrize("prefix", ["out/", "", "out/.", ".."])
 def test_sweep_to_a_prefix_without_a_file_name_fails_before_the_sweep(
         tmp_path, monkeypatch, capsys, prefix):
     def run_sweep(spec):
