@@ -42,7 +42,9 @@ class DesignInputs:
     alpha_p_override substitutes the phase-shifter curvature (must still meet
     the coverage slope bound).  The config must have positive bandwidth and
     keep half-wavelength antenna spacing: the focus prediction's lobe periods
-    2 p and 2 q / d assume it.
+    2 p and 2 q / d assume it.  It must have at least two subcarriers: the
+    pilot count is sized from the band edges, which one subcarrier does not
+    occupy.
     """
 
     cfg: SystemConfig
@@ -60,6 +62,10 @@ class DesignInputs:
             raise ValueError("need 0 <= alpha_min < alpha_max")
         if self.k_override is not None and self.k_override < 1:
             raise ValueError("k_override must be >= 1")
+        if self.cfg.n_subcarriers < 2:
+            raise ValueError(
+                "the pilots sweep their beams across subcarriers: need n_subcarriers >= 2"
+            )
         if self.cfg.bandwidth <= 0:
             raise ValueError(
                 "beam split needs bandwidth: the pilots sweep their beams across "

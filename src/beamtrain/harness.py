@@ -9,7 +9,6 @@ schemes are compared on identical user draws.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import itertools
 import json
@@ -22,7 +21,7 @@ import numpy as np
 
 from .config import (PolarLocation, SystemConfig, fields_from_dict, fields_to_dict,
                      write_text)
-from .arrays import PolarCodebook, _uniform_samples, los_rows
+from .arrays import PolarCodebook, _uniform_samples, los_rows, path_loss
 from .beamsplit import InfeasibleFocusError, gain_kernel
 from .design import DesignInputs, PilotPlan, design
 from .training import (
@@ -35,22 +34,21 @@ from .training import (
     SCHEME_NEAR_RAINBOW,
     SCHEME_ONGRID,
     SCHEME_PERFECT,
-    TX_POWER,
     TrainingEstimate,
     _CHUNK_ENTRIES,
-    _power_entries,
+    _magnitudes,
+    _powers,
     _subcarrier_chunks,
+    _synthesize,
+    _unit_noise,
     aux_pair_estimate,
     build_match_filter_bank,
-    codeword_powers,
     exhaustive_estimate,
-    exhaustive_moments,
     match_filter_estimate,
+    noise_power,
     ongrid_estimate,
-    pilot_beamformers,
     rainbow_estimate,
     rainbow_probes,
-    rainbow_sweep_params,
 )
 
 AXES = ("snr_db", "overhead", "distance_m")
@@ -66,16 +64,12 @@ _STREAM_FAR = 105
 def rate_metric(cfg: SystemConfig, true_loc: PolarLocation, estimate, snr: float) -> float:
     """Mean spectral efficiency over subcarriers, bits/s/Hz:
     (1/M) sum_m log2(1 + snr |b_m(true)^T w_m|^2), with w_m the conjugate
-    steering vector at the estimated location."""
+    steering vector at the estimated location: the sweep's rate pass,
+    _distinct_rates, for one user and one estimate."""
     loc = estimate.location if isinstance(estimate, TrainingEstimate) else estimate
-    gains = _serving_gains(
-        cfg,
-        np.array([true_loc.theta]),
-        np.array([true_loc.alpha]),
-        np.array([loc.theta]),
-        np.array([loc.alpha]),
-    )
-    return float(np.mean(np.log2(1.0 + snr * gains[0] ** 2)))
+    user = {"theta": np.array([true_loc.theta]), "alpha": np.array([true_loc.alpha])}
+    return float(_distinct_rates(cfg, user, np.array([snr]), np.array([[loc.theta]]),
+                                 np.array([[loc.alpha]]))[0, 0])
 
 
 def _serving_gains(cfg, theta0, alpha0, theta_hat, alpha_hat):
@@ -166,9 +160,9 @@ class ExperimentSpec:
             raise ValueError("n_trials must be >= 2")
         if self.bank_angles < 1 or self.bank_rings < 1:
             raise ValueError("bank dimensions must be >= 1")
-        design(self.design_inputs())  # rejects what the design cannot serve
-        if {SCHEME_NEAR_RAINBOW, SCHEME_FAR_RAINBOW} & set(self.schemes):
-            rainbow_sweep_params(self.cfg)  # rejects a config the sweeps cannot serve
+        # rejects what the design cannot serve, which includes every config
+        # the rainbow sweeps cannot (one subcarrier, no bandwidth)
+        design(self.design_inputs())
 
     def design_inputs(self) -> DesignInputs:
         return DesignInputs(self.cfg, **{name: getattr(self, name)
@@ -267,58 +261,8 @@ def _draw_users(cfg: SystemConfig, rng, n: int, r_fixed: float | None = None):
     else:
         r = np.full(n, float(r_fixed))
     alpha = (1.0 - theta**2) / (2.0 * r)
-    beta_c = cfg.wavelength / (4 * np.pi * r)
+    beta_c = path_loss(cfg, r, cfg.carrier_freq)
     return {"theta": theta, "alpha": alpha, "r": r, "beta_c": beta_c}
-
-
-def _unit_noise(rng, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
-
-
-def _sigma(cfg: SystemConfig, users, snr_linear: float) -> np.ndarray:
-    """Per-user noise std, SNR anchored at each user's center-frequency gain."""
-    if math.isinf(snr_linear):
-        return np.zeros_like(users["beta_c"])
-    return np.sqrt(TX_POWER * cfg.n_antennas * users["beta_c"] ** 2 / snr_linear)
-
-
-def _synthesize(cfg: SystemConfig, families, codebook, users, rng):
-    """Noiseless observations of every probe family, and with a codebook the
-    exhaustive moments, in one pass over subcarrier chunks: each chunk's
-    channel rows are built once and feed them all.
-
-    families holds one pilot parameter list per family; its observations
-    have shape (T, M, K).  The moments (A, B, C) are exhaustive_moments',
-    None without a codebook: the chunks, sized for the codebook, sum the
-    noiseless A, and the noise law is then drawn once from rng.
-    """
-    freqs = cfg.subcarrier_freqs()
-    t = len(users["theta"])
-    signals = [np.empty((t, len(freqs), len(params)), dtype=complex) for params in families]
-    entries = cfg.n_antennas * max([t] + [len(params) for params in families])
-    if codebook is not None:
-        a = np.zeros((t, len(codebook)))
-        entries = _power_entries(codebook, t)
-    for chunk in _subcarrier_chunks(len(freqs), entries):
-        f = freqs[chunk]
-        h = los_rows(cfg, users["theta"], users["r"], users["beta_c"], f[:, None])
-        for sig, params in zip(signals, families):
-            y = math.sqrt(TX_POWER) * (h @ pilot_beamformers(cfg, params, f))
-            sig[:, chunk] = np.swapaxes(y, 0, 1)
-        if codebook is not None:
-            a += codeword_powers(codebook, h, f).sum(axis=0)
-    moments = None if codebook is None else exhaustive_moments(a, len(freqs), rng)
-    return signals, moments
-
-
-def _magnitudes(sig, noise):
-    """Per-user noise std (T, 1, 1) -> pilot magnitudes |sig + sigma z|."""
-    return lambda sg: np.abs(sig + sg * noise)
-
-
-def _powers(a, b, c):
-    """Per-user noise std (T, 1, 1) -> per-codeword powers from the moments."""
-    return lambda sg: a + 2 * sg[:, :, 0] * b + sg[:, :, 0] * sg[:, :, 0] * c
 
 
 class _Scheme(NamedTuple):
@@ -352,12 +296,6 @@ class _Engine:
         def plan_probes():
             return [plan.params(k) for k in range(1, plan.K + 1)]
 
-        # the last budget's unit signatures: one bank copy at a time
-        unit = None if bank is None else functools.lru_cache(maxsize=1)(bank.unit_signatures)
-
-        def match_filter(obs, budget):
-            return match_filter_estimate(obs, bank, unit(budget), budget)[:2]
-
         # Schemes of one probe family share its draws and observations.  The
         # rows hold no reference to the engine, so a finished sweep frees its
         # bank without waiting for the cycle collector.
@@ -371,7 +309,7 @@ class _Engine:
                 lambda obs, budget: aux_pair_estimate(obs, plan, budget)[:2], plan.K),
             SCHEME_MATCH: _Scheme(
                 _STREAM_PROPOSED, plan_probes,
-                match_filter, plan.K),
+                lambda obs, budget: match_filter_estimate(obs, bank, budget)[:2], plan.K),
             SCHEME_EXHAUSTIVE: _Scheme(
                 _STREAM_EXHAUSTIVE, None,
                 lambda obs, budget: exhaustive_estimate(obs, codebook, budget)[:2],
@@ -408,8 +346,15 @@ class _Engine:
             scheme = self.table[name]
             if scheme.probes is not None and scheme.stream not in families:
                 families[scheme.stream] = scheme.probes()
+        freqs = self.cfg.subcarrier_freqs()
+
+        def rows(chunk):
+            return los_rows(self.cfg, users["theta"], users["r"], users["beta_c"],
+                            freqs[chunk, None])
+
         signals, moments = _synthesize(self.cfg, list(families.values()), self.codebook,
-                                       users, _rng(seed, _STREAM_EXHAUSTIVE, *key))
+                                       len(users["theta"]), rows,
+                                       _rng(seed, _STREAM_EXHAUSTIVE, *key))
         draws = {stream: _magnitudes(sig, _unit_noise(_rng(seed, stream, *key), sig.shape))
                  for stream, sig in zip(families, signals)}
         if moments is not None:
@@ -460,7 +405,7 @@ class _Engine:
         picks = []
         for value, snr_db, budget, _, _ in points:
             snr = 10 ** (snr_db / 10)
-            sg = _sigma(self.cfg, users, snr)[:, None, None]
+            sg = np.sqrt(noise_power(self.cfg, users["beta_c"], snr))[:, None, None]
             observed = {}
             for name in self.spec.schemes:
                 scheme = self.table[name]
@@ -517,8 +462,6 @@ def dump_beam_pattern(plan: PilotPlan, out=None):
                 focus = plan.focus(m, k)
             except InfeasibleFocusError:
                 continue
-            near = focus.alpha > 0
-            r = (1.0 - focus.theta**2) / (2.0 * focus.alpha) if near else math.inf
             rows.append(
                 {
                     "pilot": k,
@@ -526,8 +469,8 @@ def dump_beam_pattern(plan: PilotPlan, out=None):
                     "freq_hz": cfg.subcarrier_freq(m),
                     "theta": focus.theta,
                     "alpha": focus.alpha,
-                    "distance_m": r,
-                    "regime": "near" if near else "far",
+                    "distance_m": focus.distance,
+                    "regime": "near" if focus.alpha > 0 else "far",
                 }
             )
     return rows, write_csv(_PATTERN_COLUMNS, rows, out)

@@ -12,6 +12,8 @@ observations, and estimates the user's polar location.  Estimators:
 
 Transmit power is fixed at 1; noise variance is calibrated so that
 N_t beta_c^2 / sigma^2 equals the requested SNR at the center subcarrier.
+One pilot simulator, _synthesize, serves the sweep engine (T drawn users)
+and the single-trial API (T = 1).
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PolarLocation, SystemConfig, fields_to_dict
-from .arrays import Channel, _uniform_samples
+from .arrays import Channel, _uniform_samples, path_loss
 from .beamsplit import TdPsParams, ellipse_coefficients
 from .design import PilotPlan
 
@@ -111,20 +113,20 @@ def _as_rng(rng) -> tuple[np.random.Generator, int | None]:
     return np.random.default_rng(seed), seed
 
 
-def noise_power(cfg: SystemConfig, channel: Channel, snr: float) -> float:
-    """sigma^2 with N_t beta_c^2 / sigma^2 = snr (linear); 0 when snr = inf."""
-    if math.isinf(snr):
-        return 0.0
+def noise_power(cfg: SystemConfig, beta_c, snr: float):
+    """Noise variance sigma^2 = P_t N_t beta_c^2 / snr, so that the linear
+    snr holds at the center subcarrier; 0 when snr = inf.  beta_c is the
+    center path gain of one user or an array of users'."""
     if snr <= 0:
         raise ValueError("linear snr must be positive")
-    return TX_POWER * cfg.n_antennas * channel.beta_c**2 / snr
+    if math.isinf(snr):
+        return np.zeros_like(beta_c)
+    return TX_POWER * cfg.n_antennas * np.square(beta_c) / snr
 
 
-def _complex_noise(rng: np.random.Generator, sigma2: float, shape) -> np.ndarray:
-    if sigma2 == 0.0:
-        return np.zeros(shape, dtype=complex)
-    s = math.sqrt(sigma2 / 2)
-    return s * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+def _unit_noise(rng, shape) -> np.ndarray:
+    """CN(0, 1) entries: the real parts of all entries, then the imaginary."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
 
 
 def pilot_beamformers(cfg: SystemConfig, params_list, f) -> np.ndarray:
@@ -132,9 +134,9 @@ def pilot_beamformers(cfg: SystemConfig, params_list, f) -> np.ndarray:
 
     Element n of column k is e^{-j k_f (n d theta_t - n^2 d^2 alpha_t)
     - j k_c (n d theta_p - n^2 d^2 alpha_p)} / sqrt(N_t).  f may be an array;
-    the shape is f.shape + (N_t, len(params_list)).  The pilot simulators of
-    the single-trial API and of the sweep engine both use this copy; the
-    beamsplit oracles td_vector / ps_vector stay separate on purpose.
+    the shape is f.shape + (N_t, len(params_list)).  The pilot simulator,
+    _synthesize, uses this copy; the beamsplit oracles td_vector / ps_vector
+    stay separate on purpose.
     """
     nd = (cfg.element_indices() * cfg.spacing)[:, None]
     k = np.asarray(cfg.wavenumber(f))[..., None, None]
@@ -148,24 +150,63 @@ def pilot_beamformers(cfg: SystemConfig, params_list, f) -> np.ndarray:
     return np.exp(1j * phase) / np.sqrt(cfg.n_antennas)
 
 
+def _synthesize(cfg: SystemConfig, families, codebook, n_trials: int, rows, rng):
+    """Noiseless pilot signals sqrt(P_t) h_m^T w_{m,k} of every probe family
+    for n_trials users, and with a codebook the exhaustive moments, in one
+    pass over subcarrier chunks.  rows(chunk) returns the channel rows
+    (C, T, N_t) of a slice of subcarriers; each chunk's rows are built once
+    and feed every family and the codebook.
+
+    families holds one pilot parameter list per family; its signals have
+    shape (T, M, K).  The moments (A, B, C) are exhaustive_moments', None
+    without a codebook: the chunks, sized for the codebook, sum the
+    noiseless A, and the noise law is then drawn once from rng.  The sweep
+    engine and the single-trial API (T = 1) both simulate here.
+    """
+    freqs = cfg.subcarrier_freqs()
+    signals = [np.empty((n_trials, len(freqs), len(params)), dtype=complex)
+               for params in families]
+    entries = cfg.n_antennas * max([n_trials] + [len(params) for params in families])
+    if codebook is not None:
+        a = np.zeros((n_trials, len(codebook)))
+        entries = _power_entries(codebook, n_trials)
+    for chunk in _subcarrier_chunks(len(freqs), entries):
+        f = freqs[chunk]
+        h = rows(chunk)
+        for sig, params in zip(signals, families):
+            y = math.sqrt(TX_POWER) * (h @ pilot_beamformers(cfg, params, f))
+            sig[:, chunk] = np.swapaxes(y, 0, 1)
+        if codebook is not None:
+            a += codeword_powers(codebook, h, f).sum(axis=0)
+    moments = None if codebook is None else exhaustive_moments(a, len(freqs), rng)
+    return signals, moments
+
+
+def _magnitudes(sig, noise):
+    """Per-user noise std (T, 1, 1) -> pilot magnitudes |sig + sigma z|."""
+    return lambda sg: np.abs(sig + sg * noise)
+
+
+def _powers(a, b, c):
+    """Per-user noise std (T, 1, 1) -> per-codeword powers from the moments."""
+    return lambda sg: a + 2 * sg[:, :, 0] * b + sg[:, :, 0] * sg[:, :, 0] * c
+
+
 def observe_params(
     cfg: SystemConfig, channel: Channel, params_list, snr: float, rng
 ) -> ObservationGrid:
     """Simulate one pilot per parameter set; magnitudes (M, len(params_list)).
 
-    y_{m,k} = sqrt(P_t) h_m^T w_{m,k} + n_{m,k}; columns are drawn in order,
-    subcarriers within a column, so a fixed seed is reproducible.
+    y_{m,k} = sqrt(P_t) h_m^T w_{m,k} + sigma z_{m,k}: the sweep's simulator
+    at T = 1, over the channel's stored rows, with one unit-noise draw of
+    shape (1, M, K) from rng, so a fixed seed is reproducible.
     """
     gen, seed = _as_rng(rng)
-    sigma2 = noise_power(cfg, channel, snr)
-    freqs = cfg.subcarrier_freqs()
-    cols = []
-    for params in params_list:
-        w = pilot_beamformers(cfg, [params], freqs)[..., 0]
-        y = math.sqrt(TX_POWER) * np.sum(channel.per_subcarrier * w, axis=1)
-        y = y + _complex_noise(gen, sigma2, y.shape)
-        cols.append(np.abs(y))
-    return ObservationGrid(magnitudes=np.stack(cols, axis=1), snr=snr, seed=seed)
+    sigma = np.sqrt(noise_power(cfg, channel.beta_c, snr)).reshape(1, 1, 1)
+    (sig,), _ = _synthesize(cfg, [params_list], None, 1,
+                            lambda chunk: channel.per_subcarrier[chunk, None], None)
+    mags = _magnitudes(sig, _unit_noise(gen, sig.shape))(sigma)
+    return ObservationGrid(magnitudes=mags[0], snr=snr, seed=seed)
 
 
 def observe_plan(channel: Channel, plan: PilotPlan, snr: float, rng) -> ObservationGrid:
@@ -253,7 +294,7 @@ def aux_pair_estimate(mags: np.ndarray, plan: PilotPlan, budget=None):
 
     t0, a0, _ = _foci(plan, pair * n_cols + k_hat[:, None], n_cols)  # (T, 2) centers
     f = cfg.subcarrier_freqs()[pair]
-    beta = (cfg.carrier_freq / f) * (cfg.wavelength / (4 * np.pi * r_hat[:, None]))
+    beta = (cfg.carrier_freq / f) * path_loss(cfg, r_hat[:, None], cfg.carrier_freq)
     g = col[rows[:, None], pair] / (math.sqrt(TX_POWER * cfg.n_antennas) * beta)
     rhs = 1.0 - np.clip(g, 1e-6, 1.0)
     s1, s2 = ellipse_coefficients(cfg, f)
@@ -345,13 +386,6 @@ class MatchFilterBank:
     def __len__(self) -> int:
         return len(self.locations)
 
-    def unit_signatures(self, budget=None) -> np.ndarray:
-        """Unit-norm signatures over the first `budget` pilots (None: all)."""
-        g = len(self)
-        sig = self.signatures.reshape(g, -1, self.plan.K)[:, :, :budget].reshape(g, -1)
-        norms = np.linalg.norm(sig, axis=1, keepdims=True)
-        return sig / np.where(norms == 0, 1.0, norms)
-
 
 def _subcarrier_chunks(n_subcarriers: int, entries_per_subcarrier: int) -> list:
     """Slices of consecutive subcarriers, each about _CHUNK_ENTRIES entries."""
@@ -374,12 +408,11 @@ def _uniform_step(thetas: np.ndarray) -> float:
     return step
 
 
-def _fft_length(n: int, n_out: int, odd=(1, 5, 25)) -> int:
-    """Smallest p 2^b >= n + n_out - 1 over the odd factors p, which pocketfft
-    runs fast: _chirp_z's FFT length.  The bank passes odd=(1,) to keep the
-    power of two its outputs were made with (2048 where 1280 would do)."""
+def _fft_length(n: int, n_out: int) -> int:
+    """Smallest p 2^b >= n + n_out - 1 over the odd factors p = 1, 5, 25,
+    which pocketfft runs fast: _chirp_z's FFT length for bank and codebook."""
     size = n + n_out - 1
-    return min(p << (-(-size // p) - 1).bit_length() for p in odd)
+    return min(p << (-(-size // p) - 1).bit_length() for p in (1, 5, 25))
 
 
 def _chirp_z(pre: np.ndarray, w, n_out: int, n_fft: int) -> np.ndarray:
@@ -418,7 +451,7 @@ def _bank_slices(cfg: SystemConfig, params_list, thetas, alphas, f) -> np.ndarra
     x0 = k * (thetas[0] - theta_t) - kc * theta_p
     y = k * (np.asarray(alphas)[:, None] - alpha_t) - kc * alpha_p
     pre = np.exp(1j * (u * x0 - u * u * y + 0.5 * w * n * n))
-    return _chirp_z(pre, w, len(thetas), _fft_length(n_t, len(thetas), odd=(1,))) / n_t
+    return _chirp_z(pre, w, len(thetas), _fft_length(n_t, len(thetas))) / n_t
 
 
 def build_match_filter_bank(
@@ -456,7 +489,7 @@ def build_match_filter_bank(
 
     freqs = cfg.subcarrier_freqs()
     params_list = [plan.params(k) for k in range(1, plan.K + 1)]
-    n_fft = _fft_length(cfg.n_antennas, len(thetas), odd=(1,))
+    n_fft = _fft_length(cfg.n_antennas, len(thetas))
     sig = np.empty((len(thetas), len(alphas), cfg.n_subcarriers, plan.K))
     for chunk in _subcarrier_chunks(cfg.n_subcarriers, plan.K * len(alphas) * n_fft):
         slices = _bank_slices(cfg, params_list, thetas, alphas, freqs[chunk])
@@ -466,25 +499,26 @@ def build_match_filter_bank(
     )
 
 
-def match_filter_estimate(mags: np.ndarray, bank: MatchFilterBank, unit: np.ndarray,
-                          budget=None):
-    """Grid point whose unit signature best correlates with each trial's
-    unit-normalized observation (cosine similarity) over the first `budget`
-    pilots; first index wins ties.  unit is bank.unit_signatures(budget), a
-    copy of the whole bank that the caller builds once per budget.  Returns
+def match_filter_estimate(mags: np.ndarray, bank: MatchFilterBank, budget=None):
+    """Grid point whose signature best correlates with each trial's
+    observation over the first `budget` pilots, both unit-normalized (cosine
+    similarity); first index wins ties.  The correlations are divided by the
+    signature norms, so no normalized copy of the bank is made.  Returns
     theta, alpha, grid index."""
+    g = len(bank)
+    sig = bank.signatures.reshape(g, -1, bank.plan.K)[:, :, :budget].reshape(g, -1)
+    sig_norms = np.sqrt(np.einsum("gi,gi->g", sig, sig))
     flat = mags[..., :budget].reshape(len(mags), -1)
     norms = np.linalg.norm(flat, axis=1, keepdims=True)
     flat = flat / np.where(norms == 0, 1.0, norms)
-    idx = np.argmax(flat @ unit.T, axis=1)
+    idx = np.argmax(flat @ sig.T / np.where(sig_norms == 0, 1.0, sig_norms), axis=1)
     return (*_pick(bank.locations, idx), idx)
 
 
 def match_filter_train(obs: ObservationGrid, bank: MatchFilterBank) -> TrainingEstimate:
     """Pick the grid point whose unit signature best correlates with the
     unit-normalized observation (cosine similarity); first index wins ties."""
-    theta, alpha, idx = match_filter_estimate(obs.magnitudes[None], bank,
-                                              bank.unit_signatures())
+    theta, alpha, idx = match_filter_estimate(obs.magnitudes[None], bank)
     return TrainingEstimate.from_batch(theta, alpha, SCHEME_MATCH, int(idx[0]), bank.plan.K)
 
 
@@ -545,18 +579,14 @@ def exhaustive_moments(a: np.ndarray, n_subcarriers: int, rng):
 
 def exhaustive_polar_train(channel: Channel, codebook, snr: float, rng) -> TrainingEstimate:
     """One pilot per codeword; pick the codeword with the largest power summed
-    across subcarriers, its noise drawn by exhaustive_moments as the sweep
-    engine draws it.  Ties go to the smaller grid index."""
+    across subcarriers: the sweep's codebook pass and noise law at T = 1.
+    Ties go to the smaller grid index."""
     cfg = codebook.cfg
     gen, _ = _as_rng(rng)
-    s = math.sqrt(noise_power(cfg, channel, snr))
-    freqs = cfg.subcarrier_freqs()
-    a = np.zeros((1, len(codebook)))
-    for chunk in _subcarrier_chunks(len(freqs), _power_entries(codebook, 1)):
-        h = channel.per_subcarrier[chunk, None, :]
-        a += codeword_powers(codebook, h, freqs[chunk]).sum(axis=0)
-    a, b, c = exhaustive_moments(a, len(freqs), gen)
-    theta, alpha, idx = exhaustive_estimate(a + 2 * s * b + s * s * c, codebook)
+    sigma = np.sqrt(noise_power(cfg, channel.beta_c, snr)).reshape(1, 1, 1)
+    _, moments = _synthesize(cfg, [], codebook, 1,
+                             lambda chunk: channel.per_subcarrier[chunk, None], gen)
+    theta, alpha, idx = exhaustive_estimate(_powers(*moments)(sigma), codebook)
     return TrainingEstimate.from_batch(theta, alpha, SCHEME_EXHAUSTIVE, int(idx[0]),
                                        len(codebook))
 

@@ -249,9 +249,12 @@ def test_train_rejects_out_of_range_user(plan_file):
 
 
 def test_rainbow_on_one_subcarrier_names_the_cause(tmp_path):
-    cfg = dataclasses.replace(desk_config(), n_subcarriers=1)
+    # a design needs two subcarriers, so edit the count into a written plan
+    cfg = dataclasses.replace(desk_config(), n_subcarriers=2)
+    payload = design(DesignInputs(cfg=cfg, gamma=0.5)).to_dict()
+    payload["config"]["n_subcarriers"] = 1
     plan_path = tmp_path / "plan.json"
-    design(DesignInputs(cfg=cfg, gamma=0.5)).to_json(plan_path)
+    plan_path.write_text(json.dumps(payload))
     out = run_cli("train", f"--plan={plan_path}", "--scheme=farfield_rainbow",
                   "--theta=0.2", "--distance=4")
     assert "need n_subcarriers >= 2" in _error(out)

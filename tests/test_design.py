@@ -227,3 +227,12 @@ def test_design_inputs_reject_zero_bandwidth(desk_cfg):
     flat = dataclasses.replace(desk_cfg, bandwidth=0.0)
     with pytest.raises(ValueError, match="beam split needs bandwidth"):
         DesignInputs(cfg=flat, gamma=0.5)
+
+
+def test_design_inputs_reject_one_subcarrier(desk_cfg):
+    # one subcarrier occupies neither band edge, from which the pilot count
+    # is sized: the desk geometry would get 101 pilots for 64 elements
+    single = dataclasses.replace(desk_cfg, n_subcarriers=1)
+    with pytest.raises(ValueError, match="need n_subcarriers >= 2"):
+        DesignInputs(cfg=single, gamma=0.5)
+    assert design(DesignInputs(cfg=dataclasses.replace(desk_cfg, n_subcarriers=2))).K >= 1

@@ -21,6 +21,13 @@ They were written by the code that evaluated the rates once per (axis
 point, scheme), before the sweep engine computed each distinct (trial,
 estimate) serving gain once per draw key; that change must keep every byte.
 
+`train.json` holds the `beamtrain train` stdout of all six schemes for one
+user on the desk plan, and of `ongrid` and `aux_pair` for one user on the
+full-scale plan (three pilots).  It was written by the code in which the
+single-trial API runs the sweep's synthesis, noise draw and rate pass at
+one trial (`training._synthesize` with one (1, M, K) unit-noise draw), so it
+pins the single-trial path the CLI takes.
+
 Running this file as a script rewrites the stored files from the current
 code: `PYTHONPATH=src python tests/test_golden_outputs.py`.
 """
@@ -28,11 +35,14 @@ import contextlib
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from beamtrain import ExperimentSpec, cli, desk_experiment_spec, run_sweep
+from beamtrain import (ExperimentSpec, cli, design, desk_experiment_spec,
+                       fullscale_experiment_spec, run_sweep)
+from beamtrain.cli import TRAIN_SCHEMES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 AUX_REL_TOL = 1e-9
@@ -60,6 +70,28 @@ def _cli(*argv):
         assert cli.main(list(argv)) == 0
 
 
+def _train_outputs() -> str:
+    """train.json: parsed `beamtrain train` stdout per (plan, scheme), one
+    user per plan at 10 dB and seed 7."""
+    calls = {
+        "desk": (desk_experiment_spec(), TRAIN_SCHEMES, ("--theta=0.3", "--distance=5")),
+        "fullscale": (fullscale_experiment_spec(), ("ongrid", "aux_pair"),
+                      ("--theta=0.25", "--distance=60")),
+    }
+    outputs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (spec, schemes, user) in calls.items():
+            plan = Path(tmp) / f"{name}_plan.json"
+            design(spec.design_inputs()).to_json(plan)
+            for scheme in schemes:
+                text = io.StringIO()
+                with contextlib.redirect_stdout(text):
+                    assert cli.main(["train", f"--plan={plan}", f"--scheme={scheme}", *user,
+                                     "--snr-db=10", "--seed=7"]) == 0
+                outputs[f"{name} {scheme}"] = json.loads(text.getvalue())
+    return json.dumps(outputs, indent=2) + "\n"
+
+
 def _write_outputs(inputs: Path, out: Path) -> dict:
     """Write the CLI files from the design inputs at `inputs` into `out`;
     returns the text of every golden file."""
@@ -73,6 +105,7 @@ def _write_outputs(inputs: Path, out: Path) -> dict:
         "spec_hash.txt": spec.spec_hash() + "\n",
         "sweep.csv": run_sweep(spec).to_csv(),
         **{name: run_sweep(axis).to_csv() for name, axis in _axis_specs().items()},
+        "train.json": _train_outputs(),
     }
 
 
@@ -82,7 +115,7 @@ def outputs(tmp_path_factory):
 
 
 @pytest.mark.parametrize("name", ["plan.json", "pattern.csv", "spec.json", "spec_hash.txt",
-                                  "sweep_overhead.csv", "sweep_distance.csv"])
+                                  "sweep_overhead.csv", "sweep_distance.csv", "train.json"])
 def test_file_matches_golden(outputs, name):
     assert outputs[name] == (GOLDEN / name).read_text()
 

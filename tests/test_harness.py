@@ -35,15 +35,14 @@ from beamtrain.harness import (
     _serving_gains,
     _PATTERN_COLUMNS,
     _SWEEP_COLUMNS,
-    _synthesize,
     read_csv,
     write_csv,
 )
 from beamtrain.training import (
     _CHUNK_ENTRIES,
-    MatchFilterBank,
     FAR_RINGS,
     TX_POWER,
+    _synthesize,
     pilot_beamformers,
     rainbow_probes,
 )
@@ -426,25 +425,6 @@ def test_rate_pass_evaluates_each_distinct_estimate_once(monkeypatch, axis, valu
     assert sum(rows) == distinct < len(calls) * spec.n_trials
 
 
-def test_match_filter_unit_signatures_are_built_once_per_budget(monkeypatch):
-    budgets = []
-    unit_signatures = MatchFilterBank.unit_signatures
-
-    def counting(bank, budget=None):
-        budgets.append(budget)
-        return unit_signatures(bank, budget)
-
-    monkeypatch.setattr(MatchFilterBank, "unit_signatures", counting)
-    # three pilots, so that the overhead axis spends three distinct budgets
-    schemes = ("perfect_csi", "match_filter")
-    run_sweep(_small_desk_spec(schemes=schemes, k_override=3, axis_values=(5.0, 10.0, 20.0)))
-    assert budgets == [3]
-    budgets.clear()
-    run_sweep(_small_desk_spec(schemes=schemes, k_override=3, sweep_axis="overhead",
-                               axis_values=(1.0, 2.0, 3.0, 4.0)))
-    assert budgets == [1, 2, 3]
-
-
 def _synthesis_inputs(n_trials):
     spec = desk_experiment_spec(bank_angles=16, bank_rings=4)
     cfg = spec.cfg
@@ -456,14 +436,20 @@ def _synthesis_inputs(n_trials):
         rainbow_probes(cfg, FAR_RINGS),
     ]
     codebook = PolarCodebook(cfg, spec.bank_angles, spec.bank_rings)
-    return cfg, families, codebook, _draw_users(cfg, _rng(5, 0), n_trials)
+    users = _draw_users(cfg, _rng(5, 0), n_trials)
+
+    def rows(chunk):
+        f = cfg.subcarrier_freqs()[chunk, None]
+        return los_rows(cfg, users["theta"], users["r"], users["beta_c"], f)
+
+    return cfg, families, codebook, users, rows
 
 
 @pytest.mark.parametrize("with_codebook", [False, True])
 def test_synthesized_observations_equal_per_subcarrier_products(with_codebook):
-    cfg, families, codebook, users = _synthesis_inputs(9)
+    cfg, families, codebook, users, rows = _synthesis_inputs(9)
     signals, moments = _synthesize(cfg, families, codebook if with_codebook else None,
-                                   users, np.random.default_rng(0))
+                                   9, rows, np.random.default_rng(0))
     assert (moments is not None) == with_codebook
     for sig, params in zip(signals, families):
         want = np.empty_like(sig)
@@ -474,9 +460,9 @@ def test_synthesized_observations_equal_per_subcarrier_products(with_codebook):
 
 
 def test_exhaustive_moments_do_not_depend_on_the_families_alongside():
-    cfg, families, codebook, users = _synthesis_inputs(9)
-    _, alone = _synthesize(cfg, [], codebook, users, np.random.default_rng(4))
-    _, shared = _synthesize(cfg, families, codebook, users, np.random.default_rng(4))
+    cfg, families, codebook, _, rows = _synthesis_inputs(9)
+    _, alone = _synthesize(cfg, [], codebook, 9, rows, np.random.default_rng(4))
+    _, shared = _synthesize(cfg, families, codebook, 9, rows, np.random.default_rng(4))
     for a, b in zip(alone, shared):
         assert np.array_equal(a, b)
 

@@ -25,7 +25,7 @@ from beamtrain import (
     ongrid_train,
     rainbow_sweep_params,
 )
-from beamtrain.arrays import _uniform_samples, approx_steering
+from beamtrain.arrays import _uniform_samples, approx_steering, los_rows
 from beamtrain.beamsplit import gain_kernel
 from beamtrain.harness import (
     _STREAM_PROPOSED,
@@ -33,8 +33,6 @@ from beamtrain.harness import (
     _draw_users,
     _Engine,
     _rng,
-    _sigma,
-    _synthesize,
     desk_experiment_spec,
     fullscale_experiment_spec,
     rate_metric,
@@ -44,9 +42,12 @@ from beamtrain.training import (
     FAR_RINGS,
     MatchFilterBank,
     _bank_slices,
+    _synthesize,
+    _unit_noise,
     aux_pair_estimate,
     codeword_powers,
     exhaustive_estimate,
+    match_filter_estimate,
     noise_power,
     observe_params,
     rainbow_probes,
@@ -77,11 +78,11 @@ def test_observation_grid_validation():
 def test_noise_power_calibration(desk_cfg):
     chan = los_channel(desk_cfg, PolarLocation.from_angle_distance(0.2, 5.0))
     snr = 10.0
-    sigma2 = noise_power(desk_cfg, chan, snr)
+    sigma2 = noise_power(desk_cfg, chan.beta_c, snr)
     assert sigma2 == pytest.approx(desk_cfg.n_antennas * chan.beta_c**2 / snr)
-    assert noise_power(desk_cfg, chan, NOISELESS) == 0.0
+    assert noise_power(desk_cfg, chan.beta_c, NOISELESS) == 0.0
     with pytest.raises(ValueError):
-        noise_power(desk_cfg, chan, 0.0)
+        noise_power(desk_cfg, chan.beta_c, 0.0)
 
 
 def test_observe_plan_shape_and_order(desk_cfg, desk_plan):
@@ -89,9 +90,33 @@ def test_observe_plan_shape_and_order(desk_cfg, desk_plan):
     obs = observe_plan(chan, desk_plan, 100.0, 3)
     assert obs.magnitudes.shape == (desk_cfg.n_subcarriers, desk_plan.K)
     assert obs.seed == 3
-    # pilot columns drawn in order: column k matches the single-pilot draw
+    # the noise is drawn over the whole (1, M, K) grid, so column 1 matches
+    # the single-pilot draw only when K = 1, as in the desk plan
     single = observe_params(desk_cfg, chan, [desk_plan.params(1)], 100.0, 3)
     assert np.array_equal(obs.magnitudes[:, 0], single.magnitudes[:, 0])
+
+
+@pytest.mark.parametrize("plan_name", ["desk_plan", "main_plan"])
+def test_observe_plan_is_the_sweep_simulator_at_one_trial(plan_name, request):
+    # one user's observations, bit for bit: the sweep's synthesis over the
+    # engine's los_rows, then one unit-noise draw of the whole (1, M, K)
+    # grid from the call's generator (the full-scale plan has K = 3)
+    plan = request.getfixturevalue(plan_name)
+    cfg, snr, seed = plan.cfg, 10.0, 8
+    loc = PolarLocation.from_angle_distance(-0.35, sum(cfg.distance_range) / 3)
+    chan = los_channel(cfg, loc)
+    users = {"theta": np.array([loc.theta]), "r": np.array([loc.distance]),
+             "beta_c": np.array([chan.beta_c])}
+
+    def rows(chunk):
+        f = cfg.subcarrier_freqs()[chunk, None]
+        return los_rows(cfg, users["theta"], users["r"], users["beta_c"], f)
+
+    probes = [plan.params(k) for k in range(1, plan.K + 1)]
+    (sig,), _ = _synthesize(cfg, [probes], None, 1, rows, None)
+    sigma = np.sqrt(noise_power(cfg, users["beta_c"], snr))[:, None, None]
+    want = np.abs(sig + sigma * _unit_noise(np.random.default_rng(seed), sig.shape))
+    assert np.array_equal(observe_plan(chan, plan, snr, seed).magnitudes, want[0])
 
 
 def test_noiseless_magnitude_is_scaled_array_gain(desk_cfg, desk_plan):
@@ -185,13 +210,17 @@ def test_aux_beats_quantization_at_the_midpoint(main_cfg, main_plan):
 
 
 def test_aux_falls_back_without_a_neighbor():
-    cfg = SystemConfig(16, 30e9, 1e9, 1, distance_range=(2.0, 10.0))
+    # a design needs two subcarriers; an observation of only the first one
+    # leaves the picked beam without a neighbor
+    cfg = SystemConfig(16, 30e9, 1e9, 2, distance_range=(2.0, 10.0))
     plan = design(DesignInputs(cfg=cfg))
     chan = los_channel(cfg, PolarLocation.from_angle_distance(0.2, 5.0))
-    est = aux_pair_train(observe_plan(chan, plan, 100.0, 0), plan)
+    obs = observe_plan(chan, plan, 100.0, 0)
+    one = ObservationGrid(magnitudes=obs.magnitudes[:1], snr=obs.snr)
+    est = aux_pair_train(one, plan)
     assert est.fallback
     assert est.scheme == "aux_pair"
-    base = ongrid_train(observe_plan(chan, plan, 100.0, 0), plan)
+    base = ongrid_train(one, plan)
     assert (est.theta, est.alpha) == (base.theta, base.alpha)
 
 
@@ -201,7 +230,7 @@ def test_aux_batch_gives_each_trial_its_one_trial_answer():
     spec = desk_experiment_spec(schemes=("aux_pair",), n_trials=200)
     engine = _Engine(spec)
     users = _draw_users(spec.cfg, _rng(spec.master_seed, _STREAM_USERS), spec.n_trials)
-    sigma = _sigma(spec.cfg, users, 0.1)[:, None, None]
+    sigma = np.sqrt(noise_power(spec.cfg, users["beta_c"], 0.1))[:, None, None]
     mags = engine._draw(users, ())[_STREAM_PROPOSED](sigma)
     theta, alpha, fallback, clamped, flat = aux_pair_estimate(mags, engine.plan)
     assert fallback.any() and clamped.any() and not fallback.all()
@@ -272,6 +301,27 @@ def test_match_filter_swapped_signatures_swap_the_winner(desk_cfg, desk_plan):
     bank2 = MatchFilterBank(signatures=swapped, locations=bank.locations,
                             plan=desk_plan)
     assert match_filter_train(obs, bank2).selected == 23
+
+
+def test_match_filter_picks_equal_a_unit_copy_reference_at_every_budget(desk_cfg):
+    # dividing the correlations by the signature norms picks what correlating
+    # with a unit-normalized copy of the bank picks, on a three-pilot plan
+    plan = design(DesignInputs(cfg=desk_cfg, gamma=0.5, k_override=3))
+    bank = build_match_filter_bank(plan, 48, 4)
+    rng = np.random.default_rng(2)
+    mags = np.stack([
+        observe_plan(los_channel(desk_cfg, PolarLocation.from_angle_distance(t, r)),
+                     plan, 3.0, i).magnitudes
+        for i, (t, r) in enumerate(zip(rng.uniform(-0.85, 0.85, 40),
+                                       rng.uniform(2.0, 10.0, 40)))])
+    for budget in (1, 2, 3, None):
+        sig = bank.signatures.reshape(len(bank), -1, plan.K)[:, :, :budget]
+        sig = sig.reshape(len(bank), -1)
+        unit = sig / np.linalg.norm(sig, axis=1, keepdims=True)
+        flat = mags[..., :budget].reshape(len(mags), -1)
+        flat = flat / np.linalg.norm(flat, axis=1, keepdims=True)
+        want = np.argmax(flat @ unit.T, axis=1)
+        assert np.array_equal(match_filter_estimate(mags, bank, budget)[2], want), budget
 
 
 def test_match_filter_zero_observation_takes_first_index(desk_cfg, desk_plan):
@@ -524,9 +574,11 @@ def test_single_trial_api_matches_the_sweep_engine(desk_cfg):
     for i, (loc, ch) in enumerate(zip(locs, channels)):
         users = {"theta": np.array([loc.theta]), "r": np.array([loc.distance]),
                  "beta_c": np.array([ch.beta_c])}
-        _, (a, b, c) = _synthesize(desk_cfg, [], engine.codebook, users,
+        rows = lambda chunk: los_rows(desk_cfg, users["theta"], users["r"], users["beta_c"],
+                                      desk_cfg.subcarrier_freqs()[chunk, None])
+        _, (a, b, c) = _synthesize(desk_cfg, [], engine.codebook, 1, rows,
                                    np.random.default_rng(i))
-        s1 = _sigma(desk_cfg, users, snr)[:, None]
+        s1 = np.sqrt(noise_power(desk_cfg, users["beta_c"], snr))[:, None]
         powers.append((a + 2 * s1 * b + s1 * s1 * c)[0])
         singles.append(exhaustive_polar_train(ch, engine.codebook, snr, i))
     check("exhaustive", singles, powers)
