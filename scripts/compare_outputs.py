@@ -1,0 +1,147 @@
+"""Check that two git revisions write the same sweep and train outputs.
+
+    python3 scripts/compare_outputs.py PARENT CHANGE
+
+Each revision is exported with `bench_pairs.export` into its own temporary
+directory (`git stash create` names a commit of uncommitted tracked
+changes).  In each tree a child process, with that tree's `src/` and
+`perfbench/` on its path and one BLAS thread, writes these items:
+
+- `to_csv()` of every sweep spec the perfbench sweep workloads
+  (desk_snr_sweep, fullscale_grid, fullscale_distance) build at seeds 0-3
+- `to_csv()` of the default desk spec, and of the desk overhead axis
+  (budgets 1, 2, 4, 8) and distance axis (3, 6, 9 m) at 60 trials
+- the stdout of every `beamtrain train` call of the cli_train workload at
+  seeds 0-9, one item per seed
+
+Each item is reported as identical, or with the count of changed lines and
+the largest relative change of a number on them ("inf" where a changed line
+differs in more than its numbers).  The exit status is 1 when any item
+differs, 0 when every item is byte-identical.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import export
+
+SWEEP_WORKLOADS = ("desk_snr_sweep", "fullscale_grid", "fullscale_distance")
+SWEEP_SEEDS = range(4)
+CLI_SEEDS = range(10)
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
+
+
+def _relative_change(a: str, b: str) -> float:
+    """Largest relative change between the numbers of two lines, or inf when
+    they differ in anything but their numbers."""
+    if NUMBER.split(a) != NUMBER.split(b):
+        return math.inf
+    worst = 0.0
+    for x, y in zip(map(float, NUMBER.findall(a)), map(float, NUMBER.findall(b))):
+        if x != y:
+            scale = max(abs(x), abs(y))
+            worst = max(worst, abs(x - y) / scale if math.isfinite(scale) else math.inf)
+    return worst
+
+
+def summarize(parent: str, change: str) -> dict:
+    """Changed lines of one item's text and the largest relative change on
+    them; a line only one side has counts as changed, by inf."""
+    a, b = parent.splitlines(), change.splitlines()
+    changes = [_relative_change(x, y) for x, y in zip(a, b) if x != y]
+    changes += [math.inf] * abs(len(a) - len(b))
+    return {"identical": parent == change, "lines": max(len(a), len(b)),
+            "changed_lines": len(changes), "max_rel_change": max(changes, default=0.0)}
+
+
+def report_line(name: str, summary: dict) -> str:
+    if summary["identical"]:
+        return f"identical  {name}"
+    return (f"CHANGED    {name}: {summary['changed_lines']} of {summary['lines']} lines, "
+            f"largest relative change {summary['max_rel_change']:.3g}")
+
+
+def dump(out: str) -> None:
+    """Write every item's text of the tree on the path, as JSON, to out."""
+    import workloads
+    from beamtrain import cli, harness
+
+    items = {}
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+        for name in SWEEP_WORKLOADS:
+            for seed in SWEEP_SEEDS:
+                for spec in workloads.SweepWorkload(name, seed, False, tmp).specs:
+                    items[f"{name} master_seed {spec.master_seed}"] = (
+                        harness.run_sweep(spec).to_csv())
+        desk = harness.desk_experiment_spec
+        items["desk default spec"] = harness.run_sweep(desk()).to_csv()
+        items["desk overhead 1, 2, 4, 8 at 60 trials"] = harness.run_sweep(desk(
+            sweep_axis="overhead", axis_values=(1.0, 2.0, 4.0, 8.0), n_trials=60)).to_csv()
+        items["desk distance 3, 6, 9 m at 60 trials"] = harness.run_sweep(desk(
+            sweep_axis="distance_m", axis_values=(3.0, 6.0, 9.0), n_trials=60)).to_csv()
+        for seed in CLI_SEEDS:
+            work = workloads.CliWorkload("cli_train", seed, False, tmp)
+            text = io.StringIO()
+            for _, argv in work.calls:
+                with contextlib.redirect_stdout(text):
+                    try:
+                        code = cli.main(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+                print(f"exit {code}", file=text)
+            items[f"cli_train seed {seed}"] = text.getvalue()
+            work.close()
+    Path(out).write_text(json.dumps(items))
+
+
+def outputs_of(tree: Path, out: Path) -> dict:
+    env = dict(os.environ, **{var: "1" for var in BLAS_ENV},
+               PYTHONPATH=os.pathsep.join([str(tree / "src"), str(tree / "perfbench")]))
+    subprocess.run([sys.executable, __file__, "--dump", str(out)], cwd=tree, env=env,
+                   check=True)
+    return json.loads(out.read_text())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", nargs="?", help="git revision of the parent")
+    parser.add_argument("change", nargs="?", help="git revision of the change")
+    parser.add_argument("--dump", help=argparse.SUPPRESS)  # the child's mode
+    args = parser.parse_args(argv)
+    if args.dump:
+        dump(args.dump)
+        return 0
+    if args.parent is None or args.change is None:
+        parser.error("give PARENT and CHANGE")
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+        outputs = {}
+        for tree, rev in (("parent", args.parent), ("change", args.change)):
+            (Path(tmp) / tree).mkdir()
+            commit = export(rev, Path(tmp) / tree)
+            print(f"{tree} {rev} = {commit}")
+            outputs[tree] = outputs_of(Path(tmp) / tree, Path(tmp) / f"{tree}.json")
+    parent, change = outputs["parent"], outputs["change"]
+    if parent.keys() != change.keys():
+        sys.exit("compare_outputs: the trees wrote different items")
+    summaries = {name: summarize(parent[name], change[name]) for name in parent}
+    for name, summary in summaries.items():
+        print(report_line(name, summary))
+    same = sum(s["identical"] for s in summaries.values())
+    print(f"{same} of {len(summaries)} items identical")
+    return 0 if same == len(summaries) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -87,30 +87,19 @@ def los_rows(cfg: SystemConfig, theta, r, beta_c, f) -> np.ndarray:
     return beta * np.exp(-1j * k * rn)
 
 
-def los_channel(cfg: SystemConfig, loc: PolarLocation, steering: str = "exact") -> Channel:
-    """Line-of-sight channel h_m = sqrt(N_t) beta_m e^{-j k_m r} a_m(theta, r).
+def los_channel(cfg: SystemConfig, loc: PolarLocation) -> Channel:
+    """Line-of-sight channel h_m = sqrt(N_t) beta_m e^{-j k_m r} a_m(theta, r)
+    with the exact (spherical) steering a_m, from los_rows.
 
-    beta_m = (f_c / f_m) beta_c with beta_c = lambda_c / (4 pi r).  steering
-    picks the wavefront model of a_m: "exact" (spherical, the default) or
-    "quadratic" (the same expansion the beamformers use, handy for
-    self-consistent synthetic scenarios).
+    beta_m = (f_c / f_m) beta_c with beta_c = lambda_c / (4 pi r).
     """
-    if steering not in ("exact", "quadratic"):
-        raise ValueError("steering must be 'exact' or 'quadratic'")
     r = loc.distance
     if not np.isfinite(r):
         raise ValueError("line-of-sight channel needs a finite distance")
     freqs = cfg.subcarrier_freqs()
     beta_c = path_loss(cfg, r, cfg.carrier_freq)
-    betas = (cfg.carrier_freq / freqs) * beta_c
-    if steering == "exact":
-        h = los_rows(cfg, loc.theta, r, beta_c, freqs)
-    else:
-        k = cfg.wavenumber(freqs)[:, None]
-        nd = cfg.element_indices() * cfg.spacing
-        profile = nd * loc.theta - nd * nd * loc.alpha
-        h = betas[:, None] * np.exp(-1j * k * r) * np.exp(1j * k * profile[None, :])
-    return Channel(per_subcarrier=h, path_gains=betas, beta_c=beta_c, location=loc)
+    return Channel(per_subcarrier=los_rows(cfg, loc.theta, r, beta_c, freqs),
+                   path_gains=(cfg.carrier_freq / freqs) * beta_c, beta_c=beta_c, location=loc)
 
 
 class PolarCodebook:

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .config import PolarLocation
-from .arrays import PolarCodebook, los_channel
+from .arrays import los_channel
 from .design import DesignInputs, PilotPlan, fixed_td_network
 from .harness import (
     ExperimentSpec,
@@ -28,31 +28,11 @@ from .harness import (
     rate_metric,
     run_sweep,
 )
-from .training import (
-    SCHEME_AUX,
-    SCHEME_EXHAUSTIVE,
-    SCHEME_FAR_RAINBOW,
-    SCHEME_MATCH,
-    SCHEME_NEAR_RAINBOW,
-    SCHEME_ONGRID,
-    aux_pair_train,
-    build_match_filter_bank,
-    exhaustive_polar_train,
-    farfield_rainbow_train,
-    match_filter_train,
-    nearfield_rainbow_train,
-    observe_plan,
-    ongrid_train,
-)
+from .training import (SCHEME_AUX, SCHEME_EXHAUSTIVE, SCHEME_FAR_RAINBOW, SCHEME_MATCH,
+                       SCHEME_NEAR_RAINBOW, SCHEME_ONGRID, scheme_table, train)
 
-TRAIN_SCHEMES = (
-    SCHEME_ONGRID,
-    SCHEME_AUX,
-    SCHEME_MATCH,
-    SCHEME_EXHAUSTIVE,
-    SCHEME_NEAR_RAINBOW,
-    SCHEME_FAR_RAINBOW,
-)
+TRAIN_SCHEMES = (SCHEME_ONGRID, SCHEME_AUX, SCHEME_MATCH, SCHEME_EXHAUSTIVE,
+                 SCHEME_NEAR_RAINBOW, SCHEME_FAR_RAINBOW)
 
 
 def _fail(message: str, code: int = 2, **detail):
@@ -106,6 +86,10 @@ def _cmd_pattern(args):
 
 
 def _cmd_train(args):
+    # the rule ExperimentSpec applies to its bank dimensions
+    for flag, value in (("--bank-angles", args.bank_angles), ("--bank-rings", args.bank_rings)):
+        if value < 1:
+            _fail(f"{flag} must be >= 1, got {value}")
     try:
         plan = PilotPlan.from_json(Path(args.plan).read_text())
     except (OSError, ValueError, TypeError) as exc:
@@ -118,36 +102,17 @@ def _cmd_train(args):
             loc = PolarLocation.from_angle_distance(args.theta, args.distance)
         else:
             loc = PolarLocation.from_physical(args.angle_deg, args.distance)
+        channel = los_channel(cfg, loc)
     except ValueError as exc:
         _fail(f"invalid user location: {exc}")
     snr = 10 ** (args.snr_db / 10)
-    channel = los_channel(cfg, loc)
-    scheme = args.scheme
     try:
-        if scheme in (SCHEME_ONGRID, SCHEME_AUX, SCHEME_MATCH):
-            obs = observe_plan(channel, plan, snr, args.seed)
-            if scheme == SCHEME_ONGRID:
-                est = ongrid_train(obs, plan)
-            elif scheme == SCHEME_AUX:
-                est = aux_pair_train(obs, plan)
-            else:
-                bank = build_match_filter_bank(plan, args.bank_angles, args.bank_rings)
-                est = match_filter_train(obs, bank)
-        elif scheme == SCHEME_EXHAUSTIVE:
-            book = PolarCodebook(cfg, args.bank_angles, args.bank_rings)
-            est = exhaustive_polar_train(channel, book, snr, args.seed)
-        elif scheme == SCHEME_NEAR_RAINBOW:
-            est = nearfield_rainbow_train(channel, cfg, args.bank_rings, snr, args.seed)
-        else:
-            est = farfield_rainbow_train(channel, cfg, snr, args.seed)
+        row = scheme_table(plan, (args.scheme,), args.bank_angles, args.bank_rings)[args.scheme]
+        est = train(row, args.scheme, cfg, channel, snr, args.seed)
     except ValueError as exc:
         _fail(f"training failed: {exc}")
-    result = est.to_dict()
-    result["true_theta"] = loc.theta
-    result["true_alpha"] = loc.alpha
-    result["snr_db"] = args.snr_db
-    result["seed"] = args.seed
-    result["rate"] = rate_metric(cfg, loc, est, snr)
+    result = {**est.to_dict(), "true_theta": loc.theta, "true_alpha": loc.alpha,
+              "snr_db": args.snr_db, "seed": args.seed, "rate": rate_metric(cfg, loc, est, snr)}
     print(json.dumps(result, indent=2))
     return 0
 

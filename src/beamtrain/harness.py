@@ -15,50 +15,24 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .config import (PolarLocation, SystemConfig, fields_from_dict, fields_to_dict,
                      write_text)
-from .arrays import PolarCodebook, _uniform_samples, los_rows, path_loss
+from .arrays import los_rows, path_loss
 from .beamsplit import InfeasibleFocusError, gain_kernel
 from .design import DesignInputs, PilotPlan, design
-from .training import (
-    ALL_SCHEMES,
-    FAR_RINGS,
-    SCHEME_AUX,
-    SCHEME_EXHAUSTIVE,
-    SCHEME_FAR_RAINBOW,
-    SCHEME_MATCH,
-    SCHEME_NEAR_RAINBOW,
-    SCHEME_ONGRID,
-    SCHEME_PERFECT,
-    TrainingEstimate,
-    _CHUNK_ENTRIES,
-    _magnitudes,
-    _powers,
-    _subcarrier_chunks,
-    _synthesize,
-    _unit_noise,
-    aux_pair_estimate,
-    build_match_filter_bank,
-    exhaustive_estimate,
-    match_filter_estimate,
-    noise_power,
-    ongrid_estimate,
-    rainbow_estimate,
-    rainbow_probes,
-)
+from .training import (ALL_SCHEMES, SCHEME_EXHAUSTIVE, TrainingEstimate, _CHUNK_ENTRIES,
+                       _magnitudes, _powers, _subcarrier_chunks, _synthesize, _unit_noise,
+                       noise_power, scheme_table)
 
 AXES = ("snr_db", "overhead", "distance_m")
 
-# rng stream tags: families keep their draws stable however schemes are combined
+# rng stream tags of the users and of each probe family of the scheme table:
+# families keep their draws stable however schemes are combined
 _STREAM_USERS = 101
-_STREAM_PROPOSED = 102
-_STREAM_EXHAUSTIVE = 103
-_STREAM_NEAR = 104
-_STREAM_FAR = 105
+_STREAMS = {"plan": 102, "codebook": 103, "near": 104, "far": 105}
 
 
 def rate_metric(cfg: SystemConfig, true_loc: PolarLocation, estimate, snr: float) -> float:
@@ -265,64 +239,14 @@ def _draw_users(cfg: SystemConfig, rng, n: int, r_fixed: float | None = None):
     return {"theta": theta, "alpha": alpha, "r": r, "beta_c": beta_c}
 
 
-class _Scheme(NamedTuple):
-    """One row of the sweep's scheme table."""
-
-    stream: int | None  # rng stream tag of the probe family; None: no probes
-    probes: Callable | None  # () -> pilot parameter sets; None: the codebook
-    estimate: Callable | None  # (observations, pilot budget) -> (theta, alpha)
-    pilots: int  # full pilot count
-
-
 class _Engine:
     """Precomputed state shared across axis points of one sweep."""
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
-        self.cfg = cfg = spec.cfg
-        self.plan = plan = design(spec.design_inputs())
-        self.bank = bank = (
-            build_match_filter_bank(plan, spec.bank_angles, spec.bank_rings)
-            if SCHEME_MATCH in spec.schemes
-            else None
-        )
-        self.codebook = codebook = (
-            PolarCodebook(cfg, spec.bank_angles, spec.bank_rings)
-            if SCHEME_EXHAUSTIVE in spec.schemes
-            else None
-        )
-        rings = _uniform_samples(cfg.alpha_min, cfg.alpha_max, spec.bank_rings)
-
-        def plan_probes():
-            return [plan.params(k) for k in range(1, plan.K + 1)]
-
-        # Schemes of one probe family share its draws and observations.  The
-        # rows hold no reference to the engine, so a finished sweep frees its
-        # bank without waiting for the cycle collector.
-        self.table = {
-            SCHEME_PERFECT: _Scheme(None, None, None, 0),
-            SCHEME_ONGRID: _Scheme(
-                _STREAM_PROPOSED, plan_probes,
-                lambda obs, budget: ongrid_estimate(obs, plan, budget)[:2], plan.K),
-            SCHEME_AUX: _Scheme(
-                _STREAM_PROPOSED, plan_probes,
-                lambda obs, budget: aux_pair_estimate(obs, plan, budget)[:2], plan.K),
-            SCHEME_MATCH: _Scheme(
-                _STREAM_PROPOSED, plan_probes,
-                lambda obs, budget: match_filter_estimate(obs, bank, budget)[:2], plan.K),
-            SCHEME_EXHAUSTIVE: _Scheme(
-                _STREAM_EXHAUSTIVE, None,
-                lambda obs, budget: exhaustive_estimate(obs, codebook, budget)[:2],
-                spec.bank_angles * spec.bank_rings),
-            SCHEME_NEAR_RAINBOW: _Scheme(
-                _STREAM_NEAR, lambda: rainbow_probes(cfg, rings),
-                lambda obs, budget: rainbow_estimate(obs, cfg, rings, budget)[:2],
-                spec.bank_rings),
-            SCHEME_FAR_RAINBOW: _Scheme(
-                _STREAM_FAR, lambda: rainbow_probes(cfg, FAR_RINGS),
-                lambda obs, budget: rainbow_estimate(obs, cfg, FAR_RINGS, budget)[:2],
-                1),
-        }
+        self.cfg = spec.cfg
+        self.plan = design(spec.design_inputs())
+        self.table = scheme_table(self.plan, spec.schemes, spec.bank_angles, spec.bank_rings)
 
     def _point(self, idx, value):
         """(snr in dB, pilot budget, draw key, fixed user distance) of one axis
@@ -337,28 +261,28 @@ class _Engine:
 
     def _draw(self, users, key):
         """Synthesize every probe family of the spec in one pass per draw key;
-        returns, per stream tag, the map from the per-user noise std (T, 1, 1)
+        returns, per family, the map from the per-user noise std (T, 1, 1)
         to that family's noisy observations.  Each family's unit noise comes
         from its own keyed stream."""
         seed = self.spec.master_seed
-        families = {}
-        for name in self.spec.schemes:
-            scheme = self.table[name]
-            if scheme.probes is not None and scheme.stream not in families:
-                families[scheme.stream] = scheme.probes()
+        requested = [self.table[name] for name in self.spec.schemes]
+        families = {row.family: row.probes for row in requested
+                    if row.family not in (None, "codebook")}
         freqs = self.cfg.subcarrier_freqs()
 
         def rows(chunk):
             return los_rows(self.cfg, users["theta"], users["r"], users["beta_c"],
                             freqs[chunk, None])
 
-        signals, moments = _synthesize(self.cfg, list(families.values()), self.codebook,
+        signals, moments = _synthesize(self.cfg, list(families.values()),
+                                       self.table[SCHEME_EXHAUSTIVE].probes,
                                        len(users["theta"]), rows,
-                                       _rng(seed, _STREAM_EXHAUSTIVE, *key))
-        draws = {stream: _magnitudes(sig, _unit_noise(_rng(seed, stream, *key), sig.shape))
-                 for stream, sig in zip(families, signals)}
+                                       _rng(seed, _STREAMS["codebook"], *key))
+        draws = {family: _magnitudes(sig, _unit_noise(_rng(seed, _STREAMS[family], *key),
+                                                      sig.shape))
+                 for family, sig in zip(families, signals)}
         if moments is not None:
-            draws[_STREAM_EXHAUSTIVE] = _powers(*moments)
+            draws["codebook"] = _powers(*moments)
         return draws
 
     def run(self) -> SweepResult:
@@ -389,7 +313,8 @@ class _Engine:
         trained = [(snr, est) for _, _, _, snr, est in picks if est is not None]
         if trained:
             snrs, estimates = zip(*trained)
-            theta_hat, alpha_hat = np.array(estimates, dtype=float).swapaxes(0, 1)
+            theta_hat = np.array([est.theta for est in estimates])
+            alpha_hat = np.array([est.alpha for est in estimates])
             rates = iter(_distinct_rates(self.cfg, users, np.array(snrs), theta_hat, alpha_hat))
         return [self._row(name, value,
                           np.full(t, math.log2(1.0 + snr)) if est is None else next(rates),
@@ -397,10 +322,11 @@ class _Engine:
                 for value, name, pilots, snr, est in picks]
 
     def _estimates(self, users, key, points) -> list:
-        """(axis value, scheme, pilots used, linear snr, (theta, alpha) or
-        None without training) per point and scheme, in row order.  The
-        key's draws are dropped on return, and each point's observations
-        before the next point's are made, so that they never coexist."""
+        """(axis value, scheme, pilots used, linear snr, the estimator's
+        BatchEstimate or None without training) per point and scheme, in row
+        order.  The key's draws are dropped on return, and each point's
+        observations before the next point's are made, so that they never
+        coexist."""
         draws = self._draw(users, key)
         picks = []
         for value, snr_db, budget, _, _ in points:
@@ -408,13 +334,13 @@ class _Engine:
             sg = np.sqrt(noise_power(self.cfg, users["beta_c"], snr))[:, None, None]
             observed = {}
             for name in self.spec.schemes:
-                scheme = self.table[name]
-                pilots = min(budget, scheme.pilots)
+                row = self.table[name]
+                pilots = min(budget, row.pilots)
                 est = None
-                if scheme.stream is not None:
-                    if scheme.stream not in observed:
-                        observed[scheme.stream] = draws[scheme.stream](sg)
-                    est = scheme.estimate(observed[scheme.stream], pilots)
+                if row.family is not None:
+                    if row.family not in observed:
+                        observed[row.family] = draws[row.family](sg)
+                    est = row.estimate(observed[row.family], pilots)
                 picks.append((value, name, pilots, snr, est))
         return picks
 

@@ -10,6 +10,10 @@ observations, and estimates the user's polar location.  Estimators:
 - near-field rainbow: one frequency sweep per distance ring
 - far-field rainbow: a single frequency sweep, distance ignored
 
+scheme_table holds one row per scheme (probe family, probes or codebook,
+estimator, pilot count); the sweep engine runs its rows over T drawn users
+and `train`, the single-trial runner, runs one row at T = 1.
+
 Transmit power is fixed at 1; noise variance is calibrated so that
 N_t beta_c^2 / sigma^2 equals the requested SNR at the center subcarrier.
 One pilot simulator, _synthesize, serves the sweep engine (T drawn users)
@@ -19,11 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .config import PolarLocation, SystemConfig, fields_to_dict
-from .arrays import Channel, _uniform_samples, path_loss
+from .arrays import Channel, PolarCodebook, _uniform_samples, path_loss
 from .beamsplit import TdPsParams, ellipse_coefficients
 from .design import PilotPlan
 
@@ -100,10 +105,14 @@ class TrainingEstimate:
         return fields_to_dict(self)
 
     @classmethod
-    def from_batch(cls, theta, alpha, scheme, selected, pilots_used, **flags):
-        """Trial 0 of a batch estimator's theta, alpha and flag arrays."""
-        return cls(float(theta[0]), float(alpha[0]), scheme, selected, pilots_used,
-                   **{name: bool(flag[0]) for name, flag in flags.items()})
+    def from_batch(cls, batch: "BatchEstimate", scheme: str, pilots_used: int):
+        """Trial 0 of a batch estimator's record.  A picked pair is selected
+        as the 1-based (subcarrier, pilot or ring) pair; a grid index stays
+        the 0-based int."""
+        pick = batch.pick[0]
+        selected = tuple(int(i) + 1 for i in pick) if np.ndim(pick) else int(pick)
+        return cls(float(batch.theta[0]), float(batch.alpha[0]), scheme, selected,
+                   pilots_used, bool(batch.clamped[0]), bool(batch.fallback[0]))
 
 
 def _as_rng(rng) -> tuple[np.random.Generator, int | None]:
@@ -216,10 +225,20 @@ def observe_plan(channel: Channel, plan: PilotPlan, snr: float, rng) -> Observat
     )
 
 
-# Batch estimators take observations with a leading trial axis T and an
-# optional pilot budget (the first `budget` pilots, codewords or rings; None
-# uses all).  Each returns per-trial theta and alpha arrays first, then the
-# 0-based pick the single-trial *_train wrappers (their T = 1 case) report.
+class BatchEstimate(NamedTuple):
+    """The record every batch estimator returns, one entry per trial.
+
+    Batch estimators take observations with a leading trial axis T and an
+    optional pilot budget (the first `budget` pilots, codewords or rings;
+    None uses all).  The single-trial *_train functions are their T = 1
+    case, through TrainingEstimate.from_batch.
+    """
+
+    theta: np.ndarray  # (T,)
+    alpha: np.ndarray  # (T,), nonnegative
+    pick: np.ndarray  # 0-based: grid index (T,), or (subcarrier, pilot or ring) pair (T, 2)
+    clamped: np.ndarray  # (T,) bool: the estimate was clipped into the served region
+    fallback: np.ndarray  # (T,) bool: aux-pair kept the on-grid answer
 
 
 def _argmax_rows(obs: np.ndarray, budget) -> np.ndarray:
@@ -229,10 +248,11 @@ def _argmax_rows(obs: np.ndarray, budget) -> np.ndarray:
     return np.argmax(sub.reshape(len(sub), -1), axis=1)
 
 
-def _pick(locations, idx):
-    """(theta, alpha) arrays of the grid points at indices idx."""
-    return (np.array([locations[i].theta for i in idx]),
-            np.array([locations[i].alpha for i in idx]))
+def _grid_pick(locations, idx) -> BatchEstimate:
+    """Record of the grid points at 0-based indices idx; no flags."""
+    return BatchEstimate(np.array([locations[i].theta for i in idx]),
+                         np.array([locations[i].alpha for i in idx]), idx,
+                         *np.zeros((2, len(idx)), dtype=bool))
 
 
 def _foci(plan: PilotPlan, flat: np.ndarray, n_cols: int):
@@ -248,25 +268,24 @@ def _foci(plan: PilotPlan, flat: np.ndarray, n_cols: int):
             np.array([f.clamped for f in foci])[inverse])
 
 
-def ongrid_estimate(mags: np.ndarray, plan: PilotPlan, budget=None):
+def ongrid_estimate(mags: np.ndarray, plan: PilotPlan, budget=None) -> BatchEstimate:
     """Strongest beam's predicted focus per trial of mags (T, M, K); ties go
-    to smaller m, then smaller k.  Returns theta, alpha, clamped and the flat
-    (m, k) index over the budgeted (M, K') grid.  Only the picked beams' foci
-    are evaluated."""
+    to smaller m, then smaller k.  The pick is the beam's (m, k) pair.  Only
+    the picked beams' foci are evaluated."""
+    n_cols = mags[..., :budget].shape[-1]
     flat = _argmax_rows(mags, budget)
-    theta, alpha, clamped = _foci(plan, flat, mags[..., :budget].shape[-1])
-    return theta, np.maximum(alpha, 0.0), clamped | (alpha < 0), flat
+    theta, alpha, clamped = _foci(plan, flat, n_cols)
+    return BatchEstimate(theta, np.maximum(alpha, 0.0), np.stack(np.divmod(flat, n_cols), 1),
+                         clamped | (alpha < 0), np.zeros(len(flat), dtype=bool))
 
 
 def ongrid_train(obs: ObservationGrid, plan: PilotPlan) -> TrainingEstimate:
     """Strongest beam's predicted focus; ties go to smaller m, then smaller k."""
-    theta, alpha, clamped, flat = ongrid_estimate(obs.magnitudes[None], plan)
-    m_idx, k_idx = divmod(int(flat[0]), obs.magnitudes.shape[1])
-    return TrainingEstimate.from_batch(theta, alpha, SCHEME_ONGRID, (m_idx + 1, k_idx + 1),
-                                       plan.K, clamped=clamped)
+    return TrainingEstimate.from_batch(ongrid_estimate(obs.magnitudes[None], plan),
+                                       SCHEME_ONGRID, plan.K)
 
 
-def aux_pair_estimate(mags: np.ndarray, plan: PilotPlan, budget=None):
+def aux_pair_estimate(mags: np.ndarray, plan: PilotPlan, budget=None) -> BatchEstimate:
     """Refine each trial's on-grid pick by intersecting two gain ellipses.
 
     Per trial of mags (T, M, K), over the first `budget` pilots: take the
@@ -275,13 +294,13 @@ def aux_pair_estimate(mags: np.ndarray, plan: PilotPlan, budget=None):
     path gain at the on-grid distance, and Newton-solve the two quadratic
     gain models for (theta, alpha).  A trial falls back to the on-grid
     answer on a zero Jacobian, no convergence, no neighbor or an unusable
-    on-grid distance.  Returns theta, alpha, fallback, clamped and the
-    on-grid pick's flat (m, k) index.
+    on-grid distance.  The pick is the on-grid pick's (m, k) pair.
     """
     cfg = plan.cfg
-    theta0, alpha0, clamped0, flat = ongrid_estimate(mags, plan, budget)
+    base = ongrid_estimate(mags, plan, budget)
+    theta0, alpha0 = base.theta, base.alpha
     n_cols = mags[..., :budget].shape[-1]
-    m_hat, k_hat = np.divmod(flat, n_cols)
+    m_hat, k_hat = base.pick.T
     rows, n_sub = np.arange(len(mags)), mags.shape[1]
     col = mags[rows, :, k_hat]  # (T, M): the picked pilot's magnitudes
     lo, hi = np.maximum(m_hat - 1, 0), np.minimum(m_hat + 1, n_sub - 1)
@@ -351,18 +370,16 @@ def aux_pair_estimate(mags: np.ndarray, plan: PilotPlan, budget=None):
     th = np.where(exact, t0[:, 0], np.clip(th, -1.0, 1.0))
     al = np.maximum(np.where(exact, a0[:, 0], al), 0.0)
     clamped &= ~exact
-    return (np.where(fallback, theta0, th), np.where(fallback, alpha0, al), fallback,
-            np.where(fallback, clamped0, clamped), flat)
+    return BatchEstimate(np.where(fallback, theta0, th), np.where(fallback, alpha0, al),
+                         base.pick, np.where(fallback, base.clamped, clamped), fallback)
 
 
 def aux_pair_train(obs: ObservationGrid, plan: PilotPlan) -> TrainingEstimate:
     """Refine the on-grid pick by intersecting two gain ellipses: the T = 1
     case of aux_pair_estimate, flagged fallback when it keeps the on-grid
     answer."""
-    theta, alpha, fallback, clamped, flat = aux_pair_estimate(obs.magnitudes[None], plan)
-    m_idx, k_idx = divmod(int(flat[0]), obs.magnitudes.shape[1])
-    return TrainingEstimate.from_batch(theta, alpha, SCHEME_AUX, (m_idx + 1, k_idx + 1),
-                                       plan.K, clamped=clamped, fallback=fallback)
+    return TrainingEstimate.from_batch(aux_pair_estimate(obs.magnitudes[None], plan),
+                                       SCHEME_AUX, plan.K)
 
 
 @dataclass(frozen=True)
@@ -499,12 +516,13 @@ def build_match_filter_bank(
     )
 
 
-def match_filter_estimate(mags: np.ndarray, bank: MatchFilterBank, budget=None):
+def match_filter_estimate(mags: np.ndarray, bank: MatchFilterBank, budget=None
+                          ) -> BatchEstimate:
     """Grid point whose signature best correlates with each trial's
     observation over the first `budget` pilots, both unit-normalized (cosine
     similarity); first index wins ties.  The correlations are divided by the
-    signature norms, so no normalized copy of the bank is made.  Returns
-    theta, alpha, grid index."""
+    signature norms, so no normalized copy of the bank is made.  The pick is
+    the grid index."""
     g = len(bank)
     sig = bank.signatures.reshape(g, -1, bank.plan.K)[:, :, :budget].reshape(g, -1)
     sig_norms = np.sqrt(np.einsum("gi,gi->g", sig, sig))
@@ -512,26 +530,26 @@ def match_filter_estimate(mags: np.ndarray, bank: MatchFilterBank, budget=None):
     norms = np.linalg.norm(flat, axis=1, keepdims=True)
     flat = flat / np.where(norms == 0, 1.0, norms)
     idx = np.argmax(flat @ sig.T / np.where(sig_norms == 0, 1.0, sig_norms), axis=1)
-    return (*_pick(bank.locations, idx), idx)
+    return _grid_pick(bank.locations, idx)
 
 
 def match_filter_train(obs: ObservationGrid, bank: MatchFilterBank) -> TrainingEstimate:
     """Pick the grid point whose unit signature best correlates with the
     unit-normalized observation (cosine similarity); first index wins ties."""
-    theta, alpha, idx = match_filter_estimate(obs.magnitudes[None], bank)
-    return TrainingEstimate.from_batch(theta, alpha, SCHEME_MATCH, int(idx[0]), bank.plan.K)
+    return TrainingEstimate.from_batch(match_filter_estimate(obs.magnitudes[None], bank),
+                                       SCHEME_MATCH, bank.plan.K)
 
 
-def exhaustive_estimate(powers: np.ndarray, codebook, budget=None):
+def exhaustive_estimate(powers: np.ndarray, codebook, budget=None) -> BatchEstimate:
     """Codeword with the largest received power per trial of powers (T, G).
     A budget below G searches that many codewords evenly strided over the
     codebook order, so they span the whole angle range; ties go to the
-    smaller grid index.  Returns theta, alpha, codeword index."""
+    smaller grid index.  The pick is the codeword index."""
     g = powers.shape[-1]
     searched = (np.arange(g) if budget is None or budget >= g
                 else np.round(_uniform_samples(0, g - 1, budget)).astype(int))
     idx = searched[np.argmax(powers[:, searched], axis=1)]
-    return (*_pick(codebook.locations, idx), idx)
+    return _grid_pick(codebook.locations, idx)
 
 
 def codeword_powers(codebook, h: np.ndarray, f) -> np.ndarray:
@@ -581,14 +599,8 @@ def exhaustive_polar_train(channel: Channel, codebook, snr: float, rng) -> Train
     """One pilot per codeword; pick the codeword with the largest power summed
     across subcarriers: the sweep's codebook pass and noise law at T = 1.
     Ties go to the smaller grid index."""
-    cfg = codebook.cfg
-    gen, _ = _as_rng(rng)
-    sigma = np.sqrt(noise_power(cfg, channel.beta_c, snr)).reshape(1, 1, 1)
-    _, moments = _synthesize(cfg, [], codebook, 1,
-                             lambda chunk: channel.per_subcarrier[chunk, None], gen)
-    theta, alpha, idx = exhaustive_estimate(_powers(*moments)(sigma), codebook)
-    return TrainingEstimate.from_batch(theta, alpha, SCHEME_EXHAUSTIVE, int(idx[0]),
-                                       len(codebook))
+    return train(_exhaustive_row(codebook, len(codebook)), SCHEME_EXHAUSTIVE, codebook.cfg,
+                 channel, snr, rng)
 
 
 def rainbow_sweep_params(cfg: SystemConfig) -> TdPsParams:
@@ -615,23 +627,18 @@ def rainbow_probes(cfg: SystemConfig, rings) -> list:
             for a in rings]
 
 
-def rainbow_estimate(mags: np.ndarray, cfg: SystemConfig, rings, budget=None):
+def rainbow_estimate(mags: np.ndarray, cfg: SystemConfig, rings, budget=None
+                     ) -> BatchEstimate:
     """Strongest (subcarrier, ring) per trial of mags (T, M, S) over the
     first `budget` rings: the sweep's angle at that subcarrier and the ring's
-    curvature.  Returns theta, alpha and the 0-based subcarrier and ring."""
+    curvature.  The pick is the (subcarrier, ring) pair."""
     flat = _argmax_rows(mags, budget)
     m_idx, s_idx = np.divmod(flat, mags[..., :budget].shape[-1])
     params = rainbow_sweep_params(cfg)
     g = cfg.carrier_freq / cfg.subcarrier_freqs()[m_idx]
     theta = np.clip(params.theta_t + g * params.theta_p, -1.0, 1.0)
-    return theta, np.asarray(rings, dtype=float)[s_idx], m_idx, s_idx
-
-
-def _rainbow_train(channel: Channel, cfg: SystemConfig, rings, snr, rng, scheme):
-    obs = observe_params(cfg, channel, rainbow_probes(cfg, rings), snr, rng)
-    theta, alpha, m_idx, s_idx = rainbow_estimate(obs.magnitudes[None], cfg, rings)
-    return TrainingEstimate.from_batch(theta, alpha, scheme,
-                                       (int(m_idx[0]) + 1, int(s_idx[0]) + 1), len(rings))
+    return BatchEstimate(theta, np.asarray(rings, dtype=float)[s_idx],
+                         np.stack([m_idx, s_idx], 1), *np.zeros((2, len(flat)), dtype=bool))
 
 
 def nearfield_rainbow_train(
@@ -642,12 +649,83 @@ def nearfield_rainbow_train(
     if n_rings < 1:
         raise ValueError("need at least one ring")
     rings = _uniform_samples(cfg.alpha_min, cfg.alpha_max, n_rings)
-    return _rainbow_train(channel, cfg, rings, snr, rng, SCHEME_NEAR_RAINBOW)
+    return train(_rainbow_row("near", cfg, rings), SCHEME_NEAR_RAINBOW, cfg, channel, snr, rng)
 
 
 def farfield_rainbow_train(
     channel: Channel, cfg: SystemConfig, snr: float, rng
 ) -> TrainingEstimate:
     """Single frequency sweep, curvature ignored (alpha estimate is 0)."""
-    return _rainbow_train(channel, cfg, FAR_RINGS, snr, rng, SCHEME_FAR_RAINBOW)
+    return train(_rainbow_row("far", cfg, FAR_RINGS), SCHEME_FAR_RAINBOW, cfg, channel, snr, rng)
 
+
+# scheme table and the single-trial runner -----------------------------------
+
+class Scheme(NamedTuple):
+    """One row of the scheme table."""
+
+    # probe family: "plan", "codebook", "near" or "far"; the schemes of one
+    # family share its draws and observations.  None: no probes (perfect CSI)
+    family: str | None
+    probes: object  # pilot parameter sets, or the "codebook" family's codebook
+    estimate: Callable | None  # (observations, pilot budget) -> BatchEstimate
+    pilots: int  # full pilot count
+
+
+def _exhaustive_row(codebook, pilots: int) -> Scheme:
+    return Scheme("codebook", codebook,
+                  lambda obs, budget: exhaustive_estimate(obs, codebook, budget), pilots)
+
+
+def _rainbow_row(family: str, cfg: SystemConfig, rings, needed: bool = True) -> Scheme:
+    return Scheme(family, rainbow_probes(cfg, rings) if needed else None,
+                  lambda obs, budget: rainbow_estimate(obs, cfg, rings, budget), len(rings))
+
+
+def scheme_table(plan: PilotPlan, schemes, bank_angles: int, bank_rings: int) -> dict:
+    """Scheme name -> Scheme row, for every scheme of ALL_SCHEMES.
+
+    bank_angles x bank_rings sizes the match-filter bank and the exhaustive
+    codebook; bank_rings is also the near-field rainbow's ring count.  The
+    bank, the codebook and the rainbow probes are built only when `schemes`
+    asks for their scheme, but every row holds its full pilot count.  The
+    rows hold no reference to a caller, so a finished sweep frees its bank
+    without waiting for the cycle collector.
+    """
+    cfg = plan.cfg
+    rings = _uniform_samples(cfg.alpha_min, cfg.alpha_max, bank_rings)
+    bank = (build_match_filter_bank(plan, bank_angles, bank_rings)
+            if SCHEME_MATCH in schemes else None)
+    codebook = (PolarCodebook(cfg, bank_angles, bank_rings)
+                if SCHEME_EXHAUSTIVE in schemes else None)
+    probes = [plan.params(k) for k in range(1, plan.K + 1)]
+    return {
+        SCHEME_PERFECT: Scheme(None, None, None, 0),
+        SCHEME_ONGRID: Scheme(
+            "plan", probes, lambda obs, budget: ongrid_estimate(obs, plan, budget), plan.K),
+        SCHEME_AUX: Scheme(
+            "plan", probes, lambda obs, budget: aux_pair_estimate(obs, plan, budget), plan.K),
+        SCHEME_MATCH: Scheme(
+            "plan", probes, lambda obs, budget: match_filter_estimate(obs, bank, budget),
+            plan.K),
+        SCHEME_EXHAUSTIVE: _exhaustive_row(codebook, bank_angles * bank_rings),
+        SCHEME_NEAR_RAINBOW: _rainbow_row("near", cfg, rings, SCHEME_NEAR_RAINBOW in schemes),
+        SCHEME_FAR_RAINBOW: _rainbow_row("far", cfg, FAR_RINGS, SCHEME_FAR_RAINBOW in schemes),
+    }
+
+
+def train(row: Scheme, scheme: str, cfg: SystemConfig, channel: Channel, snr: float,
+          rng) -> TrainingEstimate:
+    """One training run of a scheme table row at T = 1, over the channel's
+    stored rows: observe_params for a probe family, or for the codebook the
+    sweep's codebook pass and noise law; then the row's estimator over the
+    full pilot count.  A fixed seed is reproducible."""
+    if row.family == "codebook":
+        sigma = np.sqrt(noise_power(cfg, channel.beta_c, snr)).reshape(1, 1, 1)
+        _, moments = _synthesize(cfg, [], row.probes, 1,
+                                 lambda chunk: channel.per_subcarrier[chunk, None],
+                                 _as_rng(rng)[0])
+        obs = _powers(*moments)(sigma)
+    else:
+        obs = observe_params(cfg, channel, row.probes, snr, rng).magnitudes[None]
+    return TrainingEstimate.from_batch(row.estimate(obs, None), scheme, row.pilots)

@@ -1,8 +1,11 @@
-"""Shared fixtures: reference configurations, designed plans, and one
-desk-scale Monte-Carlo sweep reused by the ordering tests."""
+"""Shared fixtures: reference configurations, designed plans, one
+desk-scale Monte-Carlo sweep reused by the ordering tests, and a synthetic
+channel with quadratic steering."""
+import numpy as np
 import pytest
 
-from beamtrain import DesignInputs, SystemConfig, design
+from beamtrain import Channel, DesignInputs, SystemConfig, design
+from beamtrain.arrays import path_loss
 from beamtrain.harness import (
     desk_config,
     desk_experiment_spec,
@@ -69,3 +72,19 @@ def sweep_rate(result, scheme: str, value: float) -> float:
         if row["scheme"] == scheme and row["axis_value"] == value:
             return row["mean_rate"]
     raise KeyError((scheme, value))
+
+
+def quadratic_channel(cfg, loc) -> Channel:
+    """Line-of-sight channel whose steering is the quadratic (Fresnel)
+    expansion the beamformers and estimators are built on, not the exact
+    spherical wavefront of los_channel: a self-consistent synthetic scenario
+    in which a user at a beam's focus sees that beam's full gain."""
+    r = loc.distance
+    freqs = cfg.subcarrier_freqs()
+    beta_c = path_loss(cfg, r, cfg.carrier_freq)
+    betas = (cfg.carrier_freq / freqs) * beta_c
+    k = cfg.wavenumber(freqs)[:, None]
+    nd = cfg.element_indices() * cfg.spacing
+    profile = nd * loc.theta - nd * nd * loc.alpha
+    h = betas[:, None] * np.exp(-1j * k * r) * np.exp(1j * k * profile[None, :])
+    return Channel(per_subcarrier=h, path_gains=betas, beta_c=beta_c, location=loc)

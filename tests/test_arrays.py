@@ -14,6 +14,8 @@ from beamtrain import (
 from beamtrain.arrays import element_distances, los_rows, path_loss
 from beamtrain.training import codeword_powers
 
+from conftest import quadratic_channel
+
 
 @pytest.fixture()
 def cfg():
@@ -85,18 +87,12 @@ def test_los_channel_norms_and_gain_ratio(cfg):
 
 def test_los_channel_quadratic_matches_its_steering_model(cfg):
     loc = PolarLocation.from_angle_distance(0.3, 3.0)
-    chan = los_channel(cfg, loc, steering="quadratic")
+    chan = quadratic_channel(cfg, loc)
     for i, f in enumerate(cfg.subcarrier_freqs()):
         b = approx_steering(cfg, loc, f)
         g = abs(np.vdot(b, chan.per_subcarrier[i]))
         assert g == pytest.approx(math.sqrt(cfg.n_antennas) * chan.path_gains[i],
                                   rel=1e-10)
-
-
-def test_los_channel_rejects_unknown_steering(cfg):
-    loc = PolarLocation.from_angle_distance(0.0, 5.0)
-    with pytest.raises(ValueError):
-        los_channel(cfg, loc, steering="cubic")
 
 
 def test_codebook_grid_layout(cfg):

@@ -246,6 +246,27 @@ def test_train_rejects_out_of_range_user(plan_file):
                   "--distance", "5")
     assert out.returncode == 2
     assert "error" in json.loads(out.stderr)
+    # an infinite distance has no line-of-sight channel
+    assert "finite distance" in _error(run_cli("train", "--plan", str(plan_file),
+                                               "--theta", "0.2", "--distance", "inf"))
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("scheme", cli.TRAIN_SCHEMES)
+def test_train_rejects_a_grid_size_below_one_before_any_work(plan_file, monkeypatch, capsys,
+                                                             scheme, value):
+    # every scheme, whether or not it uses the grid, under ExperimentSpec's rule
+    def read_plan(text):
+        raise AssertionError("the plan was read before the grid sizes were checked")
+
+    monkeypatch.setattr(cli.PilotPlan, "from_json", read_plan)
+    for flag in ("--bank-angles", "--bank-rings"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", f"--plan={plan_file}", f"--scheme={scheme}", "--theta=0.2",
+                      "--distance=4", f"{flag}={value}"])
+        assert exc.value.code == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == f"{flag} must be >= 1, got {value}"
 
 
 def test_rainbow_on_one_subcarrier_names_the_cause(tmp_path):

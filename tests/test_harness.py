@@ -363,9 +363,9 @@ def _recording_engine(spec):
     for name, scheme in engine.table.items():
         if scheme.estimate is not None:
             def estimate(obs, budget, name=name, inner=scheme.estimate):
-                theta, alpha = inner(obs, budget)
-                calls.append((name, theta, alpha))
-                return theta, alpha
+                record = inner(obs, budget)
+                calls.append((name, record.theta, record.alpha))
+                return record
             engine.table[name] = scheme._replace(estimate=estimate)
     return engine, calls
 

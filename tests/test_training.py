@@ -28,7 +28,6 @@ from beamtrain import (
 from beamtrain.arrays import _uniform_samples, approx_steering, los_rows
 from beamtrain.beamsplit import gain_kernel
 from beamtrain.harness import (
-    _STREAM_PROPOSED,
     _STREAM_USERS,
     _draw_users,
     _Engine,
@@ -53,6 +52,8 @@ from beamtrain.training import (
     rainbow_probes,
 )
 
+from conftest import quadratic_channel
+
 NOISELESS = float("inf")
 
 
@@ -63,7 +64,7 @@ def _focus_user(plan, m, k):
 
 def _quad_channel(cfg, loc):
     """Channel whose phase profile matches the estimators' beam model."""
-    return los_channel(cfg, loc, steering="quadratic")
+    return quadratic_channel(cfg, loc)
 
 
 # observations ---------------------------------------------------------------
@@ -231,15 +232,14 @@ def test_aux_batch_gives_each_trial_its_one_trial_answer():
     engine = _Engine(spec)
     users = _draw_users(spec.cfg, _rng(spec.master_seed, _STREAM_USERS), spec.n_trials)
     sigma = np.sqrt(noise_power(spec.cfg, users["beta_c"], 0.1))[:, None, None]
-    mags = engine._draw(users, ())[_STREAM_PROPOSED](sigma)
-    theta, alpha, fallback, clamped, flat = aux_pair_estimate(mags, engine.plan)
-    assert fallback.any() and clamped.any() and not fallback.all()
+    mags = engine._draw(users, ())["plan"](sigma)
+    batch = aux_pair_estimate(mags, engine.plan)
+    assert batch.fallback.any() and batch.clamped.any() and not batch.fallback.all()
     for i, trial in enumerate(mags):
         est = aux_pair_train(ObservationGrid(magnitudes=trial, snr=0.1), engine.plan)
-        m, k = est.selected
         assert (est.theta, est.alpha, est.fallback, est.clamped) == (
-            theta[i], alpha[i], fallback[i], clamped[i])
-        assert (m - 1) * engine.plan.K + k - 1 == flat[i]
+            batch.theta[i], batch.alpha[i], batch.fallback[i], batch.clamped[i])
+        assert est.selected == tuple(batch.pick[i] + 1)
 
 
 def test_aux_beats_ongrid_rate_at_high_snr(main_cfg):
@@ -321,7 +321,7 @@ def test_match_filter_picks_equal_a_unit_copy_reference_at_every_budget(desk_cfg
         flat = mags[..., :budget].reshape(len(mags), -1)
         flat = flat / np.linalg.norm(flat, axis=1, keepdims=True)
         want = np.argmax(flat @ unit.T, axis=1)
-        assert np.array_equal(match_filter_estimate(mags, bank, budget)[2], want), budget
+        assert np.array_equal(match_filter_estimate(mags, bank, budget).pick, want), budget
 
 
 def test_match_filter_zero_observation_takes_first_index(desk_cfg, desk_plan):
@@ -419,7 +419,7 @@ def test_budgeted_exhaustive_spans_the_angle_range(desk_cfg):
 
     def searched(budget):
         # a one-hot power at codeword i wins only where i is searched
-        idx = exhaustive_estimate(np.eye(g), book, budget)[2]
+        idx = exhaustive_estimate(np.eye(g), book, budget).pick
         return np.flatnonzero(idx == np.arange(g))
 
     lo, hi = desk_cfg.angle_range
@@ -532,29 +532,53 @@ def test_noiseless_consistency_at_a_focus(desk_cfg, desk_plan):
         assert abs(est.alpha - user.alpha) < 1e-6, est.scheme
 
 
+def _check_records(engine, scheme, obs, singles):
+    """The scheme table row's batch record over the stacked observations
+    equals, trial by trial, the single-trial estimates: theta, alpha, pick
+    (as the selected pair or index), clamped, fallback and pilots used."""
+    row = engine.table[scheme]
+    batch = row.estimate(np.stack(obs), row.pilots)
+    assert set(batch._fields) == {"theta", "alpha", "pick", "clamped", "fallback"}
+    assert all(len(field) == len(singles) for field in batch), scheme
+    for i, est in enumerate(singles):
+        pick = batch.pick[i]
+        assert est.scheme == scheme
+        assert est.selected == (tuple(pick + 1) if pick.ndim else pick), (scheme, i)
+        assert (est.theta, est.alpha, est.clamped, est.fallback, est.pilots_used) == (
+            batch.theta[i], batch.alpha[i], batch.clamped[i], batch.fallback[i],
+            row.pilots), (scheme, i)
+
+
 def test_single_trial_api_matches_the_sweep_engine(desk_cfg):
     # Same magnitudes (or, for exhaustive, the same noise draws) into the
     # single-trial estimators and into the sweep engine's scheme table give
-    # the same estimate, trial by trial.
+    # the same record, trial by trial.
     spec = desk_experiment_spec(bank_angles=24, bank_rings=3)
     engine = _Engine(spec)
     plan, snr = engine.plan, 10.0
+    bank = build_match_filter_bank(plan, spec.bank_angles, spec.bank_rings)  # the engine's
+    codebook = engine.table["exhaustive"].probes
     rng = np.random.default_rng(4)
     locs = [PolarLocation.from_angle_distance(t, r)
             for t, r in zip(rng.uniform(-0.85, 0.85, 12), rng.uniform(2.0, 10.0, 12))]
     channels = [los_channel(desk_cfg, loc) for loc in locs]
 
-    def check(scheme, singles, obs):
-        row = engine.table[scheme]
-        th, al = row.estimate(np.stack(obs), row.pilots)
-        assert [(e.theta, e.alpha) for e in singles] == list(zip(th, al)), scheme
+    def check_plan_schemes(plan_obs):
+        mags = [o.magnitudes for o in plan_obs]
+        _check_records(engine, "ongrid", mags, [ongrid_train(o, plan) for o in plan_obs])
+        _check_records(engine, "aux_pair", mags, [aux_pair_train(o, plan) for o in plan_obs])
+        _check_records(engine, "match_filter", mags,
+                       [match_filter_train(o, bank) for o in plan_obs])
 
-    plan_obs = [observe_plan(ch, plan, snr, i) for i, ch in enumerate(channels)]
-    plan_mags = [o.magnitudes for o in plan_obs]
-    check("ongrid", [ongrid_train(o, plan) for o in plan_obs], plan_mags)
-    check("aux_pair", [aux_pair_train(o, plan) for o in plan_obs], plan_mags)
-    check("match_filter", [match_filter_train(o, engine.bank) for o in plan_obs],
-          plan_mags)
+    check_plan_schemes([observe_plan(ch, plan, snr, i) for i, ch in enumerate(channels)])
+    # the 200 users of test_aux_batch_gives_each_trial_its_one_trial_answer
+    # at -10 dB, whose aux-pair trials mix fallback and clamped ones
+    users = _draw_users(spec.cfg, _rng(spec.master_seed, _STREAM_USERS), spec.n_trials)
+    sigma = np.sqrt(noise_power(spec.cfg, users["beta_c"], 0.1))[:, None, None]
+    low = engine._draw(users, ())["plan"](sigma)
+    flags = aux_pair_estimate(low, plan)
+    assert flags.fallback.any() and flags.clamped.any() and not flags.fallback.all()
+    check_plan_schemes([ObservationGrid(magnitudes=m, snr=0.1) for m in low])
 
     rings = np.linspace(desk_cfg.alpha_min, desk_cfg.alpha_max, spec.bank_rings)
     for scheme, probes, train in (
@@ -565,7 +589,7 @@ def test_single_trial_api_matches_the_sweep_engine(desk_cfg):
     ):
         mags = [observe_params(desk_cfg, ch, probes, snr, i).magnitudes
                 for i, ch in enumerate(channels)]
-        check(scheme, [train(ch, i) for i, ch in enumerate(channels)], mags)
+        _check_records(engine, scheme, mags, [train(ch, i) for i, ch in enumerate(channels)])
 
     # one user per moment draw: the engine and the single-trial path both sum
     # the noiseless powers over the same subcarrier chunks, then draw the
@@ -576,9 +600,8 @@ def test_single_trial_api_matches_the_sweep_engine(desk_cfg):
                  "beta_c": np.array([ch.beta_c])}
         rows = lambda chunk: los_rows(desk_cfg, users["theta"], users["r"], users["beta_c"],
                                       desk_cfg.subcarrier_freqs()[chunk, None])
-        _, (a, b, c) = _synthesize(desk_cfg, [], engine.codebook, 1, rows,
-                                   np.random.default_rng(i))
+        _, (a, b, c) = _synthesize(desk_cfg, [], codebook, 1, rows, np.random.default_rng(i))
         s1 = np.sqrt(noise_power(desk_cfg, users["beta_c"], snr))[:, None]
         powers.append((a + 2 * s1 * b + s1 * s1 * c)[0])
-        singles.append(exhaustive_polar_train(ch, engine.codebook, snr, i))
-    check("exhaustive", singles, powers)
+        singles.append(exhaustive_polar_train(ch, codebook, snr, i))
+    _check_records(engine, "exhaustive", powers, singles)
