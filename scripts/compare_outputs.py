@@ -11,6 +11,9 @@ changes).  In each tree a child process, with that tree's `src/` and
   (desk_snr_sweep, fullscale_grid, fullscale_distance) build at seeds 0-3
 - `to_csv()` of the default desk spec, and of the desk overhead axis
   (budgets 1, 2, 4, 8) and distance axis (3, 6, 9 m) at 60 trials
+- `to_csv()` of the full-scale match filter on the overhead axis (budgets 1,
+  2, 3) at 20 trials: the one full-scale path where a pilot budget below K
+  reads the bank
 - the stdout of every `beamtrain train` call of the cli_train workload at
   seeds 0-9, one item per seed
 
@@ -91,6 +94,10 @@ def dump(out: str) -> None:
             sweep_axis="overhead", axis_values=(1.0, 2.0, 4.0, 8.0), n_trials=60)).to_csv()
         items["desk distance 3, 6, 9 m at 60 trials"] = harness.run_sweep(desk(
             sweep_axis="distance_m", axis_values=(3.0, 6.0, 9.0), n_trials=60)).to_csv()
+        items["fullscale match_filter overhead 1, 2, 3 at 20 trials"] = harness.run_sweep(
+            harness.fullscale_experiment_spec(
+                schemes=("match_filter",), sweep_axis="overhead",
+                axis_values=(1.0, 2.0, 3.0), n_trials=20)).to_csv()
         for seed in CLI_SEEDS:
             work = workloads.CliWorkload("cli_train", seed, False, tmp)
             text = io.StringIO()

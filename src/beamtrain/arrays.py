@@ -103,21 +103,24 @@ def los_channel(cfg: SystemConfig, loc: PolarLocation) -> Channel:
 
 
 class PolarCodebook:
-    """Uniform polar-domain grid of (theta, alpha) locations.
+    """Polar-domain grid of (theta, alpha) locations: a uniform angle axis
+    times a ring axis.
 
-    Angles sample the served angle range and every angle carries the same
-    alpha rings inside [alpha_min, alpha_max]; locations run angle-major,
-    then ring.  The codeword of a location on subcarrier m is its
-    approximate steering vector, approx_steering; training.codeword_powers
-    sums each ring over the uniform angle axis without forming codewords.
+    Every angle carries the same alpha rings; locations run angle-major, then
+    ring.  The codeword of a location on subcarrier m is its approximate
+    steering vector, approx_steering.  training.grid_contraction sums each
+    ring over the angle axis with a chirp-z transform, without forming
+    codewords, so the angles must be uniform.  The exhaustive codebook and the
+    match-filter bank both stand on this grid.
     """
 
-    def __init__(self, cfg: SystemConfig, angle_samples: int, distance_samples: int):
-        if angle_samples < 1 or distance_samples < 1:
-            raise ValueError("angle_samples and distance_samples must be >= 1")
+    def __init__(self, cfg: SystemConfig, thetas, rings):
         self.cfg = cfg
-        self.thetas = _uniform_samples(*cfg.angle_range, angle_samples)
-        self.rings = _uniform_samples(cfg.alpha_min, cfg.alpha_max, distance_samples)
+        self.thetas = np.asarray(thetas, dtype=float)
+        self.rings = np.asarray(rings, dtype=float)
+        if len(self.thetas) == 0 or len(self.rings) == 0:
+            raise ValueError("a polar grid needs at least one angle and one ring")
+        self.step = _uniform_step(self.thetas)
         self.locations = [PolarLocation(float(t), float(a))
                           for t in self.thetas for a in self.rings]
 
@@ -127,7 +130,23 @@ class PolarCodebook:
 
 def _uniform_samples(lo: float, hi: float, n: int) -> np.ndarray:
     """n uniform samples of [lo, hi]; a single sample sits at the center.
-    Codebook, match-filter bank and rainbow rings all use these axes."""
+    Grid axes and rainbow rings all use these."""
     if n == 1:
         return np.array([0.5 * (lo + hi)])
     return np.linspace(lo, hi, n)
+
+
+def _uniform_step(thetas: np.ndarray) -> float:
+    """Step of a uniform angle axis (0 for a single angle)."""
+    if len(thetas) < 2:
+        return 0.0
+    step = (thetas[-1] - thetas[0]) / (len(thetas) - 1)
+    # An angle off the uniform grid by delta moves the kernel by up to
+    # k u_max delta, about 400 delta at full scale: 1e-13 keeps that inside
+    # the 1e-10 of the oracle tests and still passes linspace rounding.
+    if np.max(np.abs(np.diff(thetas) - step)) > 1e-13:
+        raise ValueError(
+            "the angle axis must be uniform: the grid searches sum over it "
+            "with a chirp-z transform"
+        )
+    return step

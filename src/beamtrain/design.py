@@ -5,7 +5,7 @@ phase-shifter parameters so that every pilot's beams sweep the angle range
 exactly, land on interleaved distance annuli, and the pilot set jointly
 covers the region at the 3 dB level.  The angle parameters come first (they
 set the sweep rate), then the distance slope, then the pilot count needed to
-close the inter-annulus gaps.
+close the inter-annulus gaps and to cover the angle range.
 """
 from __future__ import annotations
 
@@ -160,10 +160,23 @@ def design_distance_params(inputs: DesignInputs) -> tuple[float, int, float, tup
     return alpha_p, q, alpha_t, (lo, hi)
 
 
-def pilot_count(inputs: DesignInputs, theta_p: float, p1: int, alpha_p: float, q: int) -> int:
-    """Pilots needed so interleaved annuli close the 3 dB distance gaps:
-    K = ceil(slope N_t^2 c f_H / (4 (theta_p + 2 p1) b^2 f_c^2)), floored at
-    any override."""
+def angle_coverage(cfg: SystemConfig, theta_p: float, p_m: int) -> tuple[float, int]:
+    """Angle span S = (theta_p + 2 p_M)(f_c / f_1 - f_c / f_M) that one
+    pilot's beams sweep across the band, and the ceil(2 / S) pilots whose
+    sweeps, staggered by 2 / K, cover [-1, 1]."""
+    f_c = cfg.carrier_freq
+    span = (theta_p + 2 * p_m) * (
+        f_c / cfg.subcarrier_freq(1) - f_c / cfg.subcarrier_freq(cfg.n_subcarriers))
+    return span, math.ceil(2.0 / span - 1e-9)
+
+
+def pilot_count(inputs: DesignInputs, theta_p: float, p1: int, p_m: int, alpha_p: float,
+                q: int) -> int:
+    """Pilots needed to cover the served region, floored at any override: the
+    larger of the distance term, which lets interleaved annuli close the 3 dB
+    distance gaps,
+    K = ceil(slope N_t^2 c f_H / (4 (theta_p + 2 p1) b^2 f_c^2)),
+    and the angle term of angle_coverage."""
     cfg = inputs.cfg
     if theta_p + 2 * p1 <= 0:
         raise ValueError("angle sweep slope must be positive")
@@ -173,7 +186,7 @@ def pilot_count(inputs: DesignInputs, theta_p: float, p1: int, alpha_p: float, q
         / (4 * (theta_p + 2 * p1) * FRESNEL_3DB**2 * cfg.carrier_freq**2)
     )
     k = math.ceil(val - 1e-9)
-    return max(inputs.k_override or 1, k)
+    return max(inputs.k_override or 1, k, angle_coverage(cfg, theta_p, p_m)[1])
 
 
 def intercepts_for_pilots(cfg: SystemConfig, theta_p: float, p_m: int, n_pilots: int) -> list[float]:
@@ -258,6 +271,7 @@ class PilotPlan:
     def summary(self) -> str:
         cfg = self.cfg
         amin, amax = self.inputs.alpha_bounds
+        span, n_angle = angle_coverage(cfg, self.theta_p, self.pM)
         lines = [
             f"pilot plan: {self.K} pilot(s), {cfg.n_subcarriers} subcarriers, "
             f"{cfg.n_antennas} antennas",
@@ -265,6 +279,7 @@ class PilotPlan:
             f"(carrier {cfg.carrier_freq / 1e9:.3f} GHz)",
             f"  angle sweep: theta_p = {self.theta_p:.6f}, p1 = {self.p1}, "
             f"pM = {self.pM}",
+            f"  angle coverage: span {span:.6f} per pilot, {n_angle} pilot(s) cover [-1, 1]",
             f"  distance sweep: alpha_p = {self.alpha_p:.6f}, q = {self.q}, "
             f"alpha_t = {self.alpha_t:.6f} (slope {self.alpha_slope:.6f} >= "
             f"{self.alpha_slope_min:.6f})",
@@ -283,7 +298,7 @@ def design(inputs: DesignInputs) -> PilotPlan:
     theta_t1 = first_intercept(cfg, theta_p, p_m)
     p1 = starting_period_integer(cfg, theta_t1, theta_p)
     alpha_p, q, alpha_t, interval = design_distance_params(inputs)
-    K = pilot_count(inputs, theta_p, p1, alpha_p, q)
+    K = pilot_count(inputs, theta_p, p1, p_m, alpha_p, q)
     endings = tuple(1.0 - 2.0 * (k - 1) / K for k in range(1, K + 1))
     theta_ts = tuple(intercepts_for_pilots(cfg, theta_p, p_m, K))
     amin, amax = inputs.alpha_bounds

@@ -10,6 +10,10 @@ observations, and estimates the user's polar location.  Estimators:
 - near-field rainbow: one frequency sweep per distance ring
 - far-field rainbow: a single frequency sweep, distance ignored
 
+The two grid searches stand on one grid type, arrays.PolarCodebook, and one
+chirp-z contraction over it, grid_contraction: the codebook squares it over
+channel rows, the match-filter bank runs it over conjugated pilot beams.
+
 scheme_table holds one row per scheme (probe family, probes or codebook,
 estimator, pilot count); the sweep engine runs its rows over T drawn users
 and `train`, the single-trial runner, runs one row at T = 1.
@@ -384,20 +388,20 @@ def aux_pair_train(obs: ObservationGrid, plan: PilotPlan) -> TrainingEstimate:
 
 @dataclass(frozen=True)
 class MatchFilterBank:
-    """Noiseless signature per grid point, flattened over (m, k).
+    """Noiseless signatures of the plan's pilots over a polar grid.
 
-    signatures[g] is the plan's noiseless array-gain vector at grid point g,
-    laid out subcarrier-major then pilot.  Grid points are ordered angle-major
-    then distance, so argmax ties resolve to smaller angle index, then smaller
-    ring index.
+    signatures[k, m, g] is pilot k's array gain on subcarrier m at grid point
+    g: pilot-major, so the first `budget` pilots are a view.  Grid points run
+    angle-major then ring, so argmax ties resolve to the smaller angle index,
+    then the smaller ring index.
     """
 
     signatures: np.ndarray
-    locations: tuple
+    locations: list
     plan: PilotPlan
 
     def __post_init__(self):
-        if self.signatures.shape[0] != len(self.locations):
+        if self.signatures.shape[-1] != len(self.locations):
             raise ValueError("one signature per grid point required")
 
     def __len__(self) -> int:
@@ -410,24 +414,9 @@ def _subcarrier_chunks(n_subcarriers: int, entries_per_subcarrier: int) -> list:
     return [slice(i, i + step) for i in range(0, n_subcarriers, step)]
 
 
-def _uniform_step(thetas: np.ndarray) -> float:
-    """Step of a uniform angle axis (0 for a single angle)."""
-    if len(thetas) < 2:
-        return 0.0
-    step = (thetas[-1] - thetas[0]) / (len(thetas) - 1)
-    # An angle off the uniform grid by delta moves the kernel by up to
-    # k u_max delta, about 400 delta at full scale: 1e-13 keeps that inside
-    # the 1e-10 of the oracle tests and still passes linspace rounding.
-    if np.max(np.abs(np.diff(thetas) - step)) > 1e-13:
-        raise ValueError(
-            "theta_grid must be uniform: the bank sums over angles with a chirp-z transform"
-        )
-    return step
-
-
 def _fft_length(n: int, n_out: int) -> int:
     """Smallest p 2^b >= n + n_out - 1 over the odd factors p = 1, 5, 25,
-    which pocketfft runs fast: _chirp_z's FFT length for bank and codebook."""
+    which pocketfft runs fast: _chirp_z's FFT length."""
     size = n + n_out - 1
     return min(p << (-(-size // p) - 1).bit_length() for p in (1, 5, 25))
 
@@ -437,7 +426,7 @@ def _chirp_z(pre: np.ndarray, w, n_out: int, n_fft: int) -> np.ndarray:
     pre-chirped pre_n = q_n e^{j w n^2 / 2}; w broadcasts against pre[..., :1].
     Bluestein's n a = (n^2 + a^2 - (a - n)^2) / 2 makes the sum a convolution
     with the chirp e^{-j w m^2 / 2}, by FFT at n_fft >= N + n_out - 1, and
-    e^{j w a^2 / 2} drops out of the magnitude.  Bank and codebook use it."""
+    e^{j w a^2 / 2} drops out of the magnitude."""
     lags = np.arange(n_fft)
     lags = np.where(lags < n_out, lags, lags - n_fft)  # 0..A-1, then -(N-1)..-1
     spectrum = np.fft.fft(pre, n_fft)
@@ -445,91 +434,68 @@ def _chirp_z(pre: np.ndarray, w, n_out: int, n_fft: int) -> np.ndarray:
     return np.abs(np.fft.ifft(spectrum)[..., :n_out])
 
 
-def _bank_slices(cfg: SystemConfig, params_list, thetas, alphas, f) -> np.ndarray:
-    """gain_kernel of each pilot's beams over the polar grid (thetas uniform)
-    at the frequencies f (C,), shape (C, K, R, A).
-
-    At (theta_a, alpha_r) the kernel's arguments are the mismatches
-    x_a = k theta_a - k theta_t - k_c theta_p and y_r, likewise in alpha.
-    With u_n = (n - c) d, the phase u_n x_a is a per-element part plus
-    w n a, w = k d (theta_1 - theta_0), up to a phase common to all n: one
-    _chirp_z per ring, N_t exponentials instead of A N_t.
-    """
+def grid_contraction(grid: PolarCodebook, h: np.ndarray, f) -> np.ndarray:
+    """sqrt(N_t) |sum_n h_n conj(b_n)| for every codeword b of the polar grid:
+    rows h (C, T, N_t) at frequencies f (C,) give (C, T, G), columns in grid
+    order.  With u_n = (n - c) d, sqrt(N_t) conj(b_n) at (theta_0 + a dtheta,
+    alpha_r) has the phase k (u_n^2 alpha_r - u_n theta_0) + w n a,
+    w = -k d dtheta, up to a phase common to all n: one _chirp_z per (row,
+    ring), and no codeword vector is formed.  codeword_powers and
+    build_match_filter_bank both sum here."""
+    cfg = grid.cfg
     n_t = cfg.n_antennas
     n = np.arange(n_t)
     u = cfg.element_indices() * cfg.spacing
-    k = cfg.wavenumber(np.asarray(f, dtype=float))[:, None, None, None]
-    kc = cfg.wavenumber(cfg.carrier_freq)
-    theta_t, theta_p, alpha_t, alpha_p = (
-        np.array([getattr(p, name) for p in params_list])[:, None, None]
-        for name in ("theta_t", "theta_p", "alpha_t", "alpha_p")
-    )
-    w = k * cfg.spacing * _uniform_step(thetas)
-    x0 = k * (thetas[0] - theta_t) - kc * theta_p
-    y = k * (np.asarray(alphas)[:, None] - alpha_t) - kc * alpha_p
-    pre = np.exp(1j * (u * x0 - u * u * y + 0.5 * w * n * n))
-    return _chirp_z(pre, w, len(thetas), _fft_length(n_t, len(thetas))) / n_t
+    k = cfg.wavenumber(np.asarray(f, dtype=float))[:, None, None]
+    w = -k * cfg.spacing * grid.step
+    phase = k * (u * u * grid.rings[:, None] - u * grid.thetas[0])
+    # C order keeps each FFT row contiguous whatever the layout of h
+    pre = np.multiply(h[:, :, None, :], np.exp(1j * (phase + 0.5 * w * n * n))[:, None],
+                      order="C")
+    n_fft, (c, t, r) = _fft_length(n_t, len(grid.thetas)), pre.shape[:3]
+    mag = np.empty((c, t, len(grid.thetas), r))  # angle-major, as the codewords
+    step = max(1, _CHUNK_ENTRIES // (c * r * n_fft))  # blocks of rows: small FFT buffers
+    for i in range(0, t, step):
+        block = _chirp_z(pre[:, i:i + step], w[:, None], mag.shape[2], n_fft)
+        mag[:, i:i + step] = np.swapaxes(block, 2, 3)
+    return mag.reshape(c, t, -1)
 
 
-def build_match_filter_bank(
-    plan: PilotPlan,
-    angle_samples: int,
-    distance_samples: int,
-    theta_grid=None,
-    alpha_grid=None,
-) -> MatchFilterBank:
-    """Signature bank on a uniform polar grid over the served region.
+def _power_entries(grid: PolarCodebook, n_rows: int) -> int:
+    """Entries of grid_contraction's largest temporary per subcarrier."""
+    return n_rows * len(grid.rings) * _fft_length(grid.cfg.n_antennas, len(grid.thetas))
 
-    Custom theta/alpha grids may be supplied (e.g. to place a known focus on
-    the grid); defaults are uniform over the config's angle range and the
-    design's alpha bounds.  The theta grid must be uniform: the bank sums
-    over it with a chirp-z transform (see _bank_slices).
-    """
+
+def build_match_filter_bank(plan: PilotPlan, grid: PolarCodebook) -> MatchFilterBank:
+    """Signature bank of the plan's pilots over a polar grid: the array gain
+    |a(theta, alpha)^T w_{m,k}| = |sum_n conj(w_n) conj(a_n)| of every pilot
+    beam at every grid point, grid_contraction of the conjugated
+    pilot_beamformers rows scaled by 1 / sqrt(N_t)."""
     cfg = plan.cfg
-    amin, amax = plan.inputs.alpha_bounds
-    thetas = (
-        _uniform_samples(cfg.angle_range[0], cfg.angle_range[1], angle_samples)
-        if theta_grid is None
-        else np.asarray(theta_grid, dtype=float)
-    )
-    alphas = (
-        _uniform_samples(amin, amax, distance_samples)
-        if alpha_grid is None
-        else np.asarray(alpha_grid, dtype=float)
-    )
-    if len(thetas) == 0 or len(alphas) == 0:
-        raise ValueError("the bank needs at least one angle and one ring")
-    _uniform_step(thetas)  # a nonuniform theta grid fails here, before any work
-    th = np.repeat(thetas, len(alphas))
-    al = np.tile(alphas, len(thetas))
-    locs = tuple(PolarLocation(float(t), float(a)) for t, a in zip(th, al))
-
     freqs = cfg.subcarrier_freqs()
-    params_list = [plan.params(k) for k in range(1, plan.K + 1)]
-    n_fft = _fft_length(cfg.n_antennas, len(thetas))
-    sig = np.empty((len(thetas), len(alphas), cfg.n_subcarriers, plan.K))
-    for chunk in _subcarrier_chunks(cfg.n_subcarriers, plan.K * len(alphas) * n_fft):
-        slices = _bank_slices(cfg, params_list, thetas, alphas, freqs[chunk])
-        sig[:, :, chunk, :] = slices.transpose(3, 2, 0, 1)
-    return MatchFilterBank(
-        signatures=sig.reshape(len(locs), -1), locations=locs, plan=plan
-    )
+    params = [plan.params(k) for k in range(1, plan.K + 1)]
+    sig = np.empty((plan.K, cfg.n_subcarriers, len(grid)))
+    for chunk in _subcarrier_chunks(cfg.n_subcarriers, _power_entries(grid, plan.K)):
+        beams = pilot_beamformers(cfg, params, freqs[chunk])  # (C, N_t, K)
+        h = np.swapaxes(beams, 1, 2).conj() / math.sqrt(cfg.n_antennas)
+        sig[:, chunk] = np.swapaxes(grid_contraction(grid, h, freqs[chunk]), 0, 1)
+    return MatchFilterBank(signatures=sig, locations=grid.locations, plan=plan)
 
 
 def match_filter_estimate(mags: np.ndarray, bank: MatchFilterBank, budget=None
                           ) -> BatchEstimate:
     """Grid point whose signature best correlates with each trial's
     observation over the first `budget` pilots, both unit-normalized (cosine
-    similarity); first index wins ties.  The correlations are divided by the
-    signature norms, so no normalized copy of the bank is made.  The pick is
-    the grid index."""
-    g = len(bank)
-    sig = bank.signatures.reshape(g, -1, bank.plan.K)[:, :, :budget].reshape(g, -1)
-    sig_norms = np.sqrt(np.einsum("gi,gi->g", sig, sig))
-    flat = mags[..., :budget].reshape(len(mags), -1)
+    similarity); first index wins ties.  The budget's signatures are a view
+    of the bank and the correlations are divided by their norms, so the bank
+    is not copied.  The pick is the grid index."""
+    sig = bank.signatures[:budget]
+    sig = sig.reshape(-1, sig.shape[-1])  # (budget M, G), a view
+    sig_norms = np.sqrt(np.einsum("ig,ig->g", sig, sig))
+    flat = np.swapaxes(mags[..., :budget], 1, 2).reshape(len(mags), -1)
     norms = np.linalg.norm(flat, axis=1, keepdims=True)
     flat = flat / np.where(norms == 0, 1.0, norms)
-    idx = np.argmax(flat @ sig.T / np.where(sig_norms == 0, 1.0, sig_norms), axis=1)
+    idx = np.argmax(flat @ sig / np.where(sig_norms == 0, 1.0, sig_norms), axis=1)
     return _grid_pick(bank.locations, idx)
 
 
@@ -552,35 +518,13 @@ def exhaustive_estimate(powers: np.ndarray, codebook, budget=None) -> BatchEstim
     return _grid_pick(codebook.locations, idx)
 
 
-def codeword_powers(codebook, h: np.ndarray, f) -> np.ndarray:
+def codeword_powers(codebook: PolarCodebook, h: np.ndarray, f) -> np.ndarray:
     """Noiseless power |sqrt(P_t) sum_n h_n conj(b_n)|^2 of every codeword b:
     channel rows h (C, T, N_t) at frequencies f (C,) give (C, T, G), columns
-    in codeword order.  With u_n = (n - c) d, conj(b_n) at (theta_0 + a dtheta,
-    alpha_r) has the phase k (u_n^2 alpha_r - u_n theta_0) + w n a,
-    w = -k d dtheta, up to a phase common to all n: one _chirp_z per (trial,
-    ring), and no codeword vector is formed."""
-    cfg = codebook.cfg
-    n_t = cfg.n_antennas
-    n = np.arange(n_t)
-    u = cfg.element_indices() * cfg.spacing
-    k = cfg.wavenumber(np.asarray(f, dtype=float))[:, None, None]
-    w = -k * cfg.spacing * _uniform_step(codebook.thetas)
-    phase = k * (u * u * codebook.rings[:, None] - u * codebook.thetas[0])
-    pre = h[:, :, None, :] * np.exp(1j * (phase + 0.5 * w * n * n))[:, None]
-    n_fft, (c, t, r) = _fft_length(n_t, len(codebook.thetas)), pre.shape[:3]
-    mag = np.empty((c, t, len(codebook.thetas), r))  # angle-major, as the codewords
-    step = max(1, _CHUNK_ENTRIES // (c * r * n_fft))  # blocks of trials: small FFT buffers
-    for i in range(0, t, step):
-        block = _chirp_z(pre[:, i:i + step], w[:, None], mag.shape[2], n_fft)
-        mag[:, i:i + step] = np.swapaxes(block, 2, 3)
+    in codeword order; grid_contraction squared."""
+    mag = grid_contraction(codebook, h, f)
     mag *= mag
-    return mag.reshape(c, t, -1) * (TX_POWER / n_t)
-
-
-def _power_entries(codebook, n_trials: int) -> int:
-    """Entries of codeword_powers' largest temporary per subcarrier."""
-    n_fft = _fft_length(codebook.cfg.n_antennas, len(codebook.thetas))
-    return n_trials * len(codebook.rings) * n_fft
+    return mag * (TX_POWER / codebook.cfg.n_antennas)
 
 
 def exhaustive_moments(a: np.ndarray, n_subcarriers: int, rng):
@@ -685,19 +629,23 @@ def _rainbow_row(family: str, cfg: SystemConfig, rings, needed: bool = True) -> 
 def scheme_table(plan: PilotPlan, schemes, bank_angles: int, bank_rings: int) -> dict:
     """Scheme name -> Scheme row, for every scheme of ALL_SCHEMES.
 
-    bank_angles x bank_rings sizes the match-filter bank and the exhaustive
-    codebook; bank_rings is also the near-field rainbow's ring count.  The
-    bank, the codebook and the rainbow probes are built only when `schemes`
+    bank_angles x bank_rings sizes the polar grids of the match-filter bank
+    and the exhaustive codebook; bank_rings is also the near-field rainbow's
+    ring count.  Both grids share one angle axis over the served range.  The
+    bank's rings span the design's alpha band, plan.inputs.alpha_bounds; the
+    codebook's and the rainbow's span the config's [alpha_min, alpha_max].
+    The grids, the bank and the rainbow probes are built only when `schemes`
     asks for their scheme, but every row holds its full pilot count.  The
     rows hold no reference to a caller, so a finished sweep frees its bank
     without waiting for the cycle collector.
     """
     cfg = plan.cfg
+    thetas = _uniform_samples(*cfg.angle_range, bank_angles)
     rings = _uniform_samples(cfg.alpha_min, cfg.alpha_max, bank_rings)
-    bank = (build_match_filter_bank(plan, bank_angles, bank_rings)
+    bank = (build_match_filter_bank(plan, PolarCodebook(
+                cfg, thetas, _uniform_samples(*plan.inputs.alpha_bounds, bank_rings)))
             if SCHEME_MATCH in schemes else None)
-    codebook = (PolarCodebook(cfg, bank_angles, bank_rings)
-                if SCHEME_EXHAUSTIVE in schemes else None)
+    codebook = PolarCodebook(cfg, thetas, rings) if SCHEME_EXHAUSTIVE in schemes else None
     probes = [plan.params(k) for k in range(1, plan.K + 1)]
     return {
         SCHEME_PERFECT: Scheme(None, None, None, 0),

@@ -4,8 +4,8 @@ channel with quadratic steering."""
 import numpy as np
 import pytest
 
-from beamtrain import Channel, DesignInputs, SystemConfig, design
-from beamtrain.arrays import path_loss
+from beamtrain import Channel, DesignInputs, PolarCodebook, SystemConfig, design
+from beamtrain.arrays import _uniform_samples, path_loss
 from beamtrain.harness import (
     desk_config,
     desk_experiment_spec,
@@ -88,3 +88,12 @@ def quadratic_channel(cfg, loc) -> Channel:
     profile = nd * loc.theta - nd * nd * loc.alpha
     h = betas[:, None] * np.exp(-1j * k * r) * np.exp(1j * k * profile[None, :])
     return Channel(per_subcarrier=h, path_gains=betas, beta_c=beta_c, location=loc)
+
+
+def polar_grid(cfg, angles: int, rings: int, band=None) -> PolarCodebook:
+    """Uniform polar grid as the scheme table builds it: `angles` angles over
+    the served range times `rings` rings over band, by default the config's
+    [alpha_min, alpha_max]."""
+    band = (cfg.alpha_min, cfg.alpha_max) if band is None else band
+    return PolarCodebook(cfg, _uniform_samples(*cfg.angle_range, angles),
+                         _uniform_samples(*band, rings))

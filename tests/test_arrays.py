@@ -14,7 +14,7 @@ from beamtrain import (
 from beamtrain.arrays import element_distances, los_rows, path_loss
 from beamtrain.training import codeword_powers
 
-from conftest import quadratic_channel
+from conftest import polar_grid, quadratic_channel
 
 
 @pytest.fixture()
@@ -96,7 +96,7 @@ def test_los_channel_quadratic_matches_its_steering_model(cfg):
 
 
 def test_codebook_grid_layout(cfg):
-    book = PolarCodebook(cfg, 5, 3)
+    book = polar_grid(cfg, 5, 3)
     assert len(book) == 15
     thetas = sorted({loc.theta for loc in book.locations})
     assert thetas == pytest.approx(list(np.linspace(*cfg.angle_range, 5)))
@@ -106,8 +106,15 @@ def test_codebook_grid_layout(cfg):
     assert alphas == pytest.approx(list(np.linspace(cfg.alpha_min, cfg.alpha_max, 3)))
 
 
+def test_codebook_rejects_an_empty_axis(cfg):
+    with pytest.raises(ValueError, match="one angle and one ring"):
+        PolarCodebook(cfg, [], [0.1])
+    with pytest.raises(ValueError, match="one angle and one ring"):
+        PolarCodebook(cfg, [0.0], [])
+
+
 def test_codebook_single_samples_centered(cfg):
-    book = PolarCodebook(cfg, 1, 1)
+    book = polar_grid(cfg, 1, 1)
     assert len(book) == 1
     loc = book.locations[0]
     assert loc.theta == pytest.approx(0.5 * sum(cfg.angle_range))
@@ -119,7 +126,7 @@ def test_codebook_factors_are_approximate_steering(cfg, shape):
     # the codebook's angle x ring factoring, summed by the chirp-z kernel, gives
     # |h^T conj(b)|^2 of the codeword b at (thetas[a], rings[r]), in the
     # codebook's angle-major order
-    book = PolarCodebook(cfg, *shape)
+    book = polar_grid(cfg, *shape)
     freqs = cfg.subcarrier_freqs()[[0, 5]]
     rng = np.random.default_rng(1)
     rows = (2, 3, cfg.n_antennas)
@@ -136,7 +143,7 @@ def test_codebook_factors_are_approximate_steering(cfg, shape):
 def test_codeword_is_approximate_steering(cfg):
     # the batched form over (theta, alpha) arrays gives each location's
     # steering vector, bit for bit
-    book = PolarCodebook(cfg, 4, 2)
+    book = polar_grid(cfg, 4, 2)
     f = cfg.subcarrier_freq(7)
     thetas = np.array([loc.theta for loc in book.locations])
     alphas = np.array([loc.alpha for loc in book.locations])

@@ -19,12 +19,14 @@ from beamtrain import (
     td_vector,
 )
 from beamtrain.design import (
+    angle_coverage,
     design_distance_params,
     distance_slope_bound,
     pilot_count,
     round_half_away,
     starting_period_integer,
 )
+from beamtrain.harness import desk_experiment_spec
 
 
 def test_round_half_away():
@@ -137,7 +139,26 @@ def test_pilot_count_override_is_a_floor(config_a):
 
 def test_pilot_count_rejects_nonpositive_sweep_slope(config_a):
     with pytest.raises(ValueError):
-        pilot_count(DesignInputs(cfg=config_a), theta_p=0.0, p1=0, alpha_p=0.5, q=0)
+        pilot_count(DesignInputs(cfg=config_a), theta_p=0.0, p1=0, p_m=0, alpha_p=0.5, q=0)
+
+
+def test_pilot_count_covers_the_angle_range():
+    # the desk geometry at 128 subcarriers sweeps a span S = 1.61 per pilot:
+    # the distance term alone gives one pilot, which leaves theta in
+    # (0.43, 0.87) unlit, so the angle term ceil(2 / S) = 2 sets K
+    inputs = desk_experiment_spec().design_inputs()
+    cfg = dataclasses.replace(inputs.cfg, n_subcarriers=128)
+    plan = design(dataclasses.replace(inputs, cfg=cfg))
+    span, n_angle = angle_coverage(cfg, plan.theta_p, plan.pM)
+    assert span == pytest.approx(1.6117, abs=1e-4) and n_angle == 2
+    assert plan.K >= 2 and plan.K * span >= 2
+    assert "2 pilot(s) cover [-1, 1]" in plan.summary()
+
+
+def test_reference_plans_need_one_pilot_for_angle(config_a, desk_plan, main_plan):
+    # the angle term leaves the reference designs' pilot counts as they were
+    for plan in (design(DesignInputs(cfg=config_a)), desk_plan, main_plan):
+        assert angle_coverage(plan.cfg, plan.theta_p, plan.pM)[1] == 1
 
 
 def test_design_is_deterministic(config_a):

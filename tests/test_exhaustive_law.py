@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from beamtrain import PolarCodebook, SystemConfig
+from beamtrain import SystemConfig
 from beamtrain.arrays import approx_steering
 from beamtrain.harness import desk_config, fullscale_config
 from beamtrain.training import codeword_powers, exhaustive_moments
+
+from conftest import polar_grid
 
 DRAWS = 200_000
 
@@ -66,7 +68,7 @@ def _contraction(cfg, book, h, f):
     (fullscale_config(), 1024, 10),
 ], ids=["desk", "one-angle", "one-ring", "63-antennas", "fullscale"])
 def test_chirp_z_powers_match_the_steering_contraction(cfg, angles, rings):
-    book = PolarCodebook(cfg, angles, rings)
+    book = polar_grid(cfg, angles, rings)
     freqs = cfg.subcarrier_freqs()[[0, cfg.n_subcarriers // 2, -1]]
     rng = np.random.default_rng(angles)
     rows = (len(freqs), 4, cfg.n_antennas)

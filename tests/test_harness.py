@@ -25,7 +25,7 @@ from beamtrain import (
     run_sweep,
 )
 from beamtrain import harness
-from beamtrain.arrays import PolarCodebook, los_rows
+from beamtrain.arrays import los_rows
 from beamtrain.beamsplit import gain_kernel
 from beamtrain.harness import (
     _STREAM_USERS,
@@ -47,7 +47,7 @@ from beamtrain.training import (
     rainbow_probes,
 )
 
-from conftest import sweep_rate
+from conftest import polar_grid, sweep_rate
 
 
 def _tiny_spec(**overrides):
@@ -435,7 +435,7 @@ def _synthesis_inputs(n_trials):
         rainbow_probes(cfg, rings),
         rainbow_probes(cfg, FAR_RINGS),
     ]
-    codebook = PolarCodebook(cfg, spec.bank_angles, spec.bank_rings)
+    codebook = polar_grid(cfg, spec.bank_angles, spec.bank_rings)
     users = _draw_users(cfg, _rng(5, 0), n_trials)
 
     def rows(chunk):

@@ -1,5 +1,6 @@
 """Training simulation and the six location estimators."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from beamtrain import (
     ongrid_train,
     rainbow_sweep_params,
 )
-from beamtrain.arrays import _uniform_samples, approx_steering, los_rows
+from beamtrain.arrays import approx_steering, los_rows
 from beamtrain.beamsplit import gain_kernel
 from beamtrain.harness import (
     _STREAM_USERS,
@@ -40,19 +41,20 @@ from beamtrain.harness import (
 from beamtrain.training import (
     FAR_RINGS,
     MatchFilterBank,
-    _bank_slices,
     _synthesize,
     _unit_noise,
     aux_pair_estimate,
     codeword_powers,
     exhaustive_estimate,
+    grid_contraction,
     match_filter_estimate,
     noise_power,
     observe_params,
+    pilot_beamformers,
     rainbow_probes,
 )
 
-from conftest import quadratic_channel
+from conftest import polar_grid, quadratic_channel
 
 NOISELESS = float("inf")
 
@@ -254,10 +256,19 @@ def test_aux_beats_ongrid_rate_at_high_snr(main_cfg):
 
 # match filter ---------------------------------------------------------------
 
+def _bank_grid(plan, angles, rings):
+    """The scheme table's bank grid: rings over the design's alpha band."""
+    return polar_grid(plan.cfg, angles, rings, plan.inputs.alpha_bounds)
+
+
+def _bank(plan, angles, rings):
+    return build_match_filter_bank(plan, _bank_grid(plan, angles, rings))
+
+
 def test_bank_layout_and_signature_recompute(desk_cfg, desk_plan):
-    bank = build_match_filter_bank(desk_plan, 7, 3)
+    bank = _bank(desk_plan, 7, 3)
     M, K = desk_cfg.n_subcarriers, desk_plan.K
-    assert bank.signatures.shape == (21, M * K)
+    assert bank.signatures.shape == (K, M, 21)
     assert len(bank) == 21
     # recompute one stored signature entry from first principles
     g_idx, m, k = 13, 57, 1
@@ -269,21 +280,20 @@ def test_bank_layout_and_signature_recompute(desk_cfg, desk_plan):
     phase = (km * loc.theta - km * params.theta_t - kc * params.theta_p) * nd
     phase = phase - (km * loc.alpha - km * params.alpha_t - kc * params.alpha_p) * nd**2
     want = abs(np.exp(1j * phase).sum()) / desk_cfg.n_antennas
-    assert bank.signatures[g_idx, (m - 1) * K + (k - 1)] == pytest.approx(want, abs=1e-12)
+    assert bank.signatures[k - 1, m - 1, g_idx] == pytest.approx(want, abs=1e-12)
 
 
 def test_single_point_bank_at_a_focus_peaks_at_one(desk_cfg, desk_plan):
     focus, _ = _focus_user(desk_plan, 100, 1)
     bank = build_match_filter_bank(
-        desk_plan, 1, 1, theta_grid=[focus.theta], alpha_grid=[focus.alpha]
-    )
-    sig = bank.signatures[0].reshape(desk_cfg.n_subcarriers, desk_plan.K)
-    assert sig[99, 0] == pytest.approx(1.0, abs=1e-9)
+        desk_plan, PolarCodebook(desk_cfg, [focus.theta], [focus.alpha]))
+    sig = bank.signatures[:, :, 0]  # (K, M)
+    assert sig[0, 99] == pytest.approx(1.0, abs=1e-9)
     assert sig.max() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_match_filter_recovers_bank_grid_point(desk_cfg, desk_plan):
-    bank = build_match_filter_bank(desk_plan, 9, 4)
+    bank = _bank(desk_plan, 9, 4)
     target = bank.locations[17]
     obs = observe_plan(_quad_channel(desk_cfg, target), desk_plan, NOISELESS, None)
     est = match_filter_train(obs, bank)
@@ -293,11 +303,11 @@ def test_match_filter_recovers_bank_grid_point(desk_cfg, desk_plan):
 
 
 def test_match_filter_swapped_signatures_swap_the_winner(desk_cfg, desk_plan):
-    bank = build_match_filter_bank(desk_plan, 9, 4)
+    bank = _bank(desk_plan, 9, 4)
     target = bank.locations[17]
     obs = observe_plan(_quad_channel(desk_cfg, target), desk_plan, NOISELESS, None)
     swapped = bank.signatures.copy()
-    swapped[[17, 23]] = swapped[[23, 17]]
+    swapped[:, :, [17, 23]] = swapped[:, :, [23, 17]]
     bank2 = MatchFilterBank(signatures=swapped, locations=bank.locations,
                             plan=desk_plan)
     assert match_filter_train(obs, bank2).selected == 23
@@ -307,7 +317,7 @@ def test_match_filter_picks_equal_a_unit_copy_reference_at_every_budget(desk_cfg
     # dividing the correlations by the signature norms picks what correlating
     # with a unit-normalized copy of the bank picks, on a three-pilot plan
     plan = design(DesignInputs(cfg=desk_cfg, gamma=0.5, k_override=3))
-    bank = build_match_filter_bank(plan, 48, 4)
+    bank = _bank(plan, 48, 4)
     rng = np.random.default_rng(2)
     mags = np.stack([
         observe_plan(los_channel(desk_cfg, PolarLocation.from_angle_distance(t, r)),
@@ -315,8 +325,8 @@ def test_match_filter_picks_equal_a_unit_copy_reference_at_every_budget(desk_cfg
         for i, (t, r) in enumerate(zip(rng.uniform(-0.85, 0.85, 40),
                                        rng.uniform(2.0, 10.0, 40)))])
     for budget in (1, 2, 3, None):
-        sig = bank.signatures.reshape(len(bank), -1, plan.K)[:, :, :budget]
-        sig = sig.reshape(len(bank), -1)
+        # subcarrier-major, as the observation rows
+        sig = bank.signatures[:budget].transpose(2, 1, 0).reshape(len(bank), -1)
         unit = sig / np.linalg.norm(sig, axis=1, keepdims=True)
         flat = mags[..., :budget].reshape(len(mags), -1)
         flat = flat / np.linalg.norm(flat, axis=1, keepdims=True)
@@ -324,8 +334,24 @@ def test_match_filter_picks_equal_a_unit_copy_reference_at_every_budget(desk_cfg
         assert np.array_equal(match_filter_estimate(mags, bank, budget).pick, want), budget
 
 
+def test_match_filter_budget_reads_the_bank_without_a_copy(desk_cfg):
+    # the signatures are pilot-major, so a budget below K is a view: the
+    # estimate's peak allocation stays far below one pilot's signatures
+    plan = design(DesignInputs(cfg=desk_cfg, gamma=0.5, k_override=3))
+    bank = _bank(plan, 96, 8)
+    mags = np.random.default_rng(0).random((2, desk_cfg.n_subcarriers, plan.K))
+    for budget in (1, 2):
+        tracemalloc.start()
+        try:
+            match_filter_estimate(mags, bank, budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bank.signatures.nbytes / plan.K / 8, budget
+
+
 def test_match_filter_zero_observation_takes_first_index(desk_cfg, desk_plan):
-    bank = build_match_filter_bank(desk_plan, 3, 2)
+    bank = _bank(desk_plan, 3, 2)
     M, K = desk_cfg.n_subcarriers, desk_plan.K
     obs = ObservationGrid(magnitudes=np.zeros((M, K)), snr=1.0)
     assert match_filter_train(obs, bank).selected == 0
@@ -359,40 +385,39 @@ def _odd_plan():
     ["one_point", "odd_antennas", "custom_three_angles", "desk"],
 )
 def test_bank_matches_gain_kernel(case, desk_plan):
-    plan, kwargs = {
-        "one_point": (desk_plan, dict(angle_samples=1, distance_samples=1)),
-        "odd_antennas": (_odd_plan(), dict(angle_samples=17, distance_samples=3)),
-        "custom_three_angles": (desk_plan, dict(
-            angle_samples=0, distance_samples=0, theta_grid=[-0.31, -0.12, 0.07],
-            alpha_grid=[0.05, 0.2])),
-        "desk": (desk_plan, dict(angle_samples=40, distance_samples=4)),
-    }[case]
-    bank = build_match_filter_bank(plan, **kwargs)
-    thetas = sorted({loc.theta for loc in bank.locations})
-    alphas = sorted({loc.alpha for loc in bank.locations})
+    plan = _odd_plan() if case == "odd_antennas" else desk_plan
+    grid = {
+        "one_point": lambda: _bank_grid(plan, 1, 1),
+        "odd_antennas": lambda: _bank_grid(plan, 17, 3),
+        "custom_three_angles": lambda: PolarCodebook(
+            plan.cfg, [-0.31, -0.12, 0.07], [0.05, 0.2]),
+        "desk": lambda: _bank_grid(plan, 40, 4),
+    }[case]()
+    bank = build_match_filter_bank(plan, grid)
     cfg = plan.cfg
-    want = _kernel_slices(plan, thetas, alphas, cfg.subcarrier_freqs())
-    got = bank.signatures.reshape(len(thetas), len(alphas), cfg.n_subcarriers, plan.K)
-    assert np.max(np.abs(got - want.transpose(3, 2, 0, 1))) < 1e-10
+    want = _kernel_slices(plan, grid.thetas, grid.rings, cfg.subcarrier_freqs())
+    got = bank.signatures.reshape(plan.K, cfg.n_subcarriers, len(grid.thetas), -1)
+    assert np.max(np.abs(got - want.transpose(1, 0, 3, 2))) < 1e-10
 
 
 def test_bank_slice_at_full_scale_matches_gain_kernel(main_plan):
-    # one subcarrier at each band edge of the 1024 x 10 full-scale bank
+    # one subcarrier at each band edge of the 1024 x 10 full-scale bank, by
+    # the bank's own contraction of the conjugated pilot beams
     cfg = main_plan.cfg
-    thetas = _uniform_samples(*cfg.angle_range, 1024)
-    alphas = _uniform_samples(*main_plan.inputs.alpha_bounds, 10)
+    grid = _bank_grid(main_plan, 1024, 10)
     freqs = cfg.subcarrier_freq(np.array([1, cfg.n_subcarriers]))
     params = [main_plan.params(k) for k in range(1, main_plan.K + 1)]
-    got = _bank_slices(cfg, params, thetas, alphas, freqs)
-    want = _kernel_slices(main_plan, thetas, alphas, freqs)
-    assert got.shape == (2, main_plan.K, 10, 1024)
-    assert np.max(np.abs(got - want)) < 1e-10
+    beams = pilot_beamformers(cfg, params, freqs)
+    h = np.swapaxes(beams, 1, 2).conj() / math.sqrt(cfg.n_antennas)
+    got = grid_contraction(grid, h, freqs).reshape(2, main_plan.K, 1024, 10)
+    want = _kernel_slices(main_plan, grid.thetas, grid.rings, freqs)
+    assert np.max(np.abs(got - want.transpose(0, 1, 3, 2))) < 1e-10
 
 
 def test_bank_rejects_a_nonuniform_theta_grid(desk_plan):
+    # the grid constructor holds the check, before any bank work
     with pytest.raises(ValueError, match="uniform"):
-        build_match_filter_bank(desk_plan, 0, 0, theta_grid=[0.0, 0.1, 0.3],
-                                alpha_grid=[0.1])
+        PolarCodebook(desk_plan.cfg, [0.0, 0.1, 0.3], [0.1])
 
 
 @pytest.mark.parametrize("rings", [3, 1])
@@ -400,7 +425,7 @@ def test_codeword_responses_match_the_steering_contraction(rings):
     # the chirp-z powers against |h conj(b)^T|^2 with every codeword built by
     # approx_steering, on an odd array
     cfg = SystemConfig(63, 30e9, 5e9, 8, distance_range=(2.0, 10.0))
-    book = PolarCodebook(cfg, 4, rings)
+    book = polar_grid(cfg, 4, rings)
     freqs = cfg.subcarrier_freqs()[2:5]
     rng = np.random.default_rng(0)
     h = rng.standard_normal((3, 5, 63)) + 1j * rng.standard_normal((3, 5, 63))
@@ -414,7 +439,7 @@ def test_codeword_responses_match_the_steering_contraction(rings):
 
 
 def test_budgeted_exhaustive_spans_the_angle_range(desk_cfg):
-    book = PolarCodebook(desk_cfg, 24, 3)
+    book = polar_grid(desk_cfg, 24, 3)
     g = len(book)
 
     def searched(budget):
@@ -435,7 +460,7 @@ def test_budgeted_exhaustive_spans_the_angle_range(desk_cfg):
 # exhaustive -----------------------------------------------------------------
 
 def test_exhaustive_recovers_codebook_point(desk_cfg):
-    book = PolarCodebook(desk_cfg, 8, 2)
+    book = polar_grid(desk_cfg, 8, 2)
     target = book.locations[11]
     chan = _quad_channel(desk_cfg, target)
     est = exhaustive_polar_train(chan, book, NOISELESS, 0)
@@ -445,7 +470,7 @@ def test_exhaustive_recovers_codebook_point(desk_cfg):
 
 
 def test_exhaustive_is_seed_deterministic(desk_cfg):
-    book = PolarCodebook(desk_cfg, 8, 2)
+    book = polar_grid(desk_cfg, 8, 2)
     chan = los_channel(desk_cfg, PolarLocation.from_angle_distance(0.1, 6.0))
     a = exhaustive_polar_train(chan, book, 10.0, 5)
     b = exhaustive_polar_train(chan, book, 10.0, 5)
@@ -521,11 +546,11 @@ def test_noiseless_consistency_at_a_focus(desk_cfg, desk_plan):
         aux_pair_train(obs, desk_plan),
         match_filter_train(
             obs,
-            build_match_filter_bank(
-                desk_plan, 0, 0,
-                theta_grid=[focus.theta - 0.02, focus.theta, focus.theta + 0.02],
-                alpha_grid=[0.8 * focus.alpha, focus.alpha, 1.2 * focus.alpha],
-            ),
+            build_match_filter_bank(desk_plan, PolarCodebook(
+                desk_cfg,
+                [focus.theta - 0.02, focus.theta, focus.theta + 0.02],
+                [0.8 * focus.alpha, focus.alpha, 1.2 * focus.alpha],
+            )),
         ),
     ):
         assert abs(est.theta - user.theta) < 1e-6, est.scheme
@@ -556,7 +581,7 @@ def test_single_trial_api_matches_the_sweep_engine(desk_cfg):
     spec = desk_experiment_spec(bank_angles=24, bank_rings=3)
     engine = _Engine(spec)
     plan, snr = engine.plan, 10.0
-    bank = build_match_filter_bank(plan, spec.bank_angles, spec.bank_rings)  # the engine's
+    bank = _bank(plan, spec.bank_angles, spec.bank_rings)  # the engine's
     codebook = engine.table["exhaustive"].probes
     rng = np.random.default_rng(4)
     locs = [PolarLocation.from_angle_distance(t, r)
