@@ -106,9 +106,10 @@ class PolarCodebook:
     """Polar-domain grid of (theta, alpha) locations: a uniform angle axis
     times a ring axis.
 
-    Every angle carries the same alpha rings; locations run angle-major, then
-    ring.  The codeword of a location on subcarrier m is its approximate
-    steering vector, approx_steering.  training.grid_contraction sums each
+    Every angle carries the same alpha rings; grid points run angle-major,
+    then ring, so point g is (thetas[g // R], rings[g % R]) with R rings.
+    The codeword of a point on subcarrier m is its approximate steering
+    vector, approx_steering.  training.grid_contraction sums each
     ring over the angle axis with a chirp-z transform, without forming
     codewords, so the angles must be uniform.  The exhaustive codebook and the
     match-filter bank both stand on this grid.
@@ -120,12 +121,12 @@ class PolarCodebook:
         self.rings = np.asarray(rings, dtype=float)
         if len(self.thetas) == 0 or len(self.rings) == 0:
             raise ValueError("a polar grid needs at least one angle and one ring")
+        if not (np.all(np.abs(self.thetas) <= 1.0) and np.all(self.rings >= 0.0)):
+            raise ValueError("grid points need theta in [-1, 1] and alpha >= 0")
         self.step = _uniform_step(self.thetas)
-        self.locations = [PolarLocation(float(t), float(a))
-                          for t in self.thetas for a in self.rings]
 
     def __len__(self) -> int:
-        return len(self.locations)
+        return len(self.thetas) * len(self.rings)
 
 
 def _uniform_samples(lo: float, hi: float, n: int) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -90,6 +91,8 @@ def _cmd_train(args):
     for flag, value in (("--bank-angles", args.bank_angles), ("--bank-rings", args.bank_rings)):
         if value < 1:
             _fail(f"{flag} must be >= 1, got {value}")
+    if not math.isfinite(args.snr_db):
+        _fail(f"--snr-db must be finite, got {args.snr_db}")
     try:
         plan = PilotPlan.from_json(Path(args.plan).read_text())
     except (OSError, ValueError, TypeError) as exc:

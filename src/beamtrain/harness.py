@@ -23,9 +23,8 @@ from .config import (PolarLocation, SystemConfig, fields_from_dict, fields_to_di
 from .arrays import los_rows, path_loss
 from .beamsplit import InfeasibleFocusError, gain_kernel
 from .design import DesignInputs, PilotPlan, design
-from .training import (ALL_SCHEMES, SCHEME_EXHAUSTIVE, TrainingEstimate, _CHUNK_ENTRIES,
-                       _magnitudes, _powers, _subcarrier_chunks, _synthesize, _unit_noise,
-                       noise_power, scheme_table)
+from .training import (ALL_SCHEMES, _CHUNK_ENTRIES, _observe, _subcarrier_chunks, noise_power,
+                       scheme_table)
 
 AXES = ("snr_db", "overhead", "distance_m")
 
@@ -38,12 +37,11 @@ _STREAMS = {"plan": 102, "codebook": 103, "near": 104, "far": 105}
 def rate_metric(cfg: SystemConfig, true_loc: PolarLocation, estimate, snr: float) -> float:
     """Mean spectral efficiency over subcarriers, bits/s/Hz:
     (1/M) sum_m log2(1 + snr |b_m(true)^T w_m|^2), with w_m the conjugate
-    steering vector at the estimated location: the sweep's rate pass,
+    steering vector at the estimate's (theta, alpha): the sweep's rate pass,
     _distinct_rates, for one user and one estimate."""
-    loc = estimate.location if isinstance(estimate, TrainingEstimate) else estimate
     user = {"theta": np.array([true_loc.theta]), "alpha": np.array([true_loc.alpha])}
-    return float(_distinct_rates(cfg, user, np.array([snr]), np.array([[loc.theta]]),
-                                 np.array([[loc.alpha]]))[0, 0])
+    return float(_distinct_rates(cfg, user, np.array([snr]), np.array([[estimate.theta]]),
+                                 np.array([[estimate.alpha]]))[0, 0])
 
 
 def _serving_gains(cfg, theta0, alpha0, theta_hat, alpha_hat):
@@ -126,6 +124,8 @@ class ExperimentSpec:
             raise ValueError("need at least one scheme")
         if len(self.axis_values) == 0:
             raise ValueError("need at least one axis value")
+        if not all(map(math.isfinite, (*self.axis_values, self.snr_db))):
+            raise ValueError("axis values and snr_db must be finite")
         if self.sweep_axis == "overhead" and any(v < 1 for v in self.axis_values):
             raise ValueError("overhead budgets must be >= 1")
         if self.sweep_axis == "distance_m" and any(v <= 0 for v in self.axis_values):
@@ -260,30 +260,19 @@ class _Engine:
         return spec.snr_db, math.inf, (idx,), value
 
     def _draw(self, users, key):
-        """Synthesize every probe family of the spec in one pass per draw key;
-        returns, per family, the map from the per-user noise std (T, 1, 1)
-        to that family's noisy observations.  Each family's unit noise comes
-        from its own keyed stream."""
+        """training._observe of every probe family of the spec, one pass per
+        draw key; each family's noise comes from its own keyed stream."""
         seed = self.spec.master_seed
         requested = [self.table[name] for name in self.spec.schemes]
-        families = {row.family: row.probes for row in requested
-                    if row.family not in (None, "codebook")}
+        families = {row.family: row.probes for row in requested if row.family is not None}
         freqs = self.cfg.subcarrier_freqs()
 
         def rows(chunk):
             return los_rows(self.cfg, users["theta"], users["r"], users["beta_c"],
                             freqs[chunk, None])
 
-        signals, moments = _synthesize(self.cfg, list(families.values()),
-                                       self.table[SCHEME_EXHAUSTIVE].probes,
-                                       len(users["theta"]), rows,
-                                       _rng(seed, _STREAMS["codebook"], *key))
-        draws = {family: _magnitudes(sig, _unit_noise(_rng(seed, _STREAMS[family], *key),
-                                                      sig.shape))
-                 for family, sig in zip(families, signals)}
-        if moments is not None:
-            draws["codebook"] = _powers(*moments)
-        return draws
+        return _observe(self.cfg, families, len(users["theta"]), rows,
+                        lambda family: _rng(seed, _STREAMS[family], *key))
 
     def run(self) -> SweepResult:
         spec = self.spec

@@ -14,14 +14,15 @@ The two grid searches stand on one grid type, arrays.PolarCodebook, and one
 chirp-z contraction over it, grid_contraction: the codebook squares it over
 channel rows, the match-filter bank runs it over conjugated pilot beams.
 
-scheme_table holds one row per scheme (probe family, probes or codebook,
-estimator, pilot count); the sweep engine runs its rows over T drawn users
-and `train`, the single-trial runner, runs one row at T = 1.
+scheme_table holds one row per scheme (probe family, probes, estimator,
+pilot count); the sweep engine runs its rows over T drawn users and
+`train`, the single-trial runner, runs one row at T = 1.
 
 Transmit power is fixed at 1; noise variance is calibrated so that
 N_t beta_c^2 / sigma^2 equals the requested SNR at the center subcarrier.
-One pilot simulator, _synthesize, serves the sweep engine (T drawn users)
-and the single-trial API (T = 1).
+One observation function, _observe, simulates every probe family, pilot
+parameter sets and the polar codebook alike, for the sweep engine (T drawn
+users) and the single-trial API (T = 1).
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import PolarLocation, SystemConfig, fields_to_dict
+from .config import SystemConfig, fields_to_dict
 from .arrays import Channel, PolarCodebook, _uniform_samples, path_loss
 from .beamsplit import TdPsParams, ellipse_coefficients
 from .design import PilotPlan
@@ -74,7 +75,6 @@ class ObservationGrid:
 
     magnitudes: np.ndarray
     snr: float
-    seed: int | None = None
 
     def __post_init__(self):
         if self.magnitudes.ndim != 2:
@@ -101,10 +101,6 @@ class TrainingEstimate:
         if self.alpha < 0:
             raise ValueError("estimate alpha must be nonnegative")
 
-    @property
-    def location(self) -> PolarLocation:
-        return PolarLocation(self.theta, self.alpha)
-
     def to_dict(self) -> dict:
         return fields_to_dict(self)
 
@@ -119,18 +115,11 @@ class TrainingEstimate:
                    pilots_used, bool(batch.clamped[0]), bool(batch.fallback[0]))
 
 
-def _as_rng(rng) -> tuple[np.random.Generator, int | None]:
-    if isinstance(rng, np.random.Generator):
-        return rng, None
-    seed = None if rng is None else int(rng)
-    return np.random.default_rng(seed), seed
-
-
 def noise_power(cfg: SystemConfig, beta_c, snr: float):
     """Noise variance sigma^2 = P_t N_t beta_c^2 / snr, so that the linear
     snr holds at the center subcarrier; 0 when snr = inf.  beta_c is the
     center path gain of one user or an array of users'."""
-    if snr <= 0:
+    if not snr > 0:  # also NaN
         raise ValueError("linear snr must be positive")
     if math.isinf(snr):
         return np.zeros_like(beta_c)
@@ -147,9 +136,9 @@ def pilot_beamformers(cfg: SystemConfig, params_list, f) -> np.ndarray:
 
     Element n of column k is e^{-j k_f (n d theta_t - n^2 d^2 alpha_t)
     - j k_c (n d theta_p - n^2 d^2 alpha_p)} / sqrt(N_t).  f may be an array;
-    the shape is f.shape + (N_t, len(params_list)).  The pilot simulator,
-    _synthesize, uses this copy; the beamsplit oracles td_vector / ps_vector
-    stay separate on purpose.
+    the shape is f.shape + (N_t, len(params_list)).  The observation
+    function, _observe, uses this copy; the beamsplit oracles td_vector /
+    ps_vector stay separate on purpose.
     """
     nd = (cfg.element_indices() * cfg.spacing)[:, None]
     k = np.asarray(cfg.wavenumber(f))[..., None, None]
@@ -163,46 +152,59 @@ def pilot_beamformers(cfg: SystemConfig, params_list, f) -> np.ndarray:
     return np.exp(1j * phase) / np.sqrt(cfg.n_antennas)
 
 
-def _synthesize(cfg: SystemConfig, families, codebook, n_trials: int, rows, rng):
-    """Noiseless pilot signals sqrt(P_t) h_m^T w_{m,k} of every probe family
-    for n_trials users, and with a codebook the exhaustive moments, in one
-    pass over subcarrier chunks.  rows(chunk) returns the channel rows
-    (C, T, N_t) of a slice of subcarriers; each chunk's rows are built once
-    and feed every family and the codebook.
+def _observe(cfg: SystemConfig, families: dict, n_trials: int, rows, rng_of) -> dict:
+    """Noisy observations of every probe family for n_trials users, from
+    one pass over subcarrier chunks.  families maps a family name to its
+    probes: pilot parameter sets, or a PolarCodebook.  rows(chunk) returns
+    the channel rows (C, T, N_t) of a slice of subcarriers; each chunk's
+    rows are built once and feed every family.
 
-    families holds one pilot parameter list per family; its signals have
-    shape (T, M, K).  The moments (A, B, C) are exhaustive_moments', None
-    without a codebook: the chunks, sized for the codebook, sum the
-    noiseless A, and the noise law is then drawn once from rng.  The sweep
-    engine and the single-trial API (T = 1) both simulate here.
+    Returns family name -> map from the per-user noise std (T, 1, 1) to the
+    observations: magnitudes |sqrt(P_t) h_m^T w_{m,k} + sigma z| (T, M, K)
+    of pilot probes, or the codebook's powers (T, G) from the moments of
+    exhaustive_moments.  With a codebook the chunks are sized for it, which
+    fixes the order in which its noiseless powers are summed.  Each
+    family's noise is drawn from rng_of(name) once the pass is done: a
+    (T, M, K) unit-noise grid, or the noise law.  The sweep engine and the
+    single-trial API (T = 1) both observe here.
     """
     freqs = cfg.subcarrier_freqs()
-    signals = [np.empty((n_trials, len(freqs), len(params)), dtype=complex)
-               for params in families]
-    entries = cfg.n_antennas * max([n_trials] + [len(params) for params in families])
-    if codebook is not None:
-        a = np.zeros((n_trials, len(codebook)))
-        entries = _power_entries(codebook, n_trials)
+    books = {name for name, p in families.items() if isinstance(p, PolarCodebook)}
+    entries = max([_power_entries(families[name], n_trials) for name in books] or
+                  [cfg.n_antennas * max([n_trials] + [len(p) for p in families.values()])])
+    out = {name: np.zeros((n_trials, len(p))) if name in books
+           else np.empty((n_trials, len(freqs), len(p)), dtype=complex)
+           for name, p in families.items()}
     for chunk in _subcarrier_chunks(len(freqs), entries):
         f = freqs[chunk]
         h = rows(chunk)
-        for sig, params in zip(signals, families):
-            y = math.sqrt(TX_POWER) * (h @ pilot_beamformers(cfg, params, f))
-            sig[:, chunk] = np.swapaxes(y, 0, 1)
-        if codebook is not None:
-            a += codeword_powers(codebook, h, f).sum(axis=0)
-    moments = None if codebook is None else exhaustive_moments(a, len(freqs), rng)
-    return signals, moments
+        for name, probes in families.items():
+            if name in books:
+                out[name] += codeword_powers(probes, h, f).sum(axis=0)
+            else:
+                y = math.sqrt(TX_POWER) * (h @ pilot_beamformers(cfg, probes, f))
+                out[name][:, chunk] = np.swapaxes(y, 0, 1)
+
+    def noisy(name, x):
+        if name in books:
+            a, b, c = exhaustive_moments(x, len(freqs), rng_of(name))
+            return lambda sg: a + 2 * sg[:, :, 0] * b + sg[:, :, 0] * sg[:, :, 0] * c
+        noise = _unit_noise(rng_of(name), x.shape)
+        return lambda sg: np.abs(x + sg * noise)
+
+    return {name: noisy(name, x) for name, x in out.items()}
 
 
-def _magnitudes(sig, noise):
-    """Per-user noise std (T, 1, 1) -> pilot magnitudes |sig + sigma z|."""
-    return lambda sg: np.abs(sig + sg * noise)
-
-
-def _powers(a, b, c):
-    """Per-user noise std (T, 1, 1) -> per-codeword powers from the moments."""
-    return lambda sg: a + 2 * sg[:, :, 0] * b + sg[:, :, 0] * sg[:, :, 0] * c
+def _observe_channel(cfg: SystemConfig, channel: Channel, probes, snr: float, rng):
+    """_observe of one family at T = 1, over the channel's stored rows: the
+    magnitudes (1, M, K) or codeword powers (1, G).  Every draw comes from
+    the one generator np.random.default_rng(rng), so a fixed seed is
+    reproducible."""
+    gen = np.random.default_rng(rng)
+    sigma = np.sqrt(noise_power(cfg, channel.beta_c, snr)).reshape(1, 1, 1)
+    observe = _observe(cfg, {None: probes}, 1,
+                       lambda chunk: channel.per_subcarrier[chunk, None], lambda _: gen)
+    return observe[None](sigma)
 
 
 def observe_params(
@@ -212,14 +214,10 @@ def observe_params(
 
     y_{m,k} = sqrt(P_t) h_m^T w_{m,k} + sigma z_{m,k}: the sweep's simulator
     at T = 1, over the channel's stored rows, with one unit-noise draw of
-    shape (1, M, K) from rng, so a fixed seed is reproducible.
+    shape (1, M, K) from rng.
     """
-    gen, seed = _as_rng(rng)
-    sigma = np.sqrt(noise_power(cfg, channel.beta_c, snr)).reshape(1, 1, 1)
-    (sig,), _ = _synthesize(cfg, [params_list], None, 1,
-                            lambda chunk: channel.per_subcarrier[chunk, None], None)
-    mags = _magnitudes(sig, _unit_noise(gen, sig.shape))(sigma)
-    return ObservationGrid(magnitudes=mags[0], snr=snr, seed=seed)
+    return ObservationGrid(magnitudes=_observe_channel(cfg, channel, params_list, snr, rng)[0],
+                           snr=snr)
 
 
 def observe_plan(channel: Channel, plan: PilotPlan, snr: float, rng) -> ObservationGrid:
@@ -252,10 +250,11 @@ def _argmax_rows(obs: np.ndarray, budget) -> np.ndarray:
     return np.argmax(sub.reshape(len(sub), -1), axis=1)
 
 
-def _grid_pick(locations, idx) -> BatchEstimate:
-    """Record of the grid points at 0-based indices idx; no flags."""
-    return BatchEstimate(np.array([locations[i].theta for i in idx]),
-                         np.array([locations[i].alpha for i in idx]), idx,
+def _grid_pick(grid: PolarCodebook, idx) -> BatchEstimate:
+    """Record of the grid points at 0-based indices idx (angle-major, then
+    ring); no flags."""
+    angle, ring = np.divmod(idx, len(grid.rings))
+    return BatchEstimate(grid.thetas[angle], grid.rings[ring], idx,
                          *np.zeros((2, len(idx)), dtype=bool))
 
 
@@ -397,15 +396,15 @@ class MatchFilterBank:
     """
 
     signatures: np.ndarray
-    locations: list
+    grid: PolarCodebook
     plan: PilotPlan
 
     def __post_init__(self):
-        if self.signatures.shape[-1] != len(self.locations):
+        if self.signatures.shape[-1] != len(self.grid):
             raise ValueError("one signature per grid point required")
 
     def __len__(self) -> int:
-        return len(self.locations)
+        return len(self.grid)
 
 
 def _subcarrier_chunks(n_subcarriers: int, entries_per_subcarrier: int) -> list:
@@ -479,7 +478,7 @@ def build_match_filter_bank(plan: PilotPlan, grid: PolarCodebook) -> MatchFilter
         beams = pilot_beamformers(cfg, params, freqs[chunk])  # (C, N_t, K)
         h = np.swapaxes(beams, 1, 2).conj() / math.sqrt(cfg.n_antennas)
         sig[:, chunk] = np.swapaxes(grid_contraction(grid, h, freqs[chunk]), 0, 1)
-    return MatchFilterBank(signatures=sig, locations=grid.locations, plan=plan)
+    return MatchFilterBank(signatures=sig, grid=grid, plan=plan)
 
 
 def match_filter_estimate(mags: np.ndarray, bank: MatchFilterBank, budget=None
@@ -496,7 +495,7 @@ def match_filter_estimate(mags: np.ndarray, bank: MatchFilterBank, budget=None
     norms = np.linalg.norm(flat, axis=1, keepdims=True)
     flat = flat / np.where(norms == 0, 1.0, norms)
     idx = np.argmax(flat @ sig / np.where(sig_norms == 0, 1.0, sig_norms), axis=1)
-    return _grid_pick(bank.locations, idx)
+    return _grid_pick(bank.grid, idx)
 
 
 def match_filter_train(obs: ObservationGrid, bank: MatchFilterBank) -> TrainingEstimate:
@@ -515,7 +514,7 @@ def exhaustive_estimate(powers: np.ndarray, codebook, budget=None) -> BatchEstim
     searched = (np.arange(g) if budget is None or budget >= g
                 else np.round(_uniform_samples(0, g - 1, budget)).astype(int))
     idx = searched[np.argmax(powers[:, searched], axis=1)]
-    return _grid_pick(codebook.locations, idx)
+    return _grid_pick(codebook, idx)
 
 
 def codeword_powers(codebook: PolarCodebook, h: np.ndarray, f) -> np.ndarray:
@@ -611,7 +610,7 @@ class Scheme(NamedTuple):
     # probe family: "plan", "codebook", "near" or "far"; the schemes of one
     # family share its draws and observations.  None: no probes (perfect CSI)
     family: str | None
-    probes: object  # pilot parameter sets, or the "codebook" family's codebook
+    probes: object  # pilot parameter sets or a PolarCodebook, as _observe takes
     estimate: Callable | None  # (observations, pilot budget) -> BatchEstimate
     pilots: int  # full pilot count
 
@@ -664,16 +663,8 @@ def scheme_table(plan: PilotPlan, schemes, bank_angles: int, bank_rings: int) ->
 
 def train(row: Scheme, scheme: str, cfg: SystemConfig, channel: Channel, snr: float,
           rng) -> TrainingEstimate:
-    """One training run of a scheme table row at T = 1, over the channel's
-    stored rows: observe_params for a probe family, or for the codebook the
-    sweep's codebook pass and noise law; then the row's estimator over the
-    full pilot count.  A fixed seed is reproducible."""
-    if row.family == "codebook":
-        sigma = np.sqrt(noise_power(cfg, channel.beta_c, snr)).reshape(1, 1, 1)
-        _, moments = _synthesize(cfg, [], row.probes, 1,
-                                 lambda chunk: channel.per_subcarrier[chunk, None],
-                                 _as_rng(rng)[0])
-        obs = _powers(*moments)(sigma)
-    else:
-        obs = observe_params(cfg, channel, row.probes, snr, rng).magnitudes[None]
+    """One training run of a scheme table row at T = 1: the row's probes
+    observed over the channel's stored rows (_observe_channel), then its
+    estimator over the full pilot count.  A fixed seed is reproducible."""
+    obs = _observe_channel(cfg, channel, row.probes, snr, rng)
     return TrainingEstimate.from_batch(row.estimate(obs, None), scheme, row.pilots)

@@ -4,7 +4,7 @@ channel with quadratic steering."""
 import numpy as np
 import pytest
 
-from beamtrain import Channel, DesignInputs, PolarCodebook, SystemConfig, design
+from beamtrain import Channel, DesignInputs, PolarCodebook, PolarLocation, SystemConfig, design
 from beamtrain.arrays import _uniform_samples, path_loss
 from beamtrain.harness import (
     desk_config,
@@ -97,3 +97,9 @@ def polar_grid(cfg, angles: int, rings: int, band=None) -> PolarCodebook:
     band = (cfg.alpha_min, cfg.alpha_max) if band is None else band
     return PolarCodebook(cfg, _uniform_samples(*cfg.angle_range, angles),
                          _uniform_samples(*band, rings))
+
+
+def grid_locations(grid) -> list:
+    """The points of a polar grid (or of a bank's grid) in grid order:
+    angle-major, then ring."""
+    return [PolarLocation(float(t), float(a)) for t in grid.thetas for a in grid.rings]

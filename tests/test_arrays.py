@@ -14,7 +14,7 @@ from beamtrain import (
 from beamtrain.arrays import element_distances, los_rows, path_loss
 from beamtrain.training import codeword_powers
 
-from conftest import polar_grid, quadratic_channel
+from conftest import grid_locations, polar_grid, quadratic_channel
 
 
 @pytest.fixture()
@@ -98,11 +98,12 @@ def test_los_channel_quadratic_matches_its_steering_model(cfg):
 def test_codebook_grid_layout(cfg):
     book = polar_grid(cfg, 5, 3)
     assert len(book) == 15
-    thetas = sorted({loc.theta for loc in book.locations})
+    points = grid_locations(book)
+    thetas = sorted({loc.theta for loc in points})
     assert thetas == pytest.approx(list(np.linspace(*cfg.angle_range, 5)))
     # angle-major ordering: first three entries share the first angle
-    assert len({loc.theta for loc in book.locations[:3]}) == 1
-    alphas = [loc.alpha for loc in book.locations[:3]]
+    assert len({loc.theta for loc in points[:3]}) == 1
+    alphas = [loc.alpha for loc in points[:3]]
     assert alphas == pytest.approx(list(np.linspace(cfg.alpha_min, cfg.alpha_max, 3)))
 
 
@@ -113,10 +114,17 @@ def test_codebook_rejects_an_empty_axis(cfg):
         PolarCodebook(cfg, [0.0], [])
 
 
+@pytest.mark.parametrize("thetas, rings", [([0.5, 1.5], [0.1]), ([math.nan], [0.1]),
+                                           ([0.0], [-0.1]), ([0.0], [math.nan])])
+def test_codebook_rejects_a_point_off_the_polar_domain(cfg, thetas, rings):
+    with pytest.raises(ValueError, match="theta in"):
+        PolarCodebook(cfg, thetas, rings)
+
+
 def test_codebook_single_samples_centered(cfg):
     book = polar_grid(cfg, 1, 1)
     assert len(book) == 1
-    loc = book.locations[0]
+    loc = grid_locations(book)[0]
     assert loc.theta == pytest.approx(0.5 * sum(cfg.angle_range))
     assert loc.alpha == pytest.approx(0.5 * (cfg.alpha_min + cfg.alpha_max))
 
@@ -133,8 +141,8 @@ def test_codebook_factors_are_approximate_steering(cfg, shape):
     h = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
     got = codeword_powers(book, h, freqs)
     assert got.shape == (2, 3, len(book))
-    thetas = np.array([loc.theta for loc in book.locations])
-    alphas = np.array([loc.alpha for loc in book.locations])
+    thetas = np.array([loc.theta for loc in grid_locations(book)])
+    alphas = np.array([loc.alpha for loc in grid_locations(book)])
     for i, f in enumerate(freqs):
         want = np.abs(h[i] @ approx_steering(cfg, (thetas, alphas), f).conj().T) ** 2
         assert np.max(np.abs(got[i] - want)) < 1e-10 * np.max(want)
@@ -145,9 +153,9 @@ def test_codeword_is_approximate_steering(cfg):
     # steering vector, bit for bit
     book = polar_grid(cfg, 4, 2)
     f = cfg.subcarrier_freq(7)
-    thetas = np.array([loc.theta for loc in book.locations])
-    alphas = np.array([loc.alpha for loc in book.locations])
+    thetas = np.array([loc.theta for loc in grid_locations(book)])
+    alphas = np.array([loc.alpha for loc in grid_locations(book)])
     grid = approx_steering(cfg, (thetas, alphas), f)
     assert grid.shape == (len(book), cfg.n_antennas)
-    for row, loc in zip(grid, book.locations):
+    for row, loc in zip(grid, grid_locations(book)):
         assert np.array_equal(row, approx_steering(cfg, loc, f))

@@ -269,6 +269,21 @@ def test_train_rejects_a_grid_size_below_one_before_any_work(plan_file, monkeypa
         assert error == f"{flag} must be >= 1, got {value}"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_train_rejects_a_non_finite_snr_before_reading_the_plan(plan_file, monkeypatch, capsys,
+                                                                value):
+    # NaN printed "rate": NaN and inf "rate": Infinity, neither strict JSON
+    def read_plan(text):
+        raise AssertionError("the plan was read before the SNR was checked")
+
+    monkeypatch.setattr(cli.PilotPlan, "from_json", read_plan)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", f"--plan={plan_file}", "--theta=0.2", "--distance=4",
+                  f"--snr-db={value}"])
+    assert exc.value.code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == f"--snr-db must be finite, got {value}"
+
+
 def test_rainbow_on_one_subcarrier_names_the_cause(tmp_path):
     # a design needs two subcarriers, so edit the count into a written plan
     cfg = dataclasses.replace(desk_config(), n_subcarriers=2)

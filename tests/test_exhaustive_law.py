@@ -15,7 +15,7 @@ from beamtrain.arrays import approx_steering
 from beamtrain.harness import desk_config, fullscale_config
 from beamtrain.training import codeword_powers, exhaustive_moments
 
-from conftest import polar_grid
+from conftest import grid_locations, polar_grid
 
 DRAWS = 200_000
 
@@ -55,8 +55,8 @@ def test_law_draws_no_gamma_noise_on_one_subcarrier():
 
 
 def _contraction(cfg, book, h, f):
-    thetas = np.array([loc.theta for loc in book.locations])
-    alphas = np.array([loc.alpha for loc in book.locations])
+    thetas = np.array([loc.theta for loc in grid_locations(book)])
+    alphas = np.array([loc.alpha for loc in grid_locations(book)])
     return np.abs(h @ approx_steering(cfg, (thetas, alphas), f).conj().T) ** 2
 
 

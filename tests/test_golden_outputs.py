@@ -25,8 +25,10 @@ estimate) serving gain once per draw key; that change must keep every byte.
 user on the desk plan, and of `ongrid` and `aux_pair` for one user on the
 full-scale plan (three pilots).  It was written by the code in which the
 single-trial API runs the sweep's synthesis, noise draw and rate pass at
-one trial (`training._synthesize` with one (1, M, K) unit-noise draw), so it
-pins the single-trial path the CLI takes.
+one trial, with one (1, M, K) unit-noise draw.  Every scheme of `train` now
+observes through the sweep's observation function, `training._observe`, at
+one trial with the call's one generator, and the file kept every byte, so
+it pins the single-trial path the CLI takes.
 
 Running this file as a script rewrites the stored files from the current
 code: `PYTHONPATH=src python tests/test_golden_outputs.py`.

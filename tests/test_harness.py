@@ -42,7 +42,7 @@ from beamtrain.training import (
     _CHUNK_ENTRIES,
     FAR_RINGS,
     TX_POWER,
-    _synthesize,
+    _observe,
     pilot_beamformers,
     rainbow_probes,
 )
@@ -105,6 +105,14 @@ def test_default_experiment_specs():
              schemes=("perfect_csi", "farfield_rainbow")),
         # the design itself fails: the override breaks the coverage slope bound
         dict(alpha_p_override=1e-6),
+        # non-finite values would write nan/inf rows or fail mid-run
+        dict(axis_values=(10.0, math.nan)),
+        dict(axis_values=(math.inf,)),
+        dict(axis_values=(-math.inf,)),
+        dict(snr_db=math.nan),
+        dict(snr_db=math.inf),
+        dict(sweep_axis="distance_m", axis_values=(3.0, math.nan)),
+        dict(sweep_axis="overhead", axis_values=(1.0, math.inf)),
     ],
 )
 def test_spec_validation(overrides):
@@ -430,11 +438,11 @@ def _synthesis_inputs(n_trials):
     cfg = spec.cfg
     plan = design(spec.design_inputs())
     rings = np.linspace(cfg.alpha_min, cfg.alpha_max, spec.bank_rings)
-    families = [
-        [plan.params(k) for k in range(1, plan.K + 1)],
-        rainbow_probes(cfg, rings),
-        rainbow_probes(cfg, FAR_RINGS),
-    ]
+    families = {
+        "plan": [plan.params(k) for k in range(1, plan.K + 1)],
+        "near": rainbow_probes(cfg, rings),
+        "far": rainbow_probes(cfg, FAR_RINGS),
+    }
     codebook = polar_grid(cfg, spec.bank_angles, spec.bank_rings)
     users = _draw_users(cfg, _rng(5, 0), n_trials)
 
@@ -447,24 +455,28 @@ def _synthesis_inputs(n_trials):
 
 @pytest.mark.parametrize("with_codebook", [False, True])
 def test_synthesized_observations_equal_per_subcarrier_products(with_codebook):
-    cfg, families, codebook, users, rows = _synthesis_inputs(9)
-    signals, moments = _synthesize(cfg, families, codebook if with_codebook else None,
-                                   9, rows, np.random.default_rng(0))
-    assert (moments is not None) == with_codebook
-    for sig, params in zip(signals, families):
-        want = np.empty_like(sig)
+    # noiseless, each pilot family's observations are the magnitudes of the
+    # per-subcarrier products, whether or not the codebook sizes the chunks
+    cfg, pilots, codebook, users, rows = _synthesis_inputs(9)
+    families = {**pilots, "codebook": codebook} if with_codebook else pilots
+    observed = _observe(cfg, families, 9, rows, lambda _: np.random.default_rng(0))
+    assert ("codebook" in observed) == with_codebook
+    for name, params in pilots.items():
+        want = np.empty((9, cfg.n_subcarriers, len(params)), dtype=complex)
         for i, f in enumerate(cfg.subcarrier_freqs()):
             h = los_rows(cfg, users["theta"], users["r"], users["beta_c"], f)
             want[:, i] = math.sqrt(TX_POWER) * (h @ pilot_beamformers(cfg, params, f))
-        assert np.array_equal(sig, want)
+        assert np.array_equal(observed[name](np.zeros((9, 1, 1))), np.abs(want))
 
 
 def test_exhaustive_moments_do_not_depend_on_the_families_alongside():
+    # the codebook's powers at noise stds 0, 0.5 and 2 (A, then the moments
+    # B and C through them) are the same with the pilot families alongside
     cfg, families, codebook, _, rows = _synthesis_inputs(9)
-    _, alone = _synthesize(cfg, [], codebook, 9, rows, np.random.default_rng(4))
-    _, shared = _synthesize(cfg, families, codebook, 9, rows, np.random.default_rng(4))
-    for a, b in zip(alone, shared):
-        assert np.array_equal(a, b)
+    alone, shared = (_observe(cfg, fams, 9, rows, lambda _: np.random.default_rng(4))["codebook"]
+                     for fams in ({"codebook": codebook}, {**families, "codebook": codebook}))
+    for sg in (0.0, 0.5, 2.0):
+        assert np.array_equal(alone(np.full((9, 1, 1), sg)), shared(np.full((9, 1, 1), sg)))
 
 
 def test_rate_metric_penalizes_mismatch(desk_cfg):

@@ -40,8 +40,9 @@ from beamtrain.harness import (
 )
 from beamtrain.training import (
     FAR_RINGS,
+    TX_POWER,
     MatchFilterBank,
-    _synthesize,
+    _observe,
     _unit_noise,
     aux_pair_estimate,
     codeword_powers,
@@ -54,7 +55,7 @@ from beamtrain.training import (
     rainbow_probes,
 )
 
-from conftest import polar_grid, quadratic_channel
+from conftest import grid_locations, polar_grid, quadratic_channel
 
 NOISELESS = float("inf")
 
@@ -84,15 +85,15 @@ def test_noise_power_calibration(desk_cfg):
     sigma2 = noise_power(desk_cfg, chan.beta_c, snr)
     assert sigma2 == pytest.approx(desk_cfg.n_antennas * chan.beta_c**2 / snr)
     assert noise_power(desk_cfg, chan.beta_c, NOISELESS) == 0.0
-    with pytest.raises(ValueError):
-        noise_power(desk_cfg, chan.beta_c, 0.0)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            noise_power(desk_cfg, chan.beta_c, bad)
 
 
 def test_observe_plan_shape_and_order(desk_cfg, desk_plan):
     chan = los_channel(desk_cfg, PolarLocation.from_angle_distance(0.2, 5.0))
     obs = observe_plan(chan, desk_plan, 100.0, 3)
     assert obs.magnitudes.shape == (desk_cfg.n_subcarriers, desk_plan.K)
-    assert obs.seed == 3
     # the noise is drawn over the whole (1, M, K) grid, so column 1 matches
     # the single-pilot draw only when K = 1, as in the desk plan
     single = observe_params(desk_cfg, chan, [desk_plan.params(1)], 100.0, 3)
@@ -101,22 +102,20 @@ def test_observe_plan_shape_and_order(desk_cfg, desk_plan):
 
 @pytest.mark.parametrize("plan_name", ["desk_plan", "main_plan"])
 def test_observe_plan_is_the_sweep_simulator_at_one_trial(plan_name, request):
-    # one user's observations, bit for bit: the sweep's synthesis over the
-    # engine's los_rows, then one unit-noise draw of the whole (1, M, K)
-    # grid from the call's generator (the full-scale plan has K = 3)
+    # one user's observations, bit for bit: the engine's los_rows times the
+    # pilot beams on each subcarrier, then one unit-noise draw of the whole
+    # (1, M, K) grid from the call's generator (the full-scale plan has K = 3)
     plan = request.getfixturevalue(plan_name)
     cfg, snr, seed = plan.cfg, 10.0, 8
     loc = PolarLocation.from_angle_distance(-0.35, sum(cfg.distance_range) / 3)
     chan = los_channel(cfg, loc)
     users = {"theta": np.array([loc.theta]), "r": np.array([loc.distance]),
              "beta_c": np.array([chan.beta_c])}
-
-    def rows(chunk):
-        f = cfg.subcarrier_freqs()[chunk, None]
-        return los_rows(cfg, users["theta"], users["r"], users["beta_c"], f)
-
     probes = [plan.params(k) for k in range(1, plan.K + 1)]
-    (sig,), _ = _synthesize(cfg, [probes], None, 1, rows, None)
+    sig = np.stack([math.sqrt(TX_POWER)
+                    * (los_rows(cfg, users["theta"], users["r"], users["beta_c"], f)
+                       @ pilot_beamformers(cfg, probes, f))
+                    for f in cfg.subcarrier_freqs()], axis=1)
     sigma = np.sqrt(noise_power(cfg, users["beta_c"], snr))[:, None, None]
     want = np.abs(sig + sigma * _unit_noise(np.random.default_rng(seed), sig.shape))
     assert np.array_equal(observe_plan(chan, plan, snr, seed).magnitudes, want[0])
@@ -150,7 +149,7 @@ def test_estimate_validation_and_dict():
     d = est.to_dict()
     assert d["selected"] == [3, 1]
     assert d["fallback"] is False
-    assert est.location == PolarLocation(0.2, 0.05)
+    assert (est.theta, est.alpha) == (0.2, 0.05)
 
 
 # on-grid --------------------------------------------------------------------
@@ -272,7 +271,7 @@ def test_bank_layout_and_signature_recompute(desk_cfg, desk_plan):
     assert len(bank) == 21
     # recompute one stored signature entry from first principles
     g_idx, m, k = 13, 57, 1
-    loc = bank.locations[g_idx]
+    loc = grid_locations(bank.grid)[g_idx]
     params = desk_plan.params(k)
     f = desk_cfg.subcarrier_freq(m)
     km, kc = desk_cfg.wavenumber(f), desk_cfg.wavenumber(desk_cfg.carrier_freq)
@@ -294,7 +293,7 @@ def test_single_point_bank_at_a_focus_peaks_at_one(desk_cfg, desk_plan):
 
 def test_match_filter_recovers_bank_grid_point(desk_cfg, desk_plan):
     bank = _bank(desk_plan, 9, 4)
-    target = bank.locations[17]
+    target = grid_locations(bank.grid)[17]
     obs = observe_plan(_quad_channel(desk_cfg, target), desk_plan, NOISELESS, None)
     est = match_filter_train(obs, bank)
     assert est.selected == 17
@@ -304,11 +303,11 @@ def test_match_filter_recovers_bank_grid_point(desk_cfg, desk_plan):
 
 def test_match_filter_swapped_signatures_swap_the_winner(desk_cfg, desk_plan):
     bank = _bank(desk_plan, 9, 4)
-    target = bank.locations[17]
+    target = grid_locations(bank.grid)[17]
     obs = observe_plan(_quad_channel(desk_cfg, target), desk_plan, NOISELESS, None)
     swapped = bank.signatures.copy()
     swapped[:, :, [17, 23]] = swapped[:, :, [23, 17]]
-    bank2 = MatchFilterBank(signatures=swapped, locations=bank.locations,
+    bank2 = MatchFilterBank(signatures=swapped, grid=bank.grid,
                             plan=desk_plan)
     assert match_filter_train(obs, bank2).selected == 23
 
@@ -429,8 +428,8 @@ def test_codeword_responses_match_the_steering_contraction(rings):
     freqs = cfg.subcarrier_freqs()[2:5]
     rng = np.random.default_rng(0)
     h = rng.standard_normal((3, 5, 63)) + 1j * rng.standard_normal((3, 5, 63))
-    thetas = np.array([loc.theta for loc in book.locations])
-    alphas = np.array([loc.alpha for loc in book.locations])
+    thetas = np.array([loc.theta for loc in grid_locations(book)])
+    alphas = np.array([loc.alpha for loc in grid_locations(book)])
     got = codeword_powers(book, h, freqs)
     assert got.shape == (3, 5, len(book))
     for i, f in enumerate(freqs):
@@ -450,7 +449,7 @@ def test_budgeted_exhaustive_spans_the_angle_range(desk_cfg):
     lo, hi = desk_cfg.angle_range
     for budget in (2, 5, 11):
         picked = searched(budget)
-        thetas = [book.locations[i].theta for i in picked]
+        thetas = [grid_locations(book)[i].theta for i in picked]
         assert len(picked) == budget
         assert min(thetas) == pytest.approx(lo) and max(thetas) == pytest.approx(hi)
     for budget in (None, g, g + 7):
@@ -461,7 +460,7 @@ def test_budgeted_exhaustive_spans_the_angle_range(desk_cfg):
 
 def test_exhaustive_recovers_codebook_point(desk_cfg):
     book = polar_grid(desk_cfg, 8, 2)
-    target = book.locations[11]
+    target = grid_locations(book)[11]
     chan = _quad_channel(desk_cfg, target)
     est = exhaustive_polar_train(chan, book, NOISELESS, 0)
     assert est.selected == 11
@@ -625,8 +624,9 @@ def test_single_trial_api_matches_the_sweep_engine(desk_cfg):
                  "beta_c": np.array([ch.beta_c])}
         rows = lambda chunk: los_rows(desk_cfg, users["theta"], users["r"], users["beta_c"],
                                       desk_cfg.subcarrier_freqs()[chunk, None])
-        _, (a, b, c) = _synthesize(desk_cfg, [], codebook, 1, rows, np.random.default_rng(i))
-        s1 = np.sqrt(noise_power(desk_cfg, users["beta_c"], snr))[:, None]
-        powers.append((a + 2 * s1 * b + s1 * s1 * c)[0])
+        observe = _observe(desk_cfg, {"codebook": codebook}, 1, rows,
+                           lambda _: np.random.default_rng(i))["codebook"]
+        sigma = np.sqrt(noise_power(desk_cfg, users["beta_c"], snr))[:, None, None]
+        powers.append(observe(sigma)[0])
         singles.append(exhaustive_polar_train(ch, codebook, snr, i))
     _check_records(engine, "exhaustive", powers, singles)
