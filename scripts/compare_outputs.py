@@ -16,6 +16,9 @@ changes).  In each tree a child process, with that tree's `src/` and
   reads the bank
 - the stdout of every `beamtrain train` call of the cli_train workload at
   seeds 0-9, one item per seed
+- the beam-pattern CSV, `dump_beam_pattern`, of the desk, full-scale and
+  config-A plans (config A: 128 antennas, 10 GHz carrier, 2 GHz band, 512
+  subcarriers, 5-200 m, gamma 1)
 
 Each item is reported as identical, or with the count of changed lines and
 the largest relative change of a number on them ("inf" where a changed line
@@ -79,7 +82,7 @@ def report_line(name: str, summary: dict) -> str:
 def dump(out: str) -> None:
     """Write every item's text of the tree on the path, as JSON, to out."""
     import workloads
-    from beamtrain import cli, harness
+    from beamtrain import SystemConfig, DesignInputs, cli, design, harness
 
     items = {}
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
@@ -110,6 +113,12 @@ def dump(out: str) -> None:
                 print(f"exit {code}", file=text)
             items[f"cli_train seed {seed}"] = text.getvalue()
             work.close()
+    config_a = SystemConfig(n_antennas=128, carrier_freq=10e9, bandwidth=2e9,
+                            n_subcarriers=512, distance_range=(5.0, 200.0))
+    for name, inputs in (("desk", desk().design_inputs()),
+                         ("full-scale", harness.fullscale_experiment_spec().design_inputs()),
+                         ("config-A", DesignInputs(cfg=config_a, gamma=1.0))):
+        items[f"{name} beam pattern"] = harness.dump_beam_pattern(design(inputs))[1]
     Path(out).write_text(json.dumps(items))
 
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import fresnel as _fresnel_cs
 
 from .config import SPEED_OF_LIGHT, PolarLocation, SystemConfig
 
@@ -30,34 +29,42 @@ class InfeasibleFocusError(ValueError):
 
 @dataclass(frozen=True)
 class TdPsParams:
-    """Design parameters of one delay-phase pilot beam.
+    """Design parameters of a set of delay-phase pilot beams.
 
     theta_t, alpha_t steer the delay network (phase scales with frequency);
     theta_p, alpha_p steer the phase shifters (phase locked to the carrier).
+    Each field is a number or an array; they broadcast to one entry per
+    beam, and len() is the beam count (1 for numbers).
     """
 
-    theta_t: float
-    theta_p: float
-    alpha_t: float = 0.0
-    alpha_p: float = 0.0
+    theta_t: float | np.ndarray
+    theta_p: float | np.ndarray
+    alpha_t: float | np.ndarray = 0.0
+    alpha_p: float | np.ndarray = 0.0
+
+    def __len__(self) -> int:
+        return np.broadcast(self.theta_t, self.theta_p, self.alpha_t, self.alpha_p).size
 
 
 @dataclass(frozen=True)
 class BeamFocus:
-    """Predicted focus of one beam: subcarrier, polar point, period integers."""
+    """Predicted focus of one beam, or arrays of them: subcarrier, polar
+    point, period integers."""
 
-    theta: float
-    alpha: float
-    p: int
+    theta: float | np.ndarray
+    alpha: float | np.ndarray
+    p: int | np.ndarray
     q: int
-    subcarrier: int | None = None
-    clamped: bool = False
+    subcarrier: int | np.ndarray | None = None
+    clamped: bool | np.ndarray = False
 
     @property
-    def distance(self) -> float:
-        if self.alpha <= 0:
-            return math.inf
-        return (1.0 - self.theta**2) / (2.0 * self.alpha)
+    def distance(self) -> float | np.ndarray:
+        """(1 - theta^2) / (2 alpha), inf where alpha <= 0."""
+        with np.errstate(divide="ignore"):
+            r = np.where(np.asarray(self.alpha) > 0,
+                         (1.0 - np.square(self.theta)) / (2.0 * np.asarray(self.alpha)), math.inf)
+        return float(r) if r.ndim == 0 else r
 
 
 def element_delays(cfg: SystemConfig, theta_t: float, alpha_t: float) -> np.ndarray:
@@ -119,48 +126,44 @@ def tdps_gain(cfg: SystemConfig, params: TdPsParams, loc, f):
     return gain_kernel(cfg, x, y)
 
 
-def _period_integer(cfg: SystemConfig, params: TdPsParams, f: float) -> int:
-    """Largest integer p with focus theta <= 1 at frequency f."""
-    ub = ((1.0 - params.theta_t) * (f / cfg.carrier_freq) - params.theta_p) / 2.0
-    return math.floor(ub + 1e-9)
-
-
 def predicted_focus(
     cfg: SystemConfig,
     params: TdPsParams,
-    f: float,
+    f,
     q: int = 0,
-    subcarrier: int | None = None,
+    subcarrier=None,
     clamp: bool = False,
 ) -> BeamFocus:
-    """Closed-form focus of the beam at frequency f.
+    """Closed-form focus of the beams at frequencies f.
 
     theta_f = theta_t + (f_c / f)(theta_p + 2 p), with p the largest integer
     keeping theta_f <= 1; alpha_f = alpha_t + (f_c / f)(alpha_p + 2 q / d).
-    Raises InfeasibleFocusError when no integer lands theta_f in [-1, 1]
-    (transition subcarriers whose mainlobe peak is outside visible space);
-    with clamp=True returns the boundary point flagged clamped instead.
+    f and the fields of params broadcast to one focus per beam; numbers give
+    a focus of numbers.  Raises InfeasibleFocusError when no integer lands
+    some beam's theta_f in [-1, 1] (transition subcarriers whose mainlobe
+    peak is outside visible space); with clamp=True such a beam gets the
+    nearer boundary point, flagged clamped, instead.
     """
+    f = np.asarray(f, dtype=float)
     g = cfg.carrier_freq / f
-    p = _period_integer(cfg, params, f)
-    theta = params.theta_t + g * (params.theta_p + 2 * p)
-    alpha = params.alpha_t + g * (params.alpha_p + 2 * q / cfg.spacing)
-    clamped = False
-    if theta < -1.0 - 1e-9:
-        if not clamp:
-            raise InfeasibleFocusError(
-                f"focus theta {theta:.4f} outside [-1, 1] at f = {f:.4e} Hz"
-            )
-        # nearer boundary: candidate p gives theta < -1, p + 1 gives theta > 1
-        hi = params.theta_t + g * (params.theta_p + 2 * (p + 1))
-        if abs(hi - 1.0) < abs(theta + 1.0):
-            p, theta = p + 1, 1.0
-        else:
-            theta = -1.0
-        clamped = True
-    theta = min(max(theta, -1.0), 1.0)
-    return BeamFocus(theta=float(theta), alpha=float(alpha), p=p, q=q,
-                     subcarrier=subcarrier, clamped=clamped)
+    p = np.floor(((1.0 - params.theta_t) * (f / cfg.carrier_freq) - params.theta_p) / 2.0
+                 + 1e-9)
+    theta, alpha, f = np.broadcast_arrays(
+        params.theta_t + g * (params.theta_p + 2 * p),
+        params.alpha_t + g * (params.alpha_p + 2 * q / cfg.spacing), f)
+    clamped = theta < -1.0 - 1e-9
+    if not clamp and clamped.any():
+        bad = np.argmax(clamped)
+        raise InfeasibleFocusError(
+            f"focus theta {theta.flat[bad]:.4f} outside [-1, 1] at f = {f.flat[bad]:.4e} Hz")
+    # nearer boundary: candidate p gives theta < -1, p + 1 gives theta > 1
+    hi = params.theta_t + g * (params.theta_p + 2 * (p + 1))
+    up = clamped & (np.abs(hi - 1.0) < np.abs(theta + 1.0))
+    p = (p + up).astype(int)
+    theta = np.where(up, 1.0, np.minimum(np.maximum(theta, -1.0), 1.0))
+    if theta.ndim == 0:
+        return BeamFocus(float(theta), float(alpha), int(p), q, subcarrier, bool(clamped))
+    return BeamFocus(theta, alpha, p, q, subcarrier, clamped)
 
 
 def dirichlet_sinc(n_t: int, x):
@@ -177,8 +180,11 @@ def dirichlet_sinc(n_t: int, x):
 
 
 def fresnel_integrals(x):
-    """Fresnel integrals (C(x), S(x)) with the sin/cos(pi t^2 / 2) convention."""
-    s, c = _fresnel_cs(np.asarray(x, dtype=float))
+    """Fresnel integrals (C(x), S(x)) with the sin/cos(pi t^2 / 2) convention.
+    SciPy is imported here, its one use, so importing the package skips it."""
+    from scipy.special import fresnel
+
+    s, c = fresnel(np.asarray(x, dtype=float))
     return c, s
 
 

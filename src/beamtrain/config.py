@@ -46,6 +46,12 @@ class SystemConfig:
     distance_range: tuple[float, float] = (5.0, 200.0)
 
     def __post_init__(self):
+        for name in ("carrier_freq", "bandwidth", "angle_range", "distance_range",
+                     "antenna_spacing"):
+            value = getattr(self, name)
+            if not all(map(math.isfinite, value if isinstance(value, tuple)
+                           else () if value is None else (value,))):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.n_antennas < 1:
             raise ValueError("n_antennas must be >= 1")
         if self.carrier_freq <= 0 or self.bandwidth < 0:

@@ -232,17 +232,20 @@ class PilotPlan:
     def alpha_slope(self) -> float:
         return self.alpha_p + 2 * self.q / self.cfg.spacing
 
-    def params(self, k: int) -> TdPsParams:
-        """Beamformer parameters of pilot k (1-based)."""
+    def params(self, k) -> TdPsParams:
+        """Beamformer parameters of pilot k (1-based), or of an array of
+        pilots: one TdPsParams whose theta_t has k's shape."""
+        theta_t = np.asarray(self.theta_t_list)[np.asarray(k) - 1]
         return TdPsParams(
-            theta_t=self.theta_t_list[k - 1],
+            theta_t=float(theta_t) if theta_t.ndim == 0 else theta_t,
             theta_p=self.theta_p,
             alpha_t=self.alpha_t,
             alpha_p=self.alpha_p,
         )
 
-    def focus(self, m: int, k: int, clamp: bool = False) -> BeamFocus:
-        """Predicted focus of subcarrier m (1-based) of pilot k."""
+    def focus(self, m, k, clamp: bool = False) -> BeamFocus:
+        """Predicted focus of subcarrier m (1-based) of pilot k; arrays of m
+        and k broadcast to one focus per beam."""
         f = self.cfg.subcarrier_freq(m)
         return predicted_focus(self.cfg, self.params(k), f, q=self.q,
                                subcarrier=m, clamp=clamp)

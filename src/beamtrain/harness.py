@@ -21,7 +21,7 @@ import numpy as np
 from .config import (PolarLocation, SystemConfig, fields_from_dict, fields_to_dict,
                      write_text)
 from .arrays import los_rows, path_loss
-from .beamsplit import InfeasibleFocusError, gain_kernel
+from .beamsplit import gain_kernel
 from .design import DesignInputs, PilotPlan, design
 from .training import (ALL_SCHEMES, _CHUNK_ENTRIES, _observe, _subcarrier_chunks, noise_power,
                        scheme_table)
@@ -367,27 +367,17 @@ def dump_beam_pattern(plan: PilotPlan, out=None):
 
     Rows carry the focus angle/curvature and the implied distance; beams whose
     curvature is nonpositive are flagged far-field.  Transition subcarriers
-    with no in-range focus are skipped.  Returns (rows, csv_text).
+    with no in-range focus (the beams the clamped lookup flags) are skipped.
+    Returns (rows, csv_text).
     """
-    cfg = plan.cfg
-    rows = []
-    for k in range(1, plan.K + 1):
-        for m in range(1, cfg.n_subcarriers + 1):
-            try:
-                focus = plan.focus(m, k)
-            except InfeasibleFocusError:
-                continue
-            rows.append(
-                {
-                    "pilot": k,
-                    "subcarrier": m,
-                    "freq_hz": cfg.subcarrier_freq(m),
-                    "theta": focus.theta,
-                    "alpha": focus.alpha,
-                    "distance_m": focus.distance,
-                    "regime": "near" if focus.alpha > 0 else "far",
-                }
-            )
+    k, m = np.meshgrid(np.arange(1, plan.K + 1), np.arange(1, plan.cfg.n_subcarriers + 1),
+                       indexing="ij")
+    focus = plan.focus(m, k, clamp=True)
+    keep = ~focus.clamped
+    columns = (k, m, plan.cfg.subcarrier_freq(m), focus.theta, focus.alpha, focus.distance)
+    rows = [{"pilot": pilot, "subcarrier": sub, "freq_hz": f, "theta": theta, "alpha": alpha,
+             "distance_m": r, "regime": "near" if alpha > 0 else "far"}
+            for pilot, sub, f, theta, alpha, r in zip(*(c[keep].tolist() for c in columns))]
     return rows, write_csv(_PATTERN_COLUMNS, rows, out)
 
 

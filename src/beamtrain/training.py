@@ -131,33 +131,29 @@ def _unit_noise(rng, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
 
 
-def pilot_beamformers(cfg: SystemConfig, params_list, f) -> np.ndarray:
-    """Delay-phase beamformer of each parameter set at frequency f.
+def pilot_beamformers(cfg: SystemConfig, params: TdPsParams, f) -> np.ndarray:
+    """Delay-phase beamformer of each beam of params at frequency f.
 
     Element n of column k is e^{-j k_f (n d theta_t - n^2 d^2 alpha_t)
     - j k_c (n d theta_p - n^2 d^2 alpha_p)} / sqrt(N_t).  f may be an array;
-    the shape is f.shape + (N_t, len(params_list)).  The observation
-    function, _observe, uses this copy; the beamsplit oracles td_vector /
-    ps_vector stay separate on purpose.
+    the shape is f.shape + (N_t, len(params)).  The observation function,
+    _observe, uses this copy; the beamsplit oracles td_vector / ps_vector
+    stay separate on purpose.
     """
     nd = (cfg.element_indices() * cfg.spacing)[:, None]
     k = np.asarray(cfg.wavenumber(f))[..., None, None]
     kc = cfg.wavenumber(cfg.carrier_freq)
-    theta_t, theta_p, alpha_t, alpha_p = (
-        np.array([getattr(p, name) for p in params_list])
-        for name in ("theta_t", "theta_p", "alpha_t", "alpha_p")
-    )
-    phase = -k * (nd * theta_t - nd * nd * alpha_t)
-    phase = phase - kc * (nd * theta_p - nd * nd * alpha_p)
+    phase = -k * (nd * params.theta_t - nd * nd * params.alpha_t)
+    phase = phase - kc * (nd * params.theta_p - nd * nd * params.alpha_p)
     return np.exp(1j * phase) / np.sqrt(cfg.n_antennas)
 
 
 def _observe(cfg: SystemConfig, families: dict, n_trials: int, rows, rng_of) -> dict:
     """Noisy observations of every probe family for n_trials users, from
     one pass over subcarrier chunks.  families maps a family name to its
-    probes: pilot parameter sets, or a PolarCodebook.  rows(chunk) returns
-    the channel rows (C, T, N_t) of a slice of subcarriers; each chunk's
-    rows are built once and feed every family.
+    probes: one pilot parameter set (TdPsParams), or a PolarCodebook.
+    rows(chunk) returns the channel rows (C, T, N_t) of a slice of
+    subcarriers; each chunk's rows are built once and feed every family.
 
     Returns family name -> map from the per-user noise std (T, 1, 1) to the
     observations: magnitudes |sqrt(P_t) h_m^T w_{m,k} + sigma z| (T, M, K)
@@ -208,23 +204,21 @@ def _observe_channel(cfg: SystemConfig, channel: Channel, probes, snr: float, rn
 
 
 def observe_params(
-    cfg: SystemConfig, channel: Channel, params_list, snr: float, rng
+    cfg: SystemConfig, channel: Channel, params: TdPsParams, snr: float, rng
 ) -> ObservationGrid:
-    """Simulate one pilot per parameter set; magnitudes (M, len(params_list)).
+    """Simulate one pilot per beam of params; magnitudes (M, len(params)).
 
     y_{m,k} = sqrt(P_t) h_m^T w_{m,k} + sigma z_{m,k}: the sweep's simulator
     at T = 1, over the channel's stored rows, with one unit-noise draw of
     shape (1, M, K) from rng.
     """
-    return ObservationGrid(magnitudes=_observe_channel(cfg, channel, params_list, snr, rng)[0],
+    return ObservationGrid(magnitudes=_observe_channel(cfg, channel, params, snr, rng)[0],
                            snr=snr)
 
 
 def observe_plan(channel: Channel, plan: PilotPlan, snr: float, rng) -> ObservationGrid:
     """All K pilots of the plan, columns in pilot order."""
-    return observe_params(
-        plan.cfg, channel, [plan.params(k) for k in range(1, plan.K + 1)], snr, rng
-    )
+    return observe_params(plan.cfg, channel, plan.params(np.arange(1, plan.K + 1)), snr, rng)
 
 
 class BatchEstimate(NamedTuple):
@@ -258,28 +252,14 @@ def _grid_pick(grid: PolarCodebook, idx) -> BatchEstimate:
                          *np.zeros((2, len(idx)), dtype=bool))
 
 
-def _foci(plan: PilotPlan, flat: np.ndarray, n_cols: int):
-    """Predicted focus, plan.focus(..., clamp=True), of the beam at each
-    0-based flat index m * n_cols + k of an array: theta, alpha (which may be
-    negative) and the clamped flag, each of flat's shape.  Each distinct
-    beam's focus is evaluated once."""
-    beams, inverse = np.unique(flat, return_inverse=True)
-    foci = [plan.focus(m + 1, k + 1, clamp=True) for m, k in zip(*np.divmod(beams, n_cols))]
-    inverse = inverse.reshape(np.shape(flat))
-    return (np.array([f.theta for f in foci])[inverse],
-            np.array([f.alpha for f in foci])[inverse],
-            np.array([f.clamped for f in foci])[inverse])
-
-
 def ongrid_estimate(mags: np.ndarray, plan: PilotPlan, budget=None) -> BatchEstimate:
     """Strongest beam's predicted focus per trial of mags (T, M, K); ties go
     to smaller m, then smaller k.  The pick is the beam's (m, k) pair.  Only
     the picked beams' foci are evaluated."""
-    n_cols = mags[..., :budget].shape[-1]
-    flat = _argmax_rows(mags, budget)
-    theta, alpha, clamped = _foci(plan, flat, n_cols)
-    return BatchEstimate(theta, np.maximum(alpha, 0.0), np.stack(np.divmod(flat, n_cols), 1),
-                         clamped | (alpha < 0), np.zeros(len(flat), dtype=bool))
+    m, k = np.divmod(_argmax_rows(mags, budget), mags[..., :budget].shape[-1])
+    focus = plan.focus(m + 1, k + 1, clamp=True)
+    return BatchEstimate(focus.theta, np.maximum(focus.alpha, 0.0), np.stack([m, k], 1),
+                         focus.clamped | (focus.alpha < 0), np.zeros(len(m), dtype=bool))
 
 
 def ongrid_train(obs: ObservationGrid, plan: PilotPlan) -> TrainingEstimate:
@@ -302,7 +282,6 @@ def aux_pair_estimate(mags: np.ndarray, plan: PilotPlan, budget=None) -> BatchEs
     cfg = plan.cfg
     base = ongrid_estimate(mags, plan, budget)
     theta0, alpha0 = base.theta, base.alpha
-    n_cols = mags[..., :budget].shape[-1]
     m_hat, k_hat = base.pick.T
     rows, n_sub = np.arange(len(mags)), mags.shape[1]
     col = mags[rows, :, k_hat]  # (T, M): the picked pilot's magnitudes
@@ -314,7 +293,8 @@ def aux_pair_estimate(mags: np.ndarray, plan: PilotPlan, budget=None) -> BatchEs
     fallback = (n_sub == 1) | ~np.isfinite(r_hat) | (r_hat <= 0)
     r_hat = np.where(fallback, 1.0, r_hat)
 
-    t0, a0, _ = _foci(plan, pair * n_cols + k_hat[:, None], n_cols)  # (T, 2) centers
+    centers = plan.focus(pair + 1, k_hat[:, None] + 1, clamp=True)
+    t0, a0 = centers.theta, centers.alpha  # (T, 2)
     f = cfg.subcarrier_freqs()[pair]
     beta = (cfg.carrier_freq / f) * path_loss(cfg, r_hat[:, None], cfg.carrier_freq)
     g = col[rows[:, None], pair] / (math.sqrt(TX_POWER * cfg.n_antennas) * beta)
@@ -472,7 +452,7 @@ def build_match_filter_bank(plan: PilotPlan, grid: PolarCodebook) -> MatchFilter
     pilot_beamformers rows scaled by 1 / sqrt(N_t)."""
     cfg = plan.cfg
     freqs = cfg.subcarrier_freqs()
-    params = [plan.params(k) for k in range(1, plan.K + 1)]
+    params = plan.params(np.arange(1, plan.K + 1))
     sig = np.empty((plan.K, cfg.n_subcarriers, len(grid)))
     for chunk in _subcarrier_chunks(cfg.n_subcarriers, _power_entries(grid, plan.K)):
         beams = pilot_beamformers(cfg, params, freqs[chunk])  # (C, N_t, K)
@@ -562,12 +542,11 @@ def rainbow_sweep_params(cfg: SystemConfig) -> TdPsParams:
     return TdPsParams(theta_t=theta_t, theta_p=theta_p)
 
 
-def rainbow_probes(cfg: SystemConfig, rings) -> list:
+def rainbow_probes(cfg: SystemConfig, rings) -> TdPsParams:
     """One frequency sweep per curvature ring: the sweep parameters with
-    alpha_t set to the ring.  The far-field sweep is the single ring 0."""
+    alpha_t set to the rings.  The far-field sweep is the single ring 0."""
     base = rainbow_sweep_params(cfg)
-    return [TdPsParams(theta_t=base.theta_t, theta_p=base.theta_p, alpha_t=float(a))
-            for a in rings]
+    return TdPsParams(base.theta_t, base.theta_p, alpha_t=np.asarray(rings, dtype=float))
 
 
 def rainbow_estimate(mags: np.ndarray, cfg: SystemConfig, rings, budget=None
@@ -588,7 +567,9 @@ def nearfield_rainbow_train(
     channel: Channel, cfg: SystemConfig, n_rings: int, snr: float, rng
 ) -> TrainingEstimate:
     """One frequency sweep per distance ring; strongest (subcarrier, ring)
-    wins.  Every beam of a ring shares its curvature alpha."""
+    wins.  Every beam of a ring shares its curvature alpha.  With no plan,
+    the rings span the config's [alpha_min, alpha_max], not a design's band
+    as in scheme_table."""
     if n_rings < 1:
         raise ValueError("need at least one ring")
     rings = _uniform_samples(cfg.alpha_min, cfg.alpha_max, n_rings)
@@ -610,7 +591,7 @@ class Scheme(NamedTuple):
     # probe family: "plan", "codebook", "near" or "far"; the schemes of one
     # family share its draws and observations.  None: no probes (perfect CSI)
     family: str | None
-    probes: object  # pilot parameter sets or a PolarCodebook, as _observe takes
+    probes: object  # a TdPsParams or a PolarCodebook, as _observe takes
     estimate: Callable | None  # (observations, pilot budget) -> BatchEstimate
     pilots: int  # full pilot count
 
@@ -628,24 +609,19 @@ def _rainbow_row(family: str, cfg: SystemConfig, rings, needed: bool = True) -> 
 def scheme_table(plan: PilotPlan, schemes, bank_angles: int, bank_rings: int) -> dict:
     """Scheme name -> Scheme row, for every scheme of ALL_SCHEMES.
 
-    bank_angles x bank_rings sizes the polar grids of the match-filter bank
-    and the exhaustive codebook; bank_rings is also the near-field rainbow's
-    ring count.  Both grids share one angle axis over the served range.  The
-    bank's rings span the design's alpha band, plan.inputs.alpha_bounds; the
-    codebook's and the rainbow's span the config's [alpha_min, alpha_max].
-    The grids, the bank and the rainbow probes are built only when `schemes`
-    asks for their scheme, but every row holds its full pilot count.  The
-    rows hold no reference to a caller, so a finished sweep frees its bank
-    without waiting for the cycle collector.
+    One polar grid of bank_angles angles over the served range times
+    bank_rings rings over the design's alpha band, plan.inputs.alpha_bounds,
+    is the match-filter bank's grid, the exhaustive codebook and, by its
+    rings, the near-field rainbow's rings.  The bank and the rainbow probes
+    are built only when `schemes` asks for their scheme, but every row holds
+    its full pilot count.  The rows hold no reference to a caller, so a
+    finished sweep frees its bank without waiting for the cycle collector.
     """
     cfg = plan.cfg
-    thetas = _uniform_samples(*cfg.angle_range, bank_angles)
-    rings = _uniform_samples(cfg.alpha_min, cfg.alpha_max, bank_rings)
-    bank = (build_match_filter_bank(plan, PolarCodebook(
-                cfg, thetas, _uniform_samples(*plan.inputs.alpha_bounds, bank_rings)))
-            if SCHEME_MATCH in schemes else None)
-    codebook = PolarCodebook(cfg, thetas, rings) if SCHEME_EXHAUSTIVE in schemes else None
-    probes = [plan.params(k) for k in range(1, plan.K + 1)]
+    grid = PolarCodebook(cfg, _uniform_samples(*cfg.angle_range, bank_angles),
+                         _uniform_samples(*plan.inputs.alpha_bounds, bank_rings))
+    bank = build_match_filter_bank(plan, grid) if SCHEME_MATCH in schemes else None
+    probes = plan.params(np.arange(1, plan.K + 1))
     return {
         SCHEME_PERFECT: Scheme(None, None, None, 0),
         SCHEME_ONGRID: Scheme(
@@ -655,8 +631,9 @@ def scheme_table(plan: PilotPlan, schemes, bank_angles: int, bank_rings: int) ->
         SCHEME_MATCH: Scheme(
             "plan", probes, lambda obs, budget: match_filter_estimate(obs, bank, budget),
             plan.K),
-        SCHEME_EXHAUSTIVE: _exhaustive_row(codebook, bank_angles * bank_rings),
-        SCHEME_NEAR_RAINBOW: _rainbow_row("near", cfg, rings, SCHEME_NEAR_RAINBOW in schemes),
+        SCHEME_EXHAUSTIVE: _exhaustive_row(grid, len(grid)),
+        SCHEME_NEAR_RAINBOW: _rainbow_row("near", cfg, grid.rings,
+                                          SCHEME_NEAR_RAINBOW in schemes),
         SCHEME_FAR_RAINBOW: _rainbow_row("far", cfg, FAR_RINGS, SCHEME_FAR_RAINBOW in schemes),
     }
 

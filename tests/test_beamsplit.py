@@ -148,6 +148,17 @@ def test_predicted_focus_tracks_the_closed_form(cfg):
     assert over > 1.0
 
 
+def test_a_focus_a_rounding_error_past_plus_one_stays_on_its_lobe(cfg):
+    # theta_t + theta_p + 2 p = 1 + 1e-13 at the carrier: the period integer
+    # p = 1 lands a rounding error past theta = 1, which the 1e-9 slack of
+    # the floor keeps at +1; p = 0 would move the beam to the far lobe at -1
+    params = TdPsParams(theta_t=-1.3 + 1e-13, theta_p=0.3)
+    focus = predicted_focus(cfg, params, cfg.carrier_freq)
+    assert (focus.p, focus.theta, focus.clamped) == (1, 1.0, False)
+    beams = predicted_focus(cfg, params, np.full(3, cfg.carrier_freq))
+    assert np.array_equal(beams.p, [1, 1, 1]) and np.array_equal(beams.theta, [1.0] * 3)
+
+
 def test_predicted_focus_infeasible_band(cfg):
     # sweep slope so steep that some frequencies land between visible periods
     params = TdPsParams(theta_t=-40.0, theta_p=1.9, alpha_t=0.0, alpha_p=0.0)

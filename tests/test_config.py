@@ -99,13 +99,27 @@ def test_default_angle_range_symmetric():
         dict(distance_range=(10.0, 2.0)),
         dict(distance_range=(0.0, 2.0)),
         dict(antenna_spacing=0.0),
+        # non-finite fields are rejected by name, before any comparison
+        dict(carrier_freq=math.nan),
+        dict(carrier_freq=math.inf),
+        dict(bandwidth=math.nan),
+        dict(bandwidth=math.inf),
+        dict(angle_range=(math.nan, 0.5)),
+        dict(angle_range=(-0.5, math.inf)),
+        dict(distance_range=(2.0, math.inf)),
+        dict(distance_range=(math.nan, 10.0)),
+        dict(antenna_spacing=math.nan),
+        dict(antenna_spacing=math.inf),
     ],
 )
 def test_config_validation(kwargs):
     base = dict(n_antennas=64, carrier_freq=30e9, bandwidth=5e9, n_subcarriers=16)
     base.update(kwargs)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         SystemConfig(**base)
+    for name, value in kwargs.items():
+        if not np.all(np.isfinite(value)):
+            assert f"{name} must be finite" in str(err.value)
 
 
 def test_config_json_round_trip():

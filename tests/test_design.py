@@ -26,6 +26,7 @@ from beamtrain.design import (
     round_half_away,
     starting_period_integer,
 )
+from beamtrain.beamsplit import InfeasibleFocusError
 from beamtrain.harness import desk_experiment_spec
 
 
@@ -174,6 +175,61 @@ def test_plan_params_expose_shared_and_per_pilot_values(plan_a):
         assert params.theta_p == plan_a.theta_p
         assert params.alpha_t == plan_a.alpha_t
         assert params.alpha_p == plan_a.alpha_p
+        assert len(params) == 1
+    # an array of pilots is one parameter set, one entry per pilot
+    pilots = plan_a.params(np.arange(1, plan_a.K + 1))
+    assert len(pilots) == plan_a.K
+    assert np.array_equal(pilots.theta_t, plan_a.theta_t_list)
+
+
+def _reference_focus(plan, m, k):
+    """Focus of one beam, written out per beam: p the largest integer with
+    theta <= 1 (a 1e-9 slack in the floor), and a beam whose theta falls
+    below -1 clamped to the nearer boundary of its lobe and the next one.
+    Returns (theta, alpha, p, clamped) and theta before the clamp."""
+    cfg, f = plan.cfg, plan.cfg.subcarrier_freq(m)
+    theta_t, g = plan.theta_t_list[k - 1], cfg.carrier_freq / f
+    p = math.floor(((1.0 - theta_t) * (f / cfg.carrier_freq) - plan.theta_p) / 2.0 + 1e-9)
+    theta = theta_t + g * (plan.theta_p + 2 * p)
+    alpha = plan.alpha_t + g * (plan.alpha_p + 2 * plan.q / cfg.spacing)
+    raw, clamped = theta, theta < -1.0 - 1e-9
+    if clamped:
+        hi = theta_t + g * (plan.theta_p + 2 * (p + 1))
+        p, theta = (p + 1, 1.0) if abs(hi - 1.0) < abs(theta + 1.0) else (p, -1.0)
+    return (min(max(theta, -1.0), 1.0), alpha, p, clamped), raw
+
+
+@pytest.mark.parametrize("plan_name", ["desk_plan", "main_plan", "plan_a_base"])
+def test_array_focus_is_the_per_beam_rule(plan_name, request):
+    # one call over every (pilot, subcarrier) beam equals the per-beam rule
+    # bit for bit; without clamp it raises exactly when a beam is infeasible
+    plan = request.getfixturevalue(plan_name)
+    k, m = np.meshgrid(np.arange(1, plan.K + 1), np.arange(1, plan.cfg.n_subcarriers + 1),
+                       indexing="ij")
+    focus = plan.focus(m, k, clamp=True)
+    want = [_reference_focus(plan, mm, kk)[0] for kk, mm in zip(k.ravel(), m.ravel())]
+    for got, column in zip((focus.theta, focus.alpha, focus.p, focus.clamped), zip(*want)):
+        assert got.shape == m.shape
+        assert np.array_equal(got.ravel(), np.array(column))
+    assert focus.clamped.any() and not focus.clamped.all()
+    with pytest.raises(InfeasibleFocusError):
+        plan.focus(m, k)
+    for row in range(plan.K):
+        if focus.clamped[row].any():
+            with pytest.raises(InfeasibleFocusError):
+                plan.focus(m[row], k[row])
+        else:
+            assert np.array_equal(plan.focus(m[row], k[row]).theta, focus.theta[row])
+    # a scalar call gives numbers, and raises today's message when infeasible
+    (bad_k, bad_m), (good_k, good_m) = (np.argwhere(focus.clamped)[0] + 1,
+                                        np.argwhere(~focus.clamped)[0] + 1)
+    single = plan.focus(int(good_m), int(good_k))
+    assert (type(single.theta), type(single.alpha), type(single.p), type(single.clamped)) == (
+        float, float, int, bool)
+    raw, f = _reference_focus(plan, bad_m, bad_k)[1], plan.cfg.subcarrier_freq(bad_m)
+    with pytest.raises(InfeasibleFocusError) as err:
+        plan.focus(int(bad_m), int(bad_k))
+    assert str(err.value) == f"focus theta {raw:.4f} outside [-1, 1] at f = {f:.4e} Hz"
 
 
 def test_plan_json_round_trip(plan_a):

@@ -50,9 +50,10 @@ from beamtrain.training import (
 from conftest import polar_grid, sweep_rate
 
 
-def _tiny_spec(**overrides):
+def _tiny_spec(config=(), **overrides):
+    """A small desk spec; config holds SystemConfig fields to replace."""
     base = dict(
-        cfg=desk_config(),
+        cfg=dataclasses.replace(desk_config(), **dict(config)),
         gamma=0.5,
         schemes=("perfect_csi", "ongrid", "nearfield_rainbow", "farfield_rainbow"),
         sweep_axis="snr_db",
@@ -113,11 +114,18 @@ def test_default_experiment_specs():
         dict(snr_db=math.inf),
         dict(sweep_axis="distance_m", axis_values=(3.0, math.nan)),
         dict(sweep_axis="overhead", axis_values=(1.0, math.inf)),
+        # a non-finite config field is named, not left to fail in the design
+        # or mid-run
+        dict(config=dict(carrier_freq=math.nan)),
+        dict(config=dict(bandwidth=math.nan)),
+        dict(config=dict(distance_range=(2.0, math.inf))),
     ],
 )
 def test_spec_validation(overrides):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         _tiny_spec(**overrides)
+    for name in dict(overrides.get("config", ())):
+        assert f"{name} must be finite" in str(err.value)
 
 
 def test_spec_hash_and_round_trip():
@@ -439,7 +447,7 @@ def _synthesis_inputs(n_trials):
     plan = design(spec.design_inputs())
     rings = np.linspace(cfg.alpha_min, cfg.alpha_max, spec.bank_rings)
     families = {
-        "plan": [plan.params(k) for k in range(1, plan.K + 1)],
+        "plan": plan.params(np.arange(1, plan.K + 1)),
         "near": rainbow_probes(cfg, rings),
         "far": rainbow_probes(cfg, FAR_RINGS),
     }

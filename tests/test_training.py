@@ -53,6 +53,7 @@ from beamtrain.training import (
     observe_params,
     pilot_beamformers,
     rainbow_probes,
+    scheme_table,
 )
 
 from conftest import grid_locations, polar_grid, quadratic_channel
@@ -96,7 +97,7 @@ def test_observe_plan_shape_and_order(desk_cfg, desk_plan):
     assert obs.magnitudes.shape == (desk_cfg.n_subcarriers, desk_plan.K)
     # the noise is drawn over the whole (1, M, K) grid, so column 1 matches
     # the single-pilot draw only when K = 1, as in the desk plan
-    single = observe_params(desk_cfg, chan, [desk_plan.params(1)], 100.0, 3)
+    single = observe_params(desk_cfg, chan, desk_plan.params(1), 100.0, 3)
     assert np.array_equal(obs.magnitudes[:, 0], single.magnitudes[:, 0])
 
 
@@ -111,7 +112,7 @@ def test_observe_plan_is_the_sweep_simulator_at_one_trial(plan_name, request):
     chan = los_channel(cfg, loc)
     users = {"theta": np.array([loc.theta]), "r": np.array([loc.distance]),
              "beta_c": np.array([chan.beta_c])}
-    probes = [plan.params(k) for k in range(1, plan.K + 1)]
+    probes = plan.params(np.arange(1, plan.K + 1))
     sig = np.stack([math.sqrt(TX_POWER)
                     * (los_rows(cfg, users["theta"], users["r"], users["beta_c"], f)
                        @ pilot_beamformers(cfg, probes, f))
@@ -405,7 +406,7 @@ def test_bank_slice_at_full_scale_matches_gain_kernel(main_plan):
     cfg = main_plan.cfg
     grid = _bank_grid(main_plan, 1024, 10)
     freqs = cfg.subcarrier_freq(np.array([1, cfg.n_subcarriers]))
-    params = [main_plan.params(k) for k in range(1, main_plan.K + 1)]
+    params = main_plan.params(np.arange(1, main_plan.K + 1))
     beams = pilot_beamformers(cfg, params, freqs)
     h = np.swapaxes(beams, 1, 2).conj() / math.sqrt(cfg.n_antennas)
     got = grid_contraction(grid, h, freqs).reshape(2, main_plan.K, 1024, 10)
@@ -630,3 +631,22 @@ def test_single_trial_api_matches_the_sweep_engine(desk_cfg):
         powers.append(observe(sigma)[0])
         singles.append(exhaustive_polar_train(ch, codebook, snr, i))
     _check_records(engine, "exhaustive", powers, singles)
+
+
+def test_every_grid_of_the_scheme_table_spans_the_design_band(desk_cfg):
+    # a spec that narrows the design's alpha band narrows the rings of the
+    # one polar grid: the match-filter bank's, the exhaustive codebook's and
+    # the near-field rainbow's
+    spec = desk_experiment_spec(alpha_min=0.08, alpha_max=0.2, bank_angles=16, bank_rings=4)
+    plan = design(spec.design_inputs())
+    rings = np.linspace(0.08, 0.2, 4)
+    table = scheme_table(plan, spec.schemes, spec.bank_angles, spec.bank_rings)
+    assert np.array_equal(table["exhaustive"].probes.rings, rings)
+    assert np.array_equal(table["nearfield_rainbow"].probes.alpha_t, rings)
+    assert len(table["nearfield_rainbow"].probes) == len(rings)
+    rng = np.random.default_rng(0)
+    for scheme, shape in (("match_filter", (40, desk_cfg.n_subcarriers, plan.K)),
+                          ("exhaustive", (40, 64)),
+                          ("nearfield_rainbow", (40, desk_cfg.n_subcarriers, 4))):
+        estimate = table[scheme].estimate(rng.random(shape), None)
+        assert np.isin(estimate.alpha, rings).all(), scheme
