@@ -22,6 +22,10 @@ FRESNEL_3DB = 1.318
 # 3 dB point of the Dirichlet kernel in normalized angle, root of sinc-like width
 DIRICHLET_3DB = 0.88
 
+# The grid kernels and the rate pass run in chunks whose largest temporary
+# holds about this many complex entries (1 MB).
+_CHUNK_ENTRIES = 1 << 16
+
 
 class InfeasibleFocusError(ValueError):
     """No period integer lands the beam focus inside theta in [-1, 1]."""
@@ -109,6 +113,34 @@ def gain_kernel(cfg: SystemConfig, x, y):
     phase = np.multiply.outer(x, nd) - np.multiply.outer(y, nd * nd)
     out = np.abs(np.exp(1j * phase).sum(axis=-1)) / cfg.n_antennas
     return float(out) if out.ndim == 0 else out
+
+
+def subcarrier_gains(cfg: SystemConfig, dtheta: np.ndarray, dalpha: np.ndarray) -> np.ndarray:
+    """Gains (R, M) G(k_m dtheta, k_m dalpha) of R polar mismatches, arrays
+    of R, over the M subcarriers: the serving gain of the rate pass, with
+    gain_kernel its oracle.
+
+    The wavenumbers are uniform, k_m = k_1 + (m - 1) dk, so with m - 1 = a b + s
+    and b = ceil(sqrt M) a row's M sums over n of e^{j k_m phi_n}, phi_n =
+    n d dtheta - (n d)^2 dalpha, are one matrix product of the giant steps
+    e^{j k_{ab+1} phi_n} and the baby steps e^{j s dk phi_n} (Rabiner, Schafer
+    & Rader 1969): (M / b + b) N_t exponentials a row instead of M N_t.  Rows
+    run in blocks of about _CHUNK_ENTRIES temporaries, and a row's gains do
+    not depend on the rows that share its block.
+    """
+    m = cfg.n_subcarriers
+    b = math.isqrt(m - 1) + 1
+    nd = cfg.element_indices() * cfg.spacing
+    giant = cfg.wavenumber(cfg.subcarrier_freqs()[::b])[:, None]
+    baby = cfg.wavenumber(cfg.bandwidth / m) * np.arange(b)
+    out = np.empty((len(dtheta), m))
+    step = max(1, _CHUNK_ENTRIES // (cfg.n_antennas * b))
+    for lo in range(0, len(dtheta), step):
+        phi = (np.multiply.outer(dtheta[lo:lo + step], nd)
+               - np.multiply.outer(dalpha[lo:lo + step], nd * nd))
+        sums = np.exp(1j * giant * phi[:, None]) @ np.exp(1j * phi[:, :, None] * baby)
+        out[lo:lo + step] = np.abs(sums.reshape(len(phi), -1)[:, :m]) / cfg.n_antennas
+    return out
 
 
 def tdps_gain(cfg: SystemConfig, params: TdPsParams, loc, f):

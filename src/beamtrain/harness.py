@@ -21,10 +21,9 @@ import numpy as np
 from .config import (PolarLocation, SystemConfig, fields_from_dict, fields_to_dict,
                      write_text)
 from .arrays import los_rows, path_loss
-from .beamsplit import gain_kernel
+from .beamsplit import subcarrier_gains
 from .design import DesignInputs, PilotPlan, design
-from .training import (ALL_SCHEMES, _CHUNK_ENTRIES, _observe, _subcarrier_chunks, noise_power,
-                       scheme_table)
+from .training import ALL_SCHEMES, _CHUNK_ENTRIES, _observe, noise_power, scheme_table
 
 AXES = ("snr_db", "overhead", "distance_m")
 
@@ -45,15 +44,8 @@ def rate_metric(cfg: SystemConfig, true_loc: PolarLocation, estimate, snr: float
 
 
 def _serving_gains(cfg, theta0, alpha0, theta_hat, alpha_hat):
-    """Array gain per (trial, subcarrier): kernel at the polar mismatch, one
-    gain_kernel call per chunk of subcarriers."""
-    k = cfg.wavenumber(cfg.subcarrier_freqs())
-    out = np.empty((len(theta0), len(k)))
-    dth = theta0 - theta_hat
-    dal = alpha0 - alpha_hat
-    for chunk in _subcarrier_chunks(len(k), len(theta0) * cfg.n_antennas):
-        out[:, chunk] = gain_kernel(cfg, k[chunk, None] * dth, k[chunk, None] * dal).T
-    return out
+    """Array gain per (trial, subcarrier) at the polar mismatch."""
+    return subcarrier_gains(cfg, theta0 - theta_hat, alpha0 - alpha_hat)
 
 
 def _distinct_rates(cfg, users, snrs, theta_hat, alpha_hat) -> np.ndarray:

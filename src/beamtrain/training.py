@@ -34,7 +34,7 @@ import numpy as np
 
 from .config import SystemConfig, fields_to_dict
 from .arrays import Channel, PolarCodebook, _uniform_samples, path_loss
-from .beamsplit import TdPsParams, ellipse_coefficients
+from .beamsplit import _CHUNK_ENTRIES, TdPsParams, ellipse_coefficients
 from .design import PilotPlan
 
 TX_POWER = 1.0
@@ -42,10 +42,6 @@ TX_POWER = 1.0
 # aux-pair Newton solve: residual-norm tolerance and iteration cap
 _AUX_TOL = 1e-8
 _AUX_MAX_ITER = 50
-
-# The grid kernels run over subcarriers in chunks whose largest temporary
-# holds about this many complex entries (1 MB).
-_CHUNK_ENTRIES = 1 << 16
 
 # the far-field rainbow is a near-field rainbow with one ring, at alpha = 0
 FAR_RINGS = (0.0,)

@@ -23,7 +23,7 @@ from beamtrain import (
     td_vector,
     tdps_gain,
 )
-from beamtrain.beamsplit import FRESNEL_3DB, element_delays
+from beamtrain.beamsplit import FRESNEL_3DB, element_delays, subcarrier_gains
 from beamtrain.config import SPEED_OF_LIGHT
 
 
@@ -228,6 +228,47 @@ def test_beamwidths_match_measured_kernel(cfg, f_key):
     pred_al = distance_beamwidth(cfg, f)
     w_al = _bisect(lambda a: gain_kernel(cfg, 0.0, k * a) - target, 1e-12, 2.5 * pred_al)
     assert abs(w_al - pred_al) / w_al <= 0.05
+
+
+def _kernel_loop(cfg, dtheta, dalpha):
+    """The serving gains one gain_kernel call per subcarrier."""
+    k = cfg.wavenumber(cfg.subcarrier_freqs())
+    return np.stack([gain_kernel(cfg, km * dtheta, km * dalpha) for km in k], axis=-1)
+
+
+@pytest.mark.parametrize("n_antennas, n_subcarriers, bandwidth", [
+    (64, 256, 5e9),    # desk: b = 16 divides M
+    (256, 1024, 5e9),  # full scale: b = 32 divides M
+    (63, 1100, 5e9),   # odd N_t; b = 34 does not divide M
+    (64, 1023, 5e9),   # b = 32 does not divide M
+    (64, 1, 5e9),      # one subcarrier: b = 1
+    (64, 100, 0.0),    # no bandwidth: every k_m is k_c
+    (1, 100, 5e9),     # one antenna: every gain is 1
+])
+def test_subcarrier_gains_equal_a_per_subcarrier_kernel_loop(n_antennas, n_subcarriers,
+                                                             bandwidth):
+    cfg = SystemConfig(n_antennas, 30e9, bandwidth, n_subcarriers, distance_range=(2.0, 10.0))
+    rng = np.random.default_rng(n_antennas + n_subcarriers)
+    # sweep-sized mismatches, the far lobe (dtheta near +-2), and none
+    dtheta = np.r_[rng.uniform(-0.1, 0.1, 6), 1.9999, -1.998, 0.0]
+    dalpha = np.r_[rng.uniform(-0.05, 0.05, 6), 0.01, 0.0, 0.0]
+    got = subcarrier_gains(cfg, dtheta, dalpha)
+    assert got.shape == (len(dtheta), n_subcarriers)
+    assert np.max(np.abs(got - _kernel_loop(cfg, dtheta, dalpha))) <= 1e-12
+    assert np.all(got[-1] == 1.0)
+
+
+def test_subcarrier_gains_of_a_row_do_not_depend_on_its_block():
+    # desk scale runs 64 rows a block: 150 rows span three blocks, and the
+    # reversed order gives every row other neighbours
+    cfg = SystemConfig(64, 30e9, 5e9, 256, distance_range=(2.0, 10.0))
+    rng = np.random.default_rng(5)
+    dtheta, dalpha = rng.uniform(-0.2, 0.2, 150), rng.uniform(-0.1, 0.1, 150)
+    block = subcarrier_gains(cfg, dtheta, dalpha)
+    assert np.array_equal(subcarrier_gains(cfg, dtheta[::-1], dalpha[::-1])[::-1], block)
+    for i in range(0, 150, 7):
+        assert np.array_equal(subcarrier_gains(cfg, dtheta[i:i + 1], dalpha[i:i + 1])[0],
+                              block[i])
 
 
 def test_ellipse_coefficients_taylor_expand_the_kernel(cfg):

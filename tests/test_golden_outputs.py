@@ -30,6 +30,13 @@ observes through the sweep's observation function, `training._observe`, at
 one trial with the call's one generator, and the file kept every byte, so
 it pins the single-trial path the CLI takes.
 
+The four sweep and train files were rewritten when the rate pass moved from
+one gain_kernel sum per subcarrier to the baby-step giant-step matrix
+product of beamsplit.subcarrier_gains.  The factored sum rounds apart from
+the direct one, so the last digits of some rates moved: every number stayed
+within 1e-12 relative of the earlier file (at most 1.8e-15), and the design,
+beam-pattern and spec files kept every byte.
+
 Running this file as a script rewrites the stored files from the current
 code: `PYTHONPATH=src python tests/test_golden_outputs.py`.
 """
