@@ -21,9 +21,9 @@ import numpy as np
 from .config import (PolarLocation, SystemConfig, fields_from_dict, fields_to_dict,
                      write_text)
 from .arrays import los_rows, path_loss
-from .beamsplit import subcarrier_gains
+from .beamsplit import _CHUNK_ENTRIES, subcarrier_gains
 from .design import DesignInputs, PilotPlan, design
-from .training import ALL_SCHEMES, _CHUNK_ENTRIES, _observe, noise_power, scheme_table
+from .training import ALL_SCHEMES, _observe, noise_power, scheme_table
 
 AXES = ("snr_db", "overhead", "distance_m")
 
