@@ -16,9 +16,12 @@ changes).  In each tree a child process, with that tree's `src/` and
   reads the bank
 - the stdout of every `beamtrain train` call of the cli_train workload at
   seeds 0-9, one item per seed
-- the beam-pattern CSV, `dump_beam_pattern`, of the desk, full-scale and
-  config-A plans (config A: 128 antennas, 10 GHz carrier, 2 GHz band, 512
-  subcarriers, 5-200 m, gamma 1)
+- the beam-pattern CSV, `dump_beam_pattern`, and the plan JSON, `to_json()`,
+  of the desk, full-scale and config-A plans (config A: 128 antennas, 10 GHz
+  carrier, 2 GHz band, 512 subcarriers, 5-200 m, gamma 1)
+- the JSON, `json.dumps(to_dict(), indent=2)`, and `spec_hash()` of the
+  default desk and full-scale specs
+- each plan and spec JSON read back through `from_dict` and written again
 
 Each item is reported as identical, or with the count of changed lines and
 the largest relative change of a number on them ("inf" where a changed line
@@ -118,7 +121,16 @@ def dump(out: str) -> None:
     for name, inputs in (("desk", desk().design_inputs()),
                          ("full-scale", harness.fullscale_experiment_spec().design_inputs()),
                          ("config-A", DesignInputs(cfg=config_a, gamma=1.0))):
-        items[f"{name} beam pattern"] = harness.dump_beam_pattern(design(inputs))[1]
+        plan = design(inputs)
+        items[f"{name} beam pattern"] = harness.dump_beam_pattern(plan)[1]
+        items[f"{name} plan JSON"] = text = plan.to_json()
+        items[f"{name} plan JSON read back"] = type(plan).from_dict(json.loads(text)).to_json()
+    for name, spec in (("desk", desk()), ("full-scale", harness.fullscale_experiment_spec())):
+        items[f"{name} spec JSON"] = text = json.dumps(spec.to_dict(), indent=2)
+        items[f"{name} spec hash"] = spec.spec_hash()
+        again = type(spec).from_dict(json.loads(text))
+        items[f"{name} spec JSON read back"] = json.dumps(again.to_dict(), indent=2)
+        items[f"{name} spec hash read back"] = again.spec_hash()
     Path(out).write_text(json.dumps(items))
 
 

@@ -11,8 +11,11 @@ the far-field limit.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
+import numbers
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +24,35 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 
 SIN_60 = math.sin(math.pi / 3)
 
+# field metadata of a nested record that a JSON object may leave out, to be
+# read with its defaults
+DEFAULTS_IF_MISSING = {"defaults_if_missing": True}
+
+
+class Record:
+    """A dataclass written and read in the one JSON layout of fields_to_dict
+    and fields_from_dict.  Writers take an optional path, readers text."""
+
+    def to_dict(self) -> dict:
+        return fields_to_dict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        return cls(**fields_from_dict(cls, data))
+
+    def to_json(self, path=None) -> str:
+        text = json.dumps(self.to_dict(), indent=2)
+        write_text(path, text + "\n")
+        return text
+
+    @classmethod
+    def from_json(cls, text: str):
+        """Parse JSON text (read files with Path.read_text)."""
+        return cls.from_dict(json.loads(text))
+
 
 @dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(Record):
     """Static link parameters.
 
     Attributes
@@ -52,14 +81,15 @@ class SystemConfig:
             if not all(map(math.isfinite, value if isinstance(value, tuple)
                            else () if value is None else (value,))):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.n_antennas < 1:
-            raise ValueError("n_antennas must be >= 1")
+        for name in ("n_antennas", "n_subcarriers"):
+            value = getattr(self, name)  # NumPy integers are Integral, bools are not counts
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, name, int(value))  # JSON writes Python ints only
         if self.carrier_freq <= 0 or self.bandwidth < 0:
             raise ValueError("carrier_freq must be positive and bandwidth nonnegative")
         if self.bandwidth >= 2 * self.carrier_freq:
             raise ValueError("bandwidth must leave all subcarriers positive")
-        if self.n_subcarriers < 1:
-            raise ValueError("n_subcarriers must be >= 1")
         lo, hi = self.angle_range
         if not (-1.0 <= lo < hi <= 1.0):
             raise ValueError("angle_range must be an increasing subset of [-1, 1]")
@@ -123,65 +153,68 @@ class SystemConfig:
     def wavenumber(self, f) -> float | np.ndarray:
         return 2 * np.pi * np.asarray(f) / SPEED_OF_LIGHT
 
-    def to_dict(self) -> dict:
-        return fields_to_dict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SystemConfig":
-        return cls(**fields_from_dict(cls, data))
+@functools.cache
+def _layout(cls) -> tuple:
+    """Whether record class cls has a config (a field cfg, or a nested record
+    that has one), and (name, nested Record class or None, required) of each
+    other field, resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    fields = []
+    for f in dataclasses.fields(cls):
+        kind = hints[f.name]
+        record = kind if isinstance(kind, type) and issubclass(kind, Record) else None
+        required = (f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+                    and "defaults_if_missing" not in f.metadata)
+        if f.name != "cfg":
+            fields.append((f.name, record, required))
+    has_config = "cfg" in cls.__dataclass_fields__ or any(
+        record is not None and _layout(record)[0] for _, record, _ in fields)
+    return has_config, tuple(fields)
 
-    def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_dict(), indent=2)
-        write_text(path, text + "\n")
-        return text
 
-    @classmethod
-    def from_json(cls, text: str) -> "SystemConfig":
-        """Parse JSON text with keys mirroring field names (read files with
-        Path.read_text)."""
-        return cls.from_dict(json.loads(text))
-
-
-def fields_to_dict(obj, omit=()) -> dict:
-    """JSON-ready dict of the fields of dataclass obj, in field order: cfg
-    under "config" as its own dict, a nested record as its dict without
-    "config" (it shares the outer one), tuples as lists.  Fields named in
-    omit are left out."""
-    out = {}
-    for f in dataclasses.fields(obj):
-        if f.name in omit:
-            continue
-        value = getattr(obj, f.name)
-        if f.name == "cfg":
-            out["config"] = value.to_dict()
-        elif dataclasses.is_dataclass(value):
-            out[f.name] = fields_to_dict(value, omit=("cfg",))
-        else:
-            out[f.name] = list(value) if isinstance(value, tuple) else value
+def fields_to_dict(obj, nested: bool = False) -> dict:
+    """JSON-ready dict of the fields of record obj, in field order after its
+    config, obj.cfg, under "config"; a nested record as its dict without
+    "config" (it shares the outer one); tuples as lists."""
+    has_config, fields = _layout(type(obj))
+    out = {"config": fields_to_dict(obj.cfg)} if has_config and not nested else {}
+    for name, record, _ in fields:
+        value = getattr(obj, name)
+        if record is not None:
+            value = fields_to_dict(value, nested=True)
+        out[name] = list(value) if isinstance(value, tuple) else value
     return out
 
 
-def fields_from_dict(cls, data: dict, omit=()) -> dict:
-    """Keyword arguments of dataclass cls from a dict in the layout of
-    fields_to_dict: "config" gives cfg and lists give tuples; a nested
-    record stays a dict for the caller.  Raises ValueError naming every key
-    that is not a field of cls (fields in omit included) and every field
-    without a default that is missing."""
+def fields_from_dict(cls, data: dict, config: SystemConfig | None = None) -> dict:
+    """Keyword arguments of record class cls from a dict in the layout of
+    fields_to_dict: "config" gives the config and lists give tuples.  A nested
+    record is read with the outer config handed down as config, so its dict
+    holds no "config"; one marked DEFAULTS_IF_MISSING that is missing reads
+    with its defaults.  Raises ValueError naming every key that is not a
+    field of cls and every field without a default that is missing."""
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object")
-    fields = {("config" if f.name == "cfg" else f.name): f
-              for f in dataclasses.fields(cls) if f.name not in omit}
-    unknown = sorted(set(data) - set(fields))
-    missing = [key for key, f in fields.items() if key not in data
-               and f.default is dataclasses.MISSING
-               and f.default_factory is dataclasses.MISSING]
+    has_config, fields = _layout(cls)
+    top = has_config and config is None
+    expected = {"config": True} if top else {}
+    expected.update((name, required) for name, _, required in fields)
+    unknown = sorted(set(data) - set(expected))
+    missing = [key for key, required in expected.items() if required and key not in data]
     problems = [f"{what} key(s) {', '.join(map(repr, keys))}"
                 for what, keys in (("unknown", unknown), ("missing", missing)) if keys]
     if problems:
         raise ValueError(f"{cls.__name__}: " + "; ".join(problems))
-    return {fields[key].name: SystemConfig.from_dict(value) if key == "config"
-            else tuple(value) if isinstance(value, list) else value
-            for key, value in data.items()}
+    if top:
+        config = SystemConfig.from_dict(data["config"])
+    kwargs = {"cfg": config} if "cfg" in cls.__dataclass_fields__ else {}
+    for name, record, _ in fields:
+        if record is not None:
+            kwargs[name] = record(**fields_from_dict(record, data.get(name, {}), config))
+        elif name in data:
+            kwargs[name] = tuple(data[name]) if isinstance(data[name], list) else data[name]
+    return kwargs
 
 
 def write_text(path, text: str) -> None:
@@ -205,13 +238,13 @@ class PolarLocation:
     def __post_init__(self):
         if not -1.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [-1, 1]")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and nonnegative, got {self.alpha!r}")
 
     @classmethod
     def from_angle_distance(cls, theta: float, r: float) -> "PolarLocation":
         """Build from sine-angle and distance in meters (r = inf allowed)."""
-        if r <= 0:
+        if not r > 0:  # also NaN
             raise ValueError("distance must be positive")
         alpha = 0.0 if math.isinf(r) else (1.0 - theta**2) / (2.0 * r)
         return cls(theta=theta, alpha=alpha)

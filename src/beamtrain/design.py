@@ -9,14 +9,12 @@ close the inter-annulus gaps and to cover the angle range.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (SPEED_OF_LIGHT, SystemConfig, fields_from_dict, fields_to_dict,
-                     write_text)
+from .config import SPEED_OF_LIGHT, Record, SystemConfig, write_text
 from .beamsplit import (
     FRESNEL_3DB,
     DIRICHLET_3DB,
@@ -33,7 +31,7 @@ def round_half_away(x: float) -> int:
 
 
 @dataclass(frozen=True)
-class DesignInputs:
+class DesignInputs(Record):
     """Inputs to the pilot design.
 
     gamma in (0, 1] trades angle sampling density against sweep speed
@@ -84,18 +82,6 @@ class DesignInputs:
         lo = self.cfg.alpha_min if self.alpha_min is None else self.alpha_min
         hi = self.cfg.alpha_max if self.alpha_max is None else self.alpha_max
         return lo, hi
-
-    def to_dict(self) -> dict:
-        return fields_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DesignInputs":
-        return cls(**fields_from_dict(cls, data))
-
-    @classmethod
-    def from_json(cls, text: str) -> "DesignInputs":
-        """Parse JSON text (read files with Path.read_text)."""
-        return cls.from_dict(json.loads(text))
 
 
 def design_angle_params(inputs: DesignInputs) -> tuple[float, int]:
@@ -199,14 +185,13 @@ def intercepts_for_pilots(cfg: SystemConfig, theta_p: float, p_m: int, n_pilots:
 
 
 @dataclass(frozen=True)
-class PilotPlan:
+class PilotPlan(Record):
     """Complete parameter set for one training sweep.
 
     theta_t_list has one delay intercept per pilot; theta_p, alpha_p, alpha_t,
     q are shared.  ending_directions are the designed top-subcarrier foci.
     """
 
-    cfg: SystemConfig
     inputs: DesignInputs
     theta_p: float
     theta_t_list: tuple[float, ...]
@@ -227,6 +212,10 @@ class PilotPlan:
             raise ValueError("K must match the number of delay intercepts")
         if self.alpha_slope + 1e-9 < self.alpha_slope_min:
             raise ValueError("distance slope below the coverage bound")
+
+    @property
+    def cfg(self) -> SystemConfig:
+        return self.inputs.cfg
 
     @property
     def alpha_slope(self) -> float:
@@ -250,26 +239,11 @@ class PilotPlan:
         return predicted_focus(self.cfg, self.params(k), f, q=self.q,
                                subcarrier=m, clamp=clamp)
 
-    def to_dict(self) -> dict:
-        return fields_to_dict(self)
-
-    def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_dict(), indent=2)
-        write_text(path, text + "\n")
-        return text
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PilotPlan":
-        kwargs = fields_from_dict(cls, data)
-        # the inputs share the plan's config
-        kwargs["inputs"] = DesignInputs.from_dict(
-            {**kwargs["inputs"], "config": data["config"]})
-        return cls(**kwargs)
-
     @classmethod
     def from_json(cls, text: str) -> "PilotPlan":
-        """Parse JSON text (read files with Path.read_text)."""
-        return cls.from_dict(json.loads(text))
+        """Parse JSON text (read files with Path.read_text).  Defined on this
+        class, not only on Record: perfbench/spans.py wraps it here."""
+        return super().from_json(text)
 
     def summary(self) -> str:
         cfg = self.cfg
@@ -306,7 +280,6 @@ def design(inputs: DesignInputs) -> PilotPlan:
     theta_ts = tuple(intercepts_for_pilots(cfg, theta_p, p_m, K))
     amin, amax = inputs.alpha_bounds
     return PilotPlan(
-        cfg=cfg,
         inputs=inputs,
         theta_p=theta_p,
         theta_t_list=theta_ts,
@@ -332,16 +305,20 @@ class FixedTdNetwork:
     """
 
     delays: np.ndarray
-    selection_bits: int
 
     @property
     def n_pilots(self) -> int:
         return self.delays.shape[1]
 
+    @property
+    def selection_bits(self) -> int:
+        """ceil(log2 K), 0 for one pilot."""
+        return (self.n_pilots - 1).bit_length()
+
     def to_csv(self, path=None) -> str:
         """Rows = antennas, columns = pilots, 17 significant digits."""
         lines = [
-            ",".join(f"{v:.16e}" for v in row) for row in np.atleast_2d(self.delays)
+            ",".join(f"{v:.16e}" for v in row) for row in self.delays
         ]
         text = "\n".join(lines) + "\n"
         write_text(path, text)
@@ -354,9 +331,9 @@ class FixedTdNetwork:
             [float(v) for v in line.split(",")]
             for line in text.strip().splitlines()
         ]
-        delays = np.array(rows, dtype=float)
-        k = delays.shape[1]
-        return cls(delays=delays, selection_bits=max(0, math.ceil(math.log2(k))) if k > 1 else 0)
+        if not rows:
+            raise ValueError("no delay rows")
+        return cls(delays=np.array(rows, dtype=float))
 
 
 def fixed_td_network(plan: PilotPlan) -> FixedTdNetwork:
@@ -365,6 +342,4 @@ def fixed_td_network(plan: PilotPlan) -> FixedTdNetwork:
         element_delays(plan.cfg, plan.theta_t_list[k], plan.alpha_t)
         for k in range(plan.K)
     ]
-    delays = np.stack(cols, axis=1)
-    bits = math.ceil(math.log2(plan.K)) if plan.K > 1 else 0
-    return FixedTdNetwork(delays=delays, selection_bits=bits)
+    return FixedTdNetwork(delays=np.stack(cols, axis=1))

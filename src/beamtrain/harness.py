@@ -8,7 +8,6 @@ schemes are compared on identical user draws.
 """
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -18,8 +17,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .config import (PolarLocation, SystemConfig, fields_from_dict, fields_to_dict,
-                     write_text)
+from .config import DEFAULTS_IF_MISSING, PolarLocation, Record, SystemConfig, write_text
 from .arrays import los_rows, path_loss
 from .beamsplit import _CHUNK_ENTRIES, subcarrier_gains
 from .design import DesignInputs, PilotPlan, design
@@ -43,11 +41,6 @@ def rate_metric(cfg: SystemConfig, true_loc: PolarLocation, estimate, snr: float
                                  np.array([[estimate.alpha]]))[0, 0])
 
 
-def _serving_gains(cfg, theta0, alpha0, theta_hat, alpha_hat):
-    """Array gain per (trial, subcarrier) at the polar mismatch."""
-    return subcarrier_gains(cfg, theta0 - theta_hat, alpha0 - alpha_hat)
-
-
 def _distinct_rates(cfg, users, snrs, theta_hat, alpha_hat) -> np.ndarray:
     """Rates (P, T) of P estimate sets (P, T) of the same T users, set p
     served at the linear SNR snrs[p].
@@ -55,8 +48,9 @@ def _distinct_rates(cfg, users, snrs, theta_hat, alpha_hat) -> np.ndarray:
     The serving gain of each distinct (trial, theta_hat, alpha_hat) row,
     compared bit for bit, is computed once: an estimator that repeats its
     pick across SNR points or schemes costs one kernel row.  The distinct
-    rows go through _serving_gains in blocks of about _CHUNK_ENTRIES gains,
-    and each row is the same computation as alone, so every rate is too.
+    rows go through subcarrier_gains at their polar mismatch, in blocks of
+    about _CHUNK_ENTRIES gains, and each row is the same computation as
+    alone, so every rate is too.
     """
     p, t = theta_hat.shape
     trial = np.tile(np.arange(t), p)
@@ -69,34 +63,25 @@ def _distinct_rates(cfg, users, snrs, theta_hat, alpha_hat) -> np.ndarray:
     step = max(1, _CHUNK_ENTRIES // cfg.n_subcarriers)
     for lo in range(0, len(first), step):
         rows = first[lo:lo + step]
-        gains = _serving_gains(cfg, users["theta"][trial[rows]], users["alpha"][trial[rows]],
-                               theta_hat[rows], alpha_hat[rows])
+        gains = subcarrier_gains(cfg, users["theta"][trial[rows]] - theta_hat[rows],
+                                 users["alpha"][trial[rows]] - alpha_hat[rows])
         reads = np.flatnonzero((inverse >= lo) & (inverse < lo + step))
         g = gains[inverse[reads] - lo]
         rates[reads] = np.mean(np.log2(1.0 + snr[reads] * g**2), axis=1)
     return rates.reshape(p, t)
 
 
-# the DesignInputs fields besides cfg, which ExperimentSpec holds flat and
-# writes under "design"
-_DESIGN_FIELDS = tuple(f.name for f in dataclasses.fields(DesignInputs) if f.name != "cfg")
-
-
 @dataclass(frozen=True)
-class ExperimentSpec:
-    """One sweep: config, design inputs, schemes, axis, and sizes.
+class ExperimentSpec(Record):
+    """One sweep: design inputs (with the config), schemes, axis, and sizes.
 
     bank_angles x bank_rings sizes both the exhaustive codebook and the
     match-filter bank; bank_rings is also the rainbow ring count.  snr_db is
-    the operating SNR for non-SNR axes.
+    the operating SNR for non-SNR axes.  A spec file without "design" reads
+    with the design defaults.
     """
 
-    cfg: SystemConfig
-    gamma: float = 1.0
-    alpha_min: float | None = None
-    alpha_max: float | None = None
-    k_override: int | None = None
-    alpha_p_override: float | None = None
+    design: DesignInputs = field(metadata=DEFAULTS_IF_MISSING)
     schemes: tuple[str, ...] = ALL_SCHEMES
     sweep_axis: str = "snr_db"
     axis_values: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
@@ -128,27 +113,14 @@ class ExperimentSpec:
             raise ValueError("bank dimensions must be >= 1")
         # rejects what the design cannot serve, which includes every config
         # the rainbow sweeps cannot (one subcarrier, no bandwidth)
-        design(self.design_inputs())
+        design(self.design)
+
+    @property
+    def cfg(self) -> SystemConfig:
+        return self.design.cfg
 
     def design_inputs(self) -> DesignInputs:
-        return DesignInputs(self.cfg, **{name: getattr(self, name)
-                                         for name in _DESIGN_FIELDS})
-
-    def to_dict(self) -> dict:
-        rest = fields_to_dict(self, omit=_DESIGN_FIELDS)
-        inputs = fields_to_dict(self.design_inputs(), omit=("cfg",))
-        return {"config": rest.pop("config"), "design": inputs, **rest}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentSpec":
-        rest = dict(data)
-        inputs = fields_from_dict(DesignInputs, rest.pop("design", {}), omit=("cfg",))
-        return cls(**fields_from_dict(cls, rest, omit=_DESIGN_FIELDS), **inputs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentSpec":
-        """Parse JSON text (read files with Path.read_text)."""
-        return cls.from_dict(json.loads(text))
+        return self.design
 
     def spec_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -237,7 +209,7 @@ class _Engine:
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
         self.cfg = spec.cfg
-        self.plan = design(spec.design_inputs())
+        self.plan = design(spec.design)
         self.table = scheme_table(self.plan, spec.schemes, spec.bank_angles, spec.bank_rings)
 
     def _point(self, idx, value):
@@ -400,8 +372,7 @@ def fullscale_config() -> SystemConfig:
 
 def desk_experiment_spec(**overrides) -> ExperimentSpec:
     base = dict(
-        cfg=desk_config(),
-        gamma=0.5,
+        design=DesignInputs(desk_config(), gamma=0.5),
         schemes=ALL_SCHEMES,
         sweep_axis="snr_db",
         axis_values=(5.0, 10.0, 15.0, 20.0),
@@ -416,9 +387,7 @@ def desk_experiment_spec(**overrides) -> ExperimentSpec:
 
 def fullscale_experiment_spec(**overrides) -> ExperimentSpec:
     base = dict(
-        cfg=fullscale_config(),
-        gamma=0.95,
-        k_override=3,
+        design=DesignInputs(fullscale_config(), gamma=0.95, k_override=3),
         schemes=ALL_SCHEMES,
         sweep_axis="snr_db",
         axis_values=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),

@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import SystemConfig, fields_to_dict
+from .config import Record, SystemConfig
 from .arrays import Channel, PolarCodebook, _uniform_samples, path_loss
 from .beamsplit import _CHUNK_ENTRIES, TdPsParams, ellipse_coefficients
 from .design import PilotPlan
@@ -80,7 +80,7 @@ class ObservationGrid:
 
 
 @dataclass(frozen=True)
-class TrainingEstimate:
+class TrainingEstimate(Record):
     """Estimated user location plus selection bookkeeping."""
 
     theta: float
@@ -96,9 +96,6 @@ class TrainingEstimate:
             raise ValueError("estimate theta must lie in [-1, 1]")
         if self.alpha < 0:
             raise ValueError("estimate alpha must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return fields_to_dict(self)
 
     @classmethod
     def from_batch(cls, batch: "BatchEstimate", scheme: str, pilots_used: int):

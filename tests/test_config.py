@@ -110,6 +110,12 @@ def test_default_angle_range_symmetric():
         dict(distance_range=(math.nan, 10.0)),
         dict(antenna_spacing=math.nan),
         dict(antenna_spacing=math.inf),
+        # counts are integers: 64.5 would build 65 elements and True one
+        dict(n_antennas=64.0),
+        dict(n_antennas=64.5),
+        dict(n_antennas=True),
+        dict(n_subcarriers=16.0),
+        dict(n_subcarriers=True),
     ],
 )
 def test_config_validation(kwargs):
@@ -120,6 +126,13 @@ def test_config_validation(kwargs):
     for name, value in kwargs.items():
         if not np.all(np.isfinite(value)):
             assert f"{name} must be finite" in str(err.value)
+
+
+def test_numpy_integer_counts_are_accepted():
+    cfg = SystemConfig(np.int64(64), 30e9, 5e9, np.int32(16))
+    assert len(cfg.element_indices()) == 64 and len(cfg.subcarrier_freqs()) == 16
+    # stored as Python ints, so the config and any spec holding it write JSON
+    assert SystemConfig.from_json(cfg.to_json()) == cfg
 
 
 def test_config_json_round_trip():
@@ -153,3 +166,9 @@ def test_polar_location_validation():
         PolarLocation(0.0, -1e-3)
     with pytest.raises(ValueError):
         PolarLocation.from_angle_distance(0.0, 0.0)
+    # a non-finite curvature would give a NaN rate
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            PolarLocation(0.2, alpha)
+    with pytest.raises(ValueError):
+        PolarLocation.from_angle_distance(0.2, math.nan)

@@ -286,6 +286,8 @@ def test_delay_table_csv_round_trip(main_plan):
     again = FixedTdNetwork.from_csv(net.to_csv())
     assert np.array_equal(again.delays, net.delays)
     assert again.selection_bits == net.selection_bits
+    with pytest.raises(ValueError):
+        FixedTdNetwork.from_csv("")
 
 
 def test_design_rejects_a_spacing_the_focus_prediction_cannot_serve(desk_cfg):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from beamtrain import (
+    DesignInputs,
     ExperimentSpec,
     FixedTdNetwork,
     PolarLocation,
@@ -26,13 +27,12 @@ from beamtrain import (
 )
 from beamtrain import harness
 from beamtrain.arrays import los_rows
-from beamtrain.beamsplit import gain_kernel
+from beamtrain.beamsplit import gain_kernel, subcarrier_gains
 from beamtrain.harness import (
     _STREAM_USERS,
     _draw_users,
     _Engine,
     _rng,
-    _serving_gains,
     _PATTERN_COLUMNS,
     _SWEEP_COLUMNS,
     read_csv,
@@ -49,11 +49,12 @@ from beamtrain.training import (
 from conftest import polar_grid, sweep_rate
 
 
-def _tiny_spec(config=(), **overrides):
-    """A small desk spec; config holds SystemConfig fields to replace."""
+def _tiny_spec(config=(), cfg=None, alpha_p_override=None, **overrides):
+    """A small desk spec; config holds SystemConfig fields to replace in cfg,
+    by default the desk config."""
+    cfg = dataclasses.replace(desk_config() if cfg is None else cfg, **dict(config))
     base = dict(
-        cfg=dataclasses.replace(desk_config(), **dict(config)),
-        gamma=0.5,
+        design=DesignInputs(cfg, gamma=0.5, alpha_p_override=alpha_p_override),
         schemes=("perfect_csi", "ongrid", "nearfield_rainbow", "farfield_rainbow"),
         sweep_axis="snr_db",
         axis_values=(10.0, 20.0),
@@ -80,9 +81,9 @@ def test_reference_configs():
 
 def test_default_experiment_specs():
     d = desk_experiment_spec()
-    assert d.gamma == 0.5 and d.sweep_axis == "snr_db"
+    assert d.design.gamma == 0.5 and d.sweep_axis == "snr_db"
     f = fullscale_experiment_spec()
-    assert f.gamma == 0.95 and f.k_override == 3
+    assert f.design.gamma == 0.95 and f.design.k_override == 3
 
 
 @pytest.mark.parametrize(
@@ -133,6 +134,25 @@ def test_spec_hash_and_round_trip():
     assert a.spec_hash() == b.spec_hash()
     assert b.axis_values == a.axis_values
     assert a.spec_hash() != _tiny_spec(master_seed=8).spec_hash()
+
+
+def test_a_spec_without_design_reads_with_the_design_defaults():
+    data = _tiny_spec().to_dict()
+    del data["design"]
+    spec = ExperimentSpec.from_dict(data)
+    assert spec.design == DesignInputs(desk_config())
+    assert spec.schemes == _tiny_spec().schemes
+
+
+@pytest.mark.parametrize("nested", ["design", "inputs"])
+def test_a_nested_config_is_rejected(nested):
+    # a nested record shares its outer record's config; a second one would
+    # be ambiguous
+    record = _tiny_spec() if nested == "design" else design(_tiny_spec().design)
+    data = record.to_dict()
+    data[nested]["config"] = data["config"]
+    with pytest.raises(ValueError, match="DesignInputs: unknown key\\(s\\) 'config'"):
+        type(record).from_dict(data)
 
 
 # user draws ------------------------------------------------------------------
@@ -367,7 +387,7 @@ def test_serving_gains_equal_a_per_subcarrier_kernel_loop(n_trials):
     for i, f in enumerate(cfg.subcarrier_freqs()):
         k = cfg.wavenumber(f)
         want[:, i] = gain_kernel(cfg, k * (theta0 - theta_hat), k * (alpha0 - alpha_hat))
-    got = _serving_gains(cfg, theta0, alpha0, theta_hat, alpha_hat)
+    got = subcarrier_gains(cfg, theta0 - theta_hat, alpha0 - alpha_hat)
     # the factored sum rounds apart from the per-subcarrier kernel
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -393,7 +413,7 @@ def _small_desk_spec(**overrides):
 
 def test_sweep_rows_equal_a_per_row_rate_reference():
     # The reference is the rate pass as it was before the engine evaluated
-    # each distinct (trial, estimate) once per draw key: one _serving_gains
+    # each distinct (trial, estimate) once per draw key: one subcarrier_gains
     # call per (point, scheme) over all its trials.
     spec = _small_desk_spec(axis_values=(5.0, 10.0, 20.0))
     engine, calls = _recording_engine(spec)
@@ -407,7 +427,7 @@ def test_sweep_rows_equal_a_per_row_rate_reference():
         else:
             name, theta, alpha = next(estimates)
             assert name == row["scheme"]
-            gains = _serving_gains(spec.cfg, users["theta"], users["alpha"], theta, alpha)
+            gains = subcarrier_gains(spec.cfg, users["theta"] - theta, users["alpha"] - alpha)
             rates = np.mean(np.log2(1.0 + snr * gains**2), axis=1)
         want = engine._row(row["scheme"], row["axis_value"], rates, row["pilots_used"])
         assert row == want  # floats compared with ==: bit for bit
@@ -424,11 +444,11 @@ def test_rate_pass_evaluates_each_distinct_estimate_once(monkeypatch, axis, valu
     engine, calls = _recording_engine(spec)
     rows = []
 
-    def counting(cfg, theta0, alpha0, theta_hat, alpha_hat):
-        rows.append(len(theta0))
-        return _serving_gains(cfg, theta0, alpha0, theta_hat, alpha_hat)
+    def counting(cfg, dtheta, dalpha):
+        rows.append(len(dtheta))
+        return subcarrier_gains(cfg, dtheta, dalpha)
 
-    monkeypatch.setattr(harness, "_serving_gains", counting)
+    monkeypatch.setattr(harness, "subcarrier_gains", counting)
     engine.run()
     # the SNR and overhead axes share one draw key, the distance axis has one
     # per point

@@ -637,7 +637,9 @@ def test_every_grid_of_the_scheme_table_spans_the_design_band(desk_cfg):
     # a spec that narrows the design's alpha band narrows the rings of the
     # one polar grid: the match-filter bank's, the exhaustive codebook's and
     # the near-field rainbow's
-    spec = desk_experiment_spec(alpha_min=0.08, alpha_max=0.2, bank_angles=16, bank_rings=4)
+    spec = desk_experiment_spec(
+        design=DesignInputs(desk_cfg, gamma=0.5, alpha_min=0.08, alpha_max=0.2),
+        bank_angles=16, bank_rings=4)
     plan = design(spec.design_inputs())
     rings = np.linspace(0.08, 0.2, 4)
     table = scheme_table(plan, spec.schemes, spec.bank_angles, spec.bank_rings)
