@@ -41,7 +41,6 @@ from .design import (
 from .training import (
     ALL_SCHEMES,
     MatchFilterBank,
-    ObservationGrid,
     TrainingEstimate,
     aux_pair_train,
     build_match_filter_bank,
@@ -49,7 +48,7 @@ from .training import (
     farfield_rainbow_train,
     match_filter_train,
     nearfield_rainbow_train,
-    observe_plan,
+    observe_params,
     ongrid_train,
     rainbow_sweep_params,
 )

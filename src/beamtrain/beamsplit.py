@@ -52,14 +52,12 @@ class TdPsParams:
 
 @dataclass(frozen=True)
 class BeamFocus:
-    """Predicted focus of one beam, or arrays of them: subcarrier, polar
-    point, period integers."""
+    """Predicted focus of one beam, or arrays of them: polar point, angle
+    period integer p, and whether the focus was clamped into [-1, 1]."""
 
     theta: float | np.ndarray
     alpha: float | np.ndarray
     p: int | np.ndarray
-    q: int
-    subcarrier: int | np.ndarray | None = None
     clamped: bool | np.ndarray = False
 
     @property
@@ -163,7 +161,6 @@ def predicted_focus(
     params: TdPsParams,
     f,
     q: int = 0,
-    subcarrier=None,
     clamp: bool = False,
 ) -> BeamFocus:
     """Closed-form focus of the beams at frequencies f.
@@ -194,8 +191,8 @@ def predicted_focus(
     p = (p + up).astype(int)
     theta = np.where(up, 1.0, np.minimum(np.maximum(theta, -1.0), 1.0))
     if theta.ndim == 0:
-        return BeamFocus(float(theta), float(alpha), int(p), q, subcarrier, bool(clamped))
-    return BeamFocus(theta, alpha, p, q, subcarrier, clamped)
+        return BeamFocus(float(theta), float(alpha), int(p), bool(clamped))
+    return BeamFocus(theta, alpha, p, clamped)
 
 
 def dirichlet_sinc(n_t: int, x):

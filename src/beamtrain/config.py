@@ -82,10 +82,7 @@ class SystemConfig(Record):
                            else () if value is None else (value,))):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("n_antennas", "n_subcarriers"):
-            value = getattr(self, name)  # NumPy integers are Integral, bools are not counts
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-            object.__setattr__(self, name, int(value))  # JSON writes Python ints only
+            check_integer(self, name, 1)
         if self.carrier_freq <= 0 or self.bandwidth < 0:
             raise ValueError("carrier_freq must be positive and bandwidth nonnegative")
         if self.bandwidth >= 2 * self.carrier_freq:
@@ -152,6 +149,16 @@ class SystemConfig(Record):
 
     def wavenumber(self, f) -> float | np.ndarray:
         return 2 * np.pi * np.asarray(f) / SPEED_OF_LIGHT
+
+
+def check_integer(record, name: str, least: int) -> None:
+    """Reject field `name` of the frozen dataclass record unless it is an
+    integer >= least, and store it as a Python int (JSON writes Python ints
+    only).  NumPy integers are Integral; bools are not counts."""
+    value = getattr(record, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    object.__setattr__(record, name, int(value))
 
 
 @functools.cache

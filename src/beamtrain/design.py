@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SPEED_OF_LIGHT, Record, SystemConfig, write_text
+from .config import SPEED_OF_LIGHT, Record, SystemConfig, check_integer, write_text
 from .beamsplit import (
     FRESNEL_3DB,
     DIRICHLET_3DB,
@@ -58,8 +58,8 @@ class DesignInputs(Record):
         lo, hi = self.alpha_bounds
         if not 0 <= lo < hi:
             raise ValueError("need 0 <= alpha_min < alpha_max")
-        if self.k_override is not None and self.k_override < 1:
-            raise ValueError("k_override must be >= 1")
+        if self.k_override is not None:
+            check_integer(self, "k_override", 1)
         if self.cfg.n_subcarriers < 2:
             raise ValueError(
                 "the pilots sweep their beams across subcarriers: need n_subcarriers >= 2"
@@ -236,8 +236,7 @@ class PilotPlan(Record):
         """Predicted focus of subcarrier m (1-based) of pilot k; arrays of m
         and k broadcast to one focus per beam."""
         f = self.cfg.subcarrier_freq(m)
-        return predicted_focus(self.cfg, self.params(k), f, q=self.q,
-                               subcarrier=m, clamp=clamp)
+        return predicted_focus(self.cfg, self.params(k), f, q=self.q, clamp=clamp)
 
     @classmethod
     def from_json(cls, text: str) -> "PilotPlan":

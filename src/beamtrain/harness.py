@@ -17,7 +17,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .config import DEFAULTS_IF_MISSING, PolarLocation, Record, SystemConfig, write_text
+from .config import (DEFAULTS_IF_MISSING, PolarLocation, Record, SystemConfig, check_integer,
+                     write_text)
 from .arrays import los_rows, path_loss
 from .beamsplit import _CHUNK_ENTRIES, subcarrier_gains
 from .design import DesignInputs, PilotPlan, design
@@ -107,10 +108,9 @@ class ExperimentSpec(Record):
             raise ValueError("overhead budgets must be >= 1")
         if self.sweep_axis == "distance_m" and any(v <= 0 for v in self.axis_values):
             raise ValueError("distances must be positive")
-        if self.n_trials < 2:
-            raise ValueError("n_trials must be >= 2")
-        if self.bank_angles < 1 or self.bank_rings < 1:
-            raise ValueError("bank dimensions must be >= 1")
+        for name, least in (("n_trials", 2), ("master_seed", 0), ("bank_angles", 1),
+                            ("bank_rings", 1)):
+            check_integer(self, name, least)
         # rejects what the design cannot serve, which includes every config
         # the rainbow sweeps cannot (one subcarrier, no bandwidth)
         design(self.design)

@@ -22,7 +22,7 @@ Transmit power is fixed at 1; noise variance is calibrated so that
 N_t beta_c^2 / sigma^2 equals the requested SNR at the center subcarrier.
 One observation function, _observe, simulates every probe family, pilot
 parameter sets and the polar codebook alike, for the sweep engine (T drawn
-users) and the single-trial API (T = 1).
+users) and observe_params, the single-trial observation (T = 1).
 """
 from __future__ import annotations
 
@@ -66,20 +66,6 @@ ALL_SCHEMES = (
 
 
 @dataclass(frozen=True)
-class ObservationGrid:
-    """Magnitude observations, shape (M, K): subcarriers by pilots."""
-
-    magnitudes: np.ndarray
-    snr: float
-
-    def __post_init__(self):
-        if self.magnitudes.ndim != 2:
-            raise ValueError("magnitudes must be (M, K)")
-        if np.any(self.magnitudes < 0):
-            raise ValueError("magnitudes must be nonnegative")
-
-
-@dataclass(frozen=True)
 class TrainingEstimate(Record):
     """Estimated user location plus selection bookkeeping."""
 
@@ -94,8 +80,8 @@ class TrainingEstimate(Record):
     def __post_init__(self):
         if not -1.0 <= self.theta <= 1.0:
             raise ValueError("estimate theta must lie in [-1, 1]")
-        if self.alpha < 0:
-            raise ValueError("estimate alpha must be nonnegative")
+        if not 0 <= self.alpha < math.inf:  # also NaN
+            raise ValueError(f"estimate alpha must be finite and nonnegative, got {self.alpha!r}")
 
     @classmethod
     def from_batch(cls, batch: "BatchEstimate", scheme: str, pilots_used: int):
@@ -184,34 +170,18 @@ def _observe(cfg: SystemConfig, families: dict, n_trials: int, rows, rng_of) -> 
     return {name: noisy(name, x) for name, x in out.items()}
 
 
-def _observe_channel(cfg: SystemConfig, channel: Channel, probes, snr: float, rng):
-    """_observe of one family at T = 1, over the channel's stored rows: the
-    magnitudes (1, M, K) or codeword powers (1, G).  Every draw comes from
-    the one generator np.random.default_rng(rng), so a fixed seed is
-    reproducible."""
+def observe_params(cfg: SystemConfig, channel: Channel, probes, snr: float, rng) -> np.ndarray:
+    """One training observation of a scheme table row's probes: _observe at
+    T = 1 over the channel's stored rows.  Returns the magnitudes
+    |sqrt(P_t) h_m^T w_{m,k} + sigma z_{m,k}| (M, len(probes)) of a pilot
+    parameter set (TdPsParams), or the codeword powers (G,) of a
+    PolarCodebook.  Every draw comes from the one generator
+    np.random.default_rng(rng), so a fixed seed is reproducible."""
     gen = np.random.default_rng(rng)
     sigma = np.sqrt(noise_power(cfg, channel.beta_c, snr)).reshape(1, 1, 1)
     observe = _observe(cfg, {None: probes}, 1,
                        lambda chunk: channel.per_subcarrier[chunk, None], lambda _: gen)
-    return observe[None](sigma)
-
-
-def observe_params(
-    cfg: SystemConfig, channel: Channel, params: TdPsParams, snr: float, rng
-) -> ObservationGrid:
-    """Simulate one pilot per beam of params; magnitudes (M, len(params)).
-
-    y_{m,k} = sqrt(P_t) h_m^T w_{m,k} + sigma z_{m,k}: the sweep's simulator
-    at T = 1, over the channel's stored rows, with one unit-noise draw of
-    shape (1, M, K) from rng.
-    """
-    return ObservationGrid(magnitudes=_observe_channel(cfg, channel, params, snr, rng)[0],
-                           snr=snr)
-
-
-def observe_plan(channel: Channel, plan: PilotPlan, snr: float, rng) -> ObservationGrid:
-    """All K pilots of the plan, columns in pilot order."""
-    return observe_params(plan.cfg, channel, plan.params(np.arange(1, plan.K + 1)), snr, rng)
+    return observe[None](sigma)[0]
 
 
 class BatchEstimate(NamedTuple):
@@ -255,9 +225,9 @@ def ongrid_estimate(mags: np.ndarray, plan: PilotPlan, budget=None) -> BatchEsti
                          focus.clamped | (focus.alpha < 0), np.zeros(len(m), dtype=bool))
 
 
-def ongrid_train(obs: ObservationGrid, plan: PilotPlan) -> TrainingEstimate:
-    """Strongest beam's predicted focus; ties go to smaller m, then smaller k."""
-    return TrainingEstimate.from_batch(ongrid_estimate(obs.magnitudes[None], plan),
+def ongrid_train(mags: np.ndarray, plan: PilotPlan) -> TrainingEstimate:
+    """Strongest beam's predicted focus in mags (M, K); ties go to smaller m, then k."""
+    return TrainingEstimate.from_batch(ongrid_estimate(mags[None], plan),
                                        SCHEME_ONGRID, plan.K)
 
 
@@ -350,11 +320,11 @@ def aux_pair_estimate(mags: np.ndarray, plan: PilotPlan, budget=None) -> BatchEs
                          base.pick, np.where(fallback, base.clamped, clamped), fallback)
 
 
-def aux_pair_train(obs: ObservationGrid, plan: PilotPlan) -> TrainingEstimate:
+def aux_pair_train(mags: np.ndarray, plan: PilotPlan) -> TrainingEstimate:
     """Refine the on-grid pick by intersecting two gain ellipses: the T = 1
-    case of aux_pair_estimate, flagged fallback when it keeps the on-grid
-    answer."""
-    return TrainingEstimate.from_batch(aux_pair_estimate(obs.magnitudes[None], plan),
+    case of aux_pair_estimate over mags (M, K), flagged fallback when it
+    keeps the on-grid answer."""
+    return TrainingEstimate.from_batch(aux_pair_estimate(mags[None], plan),
                                        SCHEME_AUX, plan.K)
 
 
@@ -471,10 +441,10 @@ def match_filter_estimate(mags: np.ndarray, bank: MatchFilterBank, budget=None
     return _grid_pick(bank.grid, idx)
 
 
-def match_filter_train(obs: ObservationGrid, bank: MatchFilterBank) -> TrainingEstimate:
-    """Pick the grid point whose unit signature best correlates with the
-    unit-normalized observation (cosine similarity); first index wins ties."""
-    return TrainingEstimate.from_batch(match_filter_estimate(obs.magnitudes[None], bank),
+def match_filter_train(mags: np.ndarray, bank: MatchFilterBank) -> TrainingEstimate:
+    """Grid point whose signature best correlates with mags (M, K), both
+    unit-normalized (cosine similarity); first index wins ties."""
+    return TrainingEstimate.from_batch(match_filter_estimate(mags[None], bank),
                                        SCHEME_MATCH, bank.plan.K)
 
 
@@ -515,8 +485,7 @@ def exhaustive_polar_train(channel: Channel, codebook, snr: float, rng) -> Train
     """One pilot per codeword; pick the codeword with the largest power summed
     across subcarriers: the sweep's codebook pass and noise law at T = 1.
     Ties go to the smaller grid index."""
-    return train(_exhaustive_row(codebook, len(codebook)), SCHEME_EXHAUSTIVE, codebook.cfg,
-                 channel, snr, rng)
+    return train(_exhaustive_row(codebook), SCHEME_EXHAUSTIVE, codebook.cfg, channel, snr, rng)
 
 
 def rainbow_sweep_params(cfg: SystemConfig) -> TdPsParams:
@@ -589,13 +558,13 @@ class Scheme(NamedTuple):
     pilots: int  # full pilot count
 
 
-def _exhaustive_row(codebook, pilots: int) -> Scheme:
+def _exhaustive_row(codebook) -> Scheme:
     return Scheme("codebook", codebook,
-                  lambda obs, budget: exhaustive_estimate(obs, codebook, budget), pilots)
+                  lambda obs, budget: exhaustive_estimate(obs, codebook, budget), len(codebook))
 
 
-def _rainbow_row(family: str, cfg: SystemConfig, rings, needed: bool = True) -> Scheme:
-    return Scheme(family, rainbow_probes(cfg, rings) if needed else None,
+def _rainbow_row(family: str, cfg: SystemConfig, rings) -> Scheme:
+    return Scheme(family, rainbow_probes(cfg, rings),
                   lambda obs, budget: rainbow_estimate(obs, cfg, rings, budget), len(rings))
 
 
@@ -605,10 +574,10 @@ def scheme_table(plan: PilotPlan, schemes, bank_angles: int, bank_rings: int) ->
     One polar grid of bank_angles angles over the served range times
     bank_rings rings over the design's alpha band, plan.inputs.alpha_bounds,
     is the match-filter bank's grid, the exhaustive codebook and, by its
-    rings, the near-field rainbow's rings.  The bank and the rainbow probes
-    are built only when `schemes` asks for their scheme, but every row holds
-    its full pilot count.  The rows hold no reference to a caller, so a
-    finished sweep frees its bank without waiting for the cycle collector.
+    rings, the near-field rainbow's rings.  The bank is built only when
+    `schemes` asks for the match filter, but every row holds its full pilot
+    count.  The rows hold no reference to a caller, so a finished sweep
+    frees its bank without waiting for the cycle collector.
     """
     cfg = plan.cfg
     grid = PolarCodebook(cfg, _uniform_samples(*cfg.angle_range, bank_angles),
@@ -624,17 +593,16 @@ def scheme_table(plan: PilotPlan, schemes, bank_angles: int, bank_rings: int) ->
         SCHEME_MATCH: Scheme(
             "plan", probes, lambda obs, budget: match_filter_estimate(obs, bank, budget),
             plan.K),
-        SCHEME_EXHAUSTIVE: _exhaustive_row(grid, len(grid)),
-        SCHEME_NEAR_RAINBOW: _rainbow_row("near", cfg, grid.rings,
-                                          SCHEME_NEAR_RAINBOW in schemes),
-        SCHEME_FAR_RAINBOW: _rainbow_row("far", cfg, FAR_RINGS, SCHEME_FAR_RAINBOW in schemes),
+        SCHEME_EXHAUSTIVE: _exhaustive_row(grid),
+        SCHEME_NEAR_RAINBOW: _rainbow_row("near", cfg, grid.rings),
+        SCHEME_FAR_RAINBOW: _rainbow_row("far", cfg, FAR_RINGS),
     }
 
 
 def train(row: Scheme, scheme: str, cfg: SystemConfig, channel: Channel, snr: float,
           rng) -> TrainingEstimate:
     """One training run of a scheme table row at T = 1: the row's probes
-    observed over the channel's stored rows (_observe_channel), then its
-    estimator over the full pilot count.  A fixed seed is reproducible."""
-    obs = _observe_channel(cfg, channel, row.probes, snr, rng)
-    return TrainingEstimate.from_batch(row.estimate(obs, None), scheme, row.pilots)
+    observed by observe_params, then its estimator over the full pilot count.
+    A fixed seed is reproducible."""
+    obs = observe_params(cfg, channel, row.probes, snr, rng)
+    return TrainingEstimate.from_batch(row.estimate(obs[None], None), scheme, row.pilots)

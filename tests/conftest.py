@@ -1,11 +1,12 @@
 """Shared fixtures: reference configurations, designed plans, one
-desk-scale Monte-Carlo sweep reused by the ordering tests, and a synthetic
-channel with quadratic steering."""
+desk-scale Monte-Carlo sweep reused by the ordering tests, a synthetic
+channel with quadratic steering, and one observation of a plan's pilots."""
 import numpy as np
 import pytest
 
 from beamtrain import Channel, DesignInputs, PolarCodebook, PolarLocation, SystemConfig, design
 from beamtrain.arrays import _uniform_samples, path_loss
+from beamtrain.training import observe_params
 from beamtrain.harness import (
     desk_config,
     desk_experiment_spec,
@@ -103,3 +104,8 @@ def grid_locations(grid) -> list:
     """The points of a polar grid (or of a bank's grid) in grid order:
     angle-major, then ring."""
     return [PolarLocation(float(t), float(a)) for t in grid.thetas for a in grid.rings]
+
+
+def observe_plan(channel, plan, snr, rng) -> np.ndarray:
+    """Magnitudes (M, K) of all K pilots of the plan, columns in pilot order."""
+    return observe_params(plan.cfg, channel, plan.params(np.arange(1, plan.K + 1)), snr, rng)

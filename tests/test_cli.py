@@ -141,6 +141,14 @@ def test_design_rejects_an_ill_typed_value(tmp_path):
     assert "invalid design inputs" in _error(run_cli("design", "--inputs", str(bad)))
 
 
+def test_design_rejects_a_non_integral_pilot_count(tmp_path):
+    payload = desk_experiment_spec().design_inputs().to_dict()
+    payload["k_override"] = 3.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert "k_override must be an integer" in _error(run_cli("design", "--inputs", str(bad)))
+
+
 def test_design_rejects_bad_gamma(tmp_path):
     payload = desk_experiment_spec().design_inputs().to_dict()
     payload["gamma"] = 1.5

@@ -49,12 +49,13 @@ from beamtrain.training import (
 from conftest import polar_grid, sweep_rate
 
 
-def _tiny_spec(config=(), cfg=None, alpha_p_override=None, **overrides):
+def _tiny_spec(config=(), cfg=None, alpha_p_override=None, k_override=None, **overrides):
     """A small desk spec; config holds SystemConfig fields to replace in cfg,
     by default the desk config."""
     cfg = dataclasses.replace(desk_config() if cfg is None else cfg, **dict(config))
     base = dict(
-        design=DesignInputs(cfg, gamma=0.5, alpha_p_override=alpha_p_override),
+        design=DesignInputs(cfg, gamma=0.5, alpha_p_override=alpha_p_override,
+                            k_override=k_override),
         schemes=("perfect_csi", "ongrid", "nearfield_rainbow", "farfield_rainbow"),
         sweep_axis="snr_db",
         axis_values=(10.0, 20.0),
@@ -119,6 +120,19 @@ def test_default_experiment_specs():
         dict(config=dict(carrier_freq=math.nan)),
         dict(config=dict(bandwidth=math.nan)),
         dict(config=dict(distance_range=(2.0, math.inf))),
+        # integer fields are integers: 4.0 or True would construct, then
+        # fail inside NumPy mid-run (k_override=True would design K = True)
+        dict(n_trials=4.0),
+        dict(n_trials=True),
+        dict(master_seed=1.5),
+        dict(master_seed=-1),
+        dict(master_seed=True),
+        dict(bank_angles=16.0),
+        dict(bank_rings=4.0),
+        dict(bank_rings=True),
+        dict(k_override=3.0),
+        dict(k_override=True),
+        dict(k_override=0),
     ],
 )
 def test_spec_validation(overrides):
@@ -126,6 +140,16 @@ def test_spec_validation(overrides):
         _tiny_spec(**overrides)
     for name in dict(overrides.get("config", ())):
         assert f"{name} must be finite" in str(err.value)
+
+
+def test_numpy_integer_fields_are_stored_as_python_ints():
+    spec = _tiny_spec(k_override=np.int64(2), n_trials=np.int64(4), master_seed=np.int32(0),
+                      bank_angles=np.int64(16), bank_rings=np.int16(4))
+    for value in (spec.design.k_override, spec.n_trials, spec.master_seed, spec.bank_angles,
+                  spec.bank_rings):
+        assert type(value) is int
+    # so the spec writes JSON and hashes
+    assert ExperimentSpec.from_json(spec.to_json()).spec_hash() == spec.spec_hash()
 
 
 def test_spec_hash_and_round_trip():

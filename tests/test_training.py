@@ -7,7 +7,6 @@ import pytest
 
 from beamtrain import (
     DesignInputs,
-    ObservationGrid,
     PolarCodebook,
     PolarLocation,
     SystemConfig,
@@ -22,7 +21,6 @@ from beamtrain import (
     los_channel,
     match_filter_train,
     nearfield_rainbow_train,
-    observe_plan,
     ongrid_train,
     rainbow_sweep_params,
 )
@@ -56,7 +54,7 @@ from beamtrain.training import (
     scheme_table,
 )
 
-from conftest import grid_locations, polar_grid, quadratic_channel
+from conftest import grid_locations, observe_plan, polar_grid, quadratic_channel
 
 NOISELESS = float("inf")
 
@@ -73,13 +71,6 @@ def _quad_channel(cfg, loc):
 
 # observations ---------------------------------------------------------------
 
-def test_observation_grid_validation():
-    with pytest.raises(ValueError):
-        ObservationGrid(magnitudes=np.ones(4), snr=10.0)
-    with pytest.raises(ValueError):
-        ObservationGrid(magnitudes=-np.ones((4, 2)), snr=10.0)
-
-
 def test_noise_power_calibration(desk_cfg):
     chan = los_channel(desk_cfg, PolarLocation.from_angle_distance(0.2, 5.0))
     snr = 10.0
@@ -94,11 +85,11 @@ def test_noise_power_calibration(desk_cfg):
 def test_observe_plan_shape_and_order(desk_cfg, desk_plan):
     chan = los_channel(desk_cfg, PolarLocation.from_angle_distance(0.2, 5.0))
     obs = observe_plan(chan, desk_plan, 100.0, 3)
-    assert obs.magnitudes.shape == (desk_cfg.n_subcarriers, desk_plan.K)
+    assert obs.shape == (desk_cfg.n_subcarriers, desk_plan.K)
     # the noise is drawn over the whole (1, M, K) grid, so column 1 matches
     # the single-pilot draw only when K = 1, as in the desk plan
     single = observe_params(desk_cfg, chan, desk_plan.params(1), 100.0, 3)
-    assert np.array_equal(obs.magnitudes[:, 0], single.magnitudes[:, 0])
+    assert np.array_equal(obs[:, 0], single[:, 0])
 
 
 @pytest.mark.parametrize("plan_name", ["desk_plan", "main_plan"])
@@ -119,16 +110,16 @@ def test_observe_plan_is_the_sweep_simulator_at_one_trial(plan_name, request):
                     for f in cfg.subcarrier_freqs()], axis=1)
     sigma = np.sqrt(noise_power(cfg, users["beta_c"], snr))[:, None, None]
     want = np.abs(sig + sigma * _unit_noise(np.random.default_rng(seed), sig.shape))
-    assert np.array_equal(observe_plan(chan, plan, snr, seed).magnitudes, want[0])
+    assert np.array_equal(observe_plan(chan, plan, snr, seed), want[0])
 
 
 def test_noiseless_magnitude_is_scaled_array_gain(desk_cfg, desk_plan):
-    focus, user = _focus_user(desk_plan, 100, 1)
+    m = 100
+    _, user = _focus_user(desk_plan, m, 1)
     chan = _quad_channel(desk_cfg, user)
     obs = observe_plan(chan, desk_plan, NOISELESS, None)
-    m = focus.subcarrier
     want = math.sqrt(desk_cfg.n_antennas) * chan.path_gains[m - 1]
-    assert obs.magnitudes[m - 1, 0] == pytest.approx(want, rel=1e-9)
+    assert obs[m - 1, 0] == pytest.approx(want, rel=1e-9)
 
 
 def test_observation_determinism(desk_cfg, desk_plan):
@@ -136,8 +127,8 @@ def test_observation_determinism(desk_cfg, desk_plan):
     a = observe_plan(chan, desk_plan, 50.0, 11)
     b = observe_plan(chan, desk_plan, 50.0, 11)
     c = observe_plan(chan, desk_plan, 50.0, np.random.default_rng(11))
-    assert np.array_equal(a.magnitudes, b.magnitudes)
-    assert np.array_equal(a.magnitudes, c.magnitudes)
+    assert np.array_equal(a, b)
+    assert np.array_equal(a, c)
 
 
 def test_estimate_validation_and_dict():
@@ -153,6 +144,13 @@ def test_estimate_validation_and_dict():
     assert (est.theta, est.alpha) == (0.2, 0.05)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_estimate_rejects_a_non_finite_alpha(alpha):
+    # PolarLocation's rule: a NaN alpha would make rate_metric return NaN
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        TrainingEstimate(0.1, alpha, "x", None, 1)
+
+
 # on-grid --------------------------------------------------------------------
 
 def test_ongrid_recovers_exact_focus(desk_cfg, desk_plan):
@@ -166,7 +164,7 @@ def test_ongrid_recovers_exact_focus(desk_cfg, desk_plan):
 
 def test_ongrid_tie_breaks_to_first_beam(main_plan):
     M, K = main_plan.cfg.n_subcarriers, main_plan.K
-    obs = ObservationGrid(magnitudes=np.ones((M, K)), snr=1.0)
+    obs = np.ones((M, K))
     est = ongrid_train(obs, main_plan)
     assert est.selected == (1, 1)
 
@@ -219,7 +217,7 @@ def test_aux_falls_back_without_a_neighbor():
     plan = design(DesignInputs(cfg=cfg))
     chan = los_channel(cfg, PolarLocation.from_angle_distance(0.2, 5.0))
     obs = observe_plan(chan, plan, 100.0, 0)
-    one = ObservationGrid(magnitudes=obs.magnitudes[:1], snr=obs.snr)
+    one = obs[:1]
     est = aux_pair_train(one, plan)
     assert est.fallback
     assert est.scheme == "aux_pair"
@@ -238,7 +236,7 @@ def test_aux_batch_gives_each_trial_its_one_trial_answer():
     batch = aux_pair_estimate(mags, engine.plan)
     assert batch.fallback.any() and batch.clamped.any() and not batch.fallback.all()
     for i, trial in enumerate(mags):
-        est = aux_pair_train(ObservationGrid(magnitudes=trial, snr=0.1), engine.plan)
+        est = aux_pair_train(trial, engine.plan)
         assert (est.theta, est.alpha, est.fallback, est.clamped) == (
             batch.theta[i], batch.alpha[i], batch.fallback[i], batch.clamped[i])
         assert est.selected == tuple(batch.pick[i] + 1)
@@ -321,7 +319,7 @@ def test_match_filter_picks_equal_a_unit_copy_reference_at_every_budget(desk_cfg
     rng = np.random.default_rng(2)
     mags = np.stack([
         observe_plan(los_channel(desk_cfg, PolarLocation.from_angle_distance(t, r)),
-                     plan, 3.0, i).magnitudes
+                     plan, 3.0, i)
         for i, (t, r) in enumerate(zip(rng.uniform(-0.85, 0.85, 40),
                                        rng.uniform(2.0, 10.0, 40)))])
     for budget in (1, 2, 3, None):
@@ -353,7 +351,7 @@ def test_match_filter_budget_reads_the_bank_without_a_copy(desk_cfg):
 def test_match_filter_zero_observation_takes_first_index(desk_cfg, desk_plan):
     bank = _bank(desk_plan, 3, 2)
     M, K = desk_cfg.n_subcarriers, desk_plan.K
-    obs = ObservationGrid(magnitudes=np.zeros((M, K)), snr=1.0)
+    obs = np.zeros((M, K))
     assert match_filter_train(obs, bank).selected == 0
 
 
@@ -588,12 +586,11 @@ def test_single_trial_api_matches_the_sweep_engine(desk_cfg):
             for t, r in zip(rng.uniform(-0.85, 0.85, 12), rng.uniform(2.0, 10.0, 12))]
     channels = [los_channel(desk_cfg, loc) for loc in locs]
 
-    def check_plan_schemes(plan_obs):
-        mags = [o.magnitudes for o in plan_obs]
-        _check_records(engine, "ongrid", mags, [ongrid_train(o, plan) for o in plan_obs])
-        _check_records(engine, "aux_pair", mags, [aux_pair_train(o, plan) for o in plan_obs])
+    def check_plan_schemes(mags):
+        _check_records(engine, "ongrid", mags, [ongrid_train(o, plan) for o in mags])
+        _check_records(engine, "aux_pair", mags, [aux_pair_train(o, plan) for o in mags])
         _check_records(engine, "match_filter", mags,
-                       [match_filter_train(o, bank) for o in plan_obs])
+                       [match_filter_train(o, bank) for o in mags])
 
     check_plan_schemes([observe_plan(ch, plan, snr, i) for i, ch in enumerate(channels)])
     # the 200 users of test_aux_batch_gives_each_trial_its_one_trial_answer
@@ -603,7 +600,7 @@ def test_single_trial_api_matches_the_sweep_engine(desk_cfg):
     low = engine._draw(users, ())["plan"](sigma)
     flags = aux_pair_estimate(low, plan)
     assert flags.fallback.any() and flags.clamped.any() and not flags.fallback.all()
-    check_plan_schemes([ObservationGrid(magnitudes=m, snr=0.1) for m in low])
+    check_plan_schemes(low)
 
     rings = np.linspace(desk_cfg.alpha_min, desk_cfg.alpha_max, spec.bank_rings)
     for scheme, probes, train in (
@@ -612,7 +609,7 @@ def test_single_trial_api_matches_the_sweep_engine(desk_cfg):
         ("farfield_rainbow", rainbow_probes(desk_cfg, FAR_RINGS),
          lambda ch, i: farfield_rainbow_train(ch, desk_cfg, snr, i)),
     ):
-        mags = [observe_params(desk_cfg, ch, probes, snr, i).magnitudes
+        mags = [observe_params(desk_cfg, ch, probes, snr, i)
                 for i, ch in enumerate(channels)]
         _check_records(engine, scheme, mags, [train(ch, i) for i, ch in enumerate(channels)])
 
