@@ -10,7 +10,10 @@ changes).  In each tree a child process, with that tree's `src/` and
 - `to_csv()` of every sweep spec the perfbench sweep workloads
   (desk_snr_sweep, fullscale_grid, fullscale_distance) build at seeds 0-3
 - `to_csv()` of the default desk spec, and of the desk overhead axis
-  (budgets 1, 2, 4, 8) and distance axis (3, 6, 9 m) at 60 trials
+  (budgets 1, 2, 4, 8) and distance axis (3, 6, 9 m) at 60 trials, and of
+  each of these three its `to_json()` without the `run` key (the wall-clock
+  facts of the run): the JSON rows show each value's Python type, which the
+  CSV does not
 - `to_csv()` of the full-scale match filter on the overhead axis (budgets 1,
   2, 3) at 20 trials: the one full-scale path where a pilot budget below K
   reads the bank
@@ -95,11 +98,17 @@ def dump(out: str) -> None:
                     items[f"{name} master_seed {spec.master_seed}"] = (
                         harness.run_sweep(spec).to_csv())
         desk = harness.desk_experiment_spec
-        items["desk default spec"] = harness.run_sweep(desk()).to_csv()
-        items["desk overhead 1, 2, 4, 8 at 60 trials"] = harness.run_sweep(desk(
-            sweep_axis="overhead", axis_values=(1.0, 2.0, 4.0, 8.0), n_trials=60)).to_csv()
-        items["desk distance 3, 6, 9 m at 60 trials"] = harness.run_sweep(desk(
-            sweep_axis="distance_m", axis_values=(3.0, 6.0, 9.0), n_trials=60)).to_csv()
+        for name, spec in (
+                ("desk default spec", desk()),
+                ("desk overhead 1, 2, 4, 8 at 60 trials", desk(
+                    sweep_axis="overhead", axis_values=(1.0, 2.0, 4.0, 8.0), n_trials=60)),
+                ("desk distance 3, 6, 9 m at 60 trials", desk(
+                    sweep_axis="distance_m", axis_values=(3.0, 6.0, 9.0), n_trials=60))):
+            result = harness.run_sweep(spec)
+            items[name] = result.to_csv()
+            summary = json.loads(result.to_json())
+            del summary["run"]
+            items[f"{name} JSON without run"] = json.dumps(summary, indent=2)
         items["fullscale match_filter overhead 1, 2, 3 at 20 trials"] = harness.run_sweep(
             harness.fullscale_experiment_spec(
                 schemes=("match_filter",), sweep_axis="overhead",

@@ -42,27 +42,20 @@ def approx_steering(cfg: SystemConfig, loc, f: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Channel:
-    """Per-subcarrier channel vectors plus the gain bookkeeping used for SNR.
+    """Per-subcarrier channel vectors plus the center path gain used for SNR.
 
-    per_subcarrier has shape (M, N_t); row m-1 is h_m.  path_gains holds the
-    per-subcarrier magnitude beta_m = (f_c / f_m) beta_c; beta_c anchors noise
+    per_subcarrier has shape (M, N_t); row m-1 is h_m, of norm sqrt(N_t)
+    beta_m with beta_m = (f_c / f_m) beta_c.  beta_c anchors noise
     calibration at the center frequency.
     """
 
     per_subcarrier: np.ndarray
-    path_gains: np.ndarray
     beta_c: float
     location: PolarLocation | None = None
 
     def __post_init__(self):
         if self.per_subcarrier.ndim != 2:
             raise ValueError("per_subcarrier must be (M, N_t)")
-        if len(self.path_gains) != self.per_subcarrier.shape[0]:
-            raise ValueError("path_gains length must match subcarrier count")
-
-    @property
-    def n_subcarriers(self) -> int:
-        return self.per_subcarrier.shape[0]
 
 
 def path_loss(cfg: SystemConfig, r: float, f: float) -> float:
@@ -96,10 +89,9 @@ def los_channel(cfg: SystemConfig, loc: PolarLocation) -> Channel:
     r = loc.distance
     if not np.isfinite(r):
         raise ValueError("line-of-sight channel needs a finite distance")
-    freqs = cfg.subcarrier_freqs()
     beta_c = path_loss(cfg, r, cfg.carrier_freq)
-    return Channel(per_subcarrier=los_rows(cfg, loc.theta, r, beta_c, freqs),
-                   path_gains=(cfg.carrier_freq / freqs) * beta_c, beta_c=beta_c, location=loc)
+    return Channel(per_subcarrier=los_rows(cfg, loc.theta, r, beta_c, cfg.subcarrier_freqs()),
+                   beta_c=beta_c, location=loc)
 
 
 class PolarCodebook:

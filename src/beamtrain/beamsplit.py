@@ -22,9 +22,15 @@ FRESNEL_3DB = 1.318
 # 3 dB point of the Dirichlet kernel in normalized angle, root of sinc-like width
 DIRICHLET_3DB = 0.88
 
-# The grid kernels and the rate pass run in chunks whose largest temporary
-# holds about this many complex entries (1 MB).
+# a block of blocks() keeps its largest temporary near this many complex entries (1 MB)
 _CHUNK_ENTRIES = 1 << 16
+
+
+def blocks(n: int, entries_per_item: int) -> list:
+    """Slices of range(n), each of at least one item and about _CHUNK_ENTRIES
+    temporary entries: the block rule of every loop that bounds them."""
+    step = max(1, _CHUNK_ENTRIES // max(1, entries_per_item))
+    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 class InfeasibleFocusError(ValueError):
@@ -123,8 +129,8 @@ def subcarrier_gains(cfg: SystemConfig, dtheta: np.ndarray, dalpha: np.ndarray) 
     n d dtheta - (n d)^2 dalpha, are one matrix product of the giant steps
     e^{j k_{ab+1} phi_n} and the baby steps e^{j s dk phi_n} (Rabiner, Schafer
     & Rader 1969): (M / b + b) N_t exponentials a row instead of M N_t.  Rows
-    run in blocks of about _CHUNK_ENTRIES temporaries, and a row's gains do
-    not depend on the rows that share its block.
+    run in blocks, and a row's gains do not depend on the rows that share
+    its block.
     """
     m = cfg.n_subcarriers
     b = math.isqrt(m - 1) + 1
@@ -132,12 +138,10 @@ def subcarrier_gains(cfg: SystemConfig, dtheta: np.ndarray, dalpha: np.ndarray) 
     giant = cfg.wavenumber(cfg.subcarrier_freqs()[::b])[:, None]
     baby = cfg.wavenumber(cfg.bandwidth / m) * np.arange(b)
     out = np.empty((len(dtheta), m))
-    step = max(1, _CHUNK_ENTRIES // (cfg.n_antennas * b))
-    for lo in range(0, len(dtheta), step):
-        phi = (np.multiply.outer(dtheta[lo:lo + step], nd)
-               - np.multiply.outer(dalpha[lo:lo + step], nd * nd))
+    for block in blocks(len(dtheta), cfg.n_antennas * b):
+        phi = np.multiply.outer(dtheta[block], nd) - np.multiply.outer(dalpha[block], nd * nd)
         sums = np.exp(1j * giant * phi[:, None]) @ np.exp(1j * phi[:, :, None] * baby)
-        out[lo:lo + step] = np.abs(sums.reshape(len(phi), -1)[:, :m]) / cfg.n_antennas
+        out[block] = np.abs(sums.reshape(len(phi), -1)[:, :m]) / cfg.n_antennas
     return out
 
 

@@ -75,12 +75,8 @@ class SystemConfig(Record):
     distance_range: tuple[float, float] = (5.0, 200.0)
 
     def __post_init__(self):
-        for name in ("carrier_freq", "bandwidth", "angle_range", "distance_range",
-                     "antenna_spacing"):
-            value = getattr(self, name)
-            if not all(map(math.isfinite, value if isinstance(value, tuple)
-                           else () if value is None else (value,))):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        check_finite(self, "carrier_freq", "bandwidth", "angle_range", "distance_range",
+                     "antenna_spacing")
         for name in ("n_antennas", "n_subcarriers"):
             check_integer(self, name, 1)
         if self.carrier_freq <= 0 or self.bandwidth < 0:
@@ -105,10 +101,6 @@ class SystemConfig(Record):
     @property
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_freq
-
-    @property
-    def aperture(self) -> float:
-        return self.n_antennas * self.spacing
 
     @property
     def f_lower(self) -> float:
@@ -149,6 +141,16 @@ class SystemConfig(Record):
 
     def wavenumber(self, f) -> float | np.ndarray:
         return 2 * np.pi * np.asarray(f) / SPEED_OF_LIGHT
+
+
+def check_finite(record, *names: str) -> None:
+    """Reject any field among names of record that holds a non-finite
+    number: a tuple entry by entry; None passes."""
+    for name in names:
+        value = getattr(record, name)
+        if not all(map(math.isfinite, value if isinstance(value, tuple)
+                       else () if value is None else (value,))):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def check_integer(record, name: str, least: int) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SPEED_OF_LIGHT, Record, SystemConfig, check_integer, write_text
+from .config import SPEED_OF_LIGHT, Record, SystemConfig, check_finite, check_integer, write_text
 from .beamsplit import (
     FRESNEL_3DB,
     DIRICHLET_3DB,
@@ -55,6 +55,7 @@ class DesignInputs(Record):
     def __post_init__(self):
         if not 0 < self.gamma <= 1:
             raise ValueError("gamma must lie in (0, 1]")
+        check_finite(self, "alpha_min", "alpha_max", "alpha_p_override")
         lo, hi = self.alpha_bounds
         if not 0 <= lo < hi:
             raise ValueError("need 0 <= alpha_min < alpha_max")
@@ -171,6 +172,8 @@ def pilot_count(inputs: DesignInputs, theta_p: float, p1: int, p_m: int, alpha_p
         slope * cfg.n_antennas**2 * SPEED_OF_LIGHT * cfg.f_upper
         / (4 * (theta_p + 2 * p1) * FRESNEL_3DB**2 * cfg.carrier_freq**2)
     )
+    if not math.isfinite(val):
+        raise ValueError(f"the distance term of the pilot count is not finite: {val!r}")
     k = math.ceil(val - 1e-9)
     return max(inputs.k_override or 1, k, angle_coverage(cfg, theta_p, p_m)[1])
 

@@ -17,10 +17,10 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .config import (DEFAULTS_IF_MISSING, PolarLocation, Record, SystemConfig, check_integer,
-                     write_text)
+from .config import (DEFAULTS_IF_MISSING, PolarLocation, Record, SystemConfig, check_finite,
+                     check_integer, write_text)
 from .arrays import los_rows, path_loss
-from .beamsplit import _CHUNK_ENTRIES, subcarrier_gains
+from .beamsplit import blocks, subcarrier_gains
 from .design import DesignInputs, PilotPlan, design
 from .training import ALL_SCHEMES, _observe, noise_power, scheme_table
 
@@ -49,9 +49,8 @@ def _distinct_rates(cfg, users, snrs, theta_hat, alpha_hat) -> np.ndarray:
     The serving gain of each distinct (trial, theta_hat, alpha_hat) row,
     compared bit for bit, is computed once: an estimator that repeats its
     pick across SNR points or schemes costs one kernel row.  The distinct
-    rows go through subcarrier_gains at their polar mismatch, in blocks of
-    about _CHUNK_ENTRIES gains, and each row is the same computation as
-    alone, so every rate is too.
+    rows go through subcarrier_gains at their polar mismatch, in blocks,
+    and each row is the same computation as alone, so every rate is too.
     """
     p, t = theta_hat.shape
     trial = np.tile(np.arange(t), p)
@@ -61,13 +60,12 @@ def _distinct_rates(cfg, users, snrs, theta_hat, alpha_hat) -> np.ndarray:
     inverse = inverse.ravel()  # (N, 1) on some NumPy 2.0 releases
     snr = np.repeat(snrs, t)[:, None]
     rates = np.empty(p * t)
-    step = max(1, _CHUNK_ENTRIES // cfg.n_subcarriers)
-    for lo in range(0, len(first), step):
-        rows = first[lo:lo + step]
+    for block in blocks(len(first), cfg.n_subcarriers):
+        rows = first[block]
         gains = subcarrier_gains(cfg, users["theta"][trial[rows]] - theta_hat[rows],
                                  users["alpha"][trial[rows]] - alpha_hat[rows])
-        reads = np.flatnonzero((inverse >= lo) & (inverse < lo + step))
-        g = gains[inverse[reads] - lo]
+        reads = np.flatnonzero((inverse >= block.start) & (inverse < block.stop))
+        g = gains[inverse[reads] - block.start]
         rates[reads] = np.mean(np.log2(1.0 + snr[reads] * g**2), axis=1)
     return rates.reshape(p, t)
 
@@ -102,10 +100,9 @@ class ExperimentSpec(Record):
             raise ValueError("need at least one scheme")
         if len(self.axis_values) == 0:
             raise ValueError("need at least one axis value")
-        if not all(map(math.isfinite, (*self.axis_values, self.snr_db))):
-            raise ValueError("axis values and snr_db must be finite")
-        if self.sweep_axis == "overhead" and any(v < 1 for v in self.axis_values):
-            raise ValueError("overhead budgets must be >= 1")
+        check_finite(self, "axis_values", "snr_db")
+        if self.sweep_axis == "overhead" and any(v < 1 or v % 1 for v in self.axis_values):
+            raise ValueError("overhead budgets must be whole numbers >= 1")
         if self.sweep_axis == "distance_m" and any(v <= 0 for v in self.axis_values):
             raise ValueError("distances must be positive")
         for name, least in (("n_trials", 2), ("master_seed", 0), ("bank_angles", 1),
@@ -132,6 +129,12 @@ _SWEEP_COLUMNS = (("scheme", str), ("axis", str), ("axis_value", float),
                   ("n_trials", int))
 
 
+def _typed_row(columns, values) -> dict:
+    """Row of values in the order of the (name, type) columns, each converted
+    to its column's type: sweep and pattern rows, and read_csv."""
+    return {name: kind(value) for (name, kind), value in zip(columns, values)}
+
+
 def write_csv(columns, rows, path=None) -> str:
     """CSV text of rows (dicts) under a header of the (name, type) columns,
     each value written as str of its column type; also written to path when
@@ -156,7 +159,7 @@ def read_csv(columns, text: str) -> list:
         if len(parts) != len(columns):
             raise ValueError(f"CSV line {number} has {len(parts)} fields, "
                              f"the header {len(columns)}")
-        rows.append({name: kind(p) for (name, kind), p in zip(columns, parts)})
+        rows.append(_typed_row(columns, parts))
     return rows
 
 
@@ -300,15 +303,8 @@ class _Engine:
     def _row(self, scheme, value, rates, pilots_used):
         rates = np.asarray(rates, dtype=float)
         se = rates.std(ddof=1) / math.sqrt(len(rates)) if len(rates) > 1 else 0.0
-        return {
-            "scheme": scheme,
-            "axis": self.spec.sweep_axis,
-            "axis_value": float(value),
-            "mean_rate": float(rates.mean()),
-            "stderr": float(se),
-            "pilots_used": int(pilots_used),
-            "n_trials": len(rates),
-        }
+        return _typed_row(_SWEEP_COLUMNS, (scheme, self.spec.sweep_axis, value, rates.mean(),
+                                           se, pilots_used, len(rates)))
 
     def full_pilots(self, scheme: str) -> int:
         return self.table[scheme].pilots
@@ -338,10 +334,10 @@ def dump_beam_pattern(plan: PilotPlan, out=None):
                        indexing="ij")
     focus = plan.focus(m, k, clamp=True)
     keep = ~focus.clamped
-    columns = (k, m, plan.cfg.subcarrier_freq(m), focus.theta, focus.alpha, focus.distance)
-    rows = [{"pilot": pilot, "subcarrier": sub, "freq_hz": f, "theta": theta, "alpha": alpha,
-             "distance_m": r, "regime": "near" if alpha > 0 else "far"}
-            for pilot, sub, f, theta, alpha, r in zip(*(c[keep].tolist() for c in columns))]
+    columns = (k, m, plan.cfg.subcarrier_freq(m), focus.theta, focus.alpha, focus.distance,
+               np.where(focus.alpha > 0, "near", "far"))
+    rows = [_typed_row(_PATTERN_COLUMNS, values)
+            for values in zip(*(c[keep].tolist() for c in columns))]
     return rows, write_csv(_PATTERN_COLUMNS, rows, out)
 
 
@@ -351,50 +347,20 @@ def desk_config() -> SystemConfig:
     """Small geometry for fast experiments: the 64-element array's Rayleigh
     distance is about 20 m, so [2, 10] m keeps users deep enough in the
     near field that ignoring wavefront curvature visibly costs rate."""
-    return SystemConfig(
-        n_antennas=64,
-        carrier_freq=30e9,
-        bandwidth=5e9,
-        n_subcarriers=256,
-        distance_range=(2.0, 10.0),
-    )
+    return SystemConfig(n_antennas=64, n_subcarriers=256, distance_range=(2.0, 10.0))
 
 
 def fullscale_config() -> SystemConfig:
-    return SystemConfig(
-        n_antennas=256,
-        carrier_freq=30e9,
-        bandwidth=5e9,
-        n_subcarriers=1024,
-        distance_range=(5.0, 200.0),
-    )
+    return SystemConfig()
 
 
 def desk_experiment_spec(**overrides) -> ExperimentSpec:
-    base = dict(
-        design=DesignInputs(desk_config(), gamma=0.5),
-        schemes=ALL_SCHEMES,
-        sweep_axis="snr_db",
-        axis_values=(5.0, 10.0, 15.0, 20.0),
-        n_trials=200,
-        master_seed=1,
-        bank_angles=192,
-        bank_rings=8,
-    )
-    base.update(overrides)
-    return ExperimentSpec(**base)
+    return ExperimentSpec(**{"design": DesignInputs(desk_config(), gamma=0.5),
+                             "axis_values": (5.0, 10.0, 15.0, 20.0), **overrides})
 
 
 def fullscale_experiment_spec(**overrides) -> ExperimentSpec:
-    base = dict(
-        design=DesignInputs(fullscale_config(), gamma=0.95, k_override=3),
-        schemes=ALL_SCHEMES,
-        sweep_axis="snr_db",
-        axis_values=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
-        n_trials=200,
-        master_seed=1,
-        bank_angles=1024,
-        bank_rings=10,
-    )
-    base.update(overrides)
-    return ExperimentSpec(**base)
+    return ExperimentSpec(**{
+        "design": DesignInputs(fullscale_config(), gamma=0.95, k_override=3),
+        "axis_values": (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
+        "bank_angles": 1024, "bank_rings": 10, **overrides})

@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import Record, SystemConfig
+from .config import PolarLocation, Record, SystemConfig
 from .arrays import Channel, PolarCodebook, _uniform_samples, path_loss
-from .beamsplit import _CHUNK_ENTRIES, TdPsParams, ellipse_coefficients
+from .beamsplit import TdPsParams, blocks, ellipse_coefficients
 from .design import PilotPlan
 
 TX_POWER = 1.0
@@ -78,10 +79,7 @@ class TrainingEstimate(Record):
     fallback: bool = False
 
     def __post_init__(self):
-        if not -1.0 <= self.theta <= 1.0:
-            raise ValueError("estimate theta must lie in [-1, 1]")
-        if not 0 <= self.alpha < math.inf:  # also NaN
-            raise ValueError(f"estimate alpha must be finite and nonnegative, got {self.alpha!r}")
+        PolarLocation(self.theta, self.alpha)  # the polar-domain rule
 
     @classmethod
     def from_batch(cls, batch: "BatchEstimate", scheme: str, pilots_used: int):
@@ -150,7 +148,7 @@ def _observe(cfg: SystemConfig, families: dict, n_trials: int, rows, rng_of) -> 
     out = {name: np.zeros((n_trials, len(p))) if name in books
            else np.empty((n_trials, len(freqs), len(p)), dtype=complex)
            for name, p in families.items()}
-    for chunk in _subcarrier_chunks(len(freqs), entries):
+    for chunk in blocks(len(freqs), entries):
         f = freqs[chunk]
         h = rows(chunk)
         for name, probes in families.items():
@@ -330,17 +328,16 @@ def aux_pair_train(mags: np.ndarray, plan: PilotPlan) -> TrainingEstimate:
 
 @dataclass(frozen=True)
 class MatchFilterBank:
-    """Noiseless signatures of the plan's pilots over a polar grid.
+    """Noiseless signatures of a plan's K pilots over a polar grid.
 
     signatures[k, m, g] is pilot k's array gain on subcarrier m at grid point
-    g: pilot-major, so the first `budget` pilots are a view.  Grid points run
-    angle-major then ring, so argmax ties resolve to the smaller angle index,
-    then the smaller ring index.
+    g: pilot-major, so K is len(signatures) and the first `budget` pilots
+    are a view.  Grid points run angle-major then ring, so argmax ties
+    resolve to the smaller angle index, then the smaller ring index.
     """
 
     signatures: np.ndarray
     grid: PolarCodebook
-    plan: PilotPlan
 
     def __post_init__(self):
         if self.signatures.shape[-1] != len(self.grid):
@@ -348,12 +345,6 @@ class MatchFilterBank:
 
     def __len__(self) -> int:
         return len(self.grid)
-
-
-def _subcarrier_chunks(n_subcarriers: int, entries_per_subcarrier: int) -> list:
-    """Slices of consecutive subcarriers, each about _CHUNK_ENTRIES entries."""
-    step = max(1, _CHUNK_ENTRIES // max(1, entries_per_subcarrier))
-    return [slice(i, i + step) for i in range(0, n_subcarriers, step)]
 
 
 def _fft_length(n: int, n_out: int) -> int:
@@ -396,10 +387,9 @@ def grid_contraction(grid: PolarCodebook, h: np.ndarray, f) -> np.ndarray:
                       order="C")
     n_fft, (c, t, r) = _fft_length(n_t, len(grid.thetas)), pre.shape[:3]
     mag = np.empty((c, t, len(grid.thetas), r))  # angle-major, as the codewords
-    step = max(1, _CHUNK_ENTRIES // (c * r * n_fft))  # blocks of rows: small FFT buffers
-    for i in range(0, t, step):
-        block = _chirp_z(pre[:, i:i + step], w[:, None], mag.shape[2], n_fft)
-        mag[:, i:i + step] = np.swapaxes(block, 2, 3)
+    for rows in blocks(t, c * r * n_fft):  # blocks of rows: small FFT buffers
+        block = _chirp_z(pre[:, rows], w[:, None], mag.shape[2], n_fft)
+        mag[:, rows] = np.swapaxes(block, 2, 3)
     return mag.reshape(c, t, -1)
 
 
@@ -417,11 +407,11 @@ def build_match_filter_bank(plan: PilotPlan, grid: PolarCodebook) -> MatchFilter
     freqs = cfg.subcarrier_freqs()
     params = plan.params(np.arange(1, plan.K + 1))
     sig = np.empty((plan.K, cfg.n_subcarriers, len(grid)))
-    for chunk in _subcarrier_chunks(cfg.n_subcarriers, _power_entries(grid, plan.K)):
+    for chunk in blocks(cfg.n_subcarriers, _power_entries(grid, plan.K)):
         beams = pilot_beamformers(cfg, params, freqs[chunk])  # (C, N_t, K)
         h = np.swapaxes(beams, 1, 2).conj() / math.sqrt(cfg.n_antennas)
         sig[:, chunk] = np.swapaxes(grid_contraction(grid, h, freqs[chunk]), 0, 1)
-    return MatchFilterBank(signatures=sig, grid=grid, plan=plan)
+    return MatchFilterBank(signatures=sig, grid=grid)
 
 
 def match_filter_estimate(mags: np.ndarray, bank: MatchFilterBank, budget=None
@@ -445,7 +435,7 @@ def match_filter_train(mags: np.ndarray, bank: MatchFilterBank) -> TrainingEstim
     """Grid point whose signature best correlates with mags (M, K), both
     unit-normalized (cosine similarity); first index wins ties."""
     return TrainingEstimate.from_batch(match_filter_estimate(mags[None], bank),
-                                       SCHEME_MATCH, bank.plan.K)
+                                       SCHEME_MATCH, len(bank.signatures))
 
 
 def exhaustive_estimate(powers: np.ndarray, codebook, budget=None) -> BatchEstimate:
@@ -583,16 +573,13 @@ def scheme_table(plan: PilotPlan, schemes, bank_angles: int, bank_rings: int) ->
     grid = PolarCodebook(cfg, _uniform_samples(*cfg.angle_range, bank_angles),
                          _uniform_samples(*plan.inputs.alpha_bounds, bank_rings))
     bank = build_match_filter_bank(plan, grid) if SCHEME_MATCH in schemes else None
-    probes = plan.params(np.arange(1, plan.K + 1))
+    # the designed pilots' rows share their family, probes and pilot count
+    plan_row = partial(Scheme, "plan", plan.params(np.arange(1, plan.K + 1)), pilots=plan.K)
     return {
         SCHEME_PERFECT: Scheme(None, None, None, 0),
-        SCHEME_ONGRID: Scheme(
-            "plan", probes, lambda obs, budget: ongrid_estimate(obs, plan, budget), plan.K),
-        SCHEME_AUX: Scheme(
-            "plan", probes, lambda obs, budget: aux_pair_estimate(obs, plan, budget), plan.K),
-        SCHEME_MATCH: Scheme(
-            "plan", probes, lambda obs, budget: match_filter_estimate(obs, bank, budget),
-            plan.K),
+        SCHEME_ONGRID: plan_row(lambda obs, budget: ongrid_estimate(obs, plan, budget)),
+        SCHEME_AUX: plan_row(lambda obs, budget: aux_pair_estimate(obs, plan, budget)),
+        SCHEME_MATCH: plan_row(lambda obs, budget: match_filter_estimate(obs, bank, budget)),
         SCHEME_EXHAUSTIVE: _exhaustive_row(grid),
         SCHEME_NEAR_RAINBOW: _rainbow_row("near", cfg, grid.rings),
         SCHEME_FAR_RAINBOW: _rainbow_row("far", cfg, FAR_RINGS),

@@ -88,7 +88,7 @@ def quadratic_channel(cfg, loc) -> Channel:
     nd = cfg.element_indices() * cfg.spacing
     profile = nd * loc.theta - nd * nd * loc.alpha
     h = betas[:, None] * np.exp(-1j * k * r) * np.exp(1j * k * profile[None, :])
-    return Channel(per_subcarrier=h, path_gains=betas, beta_c=beta_c, location=loc)
+    return Channel(per_subcarrier=h, beta_c=beta_c, location=loc)
 
 
 def polar_grid(cfg, angles: int, rings: int, band=None) -> PolarCodebook:

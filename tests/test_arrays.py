@@ -76,13 +76,10 @@ def test_los_channel_norms_and_gain_ratio(cfg):
     chan = los_channel(cfg, loc)
     freqs = cfg.subcarrier_freqs()
     norms = np.linalg.norm(chan.per_subcarrier, axis=1)
-    want = math.sqrt(cfg.n_antennas) * chan.path_gains
-    assert np.allclose(norms, want, rtol=1e-10)
     # per-subcarrier amplitude scales inversely with frequency
-    assert np.allclose(chan.path_gains, (cfg.carrier_freq / freqs) * chan.beta_c,
-                       rtol=1e-12)
+    want = math.sqrt(cfg.n_antennas) * (cfg.carrier_freq / freqs) * chan.beta_c
+    assert np.allclose(norms, want, rtol=1e-10)
     assert chan.beta_c == pytest.approx(path_loss(cfg, 4.0, cfg.carrier_freq))
-    assert chan.n_subcarriers == cfg.n_subcarriers
 
 
 def test_los_channel_quadratic_matches_its_steering_model(cfg):
@@ -91,8 +88,8 @@ def test_los_channel_quadratic_matches_its_steering_model(cfg):
     for i, f in enumerate(cfg.subcarrier_freqs()):
         b = approx_steering(cfg, loc, f)
         g = abs(np.vdot(b, chan.per_subcarrier[i]))
-        assert g == pytest.approx(math.sqrt(cfg.n_antennas) * chan.path_gains[i],
-                                  rel=1e-10)
+        beta = (cfg.carrier_freq / f) * chan.beta_c
+        assert g == pytest.approx(math.sqrt(cfg.n_antennas) * beta, rel=1e-10)
 
 
 def test_codebook_grid_layout(cfg):

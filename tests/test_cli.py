@@ -149,6 +149,15 @@ def test_design_rejects_a_non_integral_pilot_count(tmp_path):
     assert "k_override must be an integer" in _error(run_cli("design", "--inputs", str(bad)))
 
 
+def test_design_rejects_a_non_finite_alpha_bound(tmp_path):
+    # json writes and reads the bound as the bare token Infinity
+    payload = desk_experiment_spec().design_inputs().to_dict()
+    payload["alpha_max"] = math.inf
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert "alpha_max must be finite" in _error(run_cli("design", "--inputs", str(bad)))
+
+
 def test_design_rejects_bad_gamma(tmp_path):
     payload = desk_experiment_spec().design_inputs().to_dict()
     payload["gamma"] = 1.5

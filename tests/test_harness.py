@@ -25,7 +25,7 @@ from beamtrain import (
     rate_metric,
     run_sweep,
 )
-from beamtrain import harness
+from beamtrain import beamsplit, harness, training
 from beamtrain.arrays import los_rows
 from beamtrain.beamsplit import gain_kernel, subcarrier_gains
 from beamtrain.harness import (
@@ -42,6 +42,7 @@ from beamtrain.training import (
     FAR_RINGS,
     TX_POWER,
     _observe,
+    build_match_filter_bank,
     pilot_beamformers,
     rainbow_probes,
 )
@@ -49,13 +50,14 @@ from beamtrain.training import (
 from conftest import polar_grid, sweep_rate
 
 
-def _tiny_spec(config=(), cfg=None, alpha_p_override=None, k_override=None, **overrides):
+def _tiny_spec(config=(), cfg=None, alpha_min=None, alpha_max=None, alpha_p_override=None,
+               k_override=None, **overrides):
     """A small desk spec; config holds SystemConfig fields to replace in cfg,
     by default the desk config."""
     cfg = dataclasses.replace(desk_config() if cfg is None else cfg, **dict(config))
     base = dict(
-        design=DesignInputs(cfg, gamma=0.5, alpha_p_override=alpha_p_override,
-                            k_override=k_override),
+        design=DesignInputs(cfg, gamma=0.5, alpha_min=alpha_min, alpha_max=alpha_max,
+                            alpha_p_override=alpha_p_override, k_override=k_override),
         schemes=("perfect_csi", "ongrid", "nearfield_rainbow", "farfield_rainbow"),
         sweep_axis="snr_db",
         axis_values=(10.0, 20.0),
@@ -133,12 +135,26 @@ def test_default_experiment_specs():
         dict(k_override=3.0),
         dict(k_override=True),
         dict(k_override=0),
+        # a budget of 4.9 would run budget 4 a second time
+        dict(sweep_axis="overhead", axis_values=(4.0, 4.9)),
+        # a non-finite design bound or override is named, not left to
+        # overflow or fail on NaN inside the design
+        dict(alpha_min=math.nan),
+        dict(alpha_max=math.inf),
+        dict(alpha_max=math.nan),
+        dict(alpha_p_override=math.inf),
+        dict(alpha_p_override=math.nan),
+        # finite, but the pilot count it asks for is not
+        dict(alpha_max=1e300),
     ],
 )
 def test_spec_validation(overrides):
     with pytest.raises(ValueError) as err:
         _tiny_spec(**overrides)
-    for name in dict(overrides.get("config", ())):
+    named = [*dict(overrides.get("config", ())),
+             *(name for name in ("alpha_min", "alpha_max", "alpha_p_override")
+               if not math.isfinite(overrides.get(name, 0.0)))]
+    for name in named:
         assert f"{name} must be finite" in str(err.value)
 
 
@@ -530,6 +546,32 @@ def test_exhaustive_moments_do_not_depend_on_the_families_alongside():
                      for fams in ({"codebook": codebook}, {**families, "codebook": codebook}))
     for sg in (0.0, 0.5, 2.0):
         assert np.array_equal(alone(np.full((9, 1, 1), sg)), shared(np.full((9, 1, 1), sg)))
+
+
+def test_one_block_budget_reaches_every_loop(monkeypatch):
+    # beamsplit.blocks is the one block rule: its budget changes how many
+    # chirp-z transforms the grid kernels run, and no output bit
+    spec = desk_experiment_spec(axis_values=(10.0, 20.0), n_trials=12, bank_angles=48,
+                                bank_rings=4)
+    plan = design(spec.design)
+    grid = polar_grid(plan.cfg, 48, 4, plan.inputs.alpha_bounds)
+    rng = np.random.default_rng(3)
+    dtheta, dalpha = rng.uniform(-0.2, 0.2, 40), rng.uniform(-0.05, 0.05, 40)
+    chirp_z, calls = training._chirp_z, []
+    monkeypatch.setattr(training, "_chirp_z", lambda *args: calls.append(1) or chirp_z(*args))
+
+    def outputs():
+        calls.clear()
+        return (run_sweep(spec).to_csv(), build_match_filter_bank(plan, grid).signatures,
+                subcarrier_gains(plan.cfg, dtheta, dalpha), len(calls))
+
+    csv, signatures, gains, n_calls = outputs()
+    for budget in (1 << 8, 1 << 22):
+        monkeypatch.setattr(beamsplit, "_CHUNK_ENTRIES", budget)
+        got = outputs()
+        assert got[0] == csv
+        assert np.array_equal(got[1], signatures) and np.array_equal(got[2], gains)
+        assert got[3] != n_calls
 
 
 def test_rate_metric_penalizes_mismatch(desk_cfg):

@@ -118,7 +118,8 @@ def test_noiseless_magnitude_is_scaled_array_gain(desk_cfg, desk_plan):
     _, user = _focus_user(desk_plan, m, 1)
     chan = _quad_channel(desk_cfg, user)
     obs = observe_plan(chan, desk_plan, NOISELESS, None)
-    want = math.sqrt(desk_cfg.n_antennas) * chan.path_gains[m - 1]
+    beta_m = (desk_cfg.carrier_freq / desk_cfg.subcarrier_freq(m)) * chan.beta_c
+    want = math.sqrt(desk_cfg.n_antennas) * beta_m
     assert obs[m - 1, 0] == pytest.approx(want, rel=1e-9)
 
 
@@ -306,8 +307,7 @@ def test_match_filter_swapped_signatures_swap_the_winner(desk_cfg, desk_plan):
     obs = observe_plan(_quad_channel(desk_cfg, target), desk_plan, NOISELESS, None)
     swapped = bank.signatures.copy()
     swapped[:, :, [17, 23]] = swapped[:, :, [23, 17]]
-    bank2 = MatchFilterBank(signatures=swapped, grid=bank.grid,
-                            plan=desk_plan)
+    bank2 = MatchFilterBank(signatures=swapped, grid=bank.grid)
     assert match_filter_train(obs, bank2).selected == 23
 
 
