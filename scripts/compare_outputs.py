@@ -19,9 +19,13 @@ changes).  In each tree a child process, with that tree's `src/` and
   reads the bank
 - the stdout of every `beamtrain train` call of the cli_train workload at
   seeds 0-9, one item per seed
-- the beam-pattern CSV, `dump_beam_pattern`, and the plan JSON, `to_json()`,
-  of the desk, full-scale and config-A plans (config A: 128 antennas, 10 GHz
-  carrier, 2 GHz band, 512 subcarriers, 5-200 m, gamma 1)
+- the beam-pattern CSV, `dump_beam_pattern`, the plan JSON, `to_json()`,
+  the plan `summary()`, and the plan's derived values as JSON (`K`, `p1`,
+  `pM`, `ending_directions`, `alpha_t_interval`, `alpha_slope_min`,
+  `alpha_slope`) of the desk, full-scale and config-A plans (config A: 128
+  antennas, 10 GHz carrier, 2 GHz band, 512 subcarriers, 5-200 m, gamma 1);
+  the derived values are read by name, so a plan that stores one and a plan
+  that computes it give the same item
 - the JSON, `json.dumps(to_dict(), indent=2)`, and `spec_hash()` of the
   default desk and full-scale specs
 - each plan and spec JSON read back through `from_dict` and written again
@@ -50,6 +54,8 @@ from bench_pairs import export
 SWEEP_WORKLOADS = ("desk_snr_sweep", "fullscale_grid", "fullscale_distance")
 SWEEP_SEEDS = range(4)
 CLI_SEEDS = range(10)
+PLAN_VALUES = ("K", "p1", "pM", "ending_directions", "alpha_t_interval", "alpha_slope_min",
+               "alpha_slope")
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
@@ -134,6 +140,9 @@ def dump(out: str) -> None:
         items[f"{name} beam pattern"] = harness.dump_beam_pattern(plan)[1]
         items[f"{name} plan JSON"] = text = plan.to_json()
         items[f"{name} plan JSON read back"] = type(plan).from_dict(json.loads(text)).to_json()
+        items[f"{name} plan summary"] = plan.summary()
+        items[f"{name} plan derived values"] = json.dumps(
+            {key: getattr(plan, key) for key in PLAN_VALUES}, indent=2)
     for name, spec in (("desk", desk()), ("full-scale", harness.fullscale_experiment_spec())):
         items[f"{name} spec JSON"] = text = json.dumps(spec.to_dict(), indent=2)
         items[f"{name} spec hash"] = spec.spec_hash()

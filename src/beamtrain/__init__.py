@@ -34,7 +34,6 @@ from .design import (
     design_distance_params,
     first_intercept,
     fixed_td_network,
-    intercepts_for_pilots,
     pilot_count,
     starting_period_integer,
 )

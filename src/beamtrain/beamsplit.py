@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SPEED_OF_LIGHT, PolarLocation, SystemConfig
+from .config import SPEED_OF_LIGHT, PolarLocation, SystemConfig, curvature_law
 
 # 3 dB point of the Fresnel envelope |C(b) + j S(b)| / b, root of F = 1/sqrt(2)
 FRESNEL_3DB = 1.318
@@ -70,8 +70,8 @@ class BeamFocus:
     def distance(self) -> float | np.ndarray:
         """(1 - theta^2) / (2 alpha), inf where alpha <= 0."""
         with np.errstate(divide="ignore"):
-            r = np.where(np.asarray(self.alpha) > 0,
-                         (1.0 - np.square(self.theta)) / (2.0 * np.asarray(self.alpha)), math.inf)
+            alpha = np.asarray(self.alpha)
+            r = np.where(alpha > 0, curvature_law(self.theta, alpha), math.inf)
         return float(r) if r.ndim == 0 else r
 
 

@@ -99,10 +99,6 @@ class SystemConfig(Record):
         return SPEED_OF_LIGHT / (2 * self.carrier_freq)
 
     @property
-    def wavelength(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_freq
-
-    @property
     def f_lower(self) -> float:
         return self.carrier_freq - self.bandwidth / 2
 
@@ -233,6 +229,12 @@ def write_text(path, text: str) -> None:
             fh.write(text)
 
 
+def curvature_law(theta, x):
+    """(1 - theta^2) / (2 x): the curvature alpha at distance x, or the
+    distance at curvature x (the law is its own inverse)."""
+    return (1.0 - theta**2) / (2.0 * x)
+
+
 @dataclass(frozen=True)
 class PolarLocation:
     """A point in the array's polar coordinates.
@@ -255,7 +257,7 @@ class PolarLocation:
         """Build from sine-angle and distance in meters (r = inf allowed)."""
         if not r > 0:  # also NaN
             raise ValueError("distance must be positive")
-        alpha = 0.0 if math.isinf(r) else (1.0 - theta**2) / (2.0 * r)
+        alpha = 0.0 if math.isinf(r) else curvature_law(theta, r)
         return cls(theta=theta, alpha=alpha)
 
     @classmethod
@@ -267,4 +269,4 @@ class PolarLocation:
         """Distance in meters; inf when alpha == 0."""
         if self.alpha == 0.0:
             return math.inf
-        return (1.0 - self.theta**2) / (2.0 * self.alpha)
+        return curvature_law(self.theta, self.alpha)

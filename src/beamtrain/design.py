@@ -120,31 +120,29 @@ def distance_slope_bound(cfg: SystemConfig, alpha_min: float, alpha_max: float) 
     return (alpha_max - alpha_min) / span
 
 
+def alpha_t_range(cfg: SystemConfig, alpha_min: float, alpha_max: float, slope: float):
+    """Interval (lo, hi) of alpha_t keeping the band-edge annuli of a distance
+    sweep of this slope in [alpha_min, alpha_max]; hi is clamped to >= lo."""
+    lo = alpha_max - (cfg.carrier_freq / cfg.f_lower) * slope
+    hi = alpha_min - (cfg.carrier_freq / cfg.f_upper) * slope
+    return lo, max(hi, lo)
+
+
 def design_distance_params(inputs: DesignInputs) -> tuple[float, int, float, tuple[float, float]]:
     """Distance sweep parameters (alpha_p, q, alpha_t, alpha_t interval).
 
-    The slope alpha_p + 2 q / d must reach distance_slope_bound; alpha_t is
-    the midpoint of the interval keeping the band-edge annuli inside
-    [alpha_min, alpha_max].
+    The slope alpha_p + 2 q / d reaches distance_slope_bound (an
+    alpha_p_override replaces alpha_p, and the plan checks the bound);
+    alpha_t is the midpoint of alpha_t_range.
     """
     cfg = inputs.cfg
     amin, amax = inputs.alpha_bounds
     bound = distance_slope_bound(cfg, amin, amax)
     d = cfg.spacing
     q = math.floor(bound * d / 2)
-    alpha_p = bound - 2 * q / d
-    if inputs.alpha_p_override is not None:
-        alpha_p = inputs.alpha_p_override
-        if alpha_p + 2 * q / d < bound - 1e-9:
-            raise ValueError("alpha_p override breaks the coverage slope bound")
-    slope = alpha_p + 2 * q / d
-    lo = amax - (cfg.carrier_freq / cfg.f_lower) * slope
-    hi = amin - (cfg.carrier_freq / cfg.f_upper) * slope
-    if hi < lo - 1e-9:
-        raise ValueError("empty alpha_t interval; slope too small")
-    hi = max(hi, lo)
-    alpha_t = 0.5 * (lo + hi)
-    return alpha_p, q, alpha_t, (lo, hi)
+    alpha_p = bound - 2 * q / d if inputs.alpha_p_override is None else inputs.alpha_p_override
+    lo, hi = alpha_t_range(cfg, amin, amax, alpha_p + 2 * q / d)
+    return alpha_p, q, 0.5 * (lo + hi), (lo, hi)
 
 
 def angle_coverage(cfg: SystemConfig, theta_p: float, p_m: int) -> tuple[float, int]:
@@ -178,13 +176,10 @@ def pilot_count(inputs: DesignInputs, theta_p: float, p1: int, p_m: int, alpha_p
     return max(inputs.k_override or 1, k, angle_coverage(cfg, theta_p, p_m)[1])
 
 
-def intercepts_for_pilots(cfg: SystemConfig, theta_p: float, p_m: int, n_pilots: int) -> list[float]:
-    """Delay parameters theta_t^k staggering the ending directions
-    1 - 2(k - 1) / K across pilots."""
-    return [
-        first_intercept(cfg, theta_p, p_m, ending=1.0 - 2.0 * (k - 1) / n_pilots)
-        for k in range(1, n_pilots + 1)
-    ]
+def staggered_endings(n_pilots: int) -> tuple[float, ...]:
+    """Ending directions 1 - 2(k - 1) / K of pilots k = 1..K: the top
+    subcarrier's focus of each pilot, staggered by 2 / K."""
+    return tuple(1.0 - 2.0 * (k - 1) / n_pilots for k in range(1, n_pilots + 1))
 
 
 @dataclass(frozen=True)
@@ -192,7 +187,8 @@ class PilotPlan(Record):
     """Complete parameter set for one training sweep.
 
     theta_t_list has one delay intercept per pilot; theta_p, alpha_p, alpha_t,
-    q are shared.  ending_directions are the designed top-subcarrier foci.
+    q and pM are shared.  K, p1, ending_directions, alpha_t_interval and
+    alpha_slope_min follow from these and the inputs, and are not stored.
     """
 
     inputs: DesignInputs
@@ -200,29 +196,48 @@ class PilotPlan(Record):
     theta_t_list: tuple[float, ...]
     alpha_p: float
     alpha_t: float
-    alpha_t_interval: tuple[float, float]
-    p1: int
     pM: int
     q: int
-    K: int
-    ending_directions: tuple[float, ...]
-    alpha_slope_min: float
 
     def __post_init__(self):
+        if not self.theta_t_list:
+            raise ValueError("a plan needs at least one delay intercept")
         if not 0 < self.theta_p + 2 * self.pM:
             raise ValueError("angle sweep slope must be positive")
-        if self.K != len(self.theta_t_list):
-            raise ValueError("K must match the number of delay intercepts")
         if self.alpha_slope + 1e-9 < self.alpha_slope_min:
-            raise ValueError("distance slope below the coverage bound")
+            raise ValueError(f"distance slope {self.alpha_slope!r} is below the coverage "
+                             f"slope bound {self.alpha_slope_min!r} of the served range")
+        lo, hi = self.alpha_t_interval
+        if not lo - 1e-9 <= self.alpha_t <= hi + 1e-9:
+            raise ValueError(f"alpha_t {self.alpha_t!r} lies outside [{lo!r}, {hi!r}]")
 
     @property
     def cfg(self) -> SystemConfig:
         return self.inputs.cfg
 
     @property
+    def K(self) -> int:
+        return len(self.theta_t_list)
+
+    @property
+    def p1(self) -> int:
+        return starting_period_integer(self.cfg, self.theta_t_list[0], self.theta_p)
+
+    @property
+    def ending_directions(self) -> tuple[float, ...]:
+        return staggered_endings(self.K)
+
+    @property
     def alpha_slope(self) -> float:
         return self.alpha_p + 2 * self.q / self.cfg.spacing
+
+    @property
+    def alpha_slope_min(self) -> float:
+        return distance_slope_bound(self.cfg, *self.inputs.alpha_bounds)
+
+    @property
+    def alpha_t_interval(self) -> tuple[float, float]:
+        return alpha_t_range(self.cfg, *self.inputs.alpha_bounds, self.alpha_slope)
 
     def params(self, k) -> TdPsParams:
         """Beamformer parameters of pilot k (1-based), or of an array of
@@ -274,27 +289,12 @@ def design(inputs: DesignInputs) -> PilotPlan:
     per-pilot delay intercepts."""
     cfg = inputs.cfg
     theta_p, p_m = design_angle_params(inputs)
-    theta_t1 = first_intercept(cfg, theta_p, p_m)
-    p1 = starting_period_integer(cfg, theta_t1, theta_p)
-    alpha_p, q, alpha_t, interval = design_distance_params(inputs)
+    p1 = starting_period_integer(cfg, first_intercept(cfg, theta_p, p_m), theta_p)
+    alpha_p, q, alpha_t, _ = design_distance_params(inputs)
     K = pilot_count(inputs, theta_p, p1, p_m, alpha_p, q)
-    endings = tuple(1.0 - 2.0 * (k - 1) / K for k in range(1, K + 1))
-    theta_ts = tuple(intercepts_for_pilots(cfg, theta_p, p_m, K))
-    amin, amax = inputs.alpha_bounds
-    return PilotPlan(
-        inputs=inputs,
-        theta_p=theta_p,
-        theta_t_list=theta_ts,
-        alpha_p=alpha_p,
-        alpha_t=alpha_t,
-        alpha_t_interval=interval,
-        p1=p1,
-        pM=p_m,
-        q=q,
-        K=K,
-        ending_directions=endings,
-        alpha_slope_min=distance_slope_bound(cfg, amin, amax),
-    )
+    theta_ts = tuple(first_intercept(cfg, theta_p, p_m, end) for end in staggered_endings(K))
+    return PilotPlan(inputs=inputs, theta_p=theta_p, theta_t_list=theta_ts, alpha_p=alpha_p,
+                     alpha_t=alpha_t, pM=p_m, q=q)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .config import (DEFAULTS_IF_MISSING, PolarLocation, Record, SystemConfig, check_finite,
-                     check_integer, write_text)
+                     check_integer, curvature_law, write_text)
 from .arrays import los_rows, path_loss
 from .beamsplit import blocks, subcarrier_gains
 from .design import DesignInputs, PilotPlan, design
@@ -201,7 +201,7 @@ def _draw_users(cfg: SystemConfig, rng, n: int, r_fixed: float | None = None):
         r = rng.uniform(*cfg.distance_range, n)
     else:
         r = np.full(n, float(r_fixed))
-    alpha = (1.0 - theta**2) / (2.0 * r)
+    alpha = curvature_law(theta, r)
     beta_c = path_loss(cfg, r, cfg.carrier_freq)
     return {"theta": theta, "alpha": alpha, "r": r, "beta_c": beta_c}
 

@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import PolarLocation, Record, SystemConfig
+from .config import PolarLocation, Record, SystemConfig, curvature_law
 from .arrays import Channel, PolarCodebook, _uniform_samples, path_loss
 from .beamsplit import TdPsParams, blocks, ellipse_coefficients
 from .design import PilotPlan
@@ -250,7 +250,7 @@ def aux_pair_estimate(mags: np.ndarray, plan: PilotPlan, budget=None) -> BatchEs
     lower = (m_hat > 0) & ((m_hat == n_sub - 1) | (col[rows, hi] <= col[rows, lo]))
     pair = np.stack([m_hat, np.where(lower, lo, hi)], axis=1)  # (T, 2) subcarriers
     with np.errstate(divide="ignore", invalid="ignore"):
-        r_hat = (1.0 - theta0**2) / (2.0 * alpha0)
+        r_hat = curvature_law(theta0, alpha0)
     fallback = (n_sub == 1) | ~np.isfinite(r_hat) | (r_hat <= 0)
     r_hat = np.where(fallback, 1.0, r_hat)
 

@@ -10,7 +10,6 @@ from beamtrain import SPEED_OF_LIGHT, PolarLocation, SystemConfig
 def test_default_spacing_is_half_carrier_wavelength():
     cfg = SystemConfig(64, 30e9, 5e9, 16)
     assert cfg.spacing == pytest.approx(SPEED_OF_LIGHT / (2 * 30e9), rel=1e-15)
-    assert cfg.wavelength == pytest.approx(SPEED_OF_LIGHT / 30e9, rel=1e-15)
 
 
 def test_explicit_spacing_respected():

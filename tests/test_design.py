@@ -15,19 +15,22 @@ from beamtrain import (
     design_angle_params,
     first_intercept,
     fixed_td_network,
-    intercepts_for_pilots,
     td_vector,
 )
 from beamtrain.design import (
+    alpha_t_range,
     angle_coverage,
     design_distance_params,
     distance_slope_bound,
     pilot_count,
     round_half_away,
+    staggered_endings,
     starting_period_integer,
 )
 from beamtrain.beamsplit import InfeasibleFocusError
-from beamtrain.harness import desk_experiment_spec
+from beamtrain.harness import desk_experiment_spec, fullscale_experiment_spec
+
+DERIVED = ("K", "p1", "ending_directions", "alpha_t_interval", "alpha_slope_min")
 
 
 def test_round_half_away():
@@ -82,13 +85,6 @@ def test_staggered_endings(plan_a):
         assert focus.theta == pytest.approx(plan_a.ending_directions[k - 1], abs=1e-9)
 
 
-def test_intercepts_helper_matches_plan(plan_a):
-    cfg = plan_a.cfg
-    ts = intercepts_for_pilots(cfg, plan_a.theta_p, plan_a.pM, plan_a.K)
-    assert tuple(ts) == pytest.approx(plan_a.theta_t_list)
-    assert ts[0] == first_intercept(cfg, plan_a.theta_p, plan_a.pM)
-
-
 def test_starting_period_integer_rounding(plan_a_base):
     cfg = plan_a_base.cfg
     p1 = starting_period_integer(cfg, plan_a_base.theta_t_list[0], plan_a_base.theta_p)
@@ -111,8 +107,69 @@ def test_distance_slope_reaches_the_bound(config_a):
 
 
 def test_alpha_p_override_checked_against_bound(config_a):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="coverage slope bound"):
         design(DesignInputs(cfg=config_a, alpha_p_override=0.1))
+
+
+@pytest.mark.parametrize("name", ["desk", "config_a", "fullscale"])
+@pytest.mark.parametrize("raise_alpha_p", [False, True])
+def test_derived_values_are_the_designs_own(name, raise_alpha_p, config_a):
+    # each derived value equals the design's intermediate value exactly, on
+    # the designed plan and on its JSON read back; raise_alpha_p overrides
+    # alpha_p with 0.5 above the designed one, which config A's reference
+    # override (0.5) is, and which keeps every slope above its bound
+    inputs = {"desk": desk_experiment_spec().design_inputs(),
+              "config_a": DesignInputs(cfg=config_a),
+              "fullscale": fullscale_experiment_spec().design_inputs()}[name]
+    cfg = inputs.cfg
+    if raise_alpha_p:
+        inputs = dataclasses.replace(
+            inputs, alpha_p_override=design_distance_params(inputs)[0] + 0.5)
+    theta_p, p_m = design_angle_params(inputs)
+    p1 = starting_period_integer(cfg, first_intercept(cfg, theta_p, p_m), theta_p)
+    alpha_p, q, alpha_t, interval = design_distance_params(inputs)
+    K = pilot_count(inputs, theta_p, p1, p_m, alpha_p, q)
+    plan = design(inputs)
+    for got in (plan, PilotPlan.from_json(plan.to_json())):
+        assert got.K == K and got.p1 == p1
+        assert got.ending_directions == staggered_endings(K)
+        assert got.alpha_t_interval == interval == alpha_t_range(
+            cfg, *inputs.alpha_bounds, alpha_p + 2 * q / cfg.spacing)
+        assert got.alpha_slope_min == distance_slope_bound(cfg, *inputs.alpha_bounds)
+        assert (got.alpha_p, got.alpha_t) == (alpha_p, alpha_t)
+
+
+@pytest.mark.parametrize("plan_name", ["desk_plan", "main_plan"])
+def test_plan_below_the_coverage_slope_bound_is_rejected(plan_name, request):
+    # the bound comes from the plan's own inputs: a file cannot restate it
+    data = request.getfixturevalue(plan_name).to_dict()
+    data["alpha_p"] = 0
+    with pytest.raises(ValueError, match="below the coverage slope bound"):
+        PilotPlan.from_dict(data)
+
+
+def test_plan_alpha_t_outside_its_interval_is_rejected(plan_a):
+    lo, hi = plan_a.alpha_t_interval
+    for alpha_t in (lo, hi):
+        PilotPlan.from_dict({**plan_a.to_dict(), "alpha_t": alpha_t})
+    for alpha_t in (lo - 1e-6, hi + 1e-6):
+        with pytest.raises(ValueError, match="alpha_t .* lies outside"):
+            PilotPlan.from_dict({**plan_a.to_dict(), "alpha_t": alpha_t})
+
+
+@pytest.mark.parametrize("key", DERIVED)
+def test_plan_rejects_a_derived_key(key, main_plan):
+    # a plan file written before these values were derived is rejected,
+    # not read with values that may contradict the plan
+    value = getattr(main_plan, key)
+    data = {**main_plan.to_dict(), key: list(value) if isinstance(value, tuple) else value}
+    with pytest.raises(ValueError, match=f"unknown key\\(s\\) '{key}'"):
+        PilotPlan.from_dict(data)
+
+
+def test_plan_stores_only_the_designed_values():
+    assert [f.name for f in dataclasses.fields(PilotPlan)] == [
+        "inputs", "theta_p", "theta_t_list", "alpha_p", "alpha_t", "pM", "q"]
 
 
 def test_band_edge_annuli_cover_the_served_range(plan_a, plan_a_base):
@@ -253,11 +310,16 @@ def test_plan_summary_mentions_the_counts(plan_a):
     assert str(plan_a.cfg.n_subcarriers) in text
 
 
-def test_plan_validation_rejects_mismatched_intercepts(plan_a):
+def test_plan_validation_rejects_a_pilot_count_key(plan_a):
+    # the pilot count is the number of delay intercepts: a "K" that could
+    # contradict it is an unknown key, and an empty list is no plan
     data = plan_a.to_dict()
     data["theta_t_list"] = data["theta_t_list"][:1]
-    with pytest.raises(ValueError):
-        PilotPlan.from_dict(data)
+    with pytest.raises(ValueError, match="unknown key\\(s\\) 'K'"):
+        PilotPlan.from_dict({**data, "K": plan_a.K})
+    assert PilotPlan.from_dict(data).K == 1
+    with pytest.raises(ValueError, match="at least one delay intercept"):
+        PilotPlan.from_dict({**data, "theta_t_list": []})
 
 
 def test_delay_table_shape_and_selector_bits(main_plan, desk_plan):

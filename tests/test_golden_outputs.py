@@ -37,6 +37,13 @@ the direct one, so the last digits of some rates moved: every number stayed
 within 1e-12 relative of the earlier file (at most 1.8e-15), and the design,
 beam-pattern and spec files kept every byte.
 
+`plan.json` was rewritten when the plan came to store each designed value
+once: the pilot count `K`, `p1`, `ending_directions`, `alpha_t_interval`
+and `alpha_slope_min` are computed from the other fields and the inputs,
+so the file lost those five keys, and a plan file that holds them is
+rejected.  Every value it kept is byte for byte the same, and so are the
+beam pattern, the sweep files and `train.json`.
+
 Running this file as a script rewrites the stored files from the current
 code: `PYTHONPATH=src python tests/test_golden_outputs.py`.
 """
