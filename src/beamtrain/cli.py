@@ -23,6 +23,7 @@ from .arrays import los_channel
 from .design import DesignInputs, PilotPlan, fixed_td_network
 from .harness import (
     ExperimentSpec,
+    check_grid_sizes,
     desk_experiment_spec,
     dump_beam_pattern,
     fullscale_experiment_spec,
@@ -87,10 +88,10 @@ def _cmd_pattern(args):
 
 
 def _cmd_train(args):
-    # the rule ExperimentSpec applies to its bank dimensions
-    for flag, value in (("--bank-angles", args.bank_angles), ("--bank-rings", args.bank_rings)):
-        if value < 1:
-            _fail(f"{flag} must be >= 1, got {value}")
+    try:
+        check_grid_sizes(args, lambda name: "--" + name.replace("_", "-"))
+    except ValueError as exc:
+        _fail(str(exc))
     if not math.isfinite(args.snr_db):
         _fail(f"--snr-db must be finite, got {args.snr_db}")
     try:

@@ -149,13 +149,16 @@ def check_finite(record, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def check_integer(record, name: str, least: int) -> None:
+def check_integer(record, name: str, least: int, label: str | None = None) -> None:
     """Reject field `name` of the frozen dataclass record unless it is an
     integer >= least, and store it as a Python int (JSON writes Python ints
-    only).  NumPy integers are Integral; bools are not counts."""
-    value = getattr(record, name)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    only).  NumPy integers are Integral; bools are not counts.  The error
+    names the field as label, by default its name."""
+    value, label = getattr(record, name), label or name
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{label} must be an integer >= {least}, got {value!r}")
+    if value < least:
+        raise ValueError(f"{label} must be >= {least}, got {value!r}")
     object.__setattr__(record, name, int(value))
 
 

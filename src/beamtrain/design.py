@@ -182,6 +182,13 @@ def staggered_endings(n_pilots: int) -> tuple[float, ...]:
     return tuple(1.0 - 2.0 * (k - 1) / n_pilots for k in range(1, n_pilots + 1))
 
 
+def staggered_intercepts(cfg: SystemConfig, theta_p: float, p_m: int, n_pilots: int
+                         ) -> tuple[float, ...]:
+    """Delay intercepts theta_t of pilots k = 1..K, each ending its top
+    subcarrier's focus at its staggered ending direction."""
+    return tuple(first_intercept(cfg, theta_p, p_m, end) for end in staggered_endings(n_pilots))
+
+
 @dataclass(frozen=True)
 class PilotPlan(Record):
     """Complete parameter set for one training sweep.
@@ -189,6 +196,8 @@ class PilotPlan(Record):
     theta_t_list has one delay intercept per pilot; theta_p, alpha_p, alpha_t,
     q and pM are shared.  K, p1, ending_directions, alpha_t_interval and
     alpha_slope_min follow from these and the inputs, and are not stored.
+    Each intercept must end its pilot at its ending direction
+    (staggered_intercepts, within 1e-9).
     """
 
     inputs: DesignInputs
@@ -204,6 +213,12 @@ class PilotPlan(Record):
             raise ValueError("a plan needs at least one delay intercept")
         if not 0 < self.theta_p + 2 * self.pM:
             raise ValueError("angle sweep slope must be positive")
+        want = staggered_intercepts(self.cfg, self.theta_p, self.pM, self.K)
+        for k, (got, end, exp) in enumerate(zip(self.theta_t_list, self.ending_directions, want),
+                                            start=1):
+            if abs(got - exp) > 1e-9:
+                raise ValueError(f"theta_t {got!r} of pilot {k} does not end its sweep at "
+                                 f"{end!r}: the ending rule gives {exp!r}")
         if self.alpha_slope + 1e-9 < self.alpha_slope_min:
             raise ValueError(f"distance slope {self.alpha_slope!r} is below the coverage "
                              f"slope bound {self.alpha_slope_min!r} of the served range")
@@ -292,8 +307,8 @@ def design(inputs: DesignInputs) -> PilotPlan:
     p1 = starting_period_integer(cfg, first_intercept(cfg, theta_p, p_m), theta_p)
     alpha_p, q, alpha_t, _ = design_distance_params(inputs)
     K = pilot_count(inputs, theta_p, p1, p_m, alpha_p, q)
-    theta_ts = tuple(first_intercept(cfg, theta_p, p_m, end) for end in staggered_endings(K))
-    return PilotPlan(inputs=inputs, theta_p=theta_p, theta_t_list=theta_ts, alpha_p=alpha_p,
+    return PilotPlan(inputs=inputs, theta_p=theta_p,
+                     theta_t_list=staggered_intercepts(cfg, theta_p, p_m, K), alpha_p=alpha_p,
                      alpha_t=alpha_t, pM=p_m, q=q)
 
 

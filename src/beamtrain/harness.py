@@ -70,6 +70,14 @@ def _distinct_rates(cfg, users, snrs, theta_hat, alpha_hat) -> np.ndarray:
     return rates.reshape(p, t)
 
 
+def check_grid_sizes(record, label=lambda name: name) -> None:
+    """The rule of the scheme table's grid sizes record.bank_angles and
+    record.bank_rings: integers >= 1.  ExperimentSpec checks its fields here
+    and `beamtrain train` its flags, each named by label(name)."""
+    for name in ("bank_angles", "bank_rings"):
+        check_integer(record, name, 1, label(name))
+
+
 @dataclass(frozen=True)
 class ExperimentSpec(Record):
     """One sweep: design inputs (with the config), schemes, axis, and sizes.
@@ -105,9 +113,9 @@ class ExperimentSpec(Record):
             raise ValueError("overhead budgets must be whole numbers >= 1")
         if self.sweep_axis == "distance_m" and any(v <= 0 for v in self.axis_values):
             raise ValueError("distances must be positive")
-        for name, least in (("n_trials", 2), ("master_seed", 0), ("bank_angles", 1),
-                            ("bank_rings", 1)):
+        for name, least in (("n_trials", 2), ("master_seed", 0)):
             check_integer(self, name, least)
+        check_grid_sizes(self)
         # rejects what the design cannot serve, which includes every config
         # the rainbow sweeps cannot (one subcarrier, no bandwidth)
         design(self.design)
@@ -232,11 +240,9 @@ class _Engine:
         seed = self.spec.master_seed
         requested = [self.table[name] for name in self.spec.schemes]
         families = {row.family: row.probes for row in requested if row.family is not None}
-        freqs = self.cfg.subcarrier_freqs()
 
-        def rows(chunk):
-            return los_rows(self.cfg, users["theta"], users["r"], users["beta_c"],
-                            freqs[chunk, None])
+        def rows(f):
+            return los_rows(self.cfg, users["theta"], users["r"], users["beta_c"], f[:, None])
 
         return _observe(self.cfg, families, len(users["theta"]), rows,
                         lambda family: _rng(seed, _STREAMS[family], *key))

@@ -13,6 +13,8 @@ observations, and estimates the user's polar location.  Estimators:
 The two grid searches stand on one grid type, arrays.PolarCodebook, and one
 chirp-z contraction over it, grid_contraction: the codebook squares it over
 channel rows, the match-filter bank runs it over conjugated pilot beams.
+The codebook's powers summed over the band are a weighted sum over the few
+node frequencies of band_quadrature, not over every subcarrier.
 
 scheme_table holds one row per scheme (probe family, probes, estimator,
 pilot count); the sweep engine runs its rows over T drawn users and
@@ -28,13 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .config import PolarLocation, Record, SystemConfig, curvature_law
-from .arrays import Channel, PolarCodebook, _uniform_samples, path_loss
+from .arrays import Channel, PolarCodebook, _uniform_samples, los_rows, path_loss
 from .beamsplit import TdPsParams, blocks, ellipse_coefficients
 from .design import PilotPlan
 
@@ -126,37 +128,33 @@ def pilot_beamformers(cfg: SystemConfig, params: TdPsParams, f) -> np.ndarray:
 
 
 def _observe(cfg: SystemConfig, families: dict, n_trials: int, rows, rng_of) -> dict:
-    """Noisy observations of every probe family for n_trials users, from
-    one pass over subcarrier chunks.  families maps a family name to its
-    probes: one pilot parameter set (TdPsParams), or a PolarCodebook.
-    rows(chunk) returns the channel rows (C, T, N_t) of a slice of
-    subcarriers; each chunk's rows are built once and feed every family.
+    """Noisy observations of every probe family for n_trials users.
+    families maps a family name to its probes: one pilot parameter set
+    (TdPsParams), or a PolarCodebook.  rows(f) returns the channel rows
+    (C, T, N_t) at frequencies f (C,).
 
     Returns family name -> map from the per-user noise std (T, 1, 1) to the
     observations: magnitudes |sqrt(P_t) h_m^T w_{m,k} + sigma z| (T, M, K)
-    of pilot probes, or the codebook's powers (T, G) from the moments of
-    exhaustive_moments.  With a codebook the chunks are sized for it, which
-    fixes the order in which its noiseless powers are summed.  Each
-    family's noise is drawn from rng_of(name) once the pass is done: a
+    of pilot probes, from one pass over subcarrier chunks sized for the
+    pilots whose rows feed every pilot family; or a codebook's powers (T, G)
+    from the moments of exhaustive_moments over its band_powers.  Each
+    family's noise is drawn from rng_of(name) once the passes are done: a
     (T, M, K) unit-noise grid, or the noise law.  The sweep engine and the
     single-trial API (T = 1) both observe here.
     """
     freqs = cfg.subcarrier_freqs()
     books = {name for name, p in families.items() if isinstance(p, PolarCodebook)}
-    entries = max([_power_entries(families[name], n_trials) for name in books] or
-                  [cfg.n_antennas * max([n_trials] + [len(p) for p in families.values()])])
-    out = {name: np.zeros((n_trials, len(p))) if name in books
-           else np.empty((n_trials, len(freqs), len(p)), dtype=complex)
-           for name, p in families.items()}
-    for chunk in blocks(len(freqs), entries):
+    pilots = {name: p for name, p in families.items() if name not in books}
+    out = {name: np.empty((n_trials, len(freqs), len(p)), dtype=complex)
+           for name, p in pilots.items()}
+    entries = cfg.n_antennas * max([n_trials] + [len(p) for p in pilots.values()])
+    for chunk in blocks(len(freqs), entries) if pilots else ():
         f = freqs[chunk]
-        h = rows(chunk)
-        for name, probes in families.items():
-            if name in books:
-                out[name] += codeword_powers(probes, h, f).sum(axis=0)
-            else:
-                y = math.sqrt(TX_POWER) * (h @ pilot_beamformers(cfg, probes, f))
-                out[name][:, chunk] = np.swapaxes(y, 0, 1)
+        h = rows(f)
+        for name, probes in pilots.items():
+            y = math.sqrt(TX_POWER) * (h @ pilot_beamformers(cfg, probes, f))
+            out[name][:, chunk] = np.swapaxes(y, 0, 1)
+    out.update({name: band_powers(families[name], n_trials, rows) for name in books})
 
     def noisy(name, x):
         if name in books:
@@ -165,21 +163,29 @@ def _observe(cfg: SystemConfig, families: dict, n_trials: int, rows, rng_of) -> 
         noise = _unit_noise(rng_of(name), x.shape)
         return lambda sg: np.abs(x + sg * noise)
 
-    return {name: noisy(name, x) for name, x in out.items()}
+    return {name: noisy(name, out[name]) for name in families}
 
 
 def observe_params(cfg: SystemConfig, channel: Channel, probes, snr: float, rng) -> np.ndarray:
     """One training observation of a scheme table row's probes: _observe at
-    T = 1 over the channel's stored rows.  Returns the magnitudes
-    |sqrt(P_t) h_m^T w_{m,k} + sigma z_{m,k}| (M, len(probes)) of a pilot
-    parameter set (TdPsParams), or the codeword powers (G,) of a
-    PolarCodebook.  Every draw comes from the one generator
+    T = 1.  Returns the magnitudes |sqrt(P_t) h_m^T w_{m,k} + sigma z_{m,k}|
+    (M, len(probes)) of a pilot parameter set (TdPsParams), over the
+    channel's stored rows; or the codeword powers (G,) of a PolarCodebook,
+    whose band quadrature observes at frequencies between the subcarriers,
+    over the line-of-sight rows of channel.location (a channel without a
+    location is rejected).  Every draw comes from the one generator
     np.random.default_rng(rng), so a fixed seed is reproducible."""
+    loc, freqs = channel.location, cfg.subcarrier_freqs()
+    if not isinstance(probes, PolarCodebook):
+        rows = lambda f: channel.per_subcarrier[np.searchsorted(freqs, f), None]
+    elif loc is None:
+        raise ValueError("the exhaustive codebook observes the line-of-sight channel "
+                         "of channel.location, and this channel has none")
+    else:
+        rows = lambda f: los_rows(cfg, loc.theta, loc.distance, channel.beta_c, f[:, None])
     gen = np.random.default_rng(rng)
     sigma = np.sqrt(noise_power(cfg, channel.beta_c, snr)).reshape(1, 1, 1)
-    observe = _observe(cfg, {None: probes}, 1,
-                       lambda chunk: channel.per_subcarrier[chunk, None], lambda _: gen)
-    return observe[None](sigma)[0]
+    return _observe(cfg, {None: probes}, 1, rows, lambda _: gen)[None](sigma)[0]
 
 
 class BatchEstimate(NamedTuple):
@@ -394,7 +400,7 @@ def grid_contraction(grid: PolarCodebook, h: np.ndarray, f) -> np.ndarray:
 
 
 def _power_entries(grid: PolarCodebook, n_rows: int) -> int:
-    """Entries of grid_contraction's largest temporary per subcarrier."""
+    """Entries of grid_contraction's largest temporary per frequency."""
     return n_rows * len(grid.rings) * _fft_length(grid.cfg.n_antennas, len(grid.thetas))
 
 
@@ -457,6 +463,80 @@ def codeword_powers(codebook: PolarCodebook, h: np.ndarray, f) -> np.ndarray:
     mag = grid_contraction(codebook, h, f)
     mag *= mag
     return mag * (TX_POWER / codebook.cfg.n_antennas)
+
+
+@lru_cache(maxsize=8)
+def band_quadrature(cfg: SystemConfig, alpha_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Node frequencies and real weights (J,) that stand in for the M
+    subcarriers in a codebook's powers summed over the band.
+
+    With v_n = -r_n + u_n^2 alpha_g - u_n theta_g, a codeword's power summed
+    over the band is beta_c^2 sum_{n,n'} K(v_n - v_n'), where
+    K(x) = sum_m (f_c / f_m)^2 e^{j k_m x} and, by the triangle inequality,
+    |x| <= X = 2 D + (D / 2)^2 alpha_max, D = (N_t - 1) d, for rings up to
+    alpha_max.  On |x| <= X, K is band-limited, so J Chebyshev nodes nu_j over
+    [f_1, f_M] with weights w_j, fitted by least squares, give K(x) ~
+    sum_j w_j (f_c / nu_j)^2 e^{j k(nu_j) x}; then the summed power is
+    sum_j w_j times the codeword power at nu_j (generalized Gaussian
+    quadrature for band-limited functions, Xiao, Rokhlin & Yarvin 2001).  J
+    starts at ceil((k_M - k_1) X / 4) + 16 and grows by 8 until the largest
+    residual of K on an 8x oversampled grid of [0, X] is at most 1e-13 sum_m
+    (f_c / f_m)^2 (K(-x) is conj K(x) on both sides); the fit runs on a 2x
+    oversampled grid, and K is built in blocks of x.  When J would reach M,
+    the subcarriers with unit weights are returned: the exact sum.  Every
+    wavenumber is taken less the band's middle one, which keeps the phases
+    small.  The arrays are cached and read-only.
+    """
+    freqs = cfg.subcarrier_freqs()
+    k = cfg.wavenumber(freqs)
+    k_mid = 0.5 * (k[0] + k[-1])
+    amp = np.square(cfg.carrier_freq / freqs)
+    aperture = (cfg.n_antennas - 1) * cfg.spacing
+    reach = 2 * aperture + (aperture / 2) ** 2 * alpha_max
+    width = k[-1] - k[0]
+
+    def kernel(x, wavenumbers, weights):  # sum_j weights_j e^{j (wavenumbers_j - k_mid) x}
+        out = np.empty(len(x), dtype=complex)
+        for block in blocks(len(x), len(wavenumbers)):
+            out[block] = np.exp(1j * np.multiply.outer(x[block], wavenumbers - k_mid)) @ weights
+        return out
+
+    fit_x = np.linspace(0.0, reach, math.ceil(2 * width * reach / math.pi) + 2)
+    check_x = np.linspace(0.0, reach, math.ceil(8 * width * reach / math.pi) + 2)
+    fit_target, check_target = kernel(fit_x, k, amp), kernel(check_x, k, amp)
+    n_nodes = math.ceil(width * reach / 4) + 16
+    nodes, weights = freqs, np.ones(len(freqs))
+    while n_nodes < len(freqs):
+        phi = (2 * np.arange(n_nodes, 0, -1) - 1) * np.pi / (2 * n_nodes)
+        candidate = 0.5 * (freqs[0] + freqs[-1]) + 0.5 * (freqs[-1] - freqs[0]) * np.cos(phi)
+        k_nodes = cfg.wavenumber(candidate)
+        basis = np.exp(1j * np.multiply.outer(fit_x, k_nodes - k_mid))
+        c = np.linalg.lstsq(np.concatenate([basis.real, basis.imag]),
+                            np.concatenate([fit_target.real, fit_target.imag]), rcond=None)[0]
+        if np.max(np.abs(check_target - kernel(check_x, k_nodes, c))) <= 1e-13 * amp.sum():
+            nodes, weights = candidate, c * np.square(candidate / cfg.carrier_freq)
+            break
+        n_nodes += 8
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def band_powers(codebook: PolarCodebook, n_trials: int, rows) -> np.ndarray:
+    """Noiseless powers (T, G) of every codeword summed over the M
+    subcarriers, sum_m codeword_powers: the weighted sum of codeword_powers
+    over the nodes of band_quadrature for the codebook's largest ring, with
+    rows(f) the channel rows (C, T, N_t) at frequencies f (C,).  The nodes
+    run in blocks of _power_entries, and a power that rounds below 0 is
+    clipped to 0, as exhaustive_moments takes its square root.  With the
+    subcarriers as nodes the sum is exact, bit for bit the per-subcarrier
+    pass."""
+    nodes, weights = band_quadrature(codebook.cfg, float(codebook.rings.max()))
+    out = np.zeros((n_trials, len(codebook)))
+    for chunk in blocks(len(nodes), _power_entries(codebook, n_trials)):
+        powers = codeword_powers(codebook, rows(nodes[chunk]), nodes[chunk])
+        powers *= weights[chunk, None, None]
+        out += powers.sum(axis=0)
+    return np.maximum(out, 0.0, out=out)
 
 
 def exhaustive_moments(a: np.ndarray, n_subcarriers: int, rng):

@@ -25,6 +25,7 @@ from beamtrain.design import (
     pilot_count,
     round_half_away,
     staggered_endings,
+    staggered_intercepts,
     starting_period_integer,
 )
 from beamtrain.beamsplit import InfeasibleFocusError
@@ -320,6 +321,20 @@ def test_plan_validation_rejects_a_pilot_count_key(plan_a):
     assert PilotPlan.from_dict(data).K == 1
     with pytest.raises(ValueError, match="at least one delay intercept"):
         PilotPlan.from_dict({**data, "theta_t_list": []})
+
+
+def test_plan_validation_rejects_an_intercept_off_the_ending_rule(main_plan, plan_a):
+    # an intercept edited by 0.3 would end pilot 1's sweep elsewhere than
+    # its ending direction 1.0: its top subcarrier would focus at -0.546
+    data = main_plan.to_dict()
+    data["theta_t_list"][0] += 0.3
+    with pytest.raises(ValueError, match="theta_t .* of pilot 1 does not end its sweep at 1.0"):
+        PilotPlan.from_dict(data)
+    # each designed intercept is the rule's, so designed plans read back
+    for plan in (main_plan, plan_a):
+        assert plan.theta_t_list == staggered_intercepts(plan.cfg, plan.theta_p, plan.pM,
+                                                         plan.K)
+        assert PilotPlan.from_dict(plan.to_dict()) == plan
 
 
 def test_delay_table_shape_and_selector_bits(main_plan, desk_plan):

@@ -515,9 +515,8 @@ def _synthesis_inputs(n_trials):
     codebook = polar_grid(cfg, spec.bank_angles, spec.bank_rings)
     users = _draw_users(cfg, _rng(5, 0), n_trials)
 
-    def rows(chunk):
-        f = cfg.subcarrier_freqs()[chunk, None]
-        return los_rows(cfg, users["theta"], users["r"], users["beta_c"], f)
+    def rows(f):
+        return los_rows(cfg, users["theta"], users["r"], users["beta_c"], f[:, None])
 
     return cfg, families, codebook, users, rows
 
@@ -525,7 +524,7 @@ def _synthesis_inputs(n_trials):
 @pytest.mark.parametrize("with_codebook", [False, True])
 def test_synthesized_observations_equal_per_subcarrier_products(with_codebook):
     # noiseless, each pilot family's observations are the magnitudes of the
-    # per-subcarrier products, whether or not the codebook sizes the chunks
+    # per-subcarrier products, whether or not the codebook is observed alongside
     cfg, pilots, codebook, users, rows = _synthesis_inputs(9)
     families = {**pilots, "codebook": codebook} if with_codebook else pilots
     observed = _observe(cfg, families, 9, rows, lambda _: np.random.default_rng(0))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from beamtrain import (
+    Channel,
     DesignInputs,
     PolarCodebook,
     PolarLocation,
@@ -24,14 +25,17 @@ from beamtrain import (
     ongrid_train,
     rainbow_sweep_params,
 )
+from beamtrain import training
 from beamtrain.arrays import approx_steering, los_rows
-from beamtrain.beamsplit import gain_kernel
+from beamtrain.beamsplit import blocks, gain_kernel
 from beamtrain.harness import (
     _STREAM_USERS,
     _draw_users,
     _Engine,
     _rng,
+    desk_config,
     desk_experiment_spec,
+    fullscale_config,
     fullscale_experiment_spec,
     rate_metric,
     run_sweep,
@@ -41,9 +45,13 @@ from beamtrain.training import (
     TX_POWER,
     MatchFilterBank,
     _observe,
+    _power_entries,
     _unit_noise,
     aux_pair_estimate,
+    band_powers,
+    band_quadrature,
     codeword_powers,
+    exhaustive_moments,
     exhaustive_estimate,
     grid_contraction,
     match_filter_estimate,
@@ -460,7 +468,7 @@ def test_budgeted_exhaustive_spans_the_angle_range(desk_cfg):
 def test_exhaustive_recovers_codebook_point(desk_cfg):
     book = polar_grid(desk_cfg, 8, 2)
     target = grid_locations(book)[11]
-    chan = _quad_channel(desk_cfg, target)
+    chan = los_channel(desk_cfg, target)
     est = exhaustive_polar_train(chan, book, NOISELESS, 0)
     assert est.selected == 11
     assert (est.theta, est.alpha) == (target.theta, target.alpha)
@@ -473,6 +481,113 @@ def test_exhaustive_is_seed_deterministic(desk_cfg):
     a = exhaustive_polar_train(chan, book, 10.0, 5)
     b = exhaustive_polar_train(chan, book, 10.0, 5)
     assert a.selected == b.selected
+
+
+# band quadrature of the codebook powers --------------------------------------
+
+QUADRATURE_CONFIGS = {
+    "desk": desk_config(),
+    "full scale": fullscale_config(),
+    "65 antennas": SystemConfig(n_antennas=65, n_subcarriers=256, distance_range=(2.0, 10.0)),
+    "2 GHz band": SystemConfig(n_antennas=64, n_subcarriers=256, bandwidth=2e9,
+                               distance_range=(2.0, 10.0)),
+    "128 x 512, 3-40 m": SystemConfig(n_antennas=128, n_subcarriers=512,
+                                      distance_range=(3.0, 40.0)),
+}
+
+
+def _user_rows(cfg, n_users, seed=3):
+    """rows(f) of n_users drawn as the sweep draws them, and the users."""
+    users = _draw_users(cfg, _rng(seed, 0), n_users)
+    return (lambda f: los_rows(cfg, users["theta"], users["r"], users["beta_c"], f[:, None]),
+            users)
+
+
+def _subcarrier_powers(book, n_users, rows):
+    """The oracle: codeword_powers summed over every subcarrier, in the
+    subcarrier chunks of _power_entries."""
+    freqs = book.cfg.subcarrier_freqs()
+    out = np.zeros((n_users, len(book)))
+    for chunk in blocks(len(freqs), _power_entries(book, n_users)):
+        out += codeword_powers(book, rows(freqs[chunk]), freqs[chunk]).sum(axis=0)
+    return out
+
+
+@pytest.mark.parametrize("name", list(QUADRATURE_CONFIGS))
+def test_band_quadrature_powers_equal_the_subcarrier_sum(name):
+    # within 1e-12 of each user's peak, with the same pick for every user
+    cfg = QUADRATURE_CONFIGS[name]
+    book = polar_grid(cfg, 40, 3)
+    rows, _ = _user_rows(cfg, 8)
+    nodes, weights = band_quadrature(cfg, float(book.rings.max()))
+    assert len(nodes) < cfg.n_subcarriers and (weights > 0).all()
+    got, want = band_powers(book, 8, rows), _subcarrier_powers(book, 8, rows)
+    assert np.max(np.abs(got - want) / want.max(axis=1, keepdims=True)) < 1e-12
+    assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+
+
+@pytest.mark.parametrize("name", list(QUADRATURE_CONFIGS))
+def test_band_quadrature_residual_bound_holds_on_a_fine_grid(name):
+    # K(x) = sum_m (f_c / f_m)^2 e^{j k_m x} against the nodes' weighted sum
+    # on 20001 points of [-X, X], four times finer than the rule's own check
+    cfg = QUADRATURE_CONFIGS[name]
+    nodes, weights = band_quadrature(cfg, cfg.alpha_max)
+    freqs = cfg.subcarrier_freqs()
+    aperture = (cfg.n_antennas - 1) * cfg.spacing
+    reach = 2 * aperture + (aperture / 2) ** 2 * cfg.alpha_max
+    x = np.linspace(-reach, reach, 20001)
+    k_c = cfg.wavenumber(cfg.carrier_freq)
+
+    def kernel(f, w):
+        return np.exp(1j * np.multiply.outer(x, cfg.wavenumber(f) - k_c)) @ w
+
+    amp = (cfg.carrier_freq / freqs) ** 2
+    residual = kernel(freqs, amp) - kernel(nodes, weights * (cfg.carrier_freq / nodes) ** 2)
+    assert np.max(np.abs(residual)) <= 1e-13 * amp.sum()
+
+
+def test_band_quadrature_with_few_subcarriers_is_the_exact_sum():
+    # J would reach M: the subcarriers with unit weights, and powers bit for
+    # bit those of the per-subcarrier pass; one subcarrier is such a config
+    cfg = SystemConfig(63, 30e9, 5e9, 24, distance_range=(2.0, 10.0))
+    book = polar_grid(cfg, 16, 3)
+    nodes, weights = band_quadrature(cfg, float(book.rings.max()))
+    assert np.array_equal(nodes, cfg.subcarrier_freqs()) and np.array_equal(weights, np.ones(24))
+    rows, _ = _user_rows(cfg, 5)
+    assert np.array_equal(band_powers(book, 5, rows), _subcarrier_powers(book, 5, rows))
+    one = SystemConfig(63, 30e9, 5e9, 1, distance_range=(2.0, 10.0))
+    assert np.array_equal(band_quadrature(one, 0.25)[0], one.subcarrier_freqs())
+
+
+def test_band_powers_are_never_negative(monkeypatch):
+    # drawn users' powers are >= 0; and where the weighted sum falls below 0
+    # (here every weight negated) the power is clipped to 0, so the noise
+    # law's sqrt(A) stays finite
+    cfg = desk_config()
+    book = polar_grid(cfg, 48, 4)
+    rows, _ = _user_rows(cfg, 40)
+    assert (band_powers(book, 40, rows) >= 0).all()
+    nodes, weights = band_quadrature(cfg, float(book.rings.max()))
+    monkeypatch.setattr(training, "band_quadrature", lambda cfg, alpha_max: (nodes, -weights))
+    clipped = band_powers(book, 40, rows)
+    assert np.array_equal(clipped, np.zeros_like(clipped))
+    a, b, c = exhaustive_moments(clipped, cfg.n_subcarriers, np.random.default_rng(0))
+    assert np.isfinite(b).all()
+
+
+def test_codebook_observation_needs_the_channel_location(desk_cfg):
+    # the quadrature observes between the subcarriers, where only the
+    # location gives the channel; pilot probes still read the stored rows
+    book = polar_grid(desk_cfg, 8, 2)
+    chan = los_channel(desk_cfg, PolarLocation.from_angle_distance(0.1, 6.0))
+    bare = Channel(per_subcarrier=chan.per_subcarrier, beta_c=chan.beta_c)
+    with pytest.raises(ValueError, match="location"):
+        observe_params(desk_cfg, bare, book, 10.0, 0)
+    with pytest.raises(ValueError, match="location"):
+        exhaustive_polar_train(bare, book, 10.0, 0)
+    probes = rainbow_probes(desk_cfg, FAR_RINGS)
+    assert np.array_equal(observe_params(desk_cfg, bare, probes, 10.0, 0),
+                          observe_params(desk_cfg, chan, probes, 10.0, 0))
 
 
 # rainbow sweeps -------------------------------------------------------------
@@ -614,14 +729,14 @@ def test_single_trial_api_matches_the_sweep_engine(desk_cfg):
         _check_records(engine, scheme, mags, [train(ch, i) for i, ch in enumerate(channels)])
 
     # one user per moment draw: the engine and the single-trial path both sum
-    # the noiseless powers over the same subcarrier chunks, then draw the
+    # the noiseless powers over the same quadrature nodes, then draw the
     # noise law's Re(w), Im(w) and Gamma in that order from the same seed
     singles, powers = [], []
     for i, (loc, ch) in enumerate(zip(locs, channels)):
         users = {"theta": np.array([loc.theta]), "r": np.array([loc.distance]),
                  "beta_c": np.array([ch.beta_c])}
-        rows = lambda chunk: los_rows(desk_cfg, users["theta"], users["r"], users["beta_c"],
-                                      desk_cfg.subcarrier_freqs()[chunk, None])
+        rows = lambda f: los_rows(desk_cfg, users["theta"], users["r"], users["beta_c"],
+                                  f[:, None])
         observe = _observe(desk_cfg, {"codebook": codebook}, 1, rows,
                            lambda _: np.random.default_rng(i))["codebook"]
         sigma = np.sqrt(noise_power(desk_cfg, users["beta_c"], snr))[:, None, None]
