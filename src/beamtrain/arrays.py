@@ -42,20 +42,13 @@ def approx_steering(cfg: SystemConfig, loc, f: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Channel:
-    """Per-subcarrier channel vectors plus the center path gain used for SNR.
+    """One user's line-of-sight channel: center path gain beta_c, which
+    anchors noise calibration, path lengths (N_t,) from the elements, and
+    location.  Its rows are channel_rows(cfg, beta_c, lengths, f)."""
 
-    per_subcarrier has shape (M, N_t); row m-1 is h_m, of norm sqrt(N_t)
-    beta_m with beta_m = (f_c / f_m) beta_c.  beta_c anchors noise
-    calibration at the center frequency.
-    """
-
-    per_subcarrier: np.ndarray
     beta_c: float
-    location: PolarLocation | None = None
-
-    def __post_init__(self):
-        if self.per_subcarrier.ndim != 2:
-            raise ValueError("per_subcarrier must be (M, N_t)")
+    lengths: np.ndarray
+    location: PolarLocation
 
 
 def path_loss(cfg: SystemConfig, r: float, f: float) -> float:
@@ -63,26 +56,27 @@ def path_loss(cfg: SystemConfig, r: float, f: float) -> float:
     return SPEED_OF_LIGHT / f / (4 * np.pi * r)
 
 
-def los_rows(cfg: SystemConfig, theta, r, beta_c, f) -> np.ndarray:
-    """Exact line-of-sight channel rows sqrt(N_t) beta_f e^{-j k_f r^(n)},
-    beta_f = (f_c / f) beta_c.
-
-    theta, r and beta_c describe one user or a batch of users and f is one
-    frequency or an array of them; they broadcast against each other and the
-    result gains a trailing N_t axis.  los_channel and the sweep engine both
-    build their channels here.
-    """
-    rn = element_distances(cfg, np.asarray(theta)[..., None], np.asarray(r)[..., None])
+def channel_rows(cfg: SystemConfig, beta_c, lengths, f) -> np.ndarray:
+    """Channel rows beta_f e^{-j k_f L_n}, beta_f = (f_c / f) beta_c, of
+    users at path lengths L_n from the elements.  beta_c (...), lengths
+    (..., N_t) and the frequencies f broadcast against each other, and the
+    result gains a trailing N_t axis.  Every channel of the package is
+    built here: los_rows, _observe's pilot pass and codebook nodes."""
     beta = np.asarray((cfg.carrier_freq / f) * beta_c)[..., None]
     k = np.asarray(cfg.wavenumber(f))[..., None]
-    # sqrt(Nt) * a_m collapses the 1/sqrt(Nt) normalization; the phase
-    # reference folds e^{-j k r} and the element profile into exp(-j k rn).
-    return beta * np.exp(-1j * k * rn)
+    return beta * np.exp(-1j * k * lengths)
+
+
+def los_rows(cfg: SystemConfig, theta, r, beta_c, f) -> np.ndarray:
+    """Exact line-of-sight channel rows sqrt(N_t) beta_f e^{-j k_f r^(n)}:
+    channel_rows over the element_distances of users at (theta, r)."""
+    rn = element_distances(cfg, np.asarray(theta)[..., None], np.asarray(r)[..., None])
+    return channel_rows(cfg, beta_c, rn, f)
 
 
 def los_channel(cfg: SystemConfig, loc: PolarLocation) -> Channel:
     """Line-of-sight channel h_m = sqrt(N_t) beta_m e^{-j k_m r} a_m(theta, r)
-    with the exact (spherical) steering a_m, from los_rows.
+    with the exact (spherical) steering a_m: the element_distances of loc.
 
     beta_m = (f_c / f_m) beta_c with beta_c = lambda_c / (4 pi r).
     """
@@ -90,8 +84,7 @@ def los_channel(cfg: SystemConfig, loc: PolarLocation) -> Channel:
     if not np.isfinite(r):
         raise ValueError("line-of-sight channel needs a finite distance")
     beta_c = path_loss(cfg, r, cfg.carrier_freq)
-    return Channel(per_subcarrier=los_rows(cfg, loc.theta, r, beta_c, cfg.subcarrier_freqs()),
-                   beta_c=beta_c, location=loc)
+    return Channel(beta_c, element_distances(cfg, loc.theta, r), loc)
 
 
 class PolarCodebook:

@@ -30,7 +30,7 @@ def blocks(n: int, entries_per_item: int) -> list:
     """Slices of range(n), each of at least one item and about _CHUNK_ENTRIES
     temporary entries: the block rule of every loop that bounds them."""
     step = max(1, _CHUNK_ENTRIES // max(1, entries_per_item))
-    return [slice(i, i + step) for i in range(0, n, step)]
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 class InfeasibleFocusError(ValueError):
@@ -119,28 +119,36 @@ def gain_kernel(cfg: SystemConfig, x, y):
     return float(out) if out.ndim == 0 else out
 
 
+def wavenumber_steps(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Giant and baby steps of the wavenumbers k_m = k_1 + (m - 1) dk: with
+    m - 1 = a b + s and b = ceil(sqrt M), fixed by M alone, k_m = giant[a] +
+    baby[s], giant[a] = k_{ab+1} and baby[s] = s dk, so a sum of e^{j k_m x}
+    over the band takes M / b + b exponentials per x, not M (Rabiner, Schafer
+    & Rader 1969).  subcarrier_gains and training._observe split here."""
+    m = cfg.n_subcarriers
+    b = math.isqrt(m - 1) + 1
+    return (cfg.wavenumber(cfg.subcarrier_freqs()[::b]),
+            cfg.wavenumber(cfg.bandwidth / m) * np.arange(b))
+
+
 def subcarrier_gains(cfg: SystemConfig, dtheta: np.ndarray, dalpha: np.ndarray) -> np.ndarray:
     """Gains (R, M) G(k_m dtheta, k_m dalpha) of R polar mismatches, arrays
     of R, over the M subcarriers: the serving gain of the rate pass, with
     gain_kernel its oracle.
 
-    The wavenumbers are uniform, k_m = k_1 + (m - 1) dk, so with m - 1 = a b + s
-    and b = ceil(sqrt M) a row's M sums over n of e^{j k_m phi_n}, phi_n =
-    n d dtheta - (n d)^2 dalpha, are one matrix product of the giant steps
-    e^{j k_{ab+1} phi_n} and the baby steps e^{j s dk phi_n} (Rabiner, Schafer
-    & Rader 1969): (M / b + b) N_t exponentials a row instead of M N_t.  Rows
-    run in blocks, and a row's gains do not depend on the rows that share
-    its block.
+    A row's M sums over n of e^{j k_m phi_n}, phi_n = n d dtheta -
+    (n d)^2 dalpha, are one matrix product of the giant steps
+    e^{j k_{ab+1} phi_n} and the baby steps e^{j s dk phi_n} of
+    wavenumber_steps.  Rows run in blocks, and a row's gains do not depend
+    on the rows that share its block.
     """
     m = cfg.n_subcarriers
-    b = math.isqrt(m - 1) + 1
+    giant, baby = wavenumber_steps(cfg)
     nd = cfg.element_indices() * cfg.spacing
-    giant = cfg.wavenumber(cfg.subcarrier_freqs()[::b])[:, None]
-    baby = cfg.wavenumber(cfg.bandwidth / m) * np.arange(b)
     out = np.empty((len(dtheta), m))
-    for block in blocks(len(dtheta), cfg.n_antennas * b):
+    for block in blocks(len(dtheta), cfg.n_antennas * len(baby)):
         phi = np.multiply.outer(dtheta[block], nd) - np.multiply.outer(dalpha[block], nd * nd)
-        sums = np.exp(1j * giant * phi[:, None]) @ np.exp(1j * phi[:, :, None] * baby)
+        sums = np.exp(1j * giant[:, None] * phi[:, None]) @ np.exp(1j * phi[:, :, None] * baby)
         out[block] = np.abs(sums.reshape(len(phi), -1)[:, :m]) / cfg.n_antennas
     return out
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import (DEFAULTS_IF_MISSING, PolarLocation, Record, SystemConfig, check_finite,
                      check_integer, curvature_law, write_text)
-from .arrays import los_rows, path_loss
+from .arrays import element_distances, path_loss
 from .beamsplit import blocks, subcarrier_gains
 from .design import DesignInputs, PilotPlan, design
 from .training import ALL_SCHEMES, _observe, noise_power, scheme_table
@@ -235,16 +235,14 @@ class _Engine:
         return spec.snr_db, math.inf, (idx,), value
 
     def _draw(self, users, key):
-        """training._observe of every probe family of the spec, one pass per
-        draw key; each family's noise comes from its own keyed stream."""
+        """training._observe of every probe family of the spec over the drawn
+        users' element path lengths, one pass per draw key; each family's
+        noise comes from its own keyed stream."""
         seed = self.spec.master_seed
         requested = [self.table[name] for name in self.spec.schemes]
         families = {row.family: row.probes for row in requested if row.family is not None}
-
-        def rows(f):
-            return los_rows(self.cfg, users["theta"], users["r"], users["beta_c"], f[:, None])
-
-        return _observe(self.cfg, families, len(users["theta"]), rows,
+        lengths = element_distances(self.cfg, users["theta"][:, None], users["r"][:, None])
+        return _observe(self.cfg, families, users["beta_c"], lengths,
                         lambda family: _rng(seed, _STREAMS[family], *key))
 
     def run(self) -> SweepResult:

@@ -36,8 +36,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import PolarLocation, Record, SystemConfig, curvature_law
-from .arrays import Channel, PolarCodebook, _uniform_samples, los_rows, path_loss
-from .beamsplit import TdPsParams, blocks, ellipse_coefficients
+from .arrays import Channel, PolarCodebook, _uniform_samples, channel_rows, path_loss
+from .beamsplit import TdPsParams, blocks, ellipse_coefficients, wavenumber_steps
 from .design import PilotPlan
 
 TX_POWER = 1.0
@@ -110,55 +110,82 @@ def _unit_noise(rng, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
 
 
+def _beam_profiles(cfg: SystemConfig, params: TdPsParams):
+    """Delay profile u theta_t - u^2 alpha_t and phase-shift profile
+    u theta_p - u^2 alpha_p, u = n d, of the beams of params: (N_t, K)."""
+    nd = (cfg.element_indices() * cfg.spacing)[:, None]
+    return (nd * params.theta_t - nd * nd * params.alpha_t,
+            nd * params.theta_p - nd * nd * params.alpha_p)
+
+
 def pilot_beamformers(cfg: SystemConfig, params: TdPsParams, f) -> np.ndarray:
     """Delay-phase beamformer of each beam of params at frequency f.
 
     Element n of column k is e^{-j k_f (n d theta_t - n^2 d^2 alpha_t)
     - j k_c (n d theta_p - n^2 d^2 alpha_p)} / sqrt(N_t).  f may be an array;
-    the shape is f.shape + (N_t, len(params)).  The observation function,
-    _observe, uses this copy; the beamsplit oracles td_vector / ps_vector
-    stay separate on purpose.
+    the shape is f.shape + (N_t, len(params)).  The match-filter bank uses
+    this copy and the tests take it as the oracle of _observe's steps; the
+    beamsplit oracles td_vector / ps_vector stay separate on purpose.
     """
-    nd = (cfg.element_indices() * cfg.spacing)[:, None]
+    delay, shift = _beam_profiles(cfg, params)
     k = np.asarray(cfg.wavenumber(f))[..., None, None]
-    kc = cfg.wavenumber(cfg.carrier_freq)
-    phase = -k * (nd * params.theta_t - nd * nd * params.alpha_t)
-    phase = phase - kc * (nd * params.theta_p - nd * nd * params.alpha_p)
+    phase = -k * delay - cfg.wavenumber(cfg.carrier_freq) * shift
     return np.exp(1j * phase) / np.sqrt(cfg.n_antennas)
 
 
-def _observe(cfg: SystemConfig, families: dict, n_trials: int, rows, rng_of) -> dict:
-    """Noisy observations of every probe family for n_trials users.
-    families maps a family name to its probes: one pilot parameter set
-    (TdPsParams), or a PolarCodebook.  rows(f) returns the channel rows
-    (C, T, N_t) at frequencies f (C,).
-
-    Returns family name -> map from the per-user noise std (T, 1, 1) to the
-    observations: magnitudes |sqrt(P_t) h_m^T w_{m,k} + sigma z| (T, M, K)
-    of pilot probes, from one pass over subcarrier chunks sized for the
-    pilots whose rows feed every pilot family; or a codebook's powers (T, G)
-    from the moments of exhaustive_moments over its band_powers.  Each
-    family's noise is drawn from rng_of(name) once the passes are done: a
-    (T, M, K) unit-noise grid, or the noise law.  The sweep engine and the
-    single-trial API (T = 1) both observe here.
-    """
-    freqs = cfg.subcarrier_freqs()
-    books = {name for name, p in families.items() if isinstance(p, PolarCodebook)}
-    pilots = {name: p for name, p in families.items() if name not in books}
+def _pilot_pass(cfg: SystemConfig, pilots: dict, beta_c, lengths) -> dict:
+    """Noiseless observations sqrt(P_t) h_m^T w_{m,k} (T, M, K) of each
+    pilot family of _observe.  With wavenumber_steps, m - 1 = a b + s, a row
+    entry is beta_m e^{-j k_{ab+1} L} e^{-j s dk L} and a beam entry
+    e^{-j (k_{ab+1} A + k_c B)} e^{-j s dk A} sqrt(P_t / N_t), A and B the
+    _beam_profiles: (M / b + b)(T + K) N_t exponentials, then one matrix
+    product over all T users per subcarrier.  The baby steps of each giant
+    step run in blocks, no output bit depends on their size, and the step
+    tables are freed on return, before the noise draws."""
+    freqs, (n_trials, n_t) = cfg.subcarrier_freqs(), np.shape(lengths)
     out = {name: np.empty((n_trials, len(freqs), len(p)), dtype=complex)
            for name, p in pilots.items()}
-    entries = cfg.n_antennas * max([n_trials] + [len(p) for p in pilots.values()])
-    for chunk in blocks(len(freqs), entries) if pilots else ():
-        f = freqs[chunk]
-        h = rows(f)
-        for name, probes in pilots.items():
-            y = math.sqrt(TX_POWER) * (h @ pilot_beamformers(cfg, probes, f))
-            out[name][:, chunk] = np.swapaxes(y, 0, 1)
-    out.update({name: band_powers(families[name], n_trials, rows) for name in books})
+    if not pilots:
+        return out
+    giant, baby = wavenumber_steps(cfg)
+    kc, b = cfg.wavenumber(cfg.carrier_freq), len(baby)
+    profiles = {name: _beam_profiles(cfg, p) for name, p in pilots.items()}
+    beam_baby = {name: np.exp(-1j * baby[:, None, None] * delay)
+                 for name, (delay, _) in profiles.items()}
+    user_baby = -1j * baby[:, None, None] * lengths
+    np.exp(user_baby, out=user_baby)  # in place: the largest table, b T N_t entries
+    entries = n_t * max([n_trials] + [len(p) for p in pilots.values()])
+    for a in range(len(giant)):
+        user_giant = np.exp(-1j * giant[a] * lengths)
+        beam_giant = {name: np.exp(1j * (-giant[a] * delay - kc * shift))
+                      * math.sqrt(TX_POWER / n_t) for name, (delay, shift) in profiles.items()}
+        for s in blocks(min(b, len(freqs) - a * b), entries):
+            sub = slice(a * b + s.start, a * b + s.stop)
+            h = user_giant * user_baby[s]
+            h *= ((cfg.carrier_freq / freqs[sub])[:, None] * beta_c)[:, :, None]
+            for name, w in beam_baby.items():
+                out[name][:, sub] = np.swapaxes(h @ (beam_giant[name] * w[s]), 0, 1)
+    return out
+
+
+def _observe(cfg: SystemConfig, families: dict, beta_c, lengths, rng_of) -> dict:
+    """Noisy observations of every probe family for T users of center path
+    gains beta_c (T,) at element path lengths (T, N_t).  families maps a
+    family name to its probes: a pilot parameter set (TdPsParams) or a
+    PolarCodebook.  Returns family name -> map from the per-user noise std
+    (T, 1, 1) to the observations: magnitudes |sqrt(P_t) h_m^T w_{m,k} +
+    sigma z| (T, M, K) of pilots over _pilot_pass, or a codebook's noise-law
+    powers (T, G) over band_powers, each family's noise drawn from
+    rng_of(name).  The sweep engine and observe_params (T = 1) observe here.
+    """
+    books = {name for name, p in families.items() if isinstance(p, PolarCodebook)}
+    out = _pilot_pass(cfg, {name: p for name, p in families.items() if name not in books},
+                      beta_c, lengths)
+    out.update({name: band_powers(families[name], beta_c, lengths) for name in books})
 
     def noisy(name, x):
         if name in books:
-            a, b, c = exhaustive_moments(x, len(freqs), rng_of(name))
+            a, b, c = exhaustive_moments(x, cfg.n_subcarriers, rng_of(name))
             return lambda sg: a + 2 * sg[:, :, 0] * b + sg[:, :, 0] * sg[:, :, 0] * c
         noise = _unit_noise(rng_of(name), x.shape)
         return lambda sg: np.abs(x + sg * noise)
@@ -168,24 +195,16 @@ def _observe(cfg: SystemConfig, families: dict, n_trials: int, rows, rng_of) -> 
 
 def observe_params(cfg: SystemConfig, channel: Channel, probes, snr: float, rng) -> np.ndarray:
     """One training observation of a scheme table row's probes: _observe at
-    T = 1.  Returns the magnitudes |sqrt(P_t) h_m^T w_{m,k} + sigma z_{m,k}|
-    (M, len(probes)) of a pilot parameter set (TdPsParams), over the
-    channel's stored rows; or the codeword powers (G,) of a PolarCodebook,
-    whose band quadrature observes at frequencies between the subcarriers,
-    over the line-of-sight rows of channel.location (a channel without a
-    location is rejected).  Every draw comes from the one generator
-    np.random.default_rng(rng), so a fixed seed is reproducible."""
-    loc, freqs = channel.location, cfg.subcarrier_freqs()
-    if not isinstance(probes, PolarCodebook):
-        rows = lambda f: channel.per_subcarrier[np.searchsorted(freqs, f), None]
-    elif loc is None:
-        raise ValueError("the exhaustive codebook observes the line-of-sight channel "
-                         "of channel.location, and this channel has none")
-    else:
-        rows = lambda f: los_rows(cfg, loc.theta, loc.distance, channel.beta_c, f[:, None])
+    T = 1 over the channel's beta_c and element path lengths.  Returns the
+    magnitudes |sqrt(P_t) h_m^T w_{m,k} + sigma z_{m,k}| (M, len(probes)) of
+    a pilot parameter set (TdPsParams), or the codeword powers (G,) of a
+    PolarCodebook, whose band quadrature observes the same channel at
+    frequencies between the subcarriers.  Every draw comes from the one
+    generator np.random.default_rng(rng), so a fixed seed is reproducible."""
     gen = np.random.default_rng(rng)
     sigma = np.sqrt(noise_power(cfg, channel.beta_c, snr)).reshape(1, 1, 1)
-    return _observe(cfg, {None: probes}, 1, rows, lambda _: gen)[None](sigma)[0]
+    return _observe(cfg, {None: probes}, np.array([channel.beta_c]), channel.lengths[None],
+                    lambda _: gen)[None](sigma)[0]
 
 
 class BatchEstimate(NamedTuple):
@@ -521,19 +540,21 @@ def band_quadrature(cfg: SystemConfig, alpha_max: float) -> tuple[np.ndarray, np
     return nodes, weights
 
 
-def band_powers(codebook: PolarCodebook, n_trials: int, rows) -> np.ndarray:
+def band_powers(codebook: PolarCodebook, beta_c, lengths) -> np.ndarray:
     """Noiseless powers (T, G) of every codeword summed over the M
-    subcarriers, sum_m codeword_powers: the weighted sum of codeword_powers
-    over the nodes of band_quadrature for the codebook's largest ring, with
-    rows(f) the channel rows (C, T, N_t) at frequencies f (C,).  The nodes
-    run in blocks of _power_entries, and a power that rounds below 0 is
-    clipped to 0, as exhaustive_moments takes its square root.  With the
-    subcarriers as nodes the sum is exact, bit for bit the per-subcarrier
-    pass."""
-    nodes, weights = band_quadrature(codebook.cfg, float(codebook.rings.max()))
+    subcarriers, sum_m codeword_powers, for T users of center path gains
+    beta_c (T,) at element path lengths (T, N_t): the weighted sum of
+    codeword_powers of their channel_rows over the nodes of band_quadrature
+    for the codebook's largest ring.  The nodes run in blocks of
+    _power_entries, and a power that rounds below 0 is clipped to 0, as
+    exhaustive_moments takes its square root.  With the subcarriers as nodes
+    the sum is exact, bit for bit the per-subcarrier pass."""
+    cfg, n_trials = codebook.cfg, len(beta_c)
+    nodes, weights = band_quadrature(cfg, float(codebook.rings.max()))
     out = np.zeros((n_trials, len(codebook)))
     for chunk in blocks(len(nodes), _power_entries(codebook, n_trials)):
-        powers = codeword_powers(codebook, rows(nodes[chunk]), nodes[chunk])
+        rows = channel_rows(cfg, beta_c, lengths, nodes[chunk, None])
+        powers = codeword_powers(codebook, rows, nodes[chunk])
         powers *= weights[chunk, None, None]
         out += powers.sum(axis=0)
     return np.maximum(out, 0.0, out=out)

@@ -78,17 +78,13 @@ def sweep_rate(result, scheme: str, value: float) -> float:
 def quadratic_channel(cfg, loc) -> Channel:
     """Line-of-sight channel whose steering is the quadratic (Fresnel)
     expansion the beamformers and estimators are built on, not the exact
-    spherical wavefront of los_channel: a self-consistent synthetic scenario
-    in which a user at a beam's focus sees that beam's full gain."""
+    spherical wavefront of los_channel: path lengths r - u theta + u^2 alpha,
+    u = n d, a self-consistent synthetic scenario in which a user at a
+    beam's focus sees that beam's full gain."""
     r = loc.distance
-    freqs = cfg.subcarrier_freqs()
-    beta_c = path_loss(cfg, r, cfg.carrier_freq)
-    betas = (cfg.carrier_freq / freqs) * beta_c
-    k = cfg.wavenumber(freqs)[:, None]
     nd = cfg.element_indices() * cfg.spacing
-    profile = nd * loc.theta - nd * nd * loc.alpha
-    h = betas[:, None] * np.exp(-1j * k * r) * np.exp(1j * k * profile[None, :])
-    return Channel(per_subcarrier=h, beta_c=beta_c, location=loc)
+    return Channel(path_loss(cfg, r, cfg.carrier_freq), r - nd * loc.theta + nd * nd * loc.alpha,
+                   loc)
 
 
 def polar_grid(cfg, angles: int, rings: int, band=None) -> PolarCodebook:

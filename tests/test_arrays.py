@@ -11,7 +11,7 @@ from beamtrain import (
     approx_steering,
     los_channel,
 )
-from beamtrain.arrays import element_distances, los_rows, path_loss
+from beamtrain.arrays import channel_rows, element_distances, los_rows, path_loss
 from beamtrain.training import codeword_powers
 
 from conftest import grid_locations, polar_grid, quadratic_channel
@@ -75,7 +75,9 @@ def test_los_channel_norms_and_gain_ratio(cfg):
     loc = PolarLocation.from_angle_distance(0.1, 4.0)
     chan = los_channel(cfg, loc)
     freqs = cfg.subcarrier_freqs()
-    norms = np.linalg.norm(chan.per_subcarrier, axis=1)
+    rows = channel_rows(cfg, chan.beta_c, chan.lengths, freqs)
+    assert np.array_equal(rows, los_rows(cfg, loc.theta, loc.distance, chan.beta_c, freqs))
+    norms = np.linalg.norm(rows, axis=1)
     # per-subcarrier amplitude scales inversely with frequency
     want = math.sqrt(cfg.n_antennas) * (cfg.carrier_freq / freqs) * chan.beta_c
     assert np.allclose(norms, want, rtol=1e-10)
@@ -85,9 +87,9 @@ def test_los_channel_norms_and_gain_ratio(cfg):
 def test_los_channel_quadratic_matches_its_steering_model(cfg):
     loc = PolarLocation.from_angle_distance(0.3, 3.0)
     chan = quadratic_channel(cfg, loc)
-    for i, f in enumerate(cfg.subcarrier_freqs()):
+    for f in cfg.subcarrier_freqs():
         b = approx_steering(cfg, loc, f)
-        g = abs(np.vdot(b, chan.per_subcarrier[i]))
+        g = abs(np.vdot(b, channel_rows(cfg, chan.beta_c, chan.lengths, f)))
         beta = (cfg.carrier_freq / f) * chan.beta_c
         assert g == pytest.approx(math.sqrt(cfg.n_antennas) * beta, rel=1e-10)
 

@@ -44,6 +44,15 @@ so the file lost those five keys, and a plan file that holds them is
 rejected.  Every value it kept is byte for byte the same, and so are the
 beam pattern, the sweep files and `train.json`.
 
+`sweep_overhead.csv`, `sweep_distance.csv` and `train.json` were rewritten
+when the pilot observations came to be built from giant and baby phase
+steps over the subcarriers (training._pilot_pass) and from each user's
+element path lengths: the factored exponentials round apart from the direct
+ones, and only the `aux_pair` values, which read the observed magnitudes
+through a Newton solve, moved, by at most 5.8e-14 relative.  Every other
+byte of every file stayed.  `sweep.csv` was not rewritten: its `aux_pair`
+rows moved by at most 1.8e-14, inside the tolerance above.
+
 Running this file as a script rewrites the stored files from the current
 code: `PYTHONPATH=src python tests/test_golden_outputs.py`.
 """

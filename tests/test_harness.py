@@ -26,8 +26,8 @@ from beamtrain import (
     run_sweep,
 )
 from beamtrain import beamsplit, harness, training
-from beamtrain.arrays import los_rows
-from beamtrain.beamsplit import gain_kernel, subcarrier_gains
+from beamtrain.arrays import element_distances, los_rows
+from beamtrain.beamsplit import TdPsParams, gain_kernel, subcarrier_gains
 from beamtrain.harness import (
     _STREAM_USERS,
     _draw_users,
@@ -514,34 +514,79 @@ def _synthesis_inputs(n_trials):
     }
     codebook = polar_grid(cfg, spec.bank_angles, spec.bank_rings)
     users = _draw_users(cfg, _rng(5, 0), n_trials)
+    return cfg, families, codebook, users, _lengths(cfg, users)
 
-    def rows(f):
-        return los_rows(cfg, users["theta"], users["r"], users["beta_c"], f[:, None])
 
-    return cfg, families, codebook, users, rows
+def _lengths(cfg, users):
+    """The users' element path lengths (T, N_t), as the sweep engine takes them."""
+    return element_distances(cfg, users["theta"][:, None], users["r"][:, None])
+
+
+def _subcarrier_products(cfg, users, params):
+    """The oracle of the pilot pass: sqrt(P_t) los_rows @ pilot_beamformers
+    on each subcarrier, (T, M, K)."""
+    want = np.empty((len(users["r"]), cfg.n_subcarriers, len(params)), dtype=complex)
+    for i, f in enumerate(cfg.subcarrier_freqs()):
+        h = los_rows(cfg, users["theta"], users["r"], users["beta_c"], f)
+        want[:, i] = math.sqrt(TX_POWER) * (h @ pilot_beamformers(cfg, params, f))
+    return want
+
+
+def _within_rounding(cfg, users, got, want):
+    """|got - want| <= 1e-9 sqrt(N_t) beta_c per user: the giant and baby
+    steps round apart from the per-subcarrier exponentials."""
+    bound = 1e-9 * math.sqrt(cfg.n_antennas) * users["beta_c"][:, None, None]
+    return bool(np.all(np.abs(got - want) <= bound))
 
 
 @pytest.mark.parametrize("with_codebook", [False, True])
 def test_synthesized_observations_equal_per_subcarrier_products(with_codebook):
     # noiseless, each pilot family's observations are the magnitudes of the
     # per-subcarrier products, whether or not the codebook is observed alongside
-    cfg, pilots, codebook, users, rows = _synthesis_inputs(9)
+    cfg, pilots, codebook, users, lengths = _synthesis_inputs(9)
     families = {**pilots, "codebook": codebook} if with_codebook else pilots
-    observed = _observe(cfg, families, 9, rows, lambda _: np.random.default_rng(0))
+    observed = _observe(cfg, families, users["beta_c"], lengths,
+                        lambda _: np.random.default_rng(0))
     assert ("codebook" in observed) == with_codebook
     for name, params in pilots.items():
-        want = np.empty((9, cfg.n_subcarriers, len(params)), dtype=complex)
-        for i, f in enumerate(cfg.subcarrier_freqs()):
-            h = los_rows(cfg, users["theta"], users["r"], users["beta_c"], f)
-            want[:, i] = math.sqrt(TX_POWER) * (h @ pilot_beamformers(cfg, params, f))
-        assert np.array_equal(observed[name](np.zeros((9, 1, 1))), np.abs(want))
+        want = np.abs(_subcarrier_products(cfg, users, params))
+        assert _within_rounding(cfg, users, observed[name](np.zeros((9, 1, 1))), want)
+
+
+@pytest.mark.parametrize("n_subcarriers", [1, 2, 16, 17, 1000])
+@pytest.mark.parametrize("n_beams", [1, 14])
+@pytest.mark.parametrize("n_trials", [1, 200])
+def test_pilot_pass_at_the_edges_of_the_split(monkeypatch, n_subcarriers, n_beams, n_trials):
+    # b = ceil(sqrt M) from M alone: one step (M = 1), two baby steps, a
+    # square M = b^2 = 16, M = b^2 + 1 = 17 with a last giant step of one
+    # subcarrier, and M = 1000; every case within rounding of the
+    # per-subcarrier products, and bit for bit the same at any block budget
+    cfg = SystemConfig(n_antennas=8, n_subcarriers=n_subcarriers, distance_range=(2.0, 10.0))
+    assert len(beamsplit.wavenumber_steps(cfg)[1]) == math.ceil(math.sqrt(n_subcarriers))
+    rng = np.random.default_rng(n_subcarriers + n_beams)
+    params = TdPsParams(*rng.uniform(-1.0, 1.0, (2, n_beams)),
+                        *rng.uniform(0.0, 0.2, (2, n_beams)))
+    users = _draw_users(cfg, _rng(n_trials, 0), n_trials)
+
+    def observed():
+        return _observe(cfg, {"pilots": params}, users["beta_c"], _lengths(cfg, users),
+                        lambda _: np.random.default_rng(0))["pilots"](np.zeros((n_trials, 1, 1)))
+
+    got = observed()
+    want = np.abs(_subcarrier_products(cfg, users, params))
+    assert got.shape == (n_trials, n_subcarriers, n_beams)
+    assert _within_rounding(cfg, users, got, want)
+    for budget in (1 << 8, 1 << 22):
+        monkeypatch.setattr(beamsplit, "_CHUNK_ENTRIES", budget)
+        assert np.array_equal(observed(), got)
 
 
 def test_exhaustive_moments_do_not_depend_on_the_families_alongside():
     # the codebook's powers at noise stds 0, 0.5 and 2 (A, then the moments
     # B and C through them) are the same with the pilot families alongside
-    cfg, families, codebook, _, rows = _synthesis_inputs(9)
-    alone, shared = (_observe(cfg, fams, 9, rows, lambda _: np.random.default_rng(4))["codebook"]
+    cfg, families, codebook, users, lengths = _synthesis_inputs(9)
+    alone, shared = (_observe(cfg, fams, users["beta_c"], lengths,
+                              lambda _: np.random.default_rng(4))["codebook"]
                      for fams in ({"codebook": codebook}, {**families, "codebook": codebook}))
     for sg in (0.0, 0.5, 2.0):
         assert np.array_equal(alone(np.full((9, 1, 1), sg)), shared(np.full((9, 1, 1), sg)))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from beamtrain import (
-    Channel,
     DesignInputs,
     PolarCodebook,
     PolarLocation,
@@ -26,7 +25,7 @@ from beamtrain import (
     rainbow_sweep_params,
 )
 from beamtrain import training
-from beamtrain.arrays import approx_steering, los_rows
+from beamtrain.arrays import approx_steering, element_distances, los_rows
 from beamtrain.beamsplit import blocks, gain_kernel
 from beamtrain.harness import (
     _STREAM_USERS,
@@ -102,9 +101,11 @@ def test_observe_plan_shape_and_order(desk_cfg, desk_plan):
 
 @pytest.mark.parametrize("plan_name", ["desk_plan", "main_plan"])
 def test_observe_plan_is_the_sweep_simulator_at_one_trial(plan_name, request):
-    # one user's observations, bit for bit: the engine's los_rows times the
-    # pilot beams on each subcarrier, then one unit-noise draw of the whole
-    # (1, M, K) grid from the call's generator (the full-scale plan has K = 3)
+    # one user's observations: bit for bit the sweep engine's _observe over
+    # the user's element path lengths, and within 1e-9 sqrt(N_t) beta_c of
+    # the engine's los_rows times the pilot beams on each subcarrier, then
+    # one unit-noise draw of the whole (1, M, K) grid from the call's
+    # generator (the full-scale plan has K = 3)
     plan = request.getfixturevalue(plan_name)
     cfg, snr, seed = plan.cfg, 10.0, 8
     loc = PolarLocation.from_angle_distance(-0.35, sum(cfg.distance_range) / 3)
@@ -112,13 +113,18 @@ def test_observe_plan_is_the_sweep_simulator_at_one_trial(plan_name, request):
     users = {"theta": np.array([loc.theta]), "r": np.array([loc.distance]),
              "beta_c": np.array([chan.beta_c])}
     probes = plan.params(np.arange(1, plan.K + 1))
+    sigma = np.sqrt(noise_power(cfg, users["beta_c"], snr))[:, None, None]
+    got = observe_plan(chan, plan, snr, seed)
+    lengths = element_distances(cfg, users["theta"][:, None], users["r"][:, None])
+    engine = _observe(cfg, {"plan": probes}, users["beta_c"], lengths,
+                      lambda _: np.random.default_rng(seed))["plan"](sigma)
+    assert np.array_equal(got, engine[0])
     sig = np.stack([math.sqrt(TX_POWER)
                     * (los_rows(cfg, users["theta"], users["r"], users["beta_c"], f)
                        @ pilot_beamformers(cfg, probes, f))
                     for f in cfg.subcarrier_freqs()], axis=1)
-    sigma = np.sqrt(noise_power(cfg, users["beta_c"], snr))[:, None, None]
     want = np.abs(sig + sigma * _unit_noise(np.random.default_rng(seed), sig.shape))
-    assert np.array_equal(observe_plan(chan, plan, snr, seed), want[0])
+    assert np.max(np.abs(got - want[0])) <= 1e-9 * math.sqrt(cfg.n_antennas) * chan.beta_c
 
 
 def test_noiseless_magnitude_is_scaled_array_gain(desk_cfg, desk_plan):
@@ -497,10 +503,13 @@ QUADRATURE_CONFIGS = {
 
 
 def _user_rows(cfg, n_users, seed=3):
-    """rows(f) of n_users drawn as the sweep draws them, and the users."""
+    """rows(f) of n_users drawn as the sweep draws them, the oracle's
+    los_rows, and the users' (beta_c, element path lengths) that
+    band_powers takes."""
     users = _draw_users(cfg, _rng(seed, 0), n_users)
+    lengths = element_distances(cfg, users["theta"][:, None], users["r"][:, None])
     return (lambda f: los_rows(cfg, users["theta"], users["r"], users["beta_c"], f[:, None]),
-            users)
+            (users["beta_c"], lengths))
 
 
 def _subcarrier_powers(book, n_users, rows):
@@ -518,10 +527,10 @@ def test_band_quadrature_powers_equal_the_subcarrier_sum(name):
     # within 1e-12 of each user's peak, with the same pick for every user
     cfg = QUADRATURE_CONFIGS[name]
     book = polar_grid(cfg, 40, 3)
-    rows, _ = _user_rows(cfg, 8)
+    rows, users = _user_rows(cfg, 8)
     nodes, weights = band_quadrature(cfg, float(book.rings.max()))
     assert len(nodes) < cfg.n_subcarriers and (weights > 0).all()
-    got, want = band_powers(book, 8, rows), _subcarrier_powers(book, 8, rows)
+    got, want = band_powers(book, *users), _subcarrier_powers(book, 8, rows)
     assert np.max(np.abs(got - want) / want.max(axis=1, keepdims=True)) < 1e-12
     assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
 
@@ -553,8 +562,8 @@ def test_band_quadrature_with_few_subcarriers_is_the_exact_sum():
     book = polar_grid(cfg, 16, 3)
     nodes, weights = band_quadrature(cfg, float(book.rings.max()))
     assert np.array_equal(nodes, cfg.subcarrier_freqs()) and np.array_equal(weights, np.ones(24))
-    rows, _ = _user_rows(cfg, 5)
-    assert np.array_equal(band_powers(book, 5, rows), _subcarrier_powers(book, 5, rows))
+    rows, users = _user_rows(cfg, 5)
+    assert np.array_equal(band_powers(book, *users), _subcarrier_powers(book, 5, rows))
     one = SystemConfig(63, 30e9, 5e9, 1, distance_range=(2.0, 10.0))
     assert np.array_equal(band_quadrature(one, 0.25)[0], one.subcarrier_freqs())
 
@@ -565,29 +574,14 @@ def test_band_powers_are_never_negative(monkeypatch):
     # law's sqrt(A) stays finite
     cfg = desk_config()
     book = polar_grid(cfg, 48, 4)
-    rows, _ = _user_rows(cfg, 40)
-    assert (band_powers(book, 40, rows) >= 0).all()
+    _, users = _user_rows(cfg, 40)
+    assert (band_powers(book, *users) >= 0).all()
     nodes, weights = band_quadrature(cfg, float(book.rings.max()))
     monkeypatch.setattr(training, "band_quadrature", lambda cfg, alpha_max: (nodes, -weights))
-    clipped = band_powers(book, 40, rows)
+    clipped = band_powers(book, *users)
     assert np.array_equal(clipped, np.zeros_like(clipped))
     a, b, c = exhaustive_moments(clipped, cfg.n_subcarriers, np.random.default_rng(0))
     assert np.isfinite(b).all()
-
-
-def test_codebook_observation_needs_the_channel_location(desk_cfg):
-    # the quadrature observes between the subcarriers, where only the
-    # location gives the channel; pilot probes still read the stored rows
-    book = polar_grid(desk_cfg, 8, 2)
-    chan = los_channel(desk_cfg, PolarLocation.from_angle_distance(0.1, 6.0))
-    bare = Channel(per_subcarrier=chan.per_subcarrier, beta_c=chan.beta_c)
-    with pytest.raises(ValueError, match="location"):
-        observe_params(desk_cfg, bare, book, 10.0, 0)
-    with pytest.raises(ValueError, match="location"):
-        exhaustive_polar_train(bare, book, 10.0, 0)
-    probes = rainbow_probes(desk_cfg, FAR_RINGS)
-    assert np.array_equal(observe_params(desk_cfg, bare, probes, 10.0, 0),
-                          observe_params(desk_cfg, chan, probes, 10.0, 0))
 
 
 # rainbow sweeps -------------------------------------------------------------
@@ -735,9 +729,8 @@ def test_single_trial_api_matches_the_sweep_engine(desk_cfg):
     for i, (loc, ch) in enumerate(zip(locs, channels)):
         users = {"theta": np.array([loc.theta]), "r": np.array([loc.distance]),
                  "beta_c": np.array([ch.beta_c])}
-        rows = lambda f: los_rows(desk_cfg, users["theta"], users["r"], users["beta_c"],
-                                  f[:, None])
-        observe = _observe(desk_cfg, {"codebook": codebook}, 1, rows,
+        lengths = element_distances(desk_cfg, users["theta"][:, None], users["r"][:, None])
+        observe = _observe(desk_cfg, {"codebook": codebook}, users["beta_c"], lengths,
                            lambda _: np.random.default_rng(i))["codebook"]
         sigma = np.sqrt(noise_power(desk_cfg, users["beta_c"], snr))[:, None, None]
         powers.append(observe(sigma)[0])
