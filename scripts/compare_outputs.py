@@ -32,8 +32,9 @@ changes).  In each tree a child process, with that tree's `src/` and
 
 Each item is reported as identical, or with the count of changed lines and
 the largest relative change of a number on them ("inf" where a changed line
-differs in more than its numbers).  The exit status is 1 when any item
-differs, 0 when every item is byte-identical.
+differs in more than its numbers); a changed CSV item whose header has a
+`scheme` column also names the schemes of its changed rows.  The exit
+status is 1 when any item differs, 0 when every item is byte-identical.
 """
 from __future__ import annotations
 
@@ -74,21 +75,36 @@ def _relative_change(a: str, b: str) -> float:
     return worst
 
 
+def _changed_schemes(a: list, b: list) -> list:
+    """Sorted schemes of the rows that differ between two CSV texts' lines
+    (either side's, and rows only one side has), when both share a header
+    with a `scheme` column; empty for any other text."""
+    header = a[0].split(",") if a else []
+    if "scheme" not in header or not b or b[0] != a[0]:
+        return []
+    col = header.index("scheme")
+    rows = [line for x, y in zip(a, b) if x != y for line in (x, y)] + a[len(b):] + b[len(a):]
+    return sorted({line.split(",")[col] for line in rows if line.count(",") >= col})
+
+
 def summarize(parent: str, change: str) -> dict:
-    """Changed lines of one item's text and the largest relative change on
-    them; a line only one side has counts as changed, by inf."""
+    """Changed lines of one item's text, the largest relative change on
+    them, and for a CSV with a `scheme` column the schemes of its changed
+    rows; a line only one side has counts as changed, by inf."""
     a, b = parent.splitlines(), change.splitlines()
     changes = [_relative_change(x, y) for x, y in zip(a, b) if x != y]
     changes += [math.inf] * abs(len(a) - len(b))
     return {"identical": parent == change, "lines": max(len(a), len(b)),
-            "changed_lines": len(changes), "max_rel_change": max(changes, default=0.0)}
+            "changed_lines": len(changes), "max_rel_change": max(changes, default=0.0),
+            "schemes": _changed_schemes(a, b)}
 
 
 def report_line(name: str, summary: dict) -> str:
     if summary["identical"]:
         return f"identical  {name}"
+    schemes = f", schemes {' '.join(summary['schemes'])}" if summary["schemes"] else ""
     return (f"CHANGED    {name}: {summary['changed_lines']} of {summary['lines']} lines, "
-            f"largest relative change {summary['max_rel_change']:.3g}")
+            f"largest relative change {summary['max_rel_change']:.3g}{schemes}")
 
 
 def dump(out: str) -> None:

@@ -43,12 +43,11 @@ def approx_steering(cfg: SystemConfig, loc, f: float) -> np.ndarray:
 @dataclass(frozen=True)
 class Channel:
     """One user's line-of-sight channel: center path gain beta_c, which
-    anchors noise calibration, path lengths (N_t,) from the elements, and
-    location.  Its rows are channel_rows(cfg, beta_c, lengths, f)."""
+    anchors noise calibration, and path lengths (N_t,) from the elements.
+    Its rows are channel_rows(cfg, beta_c, lengths, f)."""
 
     beta_c: float
     lengths: np.ndarray
-    location: PolarLocation
 
 
 def path_loss(cfg: SystemConfig, r: float, f: float) -> float:
@@ -84,7 +83,7 @@ def los_channel(cfg: SystemConfig, loc: PolarLocation) -> Channel:
     if not np.isfinite(r):
         raise ValueError("line-of-sight channel needs a finite distance")
     beta_c = path_loss(cfg, r, cfg.carrier_freq)
-    return Channel(beta_c, element_distances(cfg, loc.theta, r), loc)
+    return Channel(beta_c, element_distances(cfg, loc.theta, r))
 
 
 class PolarCodebook:

@@ -42,10 +42,6 @@ from .design import PilotPlan
 
 TX_POWER = 1.0
 
-# aux-pair Newton solve: residual-norm tolerance and iteration cap
-_AUX_TOL = 1e-8
-_AUX_MAX_ITER = 50
-
 # the far-field rainbow is a near-field rainbow with one ring, at alpha = 0
 FAR_RINGS = (0.0,)
 
@@ -260,10 +256,11 @@ def aux_pair_estimate(mags: np.ndarray, plan: PilotPlan, budget=None) -> BatchEs
     Per trial of mags (T, M, K), over the first `budget` pilots: take the
     strongest beam and its stronger in-band neighbor on the same pilot (the
     lower one on a tie), convert both magnitudes to model gains via the
-    path gain at the on-grid distance, and Newton-solve the two quadratic
-    gain models for (theta, alpha).  A trial falls back to the on-grid
-    answer on a zero Jacobian, no convergence, no neighbor or an unusable
-    on-grid distance.  The pick is the on-grid pick's (m, k) pair.
+    path gain at the on-grid distance, and intersect the two quadratic gain
+    models in (theta, alpha) in closed form, taking the root of lower alpha.
+    A trial falls back to the on-grid answer on no neighbor, an unusable
+    on-grid distance or coincident foci.  The pick is the on-grid pick's
+    (m, k) pair.
     """
     cfg = plan.cfg
     base = ongrid_estimate(mags, plan, budget)
@@ -287,46 +284,27 @@ def aux_pair_estimate(mags: np.ndarray, plan: PilotPlan, budget=None) -> BatchEs
     rhs = 1.0 - np.clip(g, 1e-6, 1.0)
     s1, s2 = ellipse_coefficients(cfg, f)
 
-    # Gain 1 at the peak collapses its ellipse to a point: the system's root
-    # is that focus itself, no iteration needed.
+    # Gain 1 at the peak collapses its ellipse to a point: the root is that
+    # focus itself.
     exact = ~fallback & (rhs[:, 0] <= 1e-12)
-    # Damped Newton on the two residuals, from the midpoint of the centers.
-    # The geometry has two rough spots: the midpoint start sits on the line
-    # through both centers, where the Jacobian is rank-deficient
-    # (anti-parallel gradients), and noisy gains can leave the ellipses
-    # tangent or disjoint so that no exact root exists.  A pseudo-inverse
-    # with a loose cutoff handles the first; backtracking on the residual norm
-    # handles the second (the Newton direction always descends ||r||^2, so
-    # the iterates settle on the least-squares point when the system is
-    # inconsistent, and converge quadratically to a root when it is not).
-    center = np.stack([t0, a0], axis=2)  # (T, 2, 2): pair member, (theta, alpha)
-    weight = np.stack([s1, s2], axis=2)
-    x = 0.5 * (center[:, 0] + center[:, 1])  # (T, 2) iterates
-    halvings = 0.5 ** np.arange(30)[:, None]  # up to 30 halvings of each step
-    live = np.flatnonzero(~fallback & ~exact)
-    for _ in range(_AUX_MAX_ITER):
-        if not len(live):
-            break
-        c, w, b = center[live], weight[live], rhs[live]
-        d = c - x[live, None]
-        r = (w * d**2).sum(2) - b
-        norm = np.sqrt((r * r).sum(1))
-        jac = -2 * w * d
-        zero = ~jac.any(axis=(1, 2))
-        step = -(np.linalg.pinv(jac, rtol=1e-6) @ r[:, :, None])[:, :, 0]
-        search = (norm >= _AUX_TOL) & ~zero & (np.sqrt((step * step).sum(1)) >= 1e-10)
-        fallback[live[(norm >= _AUX_TOL) & zero]] = True
-        cand = x[live, None] + step[:, None] * halvings  # (L, 30, 2)
-        rc = (w[:, None] * (c[:, None] - cand[:, :, None]) ** 2).sum(3) - b[:, None]
-        ok = (search[:, None] & (-1.0 <= cand[..., 0]) & (cand[..., 0] <= 1.0)
-              & (cand[..., 1] >= 0.0) & (np.sqrt((rc * rc).sum(2)) < norm[:, None]))
-        # a trial with no descent sits on the least-squares stationary point
-        # and is done, like one whose residual or step vanished
-        moved = ok.any(1)
-        live = live[moved]
-        x[live] = cand[moved, ok[moved].argmax(1)]
-    fallback[live] = True  # no convergence in _AUX_MAX_ITER steps
-    th, al = x[:, 0], x[:, 1]
+    # sigma1 and sigma2 both scale as f^2, so in the coordinates
+    # (theta sqrt(sigma1/sigma2), alpha) both ellipses are circles, of
+    # squared radius rhs/sigma2, and the two roots lie on their radical line.
+    scale = np.sqrt(s1[:, 0] / s2[:, 0])
+    center = np.stack([t0 * scale[:, None], a0], axis=2)  # (T, 2, 2): member, (u, alpha)
+    axis = center[:, 1] - center[:, 0]
+    dist = np.hypot(axis[:, 0], axis[:, 1])
+    fallback |= ~exact & (dist == 0)  # coincident foci
+    dist = np.where(dist == 0, 1.0, dist)
+    ex, ea = axis[:, 0] / dist, axis[:, 1] / dist
+    radius2 = rhs / s2
+    along = (dist * dist + radius2[:, 0] - radius2[:, 1]) / (2 * dist)
+    # Circles that do not meet give the foot on the centre line.  Of the two
+    # roots take the one of lower alpha, the farther user: with users uniform
+    # in distance, alpha = (1 - theta^2) / (2 r) has density ~ 1/alpha^2.
+    across = np.sqrt(np.maximum(radius2[:, 0] - along * along, 0.0))
+    th = (center[:, 0, 0] + along * ex + across * np.where(ex < 0, -ea, ea)) / scale
+    al = center[:, 0, 1] + along * ea - across * np.abs(ex)
 
     # The beam pair only resolves the user along its own spacing; project the
     # root into the pair's bounding cell (one spacing of margin) so the barely

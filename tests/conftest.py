@@ -83,8 +83,7 @@ def quadratic_channel(cfg, loc) -> Channel:
     beam's focus sees that beam's full gain."""
     r = loc.distance
     nd = cfg.element_indices() * cfg.spacing
-    return Channel(path_loss(cfg, r, cfg.carrier_freq), r - nd * loc.theta + nd * nd * loc.alpha,
-                   loc)
+    return Channel(path_loss(cfg, r, cfg.carrier_freq), r - nd * loc.theta + nd * nd * loc.alpha)
 
 
 def polar_grid(cfg, angles: int, rings: int, band=None) -> PolarCodebook:

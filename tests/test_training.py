@@ -25,8 +25,9 @@ from beamtrain import (
     rainbow_sweep_params,
 )
 from beamtrain import training
-from beamtrain.arrays import approx_steering, element_distances, los_rows
-from beamtrain.beamsplit import blocks, gain_kernel
+from beamtrain.arrays import approx_steering, element_distances, los_rows, path_loss
+from beamtrain.beamsplit import blocks, ellipse_coefficients, gain_kernel
+from beamtrain.config import curvature_law
 from beamtrain.harness import (
     _STREAM_USERS,
     _draw_users,
@@ -241,7 +242,7 @@ def test_aux_falls_back_without_a_neighbor():
 
 
 def test_aux_batch_gives_each_trial_its_one_trial_answer():
-    # 200 desk users at -10 dB: the batch mixes converged, clamped and
+    # 200 desk users at -10 dB: the batch mixes solved, clamped and
     # fallback trials, and each gets what the T = 1 wrapper gives it
     spec = desk_experiment_spec(schemes=("aux_pair",), n_trials=200)
     engine = _Engine(spec)
@@ -265,6 +266,70 @@ def test_aux_beats_ongrid_rate_at_high_snr(main_cfg):
     )
     rates = {r["scheme"]: r["mean_rate"] for r in run_sweep(spec).rows}
     assert rates["aux_pair"] >= rates["ongrid"]
+
+
+def test_aux_does_not_amplify_rounding_in_the_magnitudes():
+    # 400 desk users at 15 dB; a Newton solve moved an estimate by 8.3e-9
+    spec = desk_experiment_spec(schemes=("aux_pair",), n_trials=400)
+    engine = _Engine(spec)
+    users = _draw_users(spec.cfg, _rng(spec.master_seed, _STREAM_USERS), spec.n_trials)
+    sigma = np.sqrt(noise_power(spec.cfg, users["beta_c"], 10**1.5))[:, None, None]
+    mags = engine._draw(users, ())["plan"](sigma)
+    before = aux_pair_estimate(mags, engine.plan)
+    after = aux_pair_estimate(mags * (1 + 1e-13), engine.plan)
+    assert np.abs(after.theta - before.theta).max() <= 1e-12
+    assert np.abs(after.alpha - before.alpha).max() <= 1e-12
+
+
+def _pair_model(plan, m):
+    """The aux-pair model of subcarriers m and m + 1 (0-based) of pilot 1:
+    their foci's thetas and alphas (2,) and a function from two gains to
+    magnitudes (1, M, K), lit only there, at which the estimator reads them."""
+    cfg = plan.cfg
+    focus = plan.focus(np.array([m + 1, m + 2]), 1)
+    t, a = np.asarray(focus.theta), np.asarray(focus.alpha)
+    f = cfg.subcarrier_freqs()[[m, m + 1]]
+    beta = (cfg.carrier_freq / f) * path_loss(cfg, curvature_law(t[0], a[0]), cfg.carrier_freq)
+
+    def mags(gain):
+        out = np.zeros((1, cfg.n_subcarriers, plan.K))
+        out[0, [m, m + 1], 0] = gain * math.sqrt(TX_POWER * cfg.n_antennas) * beta
+        return out
+    return t, a, ellipse_coefficients(cfg, f), mags
+
+
+def test_aux_recovers_the_lower_alpha_root_of_its_own_gain_model(desk_plan):
+    m = 120
+    t, a, (s1, s2), mags = _pair_model(desk_plan, m)
+    # a user 30% of the way from focus m to focus m + 1, half the pair's
+    # alpha spacing below the line through them
+    user = np.array([t[0] + 0.3 * (t[1] - t[0]),
+                     a[0] + 0.3 * (a[1] - a[0]) - 0.5 * abs(a[1] - a[0])])
+    # its mirror image across that line, in the coordinates where both gain
+    # ellipses are circles, sees the same two gains
+    scale = np.array([math.sqrt(s1[0] / s2[0]), 1.0])
+    centers = np.stack([t, a], axis=1) * scale
+    axis = (centers[1] - centers[0]) / np.linalg.norm(centers[1] - centers[0])
+    v = user * scale - centers[0]
+    mirror = (centers[0] + 2 * (v @ axis) * axis - v) / scale
+    assert mirror[1] > user[1]
+    for theta, alpha in (user, mirror):
+        est = aux_pair_estimate(mags(1 - s1 * (theta - t) ** 2 - s2 * (alpha - a) ** 2),
+                                desk_plan)
+        assert not est.fallback[0] and not est.clamped[0]
+        assert tuple(est.pick[0]) == (m, 0)
+        assert abs(est.theta[0] - user[0]) <= 1e-12
+        assert abs(est.alpha[0] - user[1]) <= 1e-12
+
+
+def test_aux_takes_the_foot_of_two_circles_that_do_not_meet(desk_plan):
+    # two equal tiny gain deficits: the circles lie far apart, and the foot
+    # on the line through the foci is their midpoint
+    t, a, _, mags = _pair_model(desk_plan, 120)
+    est = aux_pair_estimate(mags(np.full(2, 1 - 1e-9)), desk_plan)
+    assert not est.fallback[0]
+    assert est.theta[0] == pytest.approx(t.mean(), abs=1e-12)
+    assert est.alpha[0] == pytest.approx(a.mean(), abs=1e-12)
 
 
 # match filter ---------------------------------------------------------------
