@@ -32,9 +32,11 @@ changes).  In each tree a child process, with that tree's `src/` and
 
 Each item is reported as identical, or with the count of changed lines and
 the largest relative change of a number on them ("inf" where a changed line
-differs in more than its numbers); a changed CSV item whose header has a
-`scheme` column also names the schemes of its changed rows.  The exit
-status is 1 when any item differs, 0 when every item is byte-identical.
+differs in more than its numbers).  A changed item also names the schemes
+of its changed records: the rows of a CSV whose header has a `scheme`
+column, the rows of a "JSON without run" item, and the JSON records, one
+per call, of a `cli_train` item.  The exit status is 1 when any item
+differs, 0 when every item is byte-identical.
 """
 from __future__ import annotations
 
@@ -59,6 +61,7 @@ PLAN_VALUES = ("K", "p1", "pM", "ending_directions", "alpha_t_interval", "alpha_
                "alpha_slope")
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+EXIT_LINE = re.compile(r"^exit .*$", re.M)
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
 
 
@@ -75,28 +78,50 @@ def _relative_change(a: str, b: str) -> float:
     return worst
 
 
-def _changed_schemes(a: list, b: list) -> list:
-    """Sorted schemes of the rows that differ between two CSV texts' lines
-    (either side's, and rows only one side has), when both share a header
-    with a `scheme` column; empty for any other text."""
-    header = a[0].split(",") if a else []
-    if "scheme" not in header or not b or b[0] != a[0]:
+def _records(text: str) -> tuple:
+    """(head, records) of an item's text, each record a (scheme, text) pair:
+    the header line and the rows of a CSV whose header has a `scheme`
+    column; "json" and the `rows` of a JSON object, or the JSON records of
+    the CLI's stdout, one per call between its `exit N` lines; (None, [])
+    for any other text."""
+    lines = text.splitlines()
+    header = lines[0].split(",") if lines else []
+    if "scheme" in header:
+        col = header.index("scheme")
+        return lines[0], [(line.split(",")[col], line) for line in lines[1:]
+                          if line.count(",") >= col]
+    try:
+        records = [json.loads(chunk) for chunk in EXIT_LINE.split(text) if chunk.strip()]
+    except json.JSONDecodeError:
+        return None, []
+    if len(records) == 1 and isinstance(records[0], dict) and "rows" in records[0]:
+        records = records[0]["rows"]
+    if not records or not all(isinstance(r, dict) and "scheme" in r for r in records):
+        return None, []
+    return "json", [(r["scheme"], json.dumps(r, sort_keys=True)) for r in records]
+
+
+def _changed_schemes(parent: str, change: str) -> list:
+    """Sorted schemes of the records (_records) that differ between two
+    texts (either side's, and records only one side has), when both have
+    the same head; empty for any other text."""
+    (head, a), (other, b) = _records(parent), _records(change)
+    if head is None or head != other:
         return []
-    col = header.index("scheme")
-    rows = [line for x, y in zip(a, b) if x != y for line in (x, y)] + a[len(b):] + b[len(a):]
-    return sorted({line.split(",")[col] for line in rows if line.count(",") >= col})
+    changed = [r for x, y in zip(a, b) if x != y for r in (x, y)] + a[len(b):] + b[len(a):]
+    return sorted({scheme for scheme, _ in changed})
 
 
 def summarize(parent: str, change: str) -> dict:
     """Changed lines of one item's text, the largest relative change on
-    them, and for a CSV with a `scheme` column the schemes of its changed
-    rows; a line only one side has counts as changed, by inf."""
+    them, and the schemes of its changed records (_changed_schemes); a line
+    only one side has counts as changed, by inf."""
     a, b = parent.splitlines(), change.splitlines()
     changes = [_relative_change(x, y) for x, y in zip(a, b) if x != y]
     changes += [math.inf] * abs(len(a) - len(b))
     return {"identical": parent == change, "lines": max(len(a), len(b)),
             "changed_lines": len(changes), "max_rel_change": max(changes, default=0.0),
-            "schemes": _changed_schemes(a, b)}
+            "schemes": _changed_schemes(parent, change)}
 
 
 def report_line(name: str, summary: dict) -> str:

@@ -73,13 +73,15 @@ def los_rows(cfg: SystemConfig, theta, r, beta_c, f) -> np.ndarray:
     return channel_rows(cfg, beta_c, rn, f)
 
 
-def los_channel(cfg: SystemConfig, loc: PolarLocation) -> Channel:
+def los_channel(cfg: SystemConfig, loc: PolarLocation, r: float | None = None) -> Channel:
     """Line-of-sight channel h_m = sqrt(N_t) beta_m e^{-j k_m r} a_m(theta, r)
     with the exact (spherical) steering a_m: the element_distances of loc.
+    r defaults to loc.distance, which is inf wherever alpha = 0, so an
+    endfire user (theta = +-1) needs its distance given.
 
     beta_m = (f_c / f_m) beta_c with beta_c = lambda_c / (4 pi r).
     """
-    r = loc.distance
+    r = loc.distance if r is None else r
     if not np.isfinite(r):
         raise ValueError("line-of-sight channel needs a finite distance")
     beta_c = path_loss(cfg, r, cfg.carrier_freq)

@@ -124,7 +124,7 @@ def wavenumber_steps(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     m - 1 = a b + s and b = ceil(sqrt M), fixed by M alone, k_m = giant[a] +
     baby[s], giant[a] = k_{ab+1} and baby[s] = s dk, so a sum of e^{j k_m x}
     over the band takes M / b + b exponentials per x, not M (Rabiner, Schafer
-    & Rader 1969).  subcarrier_gains and training._observe split here."""
+    & Rader 1969).  subcarrier_gains, _pilot_pass and the bank split here."""
     m = cfg.n_subcarriers
     b = math.isqrt(m - 1) + 1
     return (cfg.wavenumber(cfg.subcarrier_freqs()[::b]),

@@ -106,7 +106,7 @@ def _cmd_train(args):
             loc = PolarLocation.from_angle_distance(args.theta, args.distance)
         else:
             loc = PolarLocation.from_physical(args.angle_deg, args.distance)
-        channel = los_channel(cfg, loc)
+        channel = los_channel(cfg, loc, args.distance)  # alpha = 0 at endfire
     except ValueError as exc:
         _fail(f"invalid user location: {exc}")
     snr = 10 ** (args.snr_db / 10)

@@ -11,8 +11,9 @@ observations, and estimates the user's polar location.  Estimators:
 - far-field rainbow: a single frequency sweep, distance ignored
 
 The two grid searches stand on one grid type, arrays.PolarCodebook, and one
-chirp-z contraction over it, grid_contraction: the codebook squares it over
-channel rows, the match-filter bank runs it over conjugated pilot beams.
+chirp-z sum over it, of the grid's _grid_phases: the codebook squares
+grid_contraction's over channel rows, the match-filter bank makes it over
+its pilot beams through the giant and baby steps of the subcarriers.
 The codebook's powers summed over the band are a weighted sum over the few
 node frequencies of band_quadrature, not over every subcarrier.
 
@@ -107,8 +108,9 @@ def _unit_noise(rng, shape) -> np.ndarray:
 
 
 def _beam_profiles(cfg: SystemConfig, params: TdPsParams):
-    """Delay profile u theta_t - u^2 alpha_t and phase-shift profile
-    u theta_p - u^2 alpha_p, u = n d, of the beams of params: (N_t, K)."""
+    """Delay profile u theta_t - u^2 alpha_t and phase-shift profile u theta_p
+    - u^2 alpha_p, u = n d, of the beams of params (N_t, K): the phases of
+    _pilot_pass and build_match_filter_bank, through the giant and baby steps."""
     nd = (cfg.element_indices() * cfg.spacing)[:, None]
     return (nd * params.theta_t - nd * nd * params.alpha_t,
             nd * params.theta_p - nd * nd * params.alpha_p)
@@ -119,9 +121,9 @@ def pilot_beamformers(cfg: SystemConfig, params: TdPsParams, f) -> np.ndarray:
 
     Element n of column k is e^{-j k_f (n d theta_t - n^2 d^2 alpha_t)
     - j k_c (n d theta_p - n^2 d^2 alpha_p)} / sqrt(N_t).  f may be an array;
-    the shape is f.shape + (N_t, len(params)).  The match-filter bank uses
-    this copy and the tests take it as the oracle of _observe's steps; the
-    beamsplit oracles td_vector / ps_vector stay separate on purpose.
+    the shape is f.shape + (N_t, len(params)): the tests' oracle of the giant
+    and baby steps of _pilot_pass and build_match_filter_bank, which build no
+    beam; the beamsplit oracles td_vector / ps_vector stay separate on purpose.
     """
     delay, shift = _beam_profiles(cfg, params)
     k = np.asarray(cfg.wavenumber(f))[..., None, None]
@@ -350,70 +352,81 @@ class MatchFilterBank:
         return len(self.grid)
 
 
-def _fft_length(n: int, n_out: int) -> int:
-    """Smallest p 2^b >= n + n_out - 1 over the odd factors p = 1, 5, 25,
-    which pocketfft runs fast: _chirp_z's FFT length."""
-    size = n + n_out - 1
-    return min(p << (-(-size // p) - 1).bit_length() for p in (1, 5, 25))
-
-
-def _chirp_z(pre: np.ndarray, w, n_out: int, n_fft: int) -> np.ndarray:
+def _chirp_z(pre: np.ndarray, kernel: np.ndarray, n_out: int) -> np.ndarray:
     """|sum_n q_n e^{j w n a}| for a < n_out over the last axis, from the
-    pre-chirped pre_n = q_n e^{j w n^2 / 2}; w broadcasts against pre[..., :1].
-    Bluestein's n a = (n^2 + a^2 - (a - n)^2) / 2 makes the sum a convolution
-    with the chirp e^{-j w m^2 / 2}, by FFT at n_fft >= N + n_out - 1, and
-    e^{j w a^2 / 2} drops out of the magnitude."""
-    lags = np.arange(n_fft)
-    lags = np.where(lags < n_out, lags, lags - n_fft)  # 0..A-1, then -(N-1)..-1
-    spectrum = np.fft.fft(pre, n_fft)
-    spectrum *= np.fft.fft(np.exp(-0.5j * w * lags * lags))
+    pre-chirped pre_n = q_n e^{j w n^2 / 2} and the kernel, the FFT of the
+    chirp e^{-j w l^2 / 2} at the lags l of _grid_phases.  Bluestein's n a =
+    (n^2 + a^2 - (a - n)^2) / 2 makes the sum a convolution with the chirp,
+    and e^{j w a^2 / 2} drops out of the magnitude."""
+    spectrum = np.fft.fft(pre, kernel.shape[-1])
+    spectrum *= kernel
     return np.abs(np.fft.ifft(spectrum)[..., :n_out])
+
+
+def _grid_phases(grid: PolarCodebook) -> tuple[np.ndarray, np.ndarray]:
+    """Phases over k of the grid's chirp-z sum: the ring profiles u_n^2 alpha_r
+    - u_n theta_0 - d dtheta n^2 / 2 (R, N_t), u_n = (n - c) d, k times which
+    plus w n a, w = -k d dtheta, is the pre-chirped phase of sqrt(N_t)
+    conj(b_n) at (theta_0 + a dtheta, alpha_r) up to one common to all n; and
+    the chirp d dtheta l^2 / 2 at the lags 0..A-1, -(n_fft - A)..-1 of A
+    angles, n_fft the least p 2^b >= N_t + A - 1, p = 1, 5, 25 (fast FFTs)."""
+    cfg, n_out = grid.cfg, len(grid.thetas)
+    n, u = np.arange(cfg.n_antennas), cfg.element_indices() * cfg.spacing
+    size = cfg.n_antennas + n_out - 1
+    lags = np.arange(min(p << (-(-size // p) - 1).bit_length() for p in (1, 5, 25)))
+    lags = np.where(lags < n_out, lags, lags - len(lags))
+    rate = 0.5 * cfg.spacing * grid.step
+    return u * u * grid.rings[:, None] - u * grid.thetas[0] - rate * n * n, rate * lags * lags
 
 
 def grid_contraction(grid: PolarCodebook, h: np.ndarray, f) -> np.ndarray:
     """sqrt(N_t) |sum_n h_n conj(b_n)| for every codeword b of the polar grid:
     rows h (C, T, N_t) at frequencies f (C,) give (C, T, G), columns in grid
-    order.  With u_n = (n - c) d, sqrt(N_t) conj(b_n) at (theta_0 + a dtheta,
-    alpha_r) has the phase k (u_n^2 alpha_r - u_n theta_0) + w n a,
-    w = -k d dtheta, up to a phase common to all n: one _chirp_z per (row,
-    ring), and no codeword vector is formed.  codeword_powers and
-    build_match_filter_bank both sum here."""
-    cfg = grid.cfg
-    n_t = cfg.n_antennas
-    n = np.arange(n_t)
-    u = cfg.element_indices() * cfg.spacing
-    k = cfg.wavenumber(np.asarray(f, dtype=float))[:, None, None]
-    w = -k * cfg.spacing * grid.step
-    phase = k * (u * u * grid.rings[:, None] - u * grid.thetas[0])
+    order: one _chirp_z per (row, ring) over the rows pre-chirped by the
+    _grid_phases, and no codeword vector is formed.  codeword_powers sums
+    here; build_match_filter_bank is the same sum over the pilot beams."""
+    k = grid.cfg.wavenumber(np.asarray(f, dtype=float))[:, None, None]
+    profile, chirp = _grid_phases(grid)
     # C order keeps each FFT row contiguous whatever the layout of h
-    pre = np.multiply(h[:, :, None, :], np.exp(1j * (phase + 0.5 * w * n * n))[:, None],
-                      order="C")
-    n_fft, (c, t, r) = _fft_length(n_t, len(grid.thetas)), pre.shape[:3]
-    mag = np.empty((c, t, len(grid.thetas), r))  # angle-major, as the codewords
-    for rows in blocks(t, c * r * n_fft):  # blocks of rows: small FFT buffers
-        block = _chirp_z(pre[:, rows], w[:, None], mag.shape[2], n_fft)
-        mag[:, rows] = np.swapaxes(block, 2, 3)
+    pre = np.multiply(h[:, :, None, :], np.exp(1j * k * profile)[:, None], order="C")
+    kernel = np.fft.fft(np.exp(1j * k[:, None] * chirp))
+    (c, t, r), n_out = pre.shape[:3], len(grid.thetas)
+    mag = np.empty((c, t, n_out, r))  # angle-major, as the codewords
+    for rows in blocks(t, c * r * len(chirp)):  # blocks of rows: small FFT buffers
+        mag[:, rows] = np.swapaxes(_chirp_z(pre[:, rows], kernel, n_out), 2, 3)
     return mag.reshape(c, t, -1)
 
 
 def _power_entries(grid: PolarCodebook, n_rows: int) -> int:
     """Entries of grid_contraction's largest temporary per frequency."""
-    return n_rows * len(grid.rings) * _fft_length(grid.cfg.n_antennas, len(grid.thetas))
+    return n_rows * len(grid.rings) * len(_grid_phases(grid)[1])
 
 
 def build_match_filter_bank(plan: PilotPlan, grid: PolarCodebook) -> MatchFilterBank:
     """Signature bank of the plan's pilots over a polar grid: the array gain
-    |a(theta, alpha)^T w_{m,k}| = |sum_n conj(w_n) conj(a_n)| of every pilot
-    beam at every grid point, grid_contraction of the conjugated
-    pilot_beamformers rows scaled by 1 / sqrt(N_t)."""
-    cfg = plan.cfg
-    freqs = cfg.subcarrier_freqs()
+    |a(theta, alpha)^T w_{m,k}| of every pilot beam at every grid point.  With
+    m - 1 = a b + s (wavenumber_steps), A, B the _beam_profiles and P, x the
+    _grid_phases, _chirp_z sums a row's entries e^{j (k_{ab+1} (A + P) + k_c
+    B)} e^{j s dk (A + P)} / N_t under its chirp e^{j k_{ab+1} x} e^{j s dk x}:
+    (M / b + b)(K R N_t + n_fft) exponentials.  No bit depends on the blocks."""
+    cfg, n_out = plan.cfg, len(grid.thetas)
+    giant, baby = wavenumber_steps(cfg)
+    kc, b = cfg.wavenumber(cfg.carrier_freq), len(baby)
     params = plan.params(np.arange(1, plan.K + 1))
+    delay, shift = (p.T[:, None] for p in _beam_profiles(cfg, params))  # (K, 1, N_t)
+    profile, chirp = _grid_phases(grid)
+    psi = delay + profile  # (K, R, N_t)
+    baby_pre = np.exp(1j * baby[:, None, None, None] * psi)
+    baby_chirp = np.exp(1j * baby[:, None] * chirp)
     sig = np.empty((plan.K, cfg.n_subcarriers, len(grid)))
-    for chunk in blocks(cfg.n_subcarriers, _power_entries(grid, plan.K)):
-        beams = pilot_beamformers(cfg, params, freqs[chunk])  # (C, N_t, K)
-        h = np.swapaxes(beams, 1, 2).conj() / math.sqrt(cfg.n_antennas)
-        sig[:, chunk] = np.swapaxes(grid_contraction(grid, h, freqs[chunk]), 0, 1)
+    angle_major = sig.reshape(plan.K, cfg.n_subcarriers, n_out, -1)  # a view
+    for a in range(len(giant)):
+        giant_pre = np.exp(1j * (giant[a] * psi + kc * shift)) / cfg.n_antennas
+        giant_chirp = np.exp(1j * giant[a] * chirp)
+        for s in blocks(min(b, cfg.n_subcarriers - a * b), _power_entries(grid, plan.K)):
+            kernel = np.fft.fft(giant_chirp * baby_chirp[s])[:, None, None]
+            mag = _chirp_z(giant_pre * baby_pre[s], kernel, n_out)  # (C, K, R, A)
+            angle_major[:, a * b + s.start:a * b + s.stop] = mag.transpose(1, 0, 3, 2)
     return MatchFilterBank(signatures=sig, grid=grid)
 
 

@@ -268,6 +268,18 @@ def test_train_rejects_out_of_range_user(plan_file):
                                                "--theta", "0.2", "--distance", "inf"))
 
 
+@pytest.mark.parametrize("angle", [("--theta", "1.0"), ("--theta", "-1.0"),
+                                   ("--angle-deg", "90"), ("--angle-deg", "-90")])
+def test_train_serves_an_endfire_user_at_a_finite_distance(plan_file, angle):
+    # alpha = 0 at theta = +-1 for every distance, so the channel takes the
+    # distance given, not the one alpha implies
+    out = run_cli("train", "--plan", str(plan_file), *angle, "--distance", "5")
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)
+    assert abs(result["true_theta"]) == 1.0 and result["true_alpha"] == 0.0
+    assert math.isfinite(result["rate"]) and result["rate"] >= 0
+
+
 @pytest.mark.parametrize("value", [0, -1])
 @pytest.mark.parametrize("scheme", cli.TRAIN_SCHEMES)
 def test_train_rejects_a_grid_size_below_one_before_any_work(plan_file, monkeypatch, capsys,

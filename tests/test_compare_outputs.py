@@ -1,5 +1,6 @@
 """scripts/compare_outputs.py: the per-item comparison summary."""
 import importlib.util
+import json
 import math
 import sys
 from pathlib import Path
@@ -64,3 +65,27 @@ def test_a_changed_csv_names_the_schemes_of_its_changed_rows():
     assert text["schemes"] == [] and not COMPARE.report_line("cli", text).count("schemes")
     header = COMPARE.summarize(CSV, CSV.replace("mean_rate", "rate"))
     assert header["schemes"] == []
+
+
+def test_cli_records_and_json_rows_name_the_schemes_of_their_changed_records():
+    def call(scheme, theta):
+        return json.dumps({"theta": theta, "scheme": scheme, "rate": 1.5}, indent=2)
+
+    # the cli_train stdout: one JSON record per call, each followed by its exit line
+    calls = (("ongrid", 0.1), ("match_filter", 0.2))
+    stdout = "".join(f"{call(scheme, theta)}\nexit 0\n" for scheme, theta in calls)
+    moved = COMPARE.summarize(stdout, stdout.replace("0.2", "0.25"))
+    assert moved["schemes"] == ["match_filter"]
+    assert COMPARE.report_line("cli_train seed 0", moved).endswith(", schemes match_filter")
+    # a call only one side has counts
+    extra = COMPARE.summarize(stdout, stdout + call("aux_pair", 0.3) + "\nexit 0\n")
+    assert extra["schemes"] == ["aux_pair"]
+    # a "JSON without run" item: the rows of one JSON object
+    rows = {"metadata": {"n_trials": 2},
+            "rows": [{"scheme": "ongrid", "mean_rate": 2.5},
+                     {"scheme": "aux_pair", "mean_rate": 1.0}]}
+    text = json.dumps(rows, indent=2)
+    assert COMPARE.summarize(text, text.replace("1.0", "1.25"))["schemes"] == ["aux_pair"]
+    # JSON that holds no scheme records names none
+    plan = json.dumps({"K": 3, "p1": 1}, indent=2)
+    assert COMPARE.summarize(plan, plan.replace("3", "4"))["schemes"] == []

@@ -1,6 +1,7 @@
 """Training simulation and the six location estimators."""
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,9 +25,9 @@ from beamtrain import (
     ongrid_train,
     rainbow_sweep_params,
 )
-from beamtrain import training
+from beamtrain import beamsplit, training
 from beamtrain.arrays import approx_steering, element_distances, los_rows, path_loss
-from beamtrain.beamsplit import blocks, ellipse_coefficients, gain_kernel
+from beamtrain.beamsplit import TdPsParams, blocks, ellipse_coefficients, gain_kernel
 from beamtrain.config import curvature_law
 from beamtrain.harness import (
     _STREAM_USERS,
@@ -53,7 +54,6 @@ from beamtrain.training import (
     codeword_powers,
     exhaustive_moments,
     exhaustive_estimate,
-    grid_contraction,
     match_filter_estimate,
     noise_power,
     observe_params,
@@ -477,18 +477,47 @@ def test_bank_matches_gain_kernel(case, desk_plan):
     assert np.max(np.abs(got - want.transpose(1, 0, 3, 2))) < 1e-10
 
 
+def _random_pilots(cfg, n_pilots, seed):
+    """K random delay-phase pilots on cfg: what the bank reads of a plan."""
+    rng = np.random.default_rng(seed)
+    fields = np.concatenate([rng.uniform(-1.0, 1.0, (2, n_pilots)),
+                             rng.uniform(0.0, 0.2, (2, n_pilots))])
+    return SimpleNamespace(cfg=cfg, K=n_pilots,
+                           params=lambda k: TdPsParams(*fields[:, np.asarray(k) - 1]))
+
+
+@pytest.mark.parametrize("n_pilots", [1, 3])
+@pytest.mark.parametrize("n_subcarriers", [2, 16, 17, 200])
+def test_bank_at_the_edges_of_the_split(n_subcarriers, n_pilots, monkeypatch):
+    # b = ceil(sqrt M): two baby steps of one giant step (M = 2), a square
+    # M = b^2 = 16, M = b^2 + 1 = 17 with a last giant step of one subcarrier,
+    # and M = 200, which b = 15 does not divide; within rounding of the gain
+    # kernel, and bit for bit the same at any block budget
+    cfg = SystemConfig(n_antennas=7 + n_pilots, n_subcarriers=n_subcarriers,
+                       distance_range=(2.0, 10.0))
+    plan = _random_pilots(cfg, n_pilots, n_subcarriers)
+    grid = polar_grid(cfg, 5, 3)
+    got = build_match_filter_bank(plan, grid).signatures
+    want = _kernel_slices(plan, grid.thetas, grid.rings, cfg.subcarrier_freqs())
+    assert got.shape == (n_pilots, n_subcarriers, len(grid))
+    assert np.max(np.abs(got.reshape(n_pilots, n_subcarriers, 5, 3)
+                         - want.transpose(1, 0, 3, 2))) < 1e-10
+    for budget in (1 << 8, 1 << 22):
+        monkeypatch.setattr(beamsplit, "_CHUNK_ENTRIES", budget)
+        assert np.array_equal(build_match_filter_bank(plan, grid).signatures, got), budget
+
+
 def test_bank_slice_at_full_scale_matches_gain_kernel(main_plan):
-    # one subcarrier at each band edge of the 1024 x 10 full-scale bank, by
-    # the bank's own contraction of the conjugated pilot beams
+    # the full-scale bank over a reduced grid, at the band edges and on both
+    # sides of the first giant step: subcarriers 1, b, b + 1 and M
     cfg = main_plan.cfg
-    grid = _bank_grid(main_plan, 1024, 10)
-    freqs = cfg.subcarrier_freq(np.array([1, cfg.n_subcarriers]))
-    params = main_plan.params(np.arange(1, main_plan.K + 1))
-    beams = pilot_beamformers(cfg, params, freqs)
-    h = np.swapaxes(beams, 1, 2).conj() / math.sqrt(cfg.n_antennas)
-    got = grid_contraction(grid, h, freqs).reshape(2, main_plan.K, 1024, 10)
-    want = _kernel_slices(main_plan, grid.thetas, grid.rings, freqs)
-    assert np.max(np.abs(got - want.transpose(0, 1, 3, 2))) < 1e-10
+    b = len(beamsplit.wavenumber_steps(cfg)[1])
+    grid = _bank_grid(main_plan, 256, 4)
+    m = np.array([1, b, b + 1, cfg.n_subcarriers])
+    got = build_match_filter_bank(main_plan, grid).signatures[:, m - 1]
+    want = _kernel_slices(main_plan, grid.thetas, grid.rings, cfg.subcarrier_freq(m))
+    got = got.reshape(main_plan.K, len(m), 256, 4)
+    assert np.max(np.abs(got - want.transpose(1, 0, 3, 2))) < 1e-10
 
 
 def test_bank_rejects_a_nonuniform_theta_grid(desk_plan):
