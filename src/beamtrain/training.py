@@ -11,9 +11,9 @@ observations, and estimates the user's polar location.  Estimators:
 - far-field rainbow: a single frequency sweep, distance ignored
 
 The two grid searches stand on one grid type, arrays.PolarCodebook, and one
-chirp-z sum over it, of the grid's _grid_phases: the codebook squares
-grid_contraction's over channel rows, the match-filter bank makes it over
-its pilot beams through the giant and baby steps of the subcarriers.
+chirp-z sum over it with the grid's phases, _grid_phases: the codebook
+squares it over channel rows in grid_contraction, the match-filter bank makes
+it over its pilot beams through the giant and baby steps of the subcarriers.
 The codebook's powers summed over the band are a weighted sum over the few
 node frequencies of band_quadrature, not over every subcarrier.
 
@@ -411,7 +411,7 @@ def build_match_filter_bank(plan: PilotPlan, grid: PolarCodebook) -> MatchFilter
     (M / b + b)(K R N_t + n_fft) exponentials.  No bit depends on the blocks."""
     cfg, n_out = plan.cfg, len(grid.thetas)
     giant, baby = wavenumber_steps(cfg)
-    kc, b = cfg.wavenumber(cfg.carrier_freq), len(baby)
+    kc, b, entries = cfg.wavenumber(cfg.carrier_freq), len(baby), _power_entries(grid, plan.K)
     params = plan.params(np.arange(1, plan.K + 1))
     delay, shift = (p.T[:, None] for p in _beam_profiles(cfg, params))  # (K, 1, N_t)
     profile, chirp = _grid_phases(grid)
@@ -423,7 +423,7 @@ def build_match_filter_bank(plan: PilotPlan, grid: PolarCodebook) -> MatchFilter
     for a in range(len(giant)):
         giant_pre = np.exp(1j * (giant[a] * psi + kc * shift)) / cfg.n_antennas
         giant_chirp = np.exp(1j * giant[a] * chirp)
-        for s in blocks(min(b, cfg.n_subcarriers - a * b), _power_entries(grid, plan.K)):
+        for s in blocks(min(b, cfg.n_subcarriers - a * b), entries):
             kernel = np.fft.fft(giant_chirp * baby_chirp[s])[:, None, None]
             mag = _chirp_z(giant_pre * baby_pre[s], kernel, n_out)  # (C, K, R, A)
             angle_major[:, a * b + s.start:a * b + s.stop] = mag.transpose(1, 0, 3, 2)

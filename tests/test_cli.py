@@ -277,7 +277,7 @@ def test_train_serves_an_endfire_user_at_a_finite_distance(plan_file, angle):
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout)
     assert abs(result["true_theta"]) == 1.0 and result["true_alpha"] == 0.0
-    assert math.isfinite(result["rate"]) and result["rate"] >= 0
+    assert math.isfinite(result["rate"]) and result["rate"] > 0
 
 
 @pytest.mark.parametrize("value", [0, -1])
