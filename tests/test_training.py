@@ -478,7 +478,7 @@ def test_bank_matches_gain_kernel(case, desk_plan):
 
 
 def _random_pilots(cfg, n_pilots, seed):
-    """K random delay-phase pilots on cfg: what the bank reads of a plan."""
+    """n_pilots random delay-phase pilots on cfg: what the bank reads of a plan."""
     rng = np.random.default_rng(seed)
     fields = np.concatenate([rng.uniform(-1.0, 1.0, (2, n_pilots)),
                              rng.uniform(0.0, 0.2, (2, n_pilots))])
