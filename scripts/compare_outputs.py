@@ -19,8 +19,9 @@ changes).  In each tree a child process, with that tree's `src/` and
   reads the bank
 - the stdout of every `beamtrain train` call of the cli_train workload at
   seeds 0-9, one item per seed
-- the beam-pattern CSV, `dump_beam_pattern`, the plan JSON, `to_json()`,
-  the plan `summary()`, and the plan's derived values as JSON (`K`, `p1`,
+- the beam-pattern CSV, `dump_beam_pattern`, the delay-table CSV,
+  `fixed_td_network(plan).to_csv()`, the plan JSON, `to_json()`, the plan
+  `summary()`, and the plan's derived values as JSON (`K`, `p1`,
   `pM`, `ending_directions`, `alpha_t_interval`, `alpha_slope_min`,
   `alpha_slope`) of the desk, full-scale and config-A plans (config A: 128
   antennas, 10 GHz carrier, 2 GHz band, 512 subcarriers, 5-200 m, gamma 1);
@@ -135,7 +136,7 @@ def report_line(name: str, summary: dict) -> str:
 def dump(out: str) -> None:
     """Write every item's text of the tree on the path, as JSON, to out."""
     import workloads
-    from beamtrain import SystemConfig, DesignInputs, cli, design, harness
+    from beamtrain import SystemConfig, DesignInputs, cli, design, fixed_td_network, harness
 
     items = {}
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
@@ -179,6 +180,7 @@ def dump(out: str) -> None:
                          ("config-A", DesignInputs(cfg=config_a, gamma=1.0))):
         plan = design(inputs)
         items[f"{name} beam pattern"] = harness.dump_beam_pattern(plan)[1]
+        items[f"{name} delay table"] = fixed_td_network(plan).to_csv()
         items[f"{name} plan JSON"] = text = plan.to_json()
         items[f"{name} plan JSON read back"] = type(plan).from_dict(json.loads(text)).to_json()
         items[f"{name} plan summary"] = plan.summary()

@@ -33,10 +33,7 @@ def approx_steering(cfg: SystemConfig, loc, f: float) -> np.ndarray:
     the codebook's chirp-z powers and the rate kernel against it.
     """
     theta, alpha = (loc.theta, loc.alpha) if isinstance(loc, PolarLocation) else loc
-    theta = np.asarray(theta)[..., None]
-    alpha = np.asarray(alpha)[..., None]
-    nd = cfg.element_indices() * cfg.spacing
-    phase = cfg.wavenumber(f) * (nd * theta - nd * nd * alpha)
+    phase = cfg.wavenumber(f) * cfg.polar_phase(theta, alpha)
     return np.exp(1j * phase) / np.sqrt(cfg.n_antennas)
 
 
@@ -95,7 +92,7 @@ class PolarCodebook:
     Every angle carries the same alpha rings; grid points run angle-major,
     then ring, so point g is (thetas[g // R], rings[g % R]) with R rings.
     The codeword of a point on subcarrier m is its approximate steering
-    vector, approx_steering.  training.grid_contraction sums each
+    vector, approx_steering.  training.codeword_powers sums each
     ring over the angle axis with a chirp-z transform, without forming
     codewords, so the angles must be uniform.  The exhaustive codebook and the
     match-filter bank both stand on this grid.

@@ -77,8 +77,7 @@ class BeamFocus:
 
 def element_delays(cfg: SystemConfig, theta_t: float, alpha_t: float) -> np.ndarray:
     """Per-element delays tau_n = (n d theta_t - n^2 d^2 alpha_t) / c."""
-    nd = cfg.element_indices() * cfg.spacing
-    return (nd * theta_t - nd * nd * alpha_t) / SPEED_OF_LIGHT
+    return cfg.polar_phase(theta_t, alpha_t) / SPEED_OF_LIGHT
 
 
 def td_vector(cfg: SystemConfig, theta_t: float, alpha_t: float, f: float) -> np.ndarray:
@@ -92,8 +91,7 @@ def td_vector(cfg: SystemConfig, theta_t: float, alpha_t: float, f: float) -> np
 def ps_vector(cfg: SystemConfig, theta_p: float, alpha_p: float) -> np.ndarray:
     """Phase-shifter response, carrier-locked: element n is
     (1/sqrt(N_t)) e^{-j k_c (n d theta_p - n^2 d^2 alpha_p)}."""
-    nd = cfg.element_indices() * cfg.spacing
-    phase = -cfg.wavenumber(cfg.carrier_freq) * (nd * theta_p - nd * nd * alpha_p)
+    phase = -cfg.wavenumber(cfg.carrier_freq) * cfg.polar_phase(theta_p, alpha_p)
     return np.exp(1j * phase) / np.sqrt(cfg.n_antennas)
 
 
@@ -113,9 +111,7 @@ def gain_kernel(cfg: SystemConfig, x, y):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    nd = cfg.element_indices() * cfg.spacing
-    phase = np.multiply.outer(x, nd) - np.multiply.outer(y, nd * nd)
-    out = np.abs(np.exp(1j * phase).sum(axis=-1)) / cfg.n_antennas
+    out = np.abs(np.exp(1j * cfg.polar_phase(x, y)).sum(axis=-1)) / cfg.n_antennas
     return float(out) if out.ndim == 0 else out
 
 
@@ -144,10 +140,9 @@ def subcarrier_gains(cfg: SystemConfig, dtheta: np.ndarray, dalpha: np.ndarray) 
     """
     m = cfg.n_subcarriers
     giant, baby = wavenumber_steps(cfg)
-    nd = cfg.element_indices() * cfg.spacing
     out = np.empty((len(dtheta), m))
     for block in blocks(len(dtheta), cfg.n_antennas * len(baby)):
-        phi = np.multiply.outer(dtheta[block], nd) - np.multiply.outer(dalpha[block], nd * nd)
+        phi = cfg.polar_phase(dtheta[block], dalpha[block])
         sums = np.exp(1j * giant[:, None] * phi[:, None]) @ np.exp(1j * phi[:, :, None] * baby)
         out[block] = np.abs(sums.reshape(len(phi), -1)[:, :m]) / cfg.n_antennas
     return out

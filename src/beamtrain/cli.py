@@ -37,12 +37,9 @@ TRAIN_SCHEMES = (SCHEME_ONGRID, SCHEME_AUX, SCHEME_MATCH, SCHEME_EXHAUSTIVE,
                  SCHEME_NEAR_RAINBOW, SCHEME_FAR_RAINBOW)
 
 
-def _fail(message: str, code: int = 2, **detail):
-    payload = {"error": message}
-    if detail:
-        payload["detail"] = detail
-    print(json.dumps(payload), file=sys.stderr)
-    raise SystemExit(code)
+def _fail(message: str):
+    print(json.dumps({"error": message}), file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _cmd_design(args):

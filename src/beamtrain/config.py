@@ -122,6 +122,14 @@ class SystemConfig(Record):
         """
         return np.arange(self.n_antennas) - (self.n_antennas - 1) / 2
 
+    def polar_phase(self, theta, alpha) -> np.ndarray:
+        """Quadratic (Fresnel) phase u theta - u^2 alpha, u = n d, of every
+        element: theta and alpha broadcast, plus a trailing N_t axis.  Times a
+        wavenumber, the phase of every steering vector, pilot beam, grid
+        codeword and gain kernel of the package."""
+        u = self.element_indices() * self.spacing
+        return np.multiply.outer(theta, u) - np.multiply.outer(alpha, u * u)
+
     def subcarrier_freq(self, m) -> float | np.ndarray:
         """Frequency of subcarrier m (1-based), f_c + (B/M)(m - 1 - (M-1)/2)."""
         m = np.asarray(m)

@@ -172,13 +172,13 @@ def read_csv(columns, text: str) -> list:
 
 
 @dataclass
-class SweepResult:
+class SweepResult(Record):
     """Rows of (scheme, axis value) -> mean rate, plus metadata that the
     spec determines and facts of the run (its wall-clock time) kept apart,
     so that rows and metadata of two runs of one spec compare equal."""
 
-    rows: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
+    rows: list = field(default_factory=list)
     run: dict = field(default_factory=dict)
 
     def to_csv(self, path=None) -> str:
@@ -188,12 +188,6 @@ class SweepResult:
     def from_csv(cls, text: str) -> "SweepResult":
         """Parse CSV text as written by to_csv (read files with Path.read_text)."""
         return cls(rows=read_csv(_SWEEP_COLUMNS, text))
-
-    def to_json(self, path=None) -> str:
-        text = json.dumps({"metadata": self.metadata, "rows": self.rows, "run": self.run},
-                          indent=2)
-        write_text(path, text + "\n")
-        return text
 
 
 def _rng(*key) -> np.random.Generator:

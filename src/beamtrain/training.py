@@ -12,7 +12,7 @@ observations, and estimates the user's polar location.  Estimators:
 
 The two grid searches stand on one grid type, arrays.PolarCodebook, and one
 chirp-z sum over it with the grid's phases, _grid_phases: the codebook
-squares it over channel rows in grid_contraction, the match-filter bank makes
+squares it over channel rows in codeword_powers, the match-filter bank makes
 it over its pilot beams through the giant and baby steps of the subcarriers.
 The codebook's powers summed over the band are a weighted sum over the few
 node frequencies of band_quadrature, not over every subcarrier.
@@ -108,12 +108,13 @@ def _unit_noise(rng, shape) -> np.ndarray:
 
 
 def _beam_profiles(cfg: SystemConfig, params: TdPsParams):
-    """Delay profile u theta_t - u^2 alpha_t and phase-shift profile u theta_p
-    - u^2 alpha_p, u = n d, of the beams of params (N_t, K): the phases of
-    _pilot_pass and build_match_filter_bank, through the giant and baby steps."""
-    nd = (cfg.element_indices() * cfg.spacing)[:, None]
-    return (nd * params.theta_t - nd * nd * params.alpha_t,
-            nd * params.theta_p - nd * nd * params.alpha_p)
+    """Delay profile polar_phase(theta_t, alpha_t) and phase-shift profile
+    polar_phase(theta_p, alpha_p) of the beams of params, contiguous (N_t, K):
+    the phases of _pilot_pass and build_match_filter_bank, through the giant
+    and baby steps."""
+    return tuple(np.ascontiguousarray(cfg.polar_phase(np.atleast_1d(theta), alpha).T)
+                 for theta, alpha in ((params.theta_t, params.alpha_t),
+                                      (params.theta_p, params.alpha_p)))
 
 
 def pilot_beamformers(cfg: SystemConfig, params: TdPsParams, f) -> np.ndarray:
@@ -364,41 +365,41 @@ def _chirp_z(pre: np.ndarray, kernel: np.ndarray, n_out: int) -> np.ndarray:
 
 
 def _grid_phases(grid: PolarCodebook) -> tuple[np.ndarray, np.ndarray]:
-    """Phases over k of the grid's chirp-z sum: the ring profiles u_n^2 alpha_r
-    - u_n theta_0 - d dtheta n^2 / 2 (R, N_t), u_n = (n - c) d, k times which
+    """Phases over k of the grid's chirp-z sum: the ring profiles
+    -polar_phase(theta_0, alpha_r) - d dtheta n^2 / 2 (R, N_t), k times which
     plus w n a, w = -k d dtheta, is the pre-chirped phase of sqrt(N_t)
     conj(b_n) at (theta_0 + a dtheta, alpha_r) up to one common to all n; and
     the chirp d dtheta l^2 / 2 at the lags 0..A-1, -(n_fft - A)..-1 of A
     angles, n_fft the least p 2^b >= N_t + A - 1, p = 1, 5, 25 (fast FFTs)."""
     cfg, n_out = grid.cfg, len(grid.thetas)
-    n, u = np.arange(cfg.n_antennas), cfg.element_indices() * cfg.spacing
-    size = cfg.n_antennas + n_out - 1
+    n, size = np.arange(cfg.n_antennas), cfg.n_antennas + n_out - 1
     lags = np.arange(min(p << (-(-size // p) - 1).bit_length() for p in (1, 5, 25)))
     lags = np.where(lags < n_out, lags, lags - len(lags))
     rate = 0.5 * cfg.spacing * grid.step
-    return u * u * grid.rings[:, None] - u * grid.thetas[0] - rate * n * n, rate * lags * lags
+    return -cfg.polar_phase(grid.thetas[0], grid.rings) - rate * n * n, rate * lags * lags
 
 
-def grid_contraction(grid: PolarCodebook, h: np.ndarray, f) -> np.ndarray:
-    """sqrt(N_t) |sum_n h_n conj(b_n)| for every codeword b of the polar grid:
-    rows h (C, T, N_t) at frequencies f (C,) give (C, T, G), columns in grid
-    order: one _chirp_z per (row, ring) over the rows pre-chirped by the
-    _grid_phases, and no codeword vector is formed.  codeword_powers sums
-    here; build_match_filter_bank is the same sum over the pilot beams."""
-    k = grid.cfg.wavenumber(np.asarray(f, dtype=float))[:, None, None]
-    profile, chirp = _grid_phases(grid)
+def codeword_powers(codebook: PolarCodebook, h: np.ndarray, f) -> np.ndarray:
+    """Noiseless power |sqrt(P_t) sum_n h_n conj(b_n)|^2 of every codeword b
+    of the polar grid: channel rows h (C, T, N_t) at frequencies f (C,) give
+    (C, T, G), columns in codeword order: one _chirp_z per (row, ring) over
+    the rows pre-chirped by the _grid_phases, and no codeword vector is
+    formed.  build_match_filter_bank is the same sum over the pilot beams."""
+    k = codebook.cfg.wavenumber(np.asarray(f, dtype=float))[:, None, None]
+    profile, chirp = _grid_phases(codebook)
     # C order keeps each FFT row contiguous whatever the layout of h
     pre = np.multiply(h[:, :, None, :], np.exp(1j * k * profile)[:, None], order="C")
     kernel = np.fft.fft(np.exp(1j * k[:, None] * chirp))
-    (c, t, r), n_out = pre.shape[:3], len(grid.thetas)
+    (c, t, r), n_out = pre.shape[:3], len(codebook.thetas)
     mag = np.empty((c, t, n_out, r))  # angle-major, as the codewords
     for rows in blocks(t, c * r * len(chirp)):  # blocks of rows: small FFT buffers
         mag[:, rows] = np.swapaxes(_chirp_z(pre[:, rows], kernel, n_out), 2, 3)
-    return mag.reshape(c, t, -1)
+    mag *= mag
+    return mag.reshape(c, t, -1) * (TX_POWER / codebook.cfg.n_antennas)
 
 
 def _power_entries(grid: PolarCodebook, n_rows: int) -> int:
-    """Entries of grid_contraction's largest temporary per frequency."""
+    """Entries of codeword_powers' largest temporary per frequency."""
     return n_rows * len(grid.rings) * len(_grid_phases(grid)[1])
 
 
@@ -464,15 +465,6 @@ def exhaustive_estimate(powers: np.ndarray, codebook, budget=None) -> BatchEstim
                 else np.round(_uniform_samples(0, g - 1, budget)).astype(int))
     idx = searched[np.argmax(powers[:, searched], axis=1)]
     return _grid_pick(codebook, idx)
-
-
-def codeword_powers(codebook: PolarCodebook, h: np.ndarray, f) -> np.ndarray:
-    """Noiseless power |sqrt(P_t) sum_n h_n conj(b_n)|^2 of every codeword b:
-    channel rows h (C, T, N_t) at frequencies f (C,) give (C, T, G), columns
-    in codeword order; grid_contraction squared."""
-    mag = grid_contraction(codebook, h, f)
-    mag *= mag
-    return mag * (TX_POWER / codebook.cfg.n_antennas)
 
 
 @lru_cache(maxsize=8)

@@ -78,12 +78,11 @@ def sweep_rate(result, scheme: str, value: float) -> float:
 def quadratic_channel(cfg, loc) -> Channel:
     """Line-of-sight channel whose steering is the quadratic (Fresnel)
     expansion the beamformers and estimators are built on, not the exact
-    spherical wavefront of los_channel: path lengths r - u theta + u^2 alpha,
-    u = n d, a self-consistent synthetic scenario in which a user at a
-    beam's focus sees that beam's full gain."""
+    spherical wavefront of los_channel: path lengths r - polar_phase(theta,
+    alpha), a self-consistent synthetic scenario in which a user at a beam's
+    focus sees that beam's full gain."""
     r = loc.distance
-    nd = cfg.element_indices() * cfg.spacing
-    return Channel(path_loss(cfg, r, cfg.carrier_freq), r - nd * loc.theta + nd * nd * loc.alpha)
+    return Channel(path_loss(cfg, r, cfg.carrier_freq), r - cfg.polar_phase(loc.theta, loc.alpha))
 
 
 def polar_grid(cfg, angles: int, rings: int, band=None) -> PolarCodebook:

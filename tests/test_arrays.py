@@ -84,6 +84,14 @@ def test_los_channel_norms_and_gain_ratio(cfg):
     assert chan.beta_c == pytest.approx(path_loss(cfg, 4.0, cfg.carrier_freq))
 
 
+def test_los_channel_needs_a_finite_distance(cfg):
+    # alpha = 0 reads as an infinite distance, as does an explicit inf
+    # (beamtrain train --distance inf)
+    for r in (None, math.inf):
+        with pytest.raises(ValueError, match="needs a finite distance"):
+            los_channel(cfg, PolarLocation(0.2, 0.0), r)
+
+
 def test_los_channel_quadratic_matches_its_steering_model(cfg):
     loc = PolarLocation.from_angle_distance(0.3, 3.0)
     chan = quadratic_channel(cfg, loc)

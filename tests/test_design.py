@@ -149,6 +149,14 @@ def test_plan_below_the_coverage_slope_bound_is_rejected(plan_name, request):
         PilotPlan.from_dict(data)
 
 
+def test_plan_with_a_nonpositive_angle_sweep_slope_is_rejected(plan_a):
+    # theta_p + 2 pM <= 0 would sweep the angle the wrong way, or not at all
+    data = plan_a.to_dict()
+    data["pM"] = math.floor(-plan_a.theta_p / 2)
+    with pytest.raises(ValueError, match="angle sweep slope must be positive"):
+        PilotPlan.from_json(json.dumps(data))
+
+
 def test_plan_alpha_t_outside_its_interval_is_rejected(plan_a):
     lo, hi = plan_a.alpha_t_interval
     for alpha_t in (lo, hi):

@@ -195,6 +195,14 @@ def test_a_nested_config_is_rejected(nested):
         type(record).from_dict(data)
 
 
+@pytest.mark.parametrize("nested", ["design", "inputs"])
+def test_a_nested_record_that_is_not_an_object_is_rejected(nested):
+    record = _tiny_spec() if nested == "design" else design(_tiny_spec().design)
+    data = {**record.to_dict(), nested: 5}
+    with pytest.raises(ValueError, match="DesignInputs must be a JSON object"):
+        type(record).from_json(json.dumps(data))
+
+
 # user draws ------------------------------------------------------------------
 
 def test_draw_users_respects_geometry():

@@ -520,6 +520,13 @@ def test_bank_slice_at_full_scale_matches_gain_kernel(main_plan):
     assert np.max(np.abs(got - want.transpose(1, 0, 3, 2))) < 1e-10
 
 
+def test_bank_rejects_a_signature_count_off_its_grid(desk_plan):
+    grid = polar_grid(desk_plan.cfg, 3, 2)
+    sig = np.zeros((desk_plan.K, desk_plan.cfg.n_subcarriers, len(grid) + 1))
+    with pytest.raises(ValueError, match="one signature per grid point"):
+        MatchFilterBank(sig, grid)
+
+
 def test_bank_rejects_a_nonuniform_theta_grid(desk_plan):
     # the grid constructor holds the check, before any bank work
     with pytest.raises(ValueError, match="uniform"):
@@ -694,6 +701,13 @@ def test_rainbow_rejects_zero_bandwidth():
     cfg = SystemConfig(16, 30e9, 0.0, 4, distance_range=(2.0, 10.0))
     with pytest.raises(ValueError):
         rainbow_sweep_params(cfg)
+
+
+def test_far_rainbow_rejects_one_subcarrier():
+    cfg = SystemConfig(16, 30e9, 1e9, 1, distance_range=(2.0, 10.0))
+    channel = los_channel(cfg, PolarLocation.from_angle_distance(0.2, 4.0))
+    with pytest.raises(ValueError, match="need n_subcarriers >= 2"):
+        farfield_rainbow_train(channel, cfg, NOISELESS, 0)
 
 
 def test_near_rainbow_estimates_ring_and_angle(desk_cfg):
