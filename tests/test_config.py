@@ -35,6 +35,16 @@ def test_element_indices_centered():
         assert np.all(np.diff(idx) == 1.0)
 
 
+def test_polar_phase_broadcasts_its_parameters_over_a_trailing_element_axis():
+    cfg = SystemConfig(4, 30e9, 1e9, 4, antenna_spacing=0.5)
+    u = np.array([-0.75, -0.25, 0.25, 0.75])
+    assert np.array_equal(cfg.polar_phase(0.2, 0.1), 0.2 * u - 0.1 * (u * u))
+    theta, alpha = np.array([[0.1], [-0.3], [0.5]]), np.array([0.0, 0.2])
+    got = cfg.polar_phase(theta, alpha)
+    assert got.shape == (3, 2, 4)
+    assert np.array_equal(got[2, 1], 0.5 * u - 0.2 * (u * u))
+
+
 def test_band_edges():
     cfg = SystemConfig(64, 30e9, 5e9, 16)
     assert cfg.f_lower == 27.5e9
