@@ -173,8 +173,8 @@ def check_integer(record, name: str, least: int, label: str | None = None) -> No
 @functools.cache
 def _layout(cls) -> tuple:
     """Whether record class cls has a config (a field cfg, or a nested record
-    that has one), and (name, nested Record class or None, required) of each
-    other field, resolved once per class."""
+    that has one), and (name, nested Record class or None, required, typed
+    list) of each other field, resolved once per class."""
     hints = typing.get_type_hints(cls)
     fields = []
     for f in dataclasses.fields(cls):
@@ -183,9 +183,9 @@ def _layout(cls) -> tuple:
         required = (f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
                     and "defaults_if_missing" not in f.metadata)
         if f.name != "cfg":
-            fields.append((f.name, record, required))
+            fields.append((f.name, record, required, kind is list))
     has_config = "cfg" in cls.__dataclass_fields__ or any(
-        record is not None and _layout(record)[0] for _, record, _ in fields)
+        record is not None and _layout(record)[0] for _, record, *_ in fields)
     return has_config, tuple(fields)
 
 
@@ -195,7 +195,7 @@ def fields_to_dict(obj, nested: bool = False) -> dict:
     "config" (it shares the outer one); tuples as lists."""
     has_config, fields = _layout(type(obj))
     out = {"config": fields_to_dict(obj.cfg)} if has_config and not nested else {}
-    for name, record, _ in fields:
+    for name, record, *_ in fields:
         value = getattr(obj, name)
         if record is not None:
             value = fields_to_dict(value, nested=True)
@@ -205,17 +205,18 @@ def fields_to_dict(obj, nested: bool = False) -> dict:
 
 def fields_from_dict(cls, data: dict, config: SystemConfig | None = None) -> dict:
     """Keyword arguments of record class cls from a dict in the layout of
-    fields_to_dict: "config" gives the config and lists give tuples.  A nested
-    record is read with the outer config handed down as config, so its dict
-    holds no "config"; one marked DEFAULTS_IF_MISSING that is missing reads
-    with its defaults.  Raises ValueError naming every key that is not a
-    field of cls and every field without a default that is missing."""
+    fields_to_dict: "config" gives the config and lists give tuples, except
+    in a field typed list, which keeps its list.  A nested record is read
+    with the outer config handed down as config, so its dict holds no
+    "config"; one marked DEFAULTS_IF_MISSING that is missing reads with its
+    defaults.  Raises ValueError naming every key that is not a field of cls
+    and every field without a default that is missing."""
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object")
     has_config, fields = _layout(cls)
     top = has_config and config is None
     expected = {"config": True} if top else {}
-    expected.update((name, required) for name, _, required in fields)
+    expected.update((name, required) for name, _, required, _ in fields)
     unknown = sorted(set(data) - set(expected))
     missing = [key for key, required in expected.items() if required and key not in data]
     problems = [f"{what} key(s) {', '.join(map(repr, keys))}"
@@ -225,11 +226,12 @@ def fields_from_dict(cls, data: dict, config: SystemConfig | None = None) -> dic
     if top:
         config = SystemConfig.from_dict(data["config"])
     kwargs = {"cfg": config} if "cfg" in cls.__dataclass_fields__ else {}
-    for name, record, _ in fields:
+    for name, record, _, listed in fields:
         if record is not None:
             kwargs[name] = record(**fields_from_dict(record, data.get(name, {}), config))
         elif name in data:
-            kwargs[name] = tuple(data[name]) if isinstance(data[name], list) else data[name]
+            value = data[name]
+            kwargs[name] = tuple(value) if isinstance(value, list) and not listed else value
     return kwargs
 
 

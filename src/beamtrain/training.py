@@ -109,10 +109,10 @@ def _unit_noise(rng, shape) -> np.ndarray:
 
 def _beam_profiles(cfg: SystemConfig, params: TdPsParams):
     """Delay profile polar_phase(theta_t, alpha_t) and phase-shift profile
-    polar_phase(theta_p, alpha_p) of the beams of params, contiguous (N_t, K):
-    the phases of _pilot_pass and build_match_filter_bank, through the giant
-    and baby steps."""
-    return tuple(np.ascontiguousarray(cfg.polar_phase(np.atleast_1d(theta), alpha).T)
+    polar_phase(theta_p, alpha_p) of the beams of params, (K, N_t) views
+    that may repeat a row: the phases of _pilot_pass and
+    build_match_filter_bank, through the giant and baby steps."""
+    return tuple(np.broadcast_to(cfg.polar_phase(theta, alpha), (len(params), cfg.n_antennas))
                  for theta, alpha in ((params.theta_t, params.alpha_t),
                                       (params.theta_p, params.alpha_p)))
 
@@ -128,42 +128,46 @@ def pilot_beamformers(cfg: SystemConfig, params: TdPsParams, f) -> np.ndarray:
     """
     delay, shift = _beam_profiles(cfg, params)
     k = np.asarray(cfg.wavenumber(f))[..., None, None]
-    phase = -k * delay - cfg.wavenumber(cfg.carrier_freq) * shift
+    phase = -k * delay.T - cfg.wavenumber(cfg.carrier_freq) * shift.T
     return np.exp(1j * phase) / np.sqrt(cfg.n_antennas)
 
 
 def _pilot_pass(cfg: SystemConfig, pilots: dict, beta_c, lengths) -> dict:
-    """Noiseless observations sqrt(P_t) h_m^T w_{m,k} (T, M, K) of each
-    pilot family of _observe.  With wavenumber_steps, m - 1 = a b + s, a row
-    entry is beta_m e^{-j k_{ab+1} L} e^{-j s dk L} and a beam entry
-    e^{-j (k_{ab+1} A + k_c B)} e^{-j s dk A} sqrt(P_t / N_t), A and B the
-    _beam_profiles: (M / b + b)(T + K) N_t exponentials, then one matrix
-    product over all T users per subcarrier.  The baby steps of each giant
-    step run in blocks, no output bit depends on their size, and the step
-    tables are freed on return, before the noise draws."""
+    """Noiseless observations sqrt(P_t) h_m^T w_{m,k} of each pilot family
+    of _observe, one C-contiguous (T, M, K) array per family.
+
+    With wavenumber_steps, m - 1 = a b + s, the sum over the elements of row
+    (user t, beam k) at subcarrier m is sum_n G[a, n] S[n, s]: the giant
+    steps G = e^{-j k_{ab+1} L} e^{-j (k_{ab+1} A + k_c B)} sqrt(P_t / N_t)
+    and the baby steps S = e^{-j s dk L} e^{-j s dk A}, L the user's element
+    path lengths and A, B the _beam_profiles.  The beam steps of every
+    family's beams are made once, in one table; the user steps one block of
+    users at a time, and one batched matrix product per block gives every
+    row's ceil(M / b) b sums, the first M of which, times the path gain
+    beta_c f_c / f_m, are its observations: (M / b + b)(T + K) N_t
+    exponentials in all.  A row's bits depend on neither its block nor the
+    beams beside it."""
     freqs, (n_trials, n_t) = cfg.subcarrier_freqs(), np.shape(lengths)
     out = {name: np.empty((n_trials, len(freqs), len(p)), dtype=complex)
            for name, p in pilots.items()}
     if not pilots:
         return out
     giant, baby = wavenumber_steps(cfg)
-    kc, b = cfg.wavenumber(cfg.carrier_freq), len(baby)
-    profiles = {name: _beam_profiles(cfg, p) for name, p in pilots.items()}
-    beam_baby = {name: np.exp(-1j * baby[:, None, None] * delay)
-                 for name, (delay, _) in profiles.items()}
-    user_baby = -1j * baby[:, None, None] * lengths
-    np.exp(user_baby, out=user_baby)  # in place: the largest table, b T N_t entries
-    entries = n_t * max([n_trials] + [len(p) for p in pilots.values()])
-    for a in range(len(giant)):
-        user_giant = np.exp(-1j * giant[a] * lengths)
-        beam_giant = {name: np.exp(1j * (-giant[a] * delay - kc * shift))
-                      * math.sqrt(TX_POWER / n_t) for name, (delay, shift) in profiles.items()}
-        for s in blocks(min(b, len(freqs) - a * b), entries):
-            sub = slice(a * b + s.start, a * b + s.stop)
-            h = user_giant * user_baby[s]
-            h *= ((cfg.carrier_freq / freqs[sub])[:, None] * beta_c)[:, :, None]
-            for name, w in beam_baby.items():
-                out[name][:, sub] = np.swapaxes(h @ (beam_giant[name] * w[s]), 0, 1)
+    a, b, kc = len(giant), len(baby), cfg.wavenumber(cfg.carrier_freq)
+    profiles = [_beam_profiles(cfg, p) for p in pilots.values()]
+    delay, shift = (np.concatenate(x) for x in zip(*profiles))  # (K, N_t)
+    beam_giant = (np.exp(1j * (-giant[:, None] * delay[:, None] - kc * shift[:, None]))
+                  * math.sqrt(TX_POWER / n_t))  # (K, a, N_t)
+    beam_baby = np.exp(-1j * baby * delay[:, :, None])  # (K, N_t, b)
+    gain = (cfg.carrier_freq / freqs) * beta_c[:, None]  # (T, M)
+    ends = np.cumsum([0] + [len(p) for p in pilots.values()])
+    for t in blocks(n_trials, len(delay) * (n_t * (a + b) + a * b)):
+        user_giant = np.exp(-1j * giant[:, None] * lengths[t, None])  # (t, a, N_t)
+        user_baby = np.exp(-1j * baby * lengths[t, :, None])  # (t, N_t, b)
+        sums = np.matmul(user_giant[:, None] * beam_giant, user_baby[:, None] * beam_baby)
+        rows = sums.reshape(len(sums), len(delay), a * b)[:, :, :len(freqs)]  # (t, K, M)
+        for name, lo, hi in zip(out, ends, ends[1:]):
+            np.multiply(np.swapaxes(rows[:, lo:hi], 1, 2), gain[t, :, None], out=out[name][t])
     return out
 
 
@@ -414,7 +418,7 @@ def build_match_filter_bank(plan: PilotPlan, grid: PolarCodebook) -> MatchFilter
     giant, baby = wavenumber_steps(cfg)
     kc, b, entries = cfg.wavenumber(cfg.carrier_freq), len(baby), _power_entries(grid, plan.K)
     params = plan.params(np.arange(1, plan.K + 1))
-    delay, shift = (p.T[:, None] for p in _beam_profiles(cfg, params))  # (K, 1, N_t)
+    delay, shift = (p[:, None] for p in _beam_profiles(cfg, params))  # (K, 1, N_t)
     profile, chirp = _grid_phases(grid)
     psi = delay + profile  # (K, R, N_t)
     baby_pre = np.exp(1j * baby[:, None, None, None] * psi)

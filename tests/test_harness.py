@@ -307,6 +307,14 @@ def test_sweep_csv_and_json_round_trip(tmp_path):
             SweepResult.from_csv(broken)
 
 
+def test_sweep_result_reads_back_equal_from_json():
+    # rows is typed list, so JSON's list stays a list, not a tuple
+    result = run_sweep(desk_experiment_spec(axis_values=(0.0, 10.0), n_trials=6))
+    back = SweepResult.from_json(result.to_json())
+    assert back == result
+    assert type(back.rows) is list
+
+
 def test_csv_readers_take_text_so_a_comma_in_the_path_is_harmless(tmp_path, desk_plan):
     run_dir = tmp_path / "run,1"
     run_dir.mkdir()
@@ -587,6 +595,40 @@ def test_pilot_pass_at_the_edges_of_the_split(monkeypatch, n_subcarriers, n_beam
     for budget in (1 << 8, 1 << 22):
         monkeypatch.setattr(beamsplit, "_CHUNK_ENTRIES", budget)
         assert np.array_equal(observed(), got)
+
+
+@pytest.mark.parametrize("n_trials", [1, 9])
+def test_pilot_families_are_contiguous_and_independent_of_the_families_beside(n_trials):
+    # each family comes back as its own C-contiguous (T, M, K) array, bit for
+    # bit the same whether it is observed alone or beside the other families
+    cfg, families, _, users, lengths = _synthesis_inputs(n_trials)
+    shared = training._pilot_pass(cfg, families, users["beta_c"], lengths)
+    assert list(shared) == list(families)
+    for name, params in families.items():
+        alone = training._pilot_pass(cfg, {name: params}, users["beta_c"], lengths)[name]
+        for obs in (shared[name], alone):
+            assert obs.shape == (n_trials, cfg.n_subcarriers, len(params))
+            assert obs.flags.c_contiguous
+        assert np.array_equal(alone, shared[name]), name
+
+
+def test_pilot_pass_peak_memory_stays_near_its_output():
+    # full scale, 200 users, one beam: the user steps are made one block of
+    # users at a time, so the traced peak stays within 5x the observations
+    # (a user baby-step table held for the whole pass, b T N_t entries, read
+    # 10x)
+    cfg = fullscale_config()
+    users = _draw_users(cfg, _rng(3, 0), 200)
+    lengths = _lengths(cfg, users)
+    tracemalloc.start()
+    try:
+        out = training._pilot_pass(cfg, {"far": rainbow_probes(cfg, FAR_RINGS)},
+                                   users["beta_c"], lengths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out["far"].shape == (200, cfg.n_subcarriers, 1)
+    assert peak <= 5 * out["far"].nbytes
 
 
 def test_exhaustive_moments_do_not_depend_on_the_families_alongside():
