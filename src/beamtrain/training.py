@@ -25,7 +25,10 @@ Transmit power is fixed at 1; noise variance is calibrated so that
 N_t beta_c^2 / sigma^2 equals the requested SNR at the center subcarrier.
 One observation function, _observe, simulates every probe family, pilot
 parameter sets and the polar codebook alike, for the sweep engine (T drawn
-users) and observe_params, the single-trial observation (T = 1).
+users) and observe_params, the single-trial observation (T = 1).  Its pilot
+families share one pass, _pilot_pass: one row per (user, beam), whose sums
+over the subcarriers are one product of giant and baby steps, made for one
+block of users at a time.
 """
 from __future__ import annotations
 
@@ -177,8 +180,9 @@ def _observe(cfg: SystemConfig, families: dict, beta_c, lengths, rng_of) -> dict
     family name to its probes: a pilot parameter set (TdPsParams) or a
     PolarCodebook.  Returns family name -> map from the per-user noise std
     (T, 1, 1) to the observations: magnitudes |sqrt(P_t) h_m^T w_{m,k} +
-    sigma z| (T, M, K) of pilots over _pilot_pass, or a codebook's noise-law
-    powers (T, G) over band_powers, each family's noise drawn from
+    sigma z| (T, M, K) of pilots, every pilot family in one _pilot_pass,
+    which returns each family's own contiguous array, or a codebook's
+    noise-law powers (T, G) over band_powers, each family's noise drawn from
     rng_of(name).  The sweep engine and observe_params (T = 1) observe here.
     """
     books = {name for name, p in families.items() if isinstance(p, PolarCodebook)}
