@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -115,16 +116,48 @@ def gain_kernel(cfg: SystemConfig, x, y):
     return float(out) if out.ndim == 0 else out
 
 
+@lru_cache(maxsize=8)
 def wavenumber_steps(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Giant and baby steps of the wavenumbers k_m = k_1 + (m - 1) dk: with
     m - 1 = a b + s and b = ceil(sqrt M), fixed by M alone, k_m = giant[a] +
     baby[s], giant[a] = k_{ab+1} and baby[s] = s dk, so a sum of e^{j k_m x}
-    over the band takes M / b + b exponentials per x, not M (Rabiner, Schafer
-    & Rader 1969).  subcarrier_gains, _pilot_pass and the bank split here."""
+    over the band is a product of a = ceil(M / b) giant and b baby steps per
+    x (Rabiner, Schafer & Rader 1969), which phase_steps makes from three
+    exponentials per x.  subcarrier_gains, _pilot_pass and the bank split
+    here.  The arrays are cached and read-only."""
     m = cfg.n_subcarriers
     b = math.isqrt(m - 1) + 1
-    return (cfg.wavenumber(cfg.subcarrier_freqs()[::b]),
-            cfg.wavenumber(cfg.bandwidth / m) * np.arange(b))
+    giant = cfg.wavenumber(cfg.subcarrier_freqs()[::b])
+    baby = cfg.wavenumber(cfg.bandwidth / m) * np.arange(b)
+    giant.flags.writeable = baby.flags.writeable = False
+    return giant, baby
+
+
+def _powers(base: np.ndarray, n: int) -> np.ndarray:
+    """base^i for i < n, stacked on a new second-to-last axis: 1, then each
+    slice [s, 2s) is the slice [0, s) times base^s, base^2s its square."""
+    out = np.empty(base.shape[:-1] + (n,) + base.shape[-1:], dtype=complex)
+    out[..., 0, :] = 1.0
+    s, step = 1, base
+    while s < n:
+        np.multiply(out[..., :min(s, n - s), :], step[..., None, :],
+                    out=out[..., s:min(2 * s, n), :])
+        s, step = 2 * s, step * step
+    return out
+
+
+def phase_steps(cfg: SystemConfig, x) -> tuple[np.ndarray, np.ndarray]:
+    """Giant steps e^{j k_{ab+1} x} (..., a, N) and baby steps e^{j s dk x}
+    (..., b, N) of wavenumber_steps at the phases x (..., N): e^{j k_1 x}
+    times the powers of e^{j b dk x}, and the powers of e^{j dk x}, filled
+    by doubling.  Three exponentials per entry of x and a + b products, not
+    a + b exponentials; an entry depends on its own x alone, and is exactly
+    1 where x = 0.  subcarrier_gains and _pilot_pass build their steps here."""
+    giant, baby = wavenumber_steps(cfg)
+    dk = baby[1] if len(baby) > 1 else 0.0
+    steps = _powers(np.exp(1j * (len(baby) * dk) * x), len(giant))
+    steps *= np.exp(1j * giant[0] * x)[..., None, :]
+    return steps, _powers(np.exp(1j * dk * x), len(baby))
 
 
 def subcarrier_gains(cfg: SystemConfig, dtheta: np.ndarray, dalpha: np.ndarray) -> np.ndarray:
@@ -134,17 +167,16 @@ def subcarrier_gains(cfg: SystemConfig, dtheta: np.ndarray, dalpha: np.ndarray) 
 
     A row's M sums over n of e^{j k_m phi_n}, phi_n = n d dtheta -
     (n d)^2 dalpha, are one matrix product of the giant steps
-    e^{j k_{ab+1} phi_n} and the baby steps e^{j s dk phi_n} of
-    wavenumber_steps.  Rows run in blocks, and a row's gains do not depend
-    on the rows that share its block.
+    e^{j k_{ab+1} phi_n} and the baby steps e^{j s dk phi_n} of phase_steps:
+    3 N_t exponentials per row.  Rows run in blocks, and a row's gains do
+    not depend on the rows that share its block.
     """
-    m = cfg.n_subcarriers
-    giant, baby = wavenumber_steps(cfg)
+    m, n_t = cfg.n_subcarriers, cfg.n_antennas
     out = np.empty((len(dtheta), m))
-    for block in blocks(len(dtheta), cfg.n_antennas * len(baby)):
-        phi = cfg.polar_phase(dtheta[block], dalpha[block])
-        sums = np.exp(1j * giant[:, None] * phi[:, None]) @ np.exp(1j * phi[:, :, None] * baby)
-        out[block] = np.abs(sums.reshape(len(phi), -1)[:, :m]) / cfg.n_antennas
+    for block in blocks(len(dtheta), n_t * len(wavenumber_steps(cfg)[1])):
+        giant, baby = phase_steps(cfg, cfg.polar_phase(dtheta[block], dalpha[block]))
+        sums = giant @ np.swapaxes(baby, 1, 2)
+        out[block] = np.abs(sums.reshape(len(sums), -1)[:, :m]) / n_t
     return out
 
 

@@ -28,7 +28,9 @@ parameter sets and the polar codebook alike, for the sweep engine (T drawn
 users) and observe_params, the single-trial observation (T = 1).  Its pilot
 families share one pass, _pilot_pass: one row per (user, beam), whose sums
 over the subcarriers are one product of giant and baby steps, made for one
-block of users at a time.
+block of users at a time.  The steps come from beamsplit.phase_steps, three
+exponentials per element of a user or a beam: 3 T N_t for the users and
+4 K N_t for the K beams, with the phase shifters, whatever M.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ import numpy as np
 
 from .config import PolarLocation, Record, SystemConfig, curvature_law
 from .arrays import Channel, PolarCodebook, _uniform_samples, channel_rows, path_loss
-from .beamsplit import TdPsParams, blocks, ellipse_coefficients, wavenumber_steps
+from .beamsplit import TdPsParams, blocks, ellipse_coefficients, phase_steps, wavenumber_steps
 from .design import PilotPlan
 
 TX_POWER = 1.0
@@ -106,8 +108,14 @@ def noise_power(cfg: SystemConfig, beta_c, snr: float):
 
 
 def _unit_noise(rng, shape) -> np.ndarray:
-    """CN(0, 1) entries: the real parts of all entries, then the imaginary."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
+    """CN(0, 1) entries: the real parts of all entries, then the imaginary,
+    each draw times 1 / sqrt(2) written straight into its part, bit for bit
+    (x + 1j y) / sqrt(2), since NumPy divides a complex by a real as the
+    product with its reciprocal."""
+    out = np.empty(shape, dtype=complex)
+    for part in (out.real, out.imag):
+        np.multiply(rng.standard_normal(shape), 1 / math.sqrt(2), out=part)
+    return out
 
 
 def _beam_profiles(cfg: SystemConfig, params: TdPsParams):
@@ -140,35 +148,34 @@ def _pilot_pass(cfg: SystemConfig, pilots: dict, beta_c, lengths) -> dict:
     of _observe, one C-contiguous (T, M, K) array per family.
 
     With wavenumber_steps, m - 1 = a b + s, the sum over the elements of row
-    (user t, beam k) at subcarrier m is sum_n G[a, n] S[n, s]: the giant
+    (user t, beam k) at subcarrier m is sum_n G[a, n] S[s, n]: the giant
     steps G = e^{-j k_{ab+1} L} e^{-j (k_{ab+1} A + k_c B)} sqrt(P_t / N_t)
     and the baby steps S = e^{-j s dk L} e^{-j s dk A}, L the user's element
     path lengths and A, B the _beam_profiles.  The beam steps of every
-    family's beams are made once, in one table; the user steps one block of
-    users at a time, and one batched matrix product per block gives every
-    row's ceil(M / b) b sums, the first M of which, times the path gain
-    beta_c f_c / f_m, are its observations: (M / b + b)(T + K) N_t
-    exponentials in all.  A row's bits depend on neither its block nor the
-    beams beside it."""
+    family's beams are made once, in one table, by phase_steps over -A; the
+    user steps by phase_steps over -L, one block of users at a time, and one
+    batched matrix product per block gives every row's ceil(M / b) b sums,
+    the first M of which, times the path gain beta_c f_c / f_m, are its
+    observations: (3 T + 4 K) N_t exponentials in all.  A row's bits depend
+    on neither its block nor the beams beside it."""
     freqs, (n_trials, n_t) = cfg.subcarrier_freqs(), np.shape(lengths)
     out = {name: np.empty((n_trials, len(freqs), len(p)), dtype=complex)
            for name, p in pilots.items()}
     if not pilots:
         return out
-    giant, baby = wavenumber_steps(cfg)
-    a, b, kc = len(giant), len(baby), cfg.wavenumber(cfg.carrier_freq)
+    kc = cfg.wavenumber(cfg.carrier_freq)
     profiles = [_beam_profiles(cfg, p) for p in pilots.values()]
     delay, shift = (np.concatenate(x) for x in zip(*profiles))  # (K, N_t)
-    beam_giant = (np.exp(1j * (-giant[:, None] * delay[:, None] - kc * shift[:, None]))
-                  * math.sqrt(TX_POWER / n_t))  # (K, a, N_t)
-    beam_baby = np.exp(-1j * baby * delay[:, :, None])  # (K, N_t, b)
+    beam_giant, beam_baby = phase_steps(cfg, -delay)  # (K, a, N_t), (K, b, N_t)
+    beam_giant *= (np.exp(-1j * kc * shift) * math.sqrt(TX_POWER / n_t))[:, None]
+    (a, b), k = (x.shape[1] for x in (beam_giant, beam_baby)), len(delay)
     gain = (cfg.carrier_freq / freqs) * beta_c[:, None]  # (T, M)
     ends = np.cumsum([0] + [len(p) for p in pilots.values()])
-    for t in blocks(n_trials, len(delay) * (n_t * (a + b) + a * b)):
-        user_giant = np.exp(-1j * giant[:, None] * lengths[t, None])  # (t, a, N_t)
-        user_baby = np.exp(-1j * baby * lengths[t, :, None])  # (t, N_t, b)
-        sums = np.matmul(user_giant[:, None] * beam_giant, user_baby[:, None] * beam_baby)
-        rows = sums.reshape(len(sums), len(delay), a * b)[:, :, :len(freqs)]  # (t, K, M)
+    for t in blocks(n_trials, k * (n_t * (a + b) + a * b)):
+        user_giant, user_baby = phase_steps(cfg, -lengths[t])  # (t, a, N_t), (t, b, N_t)
+        sums = np.matmul(user_giant[:, None] * beam_giant,
+                         np.swapaxes(user_baby[:, None] * beam_baby, 2, 3))
+        rows = sums.reshape(len(sums), k, a * b)[:, :, :len(freqs)]  # (t, K, M)
         for name, lo, hi in zip(out, ends, ends[1:]):
             np.multiply(np.swapaxes(rows[:, lo:hi], 1, 2), gain[t, :, None], out=out[name][t])
     return out
@@ -181,9 +188,11 @@ def _observe(cfg: SystemConfig, families: dict, beta_c, lengths, rng_of) -> dict
     PolarCodebook.  Returns family name -> map from the per-user noise std
     (T, 1, 1) to the observations: magnitudes |sqrt(P_t) h_m^T w_{m,k} +
     sigma z| (T, M, K) of pilots, every pilot family in one _pilot_pass,
-    which returns each family's own contiguous array, or a codebook's
-    noise-law powers (T, G) over band_powers, each family's noise drawn from
-    rng_of(name).  The sweep engine and observe_params (T = 1) observe here.
+    which returns each family's own contiguous array ((3 T + 4 K) N_t
+    exponentials), or a codebook's noise-law powers (T, G) over band_powers,
+    each family's noise drawn from rng_of(name); a pilot family's
+    observations are added in place to its scaled noise sigma z.  The sweep
+    engine and observe_params (T = 1) observe here.
     """
     books = {name for name, p in families.items() if isinstance(p, PolarCodebook)}
     out = _pilot_pass(cfg, {name: p for name, p in families.items() if name not in books},
@@ -195,7 +204,12 @@ def _observe(cfg: SystemConfig, families: dict, beta_c, lengths, rng_of) -> dict
             a, b, c = exhaustive_moments(x, cfg.n_subcarriers, rng_of(name))
             return lambda sg: a + 2 * sg[:, :, 0] * b + sg[:, :, 0] * sg[:, :, 0] * c
         noise = _unit_noise(rng_of(name), x.shape)
-        return lambda sg: np.abs(x + sg * noise)
+
+        def magnitudes(sg):
+            z = sg * noise
+            z += x
+            return np.abs(z)
+        return magnitudes
 
     return {name: noisy(name, out[name]) for name in families}
 
@@ -417,7 +431,10 @@ def build_match_filter_bank(plan: PilotPlan, grid: PolarCodebook) -> MatchFilter
     m - 1 = a b + s (wavenumber_steps), A, B the _beam_profiles and P, x the
     _grid_phases, _chirp_z sums a row's entries e^{j (k_{ab+1} (A + P) + k_c
     B)} e^{j s dk (A + P)} / N_t under its chirp e^{j k_{ab+1} x} e^{j s dk x}:
-    (M / b + b)(K R N_t + n_fft) exponentials.  No bit depends on the blocks."""
+    (M / b + b)(K R N_t + n_fft) exponentials.  Its giant steps are made one
+    at a time, not by phase_steps: the bank's time goes to the FFTs, and a
+    whole giant table would add K R a N_t entries to its peak memory.  No bit
+    depends on the blocks."""
     cfg, n_out = plan.cfg, len(grid.thetas)
     giant, baby = wavenumber_steps(cfg)
     kc, b, entries = cfg.wavenumber(cfg.carrier_freq), len(baby), _power_entries(grid, plan.K)

@@ -23,7 +23,13 @@ from beamtrain import (
     td_vector,
     tdps_gain,
 )
-from beamtrain.beamsplit import FRESNEL_3DB, element_delays, subcarrier_gains
+from beamtrain.beamsplit import (
+    FRESNEL_3DB,
+    element_delays,
+    phase_steps,
+    subcarrier_gains,
+    wavenumber_steps,
+)
 from beamtrain.config import SPEED_OF_LIGHT
 
 
@@ -256,6 +262,31 @@ def test_subcarrier_gains_equal_a_per_subcarrier_kernel_loop(n_antennas, n_subca
     assert got.shape == (len(dtheta), n_subcarriers)
     assert np.max(np.abs(got - _kernel_loop(cfg, dtheta, dalpha))) <= 1e-12
     assert np.all(got[-1] == 1.0)
+
+
+@pytest.mark.parametrize("n_subcarriers", [1, 2, 3, 16, 17, 32, 33])
+@pytest.mark.parametrize("bandwidth", [5e9, 0.0])  # 0: dk = 0, every k_m is k_c
+def test_phase_steps_equal_the_direct_exponentials(n_subcarriers, bandwidth):
+    cfg = SystemConfig(8, 30e9, bandwidth, n_subcarriers, distance_range=(2.0, 10.0))
+    giant, baby = wavenumber_steps(cfg)
+    rng = np.random.default_rng(n_subcarriers)
+    x = rng.uniform(-1.0, 1.0, (3, 4, cfg.n_antennas))  # up to k x ~ 680 rad
+    x[0, 0] = 0.0
+    # up to k x = 1e5 rad, k L for paths near 160 m
+    far = rng.uniform(-1.0, 1.0, (2, cfg.n_antennas)) * 1e5 / giant[-1]
+    for phases, far_out in ((x, False), (far, True)):
+        got_giant, got_baby = phase_steps(cfg, phases)
+        assert got_giant.shape == phases.shape[:-1] + (len(giant), cfg.n_antennas)
+        assert got_baby.shape == phases.shape[:-1] + (len(baby), cfg.n_antennas)
+        want_giant = np.exp(1j * giant[:, None] * phases[..., None, :])
+        want_baby = np.exp(1j * baby[:, None] * phases[..., None, :])
+        # float64 holds a phase near 1e5 rad to its spacing, 1.5e-11, so far
+        # out the direct exponential is itself only that close to the truth
+        bound = 1e-12 + far_out * 4 * np.finfo(float).eps * np.abs(giant[-1] * phases)
+        assert np.all(np.abs(got_giant - want_giant) <= bound[..., None, :])
+        assert np.all(np.abs(got_baby - want_baby) <= bound[..., None, :])
+        if not far_out:  # exactly 1 where x = 0
+            assert np.all(got_giant[0, 0] == 1.0) and np.all(got_baby[0, 0] == 1.0)
 
 
 def test_subcarrier_gains_of_a_row_do_not_depend_on_its_block():

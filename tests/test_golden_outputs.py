@@ -60,6 +60,15 @@ root where Newton took the root on a fixed side of the pair and stalled at
 alpha = 0 when that root was negative.  The closed form does not amplify
 rounding, so the sweep CSV is now checked byte for byte like the others.
 
+`sweep.csv`, `sweep_overhead.csv`, `sweep_distance.csv` and `train.json`
+were rewritten when the rate pass and the pilot pass came to build their
+giant and baby steps from three exponentials per phase and products of
+them (beamsplit.phase_steps) in place of one exponential per step: the
+products round apart from the direct exponentials, so the last digits of
+some rates, standard errors and aux-pair estimates moved, by at most
+9.4e-14 relative.  No pick, count or other byte changed, and the design,
+beam-pattern and spec files kept every byte.
+
 Running this file as a script rewrites the stored files from the current
 code: `PYTHONPATH=src python tests/test_golden_outputs.py`.
 """

@@ -128,6 +128,17 @@ def test_observe_plan_is_the_sweep_simulator_at_one_trial(plan_name, request):
     assert np.max(np.abs(got - want[0])) <= 1e-9 * math.sqrt(cfg.n_antennas) * chan.beta_c
 
 
+@pytest.mark.parametrize("shape", [(1,), (3, 5), (2, 7, 3), (20, 64, 14)])
+def test_unit_noise_is_the_complex_quotient_bit_for_bit(shape):
+    # the real parts of all entries are drawn first, then the imaginary
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_normal(shape), rng.standard_normal(shape)
+        got = _unit_noise(np.random.default_rng(seed), shape)
+        assert got.shape == shape and got.dtype == complex
+        assert got.tobytes() == ((x + 1j * y) / math.sqrt(2)).tobytes()
+
+
 def test_noiseless_magnitude_is_scaled_array_gain(desk_cfg, desk_plan):
     m = 100
     _, user = _focus_user(desk_plan, m, 1)
