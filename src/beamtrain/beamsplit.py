@@ -201,6 +201,7 @@ def predicted_focus(
     f,
     q: int = 0,
     clamp: bool = False,
+    served: bool = False,
 ) -> BeamFocus:
     """Closed-form focus of the beams at frequencies f.
 
@@ -211,21 +212,33 @@ def predicted_focus(
     some beam's theta_f in [-1, 1] (transition subcarriers whose mainlobe
     peak is outside visible space); with clamp=True such a beam gets the
     nearer boundary point, flagged clamped, instead.
+
+    A beam lights every visible lobe, 2 f_c / f apart in theta.  With
+    served=True a beam whose focus lies above cfg.angle_range takes its
+    sibling lobe p - 1 when that one lies inside the range: the lobe a
+    served user lit.  Above the range, p + 1 is not visible.
     """
     f = np.asarray(f, dtype=float)
     g = cfg.carrier_freq / f
+
+    def lobe(p):
+        return params.theta_t + g * (params.theta_p + 2 * p)
+
     p = np.floor(((1.0 - params.theta_t) * (f / cfg.carrier_freq) - params.theta_p) / 2.0
                  + 1e-9)
+    if served:
+        bottom, top = cfg.angle_range
+        sibling = lobe(p - 1)
+        p = p - ((lobe(p) > top) & (sibling >= bottom) & (sibling <= top))
     theta, alpha, f = np.broadcast_arrays(
-        params.theta_t + g * (params.theta_p + 2 * p),
-        params.alpha_t + g * (params.alpha_p + 2 * q / cfg.spacing), f)
+        lobe(p), params.alpha_t + g * (params.alpha_p + 2 * q / cfg.spacing), f)
     clamped = theta < -1.0 - 1e-9
     if not clamp and clamped.any():
         bad = np.argmax(clamped)
         raise InfeasibleFocusError(
             f"focus theta {theta.flat[bad]:.4f} outside [-1, 1] at f = {f.flat[bad]:.4e} Hz")
     # nearer boundary: candidate p gives theta < -1, p + 1 gives theta > 1
-    hi = params.theta_t + g * (params.theta_p + 2 * (p + 1))
+    hi = lobe(p + 1)
     up = clamped & (np.abs(hi - 1.0) < np.abs(theta + 1.0))
     p = (p + up).astype(int)
     theta = np.where(up, 1.0, np.minimum(np.maximum(theta, -1.0), 1.0))

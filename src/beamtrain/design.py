@@ -265,11 +265,13 @@ class PilotPlan(Record):
             alpha_p=self.alpha_p,
         )
 
-    def focus(self, m, k, clamp: bool = False) -> BeamFocus:
+    def focus(self, m, k, clamp: bool = False, served: bool = False) -> BeamFocus:
         """Predicted focus of subcarrier m (1-based) of pilot k; arrays of m
-        and k broadcast to one focus per beam."""
+        and k broadcast to one focus per beam.  served=True takes the lobe
+        inside the served angle range where the beam has one there."""
         f = self.cfg.subcarrier_freq(m)
-        return predicted_focus(self.cfg, self.params(k), f, q=self.q, clamp=clamp)
+        return predicted_focus(self.cfg, self.params(k), f, q=self.q, clamp=clamp,
+                               served=served)
 
     @classmethod
     def from_json(cls, text: str) -> "PilotPlan":

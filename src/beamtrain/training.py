@@ -260,11 +260,12 @@ def _grid_pick(grid: PolarCodebook, idx) -> BatchEstimate:
 
 
 def ongrid_estimate(mags: np.ndarray, plan: PilotPlan, budget=None) -> BatchEstimate:
-    """Strongest beam's predicted focus per trial of mags (T, M, K); ties go
-    to smaller m, then smaller k.  The pick is the beam's (m, k) pair.  Only
-    the picked beams' foci are evaluated."""
+    """Strongest beam's predicted focus per trial of mags (T, M, K), on its
+    lobe inside the served range where it has one; ties go to smaller m,
+    then smaller k.  The pick is the beam's (m, k) pair.  Only the picked
+    beams' foci are evaluated."""
     m, k = np.divmod(_argmax_rows(mags, budget), mags[..., :budget].shape[-1])
-    focus = plan.focus(m + 1, k + 1, clamp=True)
+    focus = plan.focus(m + 1, k + 1, clamp=True, served=True)
     return BatchEstimate(focus.theta, np.maximum(focus.alpha, 0.0), np.stack([m, k], 1),
                          focus.clamped | (focus.alpha < 0), np.zeros(len(m), dtype=bool))
 
@@ -283,9 +284,11 @@ def aux_pair_estimate(mags: np.ndarray, plan: PilotPlan, budget=None) -> BatchEs
     lower one on a tie), convert both magnitudes to model gains via the
     path gain at the on-grid distance, and intersect the two quadratic gain
     models in (theta, alpha) in closed form, taking the root of lower alpha.
-    A trial falls back to the on-grid answer on no neighbor, an unusable
-    on-grid distance or coincident foci.  The pick is the on-grid pick's
-    (m, k) pair.
+    Both foci are on the lobe inside the served range where the beam has
+    one (plan.focus with served=True).  A trial falls back to the on-grid
+    answer on no neighbor, a neighbor focus on another lobe than the pick's,
+    an unusable on-grid distance or coincident foci.  The pick is the
+    on-grid pick's (m, k) pair.
     """
     cfg = plan.cfg
     base = ongrid_estimate(mags, plan, budget)
@@ -301,8 +304,9 @@ def aux_pair_estimate(mags: np.ndarray, plan: PilotPlan, budget=None) -> BatchEs
     fallback = (n_sub == 1) | ~np.isfinite(r_hat) | (r_hat <= 0)
     r_hat = np.where(fallback, 1.0, r_hat)
 
-    centers = plan.focus(pair + 1, k_hat[:, None] + 1, clamp=True)
+    centers = plan.focus(pair + 1, k_hat[:, None] + 1, clamp=True, served=True)
     t0, a0 = centers.theta, centers.alpha  # (T, 2)
+    fallback |= centers.p[:, 0] != centers.p[:, 1]
     f = cfg.subcarrier_freqs()[pair]
     beta = (cfg.carrier_freq / f) * path_loss(cfg, r_hat[:, None], cfg.carrier_freq)
     g = col[rows[:, None], pair] / (math.sqrt(TX_POWER * cfg.n_antennas) * beta)

@@ -165,6 +165,22 @@ def test_a_focus_a_rounding_error_past_plus_one_stays_on_its_lobe(cfg):
     assert np.array_equal(beams.p, [1, 1, 1]) and np.array_equal(beams.theta, [1.0] * 3)
 
 
+def test_served_focus_takes_the_sibling_lobe_inside_the_served_range(cfg):
+    # above the carrier the lobes lie 2 g < 2 apart, so two can be visible
+    f = cfg.f_upper
+    g = cfg.carrier_freq / f
+    params = TdPsParams(theta_t=0.0, theta_p=np.array([0.99, 0.95, 0.8]) / g)
+    plain = predicted_focus(cfg, params, f)
+    served = predicted_focus(cfg, params, f, served=True)
+    assert np.array_equal(plain.p, [0, 0, 0])
+    # 0.99 - 2 g = -0.856 is inside +-0.866, 0.95 - 2 g = -0.896 is not, and
+    # 0.8 is itself inside
+    assert np.array_equal(served.p, [-1, 0, 0])
+    assert served.theta[0] == pytest.approx(0.99 - 2 * g)
+    assert np.array_equal(served.theta[1:], plain.theta[1:])
+    assert np.array_equal(served.alpha, plain.alpha) and not served.clamped.any()
+
+
 def test_predicted_focus_infeasible_band(cfg):
     # sweep slope so steep that some frequencies land between visible periods
     params = TdPsParams(theta_t=-40.0, theta_p=1.9, alpha_t=0.0, alpha_p=0.0)
