@@ -168,7 +168,7 @@ def _pilot_pass(cfg: SystemConfig, pilots: dict, beta_c, lengths) -> dict:
     delay, shift = (np.concatenate(x) for x in zip(*profiles))  # (K, N_t)
     beam_giant, beam_baby = phase_steps(cfg, -delay)  # (K, a, N_t), (K, b, N_t)
     beam_giant *= (np.exp(-1j * kc * shift) * math.sqrt(TX_POWER / n_t))[:, None]
-    (a, b), k = (x.shape[1] for x in (beam_giant, beam_baby)), len(delay)
+    (k, a, _), b = beam_giant.shape, beam_baby.shape[1]
     gain = (cfg.carrier_freq / freqs) * beta_c[:, None]  # (T, M)
     ends = np.cumsum([0] + [len(p) for p in pilots.values()])
     for t in blocks(n_trials, k * (n_t * (a + b) + a * b)):
