@@ -43,7 +43,8 @@ import numpy as np
 
 from .config import PolarLocation, Record, SystemConfig, curvature_law
 from .arrays import Channel, PolarCodebook, _uniform_samples, channel_rows, path_loss
-from .beamsplit import TdPsParams, blocks, ellipse_coefficients, phase_steps, wavenumber_steps
+from .beamsplit import (TdPsParams, _powers, blocks, ellipse_coefficients, phase_steps,
+                        wavenumber_steps)
 from .design import PilotPlan
 
 TX_POWER = 1.0
@@ -405,28 +406,57 @@ def _grid_phases(grid: PolarCodebook) -> tuple[np.ndarray, np.ndarray]:
     return -cfg.polar_phase(grid.thetas[0], grid.rings) - rate * n * n, rate * lags * lags
 
 
+def _by_product(grid: PolarCodebook, n_rows: int) -> bool:
+    """Whether codeword_powers sums over the angles by a matrix product, not
+    the chirp-z: where N_t A (T R + 24) < 16 T R n_fft log2 n_fft, T = n_rows.
+    Fitted to crossovers of band_powers (interleaved medians, one BLAS
+    thread, 2-vCPU VM): the product loses at T R = 8 and wins at 16 for N_t =
+    64, A = 96 or 192, R = 8; loses at 4 and wins at 8 for N_t = 256, A = 32,
+    R = 2; at T R = 200, N_t = 256, wins at A = 128, loses by 1.35-1.47x at
+    768 and 1024.  Desk sweeps and fullscale_grid take the product, a single
+    trial and the full-scale default (1024 x 10) the chirp-z."""
+    rows, n_fft = n_rows * len(grid.rings), len(_grid_phases(grid)[1])
+    return (grid.cfg.n_antennas * len(grid.thetas) * (rows + 24)
+            < 16 * rows * n_fft * math.log2(n_fft))
+
+
 def codeword_powers(codebook: PolarCodebook, h: np.ndarray, f) -> np.ndarray:
     """Noiseless power |sqrt(P_t) sum_n h_n conj(b_n)|^2 of every codeword b
     of the polar grid: channel rows h (C, T, N_t) at frequencies f (C,) give
-    (C, T, G), columns in codeword order: one _chirp_z per (row, ring) over
-    the rows pre-chirped by the _grid_phases, and no codeword vector is
-    formed.  build_match_filter_bank is the same sum over the pilot beams."""
-    k = codebook.cfg.wavenumber(np.asarray(f, dtype=float))[:, None, None]
+    (C, T, G), columns in codeword order, and no codeword vector is formed.
+    As _by_product picks, one _chirp_z per (row, ring) over the rows
+    pre-chirped by the _grid_phases, or per frequency one matrix product of
+    the rows h e^{-j k polar_phase(theta_0, alpha_r)} (T R, N_t) and
+    e^{-j k d dtheta n a} (N_t, A), from N_t exponentials by _powers.
+    build_match_filter_bank is the chirp-z sum over the pilot beams."""
+    cfg = codebook.cfg
+    k = cfg.wavenumber(np.asarray(f, dtype=float))[:, None, None]
     profile, chirp = _grid_phases(codebook)
-    # C order keeps each FFT row contiguous whatever the layout of h
-    pre = np.multiply(h[:, :, None, :], np.exp(1j * k * profile)[:, None], order="C")
-    kernel = np.fft.fft(np.exp(1j * k[:, None] * chirp))
-    (c, t, r), n_out = pre.shape[:3], len(codebook.thetas)
-    mag = np.empty((c, t, n_out, r))  # angle-major, as the codewords
-    for rows in blocks(t, c * r * len(chirp)):  # blocks of rows: small FFT buffers
-        mag[:, rows] = np.swapaxes(_chirp_z(pre[:, rows], kernel, n_out), 2, 3)
-    mag *= mag
-    return mag.reshape(c, t, -1) * (TX_POWER / codebook.cfg.n_antennas)
+    (c, t, n), r, n_out = h.shape, len(codebook.rings), len(codebook.thetas)
+    if _by_product(codebook, t):
+        rows = h[:, :, None] * np.exp(-1j * k * cfg.polar_phase(codebook.thetas[0],
+                                                                 codebook.rings))[:, None]
+        steps = _powers(np.exp(-1j * cfg.spacing * codebook.step * k[:, 0] * np.arange(n)), n_out)
+        sums = rows.reshape(c, t * r, n) @ np.swapaxes(steps, 1, 2)  # (C, T R, A)
+        mag = np.swapaxes((sums.real ** 2 + sums.imag ** 2).reshape(c, t, r, n_out), 2, 3)
+    else:
+        # C order keeps each FFT row contiguous whatever the layout of h
+        pre = np.multiply(h[:, :, None, :], np.exp(1j * k * profile)[:, None], order="C")
+        kernel = np.fft.fft(np.exp(1j * k[:, None] * chirp))
+        mag = np.empty((c, t, n_out, r))  # angle-major, as the codewords
+        for rows in blocks(t, c * r * len(chirp)):  # blocks of rows: small FFT buffers
+            mag[:, rows] = np.swapaxes(_chirp_z(pre[:, rows], kernel, n_out), 2, 3)
+        mag *= mag
+    return mag.reshape(c, t, -1) * (TX_POWER / cfg.n_antennas)
 
 
 def _power_entries(grid: PolarCodebook, n_rows: int) -> int:
-    """Entries of codeword_powers' largest temporary per frequency."""
-    return n_rows * len(grid.rings) * len(_grid_phases(grid)[1])
+    """Entries of codeword_powers' temporaries per frequency: the product's
+    rows, steps and sums, or the chirp-z's FFT rows."""
+    rows, a = n_rows * len(grid.rings), len(grid.thetas)
+    if _by_product(grid, n_rows):
+        return (rows + a) * grid.cfg.n_antennas + rows * a
+    return rows * len(_grid_phases(grid)[1])
 
 
 def build_match_filter_bank(plan: PilotPlan, grid: PolarCodebook) -> MatchFilterBank:
@@ -441,10 +471,11 @@ def build_match_filter_bank(plan: PilotPlan, grid: PolarCodebook) -> MatchFilter
     depends on the blocks."""
     cfg, n_out = plan.cfg, len(grid.thetas)
     giant, baby = wavenumber_steps(cfg)
-    kc, b, entries = cfg.wavenumber(cfg.carrier_freq), len(baby), _power_entries(grid, plan.K)
+    kc, b = cfg.wavenumber(cfg.carrier_freq), len(baby)
     params = plan.params(np.arange(1, plan.K + 1))
     delay, shift = (p[:, None] for p in _beam_profiles(cfg, params))  # (K, 1, N_t)
     profile, chirp = _grid_phases(grid)
+    entries = plan.K * len(grid.rings) * len(chirp)
     psi = delay + profile  # (K, R, N_t)
     baby_pre = np.exp(1j * baby[:, None, None, None] * psi)
     baby_chirp = np.exp(1j * baby[:, None] * chirp)

@@ -643,15 +643,18 @@ def test_exhaustive_moments_do_not_depend_on_the_families_alongside():
 
 def test_one_block_budget_reaches_every_loop(monkeypatch):
     # beamsplit.blocks is the one block rule: its budget changes how many
-    # chirp-z transforms the grid kernels run, and no output bit
+    # chirp-z transforms and codebook matrix products the grid kernels run,
+    # and no output bit
     spec = desk_experiment_spec(axis_values=(10.0, 20.0), n_trials=12, bank_angles=48,
                                 bank_rings=4)
     plan = design(spec.design)
     grid = polar_grid(plan.cfg, 48, 4, plan.inputs.alpha_bounds)
     rng = np.random.default_rng(3)
     dtheta, dalpha = rng.uniform(-0.2, 0.2, 40), rng.uniform(-0.05, 0.05, 40)
-    chirp_z, calls = training._chirp_z, []
+    chirp_z, powers, calls = training._chirp_z, training._powers, []
     monkeypatch.setattr(training, "_chirp_z", lambda *args: calls.append(1) or chirp_z(*args))
+    # the product path builds its step matrix once a call
+    monkeypatch.setattr(training, "_powers", lambda *args: calls.append(1) or powers(*args))
 
     def outputs():
         calls.clear()
