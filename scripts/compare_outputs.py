@@ -33,7 +33,9 @@ changes).  In each tree a child process, with that tree's `src/` and
 
 Each item is reported as identical, or with the count of changed lines and
 the largest relative change of a number on them ("inf" where a changed line
-differs in more than its numbers).  A changed item also names the schemes
+differs in more than its numbers).  A number's change is relative to the
+largest magnitude of its column in the item: the numbers under one JSON key,
+or in one comma-separated field, as a CSV column.  A changed item also names the schemes
 of its changed records: the rows of a CSV whose header has a `scheme`
 column, the rows of a "JSON without run" item, and the JSON records, one
 per call, of a `cli_train` item.  The exit status is 1 when any item
@@ -64,18 +66,42 @@ BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 EXIT_LINE = re.compile(r"^exit .*$", re.M)
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
+JSON_KEY = re.compile(r'^\s*"([^"]*)":')
 
 
-def _relative_change(a: str, b: str) -> float:
-    """Largest relative change between the numbers of two lines, or inf when
-    they differ in anything but their numbers."""
+def _columns(line: str) -> list:
+    """(column, x) of the numbers x of a line, the column (key, field, j):
+    the line's JSON key or None, the comma-separated field of the number and
+    its count in that field."""
+    key = JSON_KEY.match(line)
+    return [((key and key.group(1), f, j), float(x)) for f, field in enumerate(line.split(","))
+            for j, x in enumerate(NUMBER.findall(field))]
+
+
+def _column_scales(*texts: str) -> dict:
+    """Largest finite magnitude of each column (_columns) over the texts."""
+    scales = {}
+    for text in texts:
+        for line in text.splitlines():
+            for col, x in _columns(line):
+                if math.isfinite(x):
+                    scales[col] = max(scales.get(col, 0.0), abs(x))
+    return scales
+
+
+def _relative_change(a: str, b: str, scales=None) -> float:
+    """Largest change between the numbers of two lines relative to the
+    largest magnitude of each number's column in scales (_column_scales), or
+    of the two numbers without it; inf when the lines differ in anything but
+    their numbers, or a changed number is not finite.  A column scale keeps a
+    value near zero from reading a rounding-size move as a large change."""
     if NUMBER.split(a) != NUMBER.split(b):
         return math.inf
     worst = 0.0
-    for x, y in zip(map(float, NUMBER.findall(a)), map(float, NUMBER.findall(b))):
+    for (col, x), (_, y) in zip(_columns(a), _columns(b)):
         if x != y:
-            scale = max(abs(x), abs(y))
-            worst = max(worst, abs(x - y) / scale if math.isfinite(scale) else math.inf)
+            scale = max(abs(x), abs(y), (scales or {}).get(col, 0.0))
+            worst = max(worst, abs(x - y) / scale if math.isfinite(x - y) else math.inf)
     return worst
 
 
@@ -115,10 +141,11 @@ def _changed_schemes(parent: str, change: str) -> list:
 
 def summarize(parent: str, change: str) -> dict:
     """Changed lines of one item's text, the largest relative change on
-    them, and the schemes of its changed records (_changed_schemes); a line
-    only one side has counts as changed, by inf."""
-    a, b = parent.splitlines(), change.splitlines()
-    changes = [_relative_change(x, y) for x, y in zip(a, b) if x != y]
+    them, each number's change relative to its column's largest magnitude in
+    either text, and the schemes of its changed records (_changed_schemes);
+    a line only one side has counts as changed, by inf."""
+    a, b, scales = parent.splitlines(), change.splitlines(), _column_scales(parent, change)
+    changes = [_relative_change(x, y, scales) for x, y in zip(a, b) if x != y]
     changes += [math.inf] * abs(len(a) - len(b))
     return {"identical": parent == change, "lines": max(len(a), len(b)),
             "changed_lines": len(changes), "max_rel_change": max(changes, default=0.0),

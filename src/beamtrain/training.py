@@ -11,11 +11,11 @@ observations, and estimates the user's polar location.  Estimators:
 - far-field rainbow: a single frequency sweep, distance ignored
 
 The two grid searches stand on one grid type, arrays.PolarCodebook, and one
-chirp-z sum over it with the grid's phases, _grid_phases: the codebook
-squares it over channel rows in codeword_powers, the match-filter bank makes
-it over its pilot beams through the giant and baby steps of the subcarriers.
-The codebook's powers summed over the band are a weighted sum over the few
-node frequencies of band_quadrature, not over every subcarrier.
+chirp-z sum over it with the grid's phases, _grid_phases: the match-filter
+bank makes it over its pilot beams through the giant and baby steps of the
+subcarriers; codeword_powers squares it over channel rows, or on a small
+grid takes one matrix product per frequency.  The codebook's powers summed
+over the band are a weighted sum over the nodes of band_quadrature.
 
 scheme_table holds one row per scheme (probe family, probes, estimator,
 pilot count); the sweep engine runs its rows over T drawn users and
@@ -408,13 +408,11 @@ def _grid_phases(grid: PolarCodebook) -> tuple[np.ndarray, np.ndarray]:
 
 def _by_product(grid: PolarCodebook, n_rows: int) -> bool:
     """Whether codeword_powers sums over the angles by a matrix product, not
-    the chirp-z: where N_t A (T R + 24) < 16 T R n_fft log2 n_fft, T = n_rows.
-    Fitted to crossovers of band_powers (interleaved medians, one BLAS
-    thread, 2-vCPU VM): the product loses at T R = 8 and wins at 16 for N_t =
-    64, A = 96 or 192, R = 8; loses at 4 and wins at 8 for N_t = 256, A = 32,
-    R = 2; at T R = 200, N_t = 256, wins at A = 128, loses by 1.35-1.47x at
-    768 and 1024.  Desk sweeps and fullscale_grid take the product, a single
-    trial and the full-scale default (1024 x 10) the chirp-z."""
+    the chirp-z: where N_t A (T R + 24) < 16 T R n_fft log2 n_fft, T = n_rows,
+    fitted to crossovers of band_powers (one BLAS thread, 2-vCPU VM): the
+    product loses at T R = 8 and wins at 16 for N_t = 64, A = 96 or 192;
+    loses at 4 and wins at 8 for N_t = 256, A = 32; at T R = 200, N_t = 256,
+    wins at A = 128 and loses by 1.35-1.47x at A = 768 and 1024."""
     rows, n_fft = n_rows * len(grid.rings), len(_grid_phases(grid)[1])
     return (grid.cfg.n_antennas * len(grid.thetas) * (rows + 24)
             < 16 * rows * n_fft * math.log2(n_fft))
@@ -423,15 +421,13 @@ def _by_product(grid: PolarCodebook, n_rows: int) -> bool:
 def codeword_powers(codebook: PolarCodebook, h: np.ndarray, f) -> np.ndarray:
     """Noiseless power |sqrt(P_t) sum_n h_n conj(b_n)|^2 of every codeword b
     of the polar grid: channel rows h (C, T, N_t) at frequencies f (C,) give
-    (C, T, G), columns in codeword order, and no codeword vector is formed.
-    As _by_product picks, one _chirp_z per (row, ring) over the rows
-    pre-chirped by the _grid_phases, or per frequency one matrix product of
-    the rows h e^{-j k polar_phase(theta_0, alpha_r)} (T R, N_t) and
-    e^{-j k d dtheta n a} (N_t, A), from N_t exponentials by _powers.
-    build_match_filter_bank is the chirp-z sum over the pilot beams."""
+    (C, T, G), columns in codeword order, no codeword vector formed.  As
+    _by_product picks, one _chirp_z per (row, ring) over the rows pre-chirped
+    by the _grid_phases, or per frequency the rows h e^{-j k polar_phase(
+    theta_0, alpha_r)} (T R, N_t) times e^{-j k d dtheta n a} (N_t, A), the
+    _powers of N_t exponentials.  The bank is the chirp-z over the pilots."""
     cfg = codebook.cfg
     k = cfg.wavenumber(np.asarray(f, dtype=float))[:, None, None]
-    profile, chirp = _grid_phases(codebook)
     (c, t, n), r, n_out = h.shape, len(codebook.rings), len(codebook.thetas)
     if _by_product(codebook, t):
         rows = h[:, :, None] * np.exp(-1j * k * cfg.polar_phase(codebook.thetas[0],
@@ -440,6 +436,7 @@ def codeword_powers(codebook: PolarCodebook, h: np.ndarray, f) -> np.ndarray:
         sums = rows.reshape(c, t * r, n) @ np.swapaxes(steps, 1, 2)  # (C, T R, A)
         mag = np.swapaxes((sums.real ** 2 + sums.imag ** 2).reshape(c, t, r, n_out), 2, 3)
     else:
+        profile, chirp = _grid_phases(codebook)
         # C order keeps each FFT row contiguous whatever the layout of h
         pre = np.multiply(h[:, :, None, :], np.exp(1j * k * profile)[:, None], order="C")
         kernel = np.fft.fft(np.exp(1j * k[:, None] * chirp))
@@ -451,8 +448,7 @@ def codeword_powers(codebook: PolarCodebook, h: np.ndarray, f) -> np.ndarray:
 
 
 def _power_entries(grid: PolarCodebook, n_rows: int) -> int:
-    """Entries of codeword_powers' temporaries per frequency: the product's
-    rows, steps and sums, or the chirp-z's FFT rows."""
+    """Entries of codeword_powers' temporaries per frequency, on its path."""
     rows, a = n_rows * len(grid.rings), len(grid.thetas)
     if _by_product(grid, n_rows):
         return (rows + a) * grid.cfg.n_antennas + rows * a
@@ -588,10 +584,10 @@ def band_powers(codebook: PolarCodebook, beta_c, lengths) -> np.ndarray:
     subcarriers, sum_m codeword_powers, for T users of center path gains
     beta_c (T,) at element path lengths (T, N_t): the weighted sum of
     codeword_powers of their channel_rows over the nodes of band_quadrature
-    for the codebook's largest ring.  The nodes run in blocks of
-    _power_entries, and a power that rounds below 0 is clipped to 0, as
-    exhaustive_moments takes its square root.  With the subcarriers as nodes
-    the sum is exact, bit for bit the per-subcarrier pass."""
+    for the codebook's largest ring, on the path _by_product picks for T, in
+    blocks of _power_entries.  A power that rounds below 0 is clipped to 0,
+    as exhaustive_moments takes its square root.  With the subcarriers as
+    nodes the sum is exact, bit for bit the per-subcarrier pass."""
     cfg, n_trials = codebook.cfg, len(beta_c)
     nodes, weights = band_quadrature(cfg, float(codebook.rings.max()))
     out = np.zeros((n_trials, len(codebook)))

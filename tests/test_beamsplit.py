@@ -25,6 +25,7 @@ from beamtrain import (
 )
 from beamtrain.beamsplit import (
     FRESNEL_3DB,
+    _powers,
     element_delays,
     phase_steps,
     subcarrier_gains,
@@ -303,6 +304,25 @@ def test_phase_steps_equal_the_direct_exponentials(n_subcarriers, bandwidth):
         assert np.all(np.abs(got_baby - want_baby) <= bound[..., None, :])
         if not far_out:  # exactly 1 where x = 0
             assert np.all(got_giant[0, 0] == 1.0) and np.all(got_baby[0, 0] == 1.0)
+
+
+@pytest.mark.parametrize("n_antennas", [64, 256])
+@pytest.mark.parametrize("n_angles", [32, 192])
+def test_powers_equal_the_direct_exponentials_at_codebook_sizes(n_angles, n_antennas):
+    # the matrix e^{-j k d dtheta n a} (A, N_t) of codeword_powers' product,
+    # at the band's edges and center, from N_t exponentials by doubling;
+    # phases reach about 1400 rad at 256 elements, so the bound of
+    # test_phase_steps_equal_the_direct_exponentials applies
+    cfg = SystemConfig(n_antennas, 30e9, 5e9, 16, distance_range=(2.0, 10.0))
+    lo, hi = cfg.angle_range
+    k = cfg.wavenumber(cfg.subcarrier_freqs()[[0, 8, -1]])[:, None]
+    base = -k * cfg.spacing * (hi - lo) / (n_angles - 1) * np.arange(n_antennas)  # (3, N_t)
+    got = _powers(np.exp(1j * base), n_angles)
+    assert got.shape == (3, n_angles, n_antennas)
+    phase = base[:, None, :] * np.arange(n_angles)[:, None]
+    bound = 1e-12 + 4 * np.finfo(float).eps * np.abs(phase)
+    assert np.all(np.abs(got - np.exp(1j * phase)) <= bound)
+    assert np.all(got[:, 0] == 1.0)
 
 
 def test_subcarrier_gains_of_a_row_do_not_depend_on_its_block():

@@ -89,3 +89,22 @@ def test_cli_records_and_json_rows_name_the_schemes_of_their_changed_records():
     # JSON that holds no scheme records names none
     plan = json.dumps({"K": 3, "p1": 1}, indent=2)
     assert COMPARE.summarize(plan, plan.replace("3", "4"))["schemes"] == []
+
+
+def test_a_value_near_zero_is_scaled_by_its_column():
+    # an aux-pair theta near zero that moved by a rounding-size 1.8e-18 is
+    # measured against the other calls' angles, not its own magnitude
+    def call(scheme, theta):
+        return json.dumps({"theta": theta, "scheme": scheme}, indent=2) + "\nexit 0\n"
+
+    parent = call("ongrid", 0.5) + call("aux_pair", 0.0010155)
+    change = call("ongrid", 0.5) + call("aux_pair", 0.0010155 + 1.8e-18)
+    moved = COMPARE.summarize(parent, change)
+    assert moved["changed_lines"] == 1 and moved["schemes"] == ["aux_pair"]
+    assert 0 < moved["max_rel_change"] < 1e-17
+    # a CSV column sets the scale of its own numbers: mean_rate's 2.5, not
+    # axis_value's 5.0 or the number's own 1e-05
+    rate = COMPARE.summarize(CSV, CSV.replace("1e-05", "2e-05"))
+    assert math.isclose(rate["max_rel_change"], 1e-05 / 2.5)
+    # a value that turns infinite still reads as infinite
+    assert COMPARE.summarize(CSV, CSV.replace("2.5", "inf"))["max_rel_change"] == math.inf

@@ -1,10 +1,10 @@
-"""The exhaustive search's two-number noise law and its chirp-z power kernel.
+"""The exhaustive search's two-number noise law and its power kernel.
 
 The law replaces the per-subcarrier noise sum with one complex normal and one
 gamma per codeword; it is exact in distribution, so it is checked against the
 direct sum by moments and by a two-sample Kolmogorov-Smirnov test.  The
-kernel is checked against the codeword contraction built from
-approx_steering.
+kernel, by the chirp-z and by the matrix product, is checked against the
+codeword contraction built from approx_steering.
 """
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from scipy.stats import ks_2samp
 from beamtrain import SystemConfig
 from beamtrain.arrays import approx_steering
 from beamtrain.harness import desk_config, fullscale_config
+from beamtrain import training
 from beamtrain.training import codeword_powers, exhaustive_moments
 
 from conftest import grid_locations, polar_grid
@@ -60,14 +61,24 @@ def _contraction(cfg, book, h, f):
     return np.abs(h @ approx_steering(cfg, (thetas, alphas), f).conj().T) ** 2
 
 
-@pytest.mark.parametrize("cfg, angles, rings", [
-    (desk_config(), 192, 8),  # the dense desk codebook
-    (desk_config(), 1, 4),  # one angle: a chirp-z of step 0
-    (desk_config(), 24, 1),  # one ring
-    (SystemConfig(63, 30e9, 5e9, 8, distance_range=(2.0, 10.0)), 17, 3),  # odd array
-    (fullscale_config(), 1024, 10),
-], ids=["desk", "one-angle", "one-ring", "63-antennas", "fullscale"])
-def test_chirp_z_powers_match_the_steering_contraction(cfg, angles, rings):
+GRIDS = {
+    "desk": (desk_config(), 192, 8),  # the dense desk codebook
+    "one-angle": (desk_config(), 1, 4),  # one angle: a step of 0
+    "one-ring": (desk_config(), 24, 1),
+    "63-antennas": (SystemConfig(63, 30e9, 5e9, 8, distance_range=(2.0, 10.0)), 17, 3),
+    "fullscale": (fullscale_config(), 1024, 10),
+}
+
+
+# each grid on the chirp-z, then on the matrix product, whatever _by_product
+# would pick
+@pytest.mark.parametrize("cfg, angles, rings, by_product",
+                         [grid + (False,) for grid in GRIDS.values()]
+                         + [grid + (True,) for grid in GRIDS.values()],
+                         ids=list(GRIDS) + [f"{name}-product" for name in GRIDS])
+def test_chirp_z_powers_match_the_steering_contraction(cfg, angles, rings, by_product,
+                                                       monkeypatch):
+    monkeypatch.setattr(training, "_by_product", lambda grid, n_rows: by_product)
     book = polar_grid(cfg, angles, rings)
     freqs = cfg.subcarrier_freqs()[[0, cfg.n_subcarriers // 2, -1]]
     rng = np.random.default_rng(angles)
@@ -78,3 +89,14 @@ def test_chirp_z_powers_match_the_steering_contraction(cfg, angles, rings):
     for i, f in enumerate(freqs):
         want = _contraction(cfg, book, h[i], f)
         assert np.max(np.abs(got[i] - want)) < 1e-10 * np.max(want)
+
+
+@pytest.mark.parametrize("cfg, angles, rings, trials, by_product", [
+    (desk_config(), 192, 8, 40, True),  # the desk sweep
+    (fullscale_config(), 32, 2, 20, True),  # the fullscale_grid benchmark
+    (fullscale_config(), 1024, 10, 200, False),  # the full-scale default sweep
+    (desk_config(), 96, 8, 1, False),  # one CLI exhaustive call
+], ids=["desk", "fullscale-grid", "fullscale-default", "single-trial"])
+def test_the_product_sums_the_small_grids_and_the_chirp_z_the_rest(
+        cfg, angles, rings, trials, by_product):
+    assert training._by_product(polar_grid(cfg, angles, rings), trials) == by_product
