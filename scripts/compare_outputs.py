@@ -35,10 +35,10 @@ Each item is reported as identical, or with the count of changed lines and
 the largest relative change of a number on them ("inf" where a changed line
 differs in more than its numbers).  A number's change is relative to the
 largest magnitude of its column in the item: the numbers under one JSON key,
-or in one comma-separated field, as a CSV column.  A changed item also names the schemes
-of its changed records: the rows of a CSV whose header has a `scheme`
-column, the rows of a "JSON without run" item, and the JSON records, one
-per call, of a `cli_train` item.  The exit status is 1 when any item
+or in one comma-separated field, as a CSV column.  A changed item also
+names the schemes of its changed records: the rows of a CSV whose header
+has a `scheme` column, the rows of a "JSON without run" item, and the JSON
+records, one per call, of a `cli_train` item.  The exit status is 1 when any item
 differs, 0 when every item is byte-identical.
 """
 from __future__ import annotations
@@ -89,19 +89,18 @@ def _column_scales(*texts: str) -> dict:
     return scales
 
 
-def _relative_change(a: str, b: str, scales=None) -> float:
+def _relative_change(a: str, b: str, scales: dict) -> float:
     """Largest change between the numbers of two lines relative to the
-    largest magnitude of each number's column in scales (_column_scales), or
-    of the two numbers without it; inf when the lines differ in anything but
-    their numbers, or a changed number is not finite.  A column scale keeps a
-    value near zero from reading a rounding-size move as a large change."""
+    largest magnitude of each number's column, scales (_column_scales) of
+    texts that hold both lines; inf when the lines differ in anything but
+    their numbers, or a changed number is not finite.  A column scale keeps
+    a value near zero from reading a rounding-size move as a large change."""
     if NUMBER.split(a) != NUMBER.split(b):
         return math.inf
     worst = 0.0
     for (col, x), (_, y) in zip(_columns(a), _columns(b)):
         if x != y:
-            scale = max(abs(x), abs(y), (scales or {}).get(col, 0.0))
-            worst = max(worst, abs(x - y) / scale if math.isfinite(x - y) else math.inf)
+            worst = max(worst, abs(x - y) / scales[col] if math.isfinite(x - y) else math.inf)
     return worst
 
 

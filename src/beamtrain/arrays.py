@@ -30,7 +30,7 @@ def approx_steering(cfg: SystemConfig, loc, f: float) -> np.ndarray:
     may be a PolarLocation or a (theta, alpha) pair of arrays; the result has
     the arrays' shape plus a trailing N_t axis.  It is the model of every
     codebook, beamformer and grid search in the package, and the tests check
-    the codebook's chirp-z powers and the rate kernel against it.
+    the codebook's powers and the rate kernel against it.
     """
     theta, alpha = (loc.theta, loc.alpha) if isinstance(loc, PolarLocation) else loc
     phase = cfg.wavenumber(f) * cfg.polar_phase(theta, alpha)
@@ -131,6 +131,6 @@ def _uniform_step(thetas: np.ndarray) -> float:
     if np.max(np.abs(np.diff(thetas) - step)) > 1e-13:
         raise ValueError(
             "the angle axis must be uniform: the grid searches sum over it "
-            "with a chirp-z transform"
+            "in one fixed angle step"
         )
     return step

@@ -412,7 +412,8 @@ def _by_product(grid: PolarCodebook, n_rows: int) -> bool:
     fitted to crossovers of band_powers (one BLAS thread, 2-vCPU VM): the
     product loses at T R = 8 and wins at 16 for N_t = 64, A = 96 or 192;
     loses at 4 and wins at 8 for N_t = 256, A = 32; at T R = 200, N_t = 256,
-    wins at A = 128 and loses by 1.35-1.47x at A = 768 and 1024."""
+    wins at A = 128 and 512 (0.83x, fitted as a tie) and loses by 1.35-1.47x
+    at A = 768 and 1024."""
     rows, n_fft = n_rows * len(grid.rings), len(_grid_phases(grid)[1])
     return (grid.cfg.n_antennas * len(grid.thetas) * (rows + 24)
             < 16 * rows * n_fft * math.log2(n_fft))
