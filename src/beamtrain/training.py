@@ -525,22 +525,27 @@ def exhaustive_estimate(powers: np.ndarray, codebook, budget=None) -> BatchEstim
 
 
 @lru_cache(maxsize=8)
-def band_quadrature(cfg: SystemConfig, alpha_max: float) -> tuple[np.ndarray, np.ndarray]:
+def band_quadrature(cfg: SystemConfig, alpha_max: float, theta_max: float
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Node frequencies and real weights (J,) that stand in for the M
     subcarriers in a codebook's powers summed over the band.
 
     With v_n = -r_n + u_n^2 alpha_g - u_n theta_g, a codeword's power summed
     over the band is beta_c^2 sum_{n,n'} K(v_n - v_n'), where
-    K(x) = sum_m (f_c / f_m)^2 e^{j k_m x} and, by the triangle inequality,
-    |x| <= X = 2 D + (D / 2)^2 alpha_max, D = (N_t - 1) d, for rings up to
-    alpha_max.  On |x| <= X, K is band-limited, so J Chebyshev nodes nu_j over
+    K(x) = sum_m (f_c / f_m)^2 e^{j k_m x}.  For any user the triangle
+    inequality gives |r_n - r_n'| <= |u_n - u_n'| <= D, D = (N_t - 1) d; the
+    linear phase spreads over at most D |theta_g| and the quadratic one over
+    (D / 2)^2 alpha_g, so |x| <= X = D (1 + theta_max) + (D / 2)^2 alpha_max
+    for codewords of |theta| up to theta_max and rings up to alpha_max.  On
+    |x| <= X, K is band-limited, so J Chebyshev nodes nu_j over
     [f_1, f_M] with weights w_j, fitted by least squares, give K(x) ~
     sum_j w_j (f_c / nu_j)^2 e^{j k(nu_j) x}; then the summed power is
     sum_j w_j times the codeword power at nu_j (generalized Gaussian
     quadrature for band-limited functions, Xiao, Rokhlin & Yarvin 2001).  J
-    starts at ceil((k_M - k_1) X / 4) + 16 and grows by 8 until the largest
-    residual of K on an 8x oversampled grid of [0, X] is at most 1e-13 sum_m
-    (f_c / f_m)^2 (K(-x) is conj K(x) on both sides); the fit runs on a 2x
+    is the least count whose largest residual of K on an 8x oversampled
+    grid of [0, X] is at most 1e-13 sum_m (f_c / f_m)^2 (K(-x) is conj K(x)
+    on both sides): from ceil((k_M - k_1) X / 4) + 16 up in steps of 8, then
+    the last step bisected, at most three more fits.  The fit runs on a 2x
     oversampled grid, and K is built in blocks of x.  When J would reach M,
     the subcarriers with unit weights are returned: the exact sum.  Every
     wavenumber is taken less the band's middle one, which keeps the phases
@@ -551,7 +556,7 @@ def band_quadrature(cfg: SystemConfig, alpha_max: float) -> tuple[np.ndarray, np
     k_mid = 0.5 * (k[0] + k[-1])
     amp = np.square(cfg.carrier_freq / freqs)
     aperture = (cfg.n_antennas - 1) * cfg.spacing
-    reach = 2 * aperture + (aperture / 2) ** 2 * alpha_max
+    reach = aperture * (1 + theta_max) + (aperture / 2) ** 2 * alpha_max
     width = k[-1] - k[0]
 
     def kernel(x, wavenumbers, weights):  # sum_j weights_j e^{j (wavenumbers_j - k_mid) x}
@@ -563,9 +568,8 @@ def band_quadrature(cfg: SystemConfig, alpha_max: float) -> tuple[np.ndarray, np
     fit_x = np.linspace(0.0, reach, math.ceil(2 * width * reach / math.pi) + 2)
     check_x = np.linspace(0.0, reach, math.ceil(8 * width * reach / math.pi) + 2)
     fit_target, check_target = kernel(fit_x, k, amp), kernel(check_x, k, amp)
-    n_nodes = math.ceil(width * reach / 4) + 16
-    nodes, weights = freqs, np.ones(len(freqs))
-    while n_nodes < len(freqs):
+
+    def fit(n_nodes):  # Chebyshev nodes and weights, or None where the check fails
         phi = (2 * np.arange(n_nodes, 0, -1) - 1) * np.pi / (2 * n_nodes)
         candidate = 0.5 * (freqs[0] + freqs[-1]) + 0.5 * (freqs[-1] - freqs[0]) * np.cos(phi)
         k_nodes = cfg.wavenumber(candidate)
@@ -573,9 +577,19 @@ def band_quadrature(cfg: SystemConfig, alpha_max: float) -> tuple[np.ndarray, np
         c = np.linalg.lstsq(np.concatenate([basis.real, basis.imag]),
                             np.concatenate([fit_target.real, fit_target.imag]), rcond=None)[0]
         if np.max(np.abs(check_target - kernel(check_x, k_nodes, c))) <= 1e-13 * amp.sum():
-            nodes, weights = candidate, c * np.square(candidate / cfg.carrier_freq)
-            break
-        n_nodes += 8
+            return candidate, c * np.square(candidate / cfg.carrier_freq)
+        return None
+
+    failed, n_nodes, rule = None, math.ceil(width * reach / 4) + 16, None
+    while n_nodes < len(freqs) and (rule := fit(n_nodes)) is None:
+        failed, n_nodes = n_nodes, n_nodes + 8
+    while rule is not None and failed is not None and n_nodes - failed > 1:  # bisect the step
+        mid = (failed + n_nodes) // 2
+        if (trial := fit(mid)) is None:
+            failed = mid
+        else:
+            n_nodes, rule = mid, trial
+    nodes, weights = rule or (freqs, np.ones(len(freqs)))
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -585,12 +599,13 @@ def band_powers(codebook: PolarCodebook, beta_c, lengths) -> np.ndarray:
     subcarriers, sum_m codeword_powers, for T users of center path gains
     beta_c (T,) at element path lengths (T, N_t): the weighted sum of
     codeword_powers of their channel_rows over the nodes of band_quadrature
-    for the codebook's largest ring, on the path _by_product picks for T, in
-    blocks of _power_entries.  A power that rounds below 0 is clipped to 0,
+    for the codebook's largest ring and |theta|, on the path _by_product
+    picks for T, in blocks of _power_entries.  A power that rounds below 0 is clipped to 0,
     as exhaustive_moments takes its square root.  With the subcarriers as
     nodes the sum is exact, bit for bit the per-subcarrier pass."""
     cfg, n_trials = codebook.cfg, len(beta_c)
-    nodes, weights = band_quadrature(cfg, float(codebook.rings.max()))
+    nodes, weights = band_quadrature(cfg, float(codebook.rings.max()),
+                                     float(np.abs(codebook.thetas).max()))
     out = np.zeros((n_trials, len(codebook)))
     for chunk in blocks(len(nodes), _power_entries(codebook, n_trials)):
         rows = channel_rows(cfg, beta_c, lengths, nodes[chunk, None])

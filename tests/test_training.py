@@ -667,22 +667,26 @@ def test_band_quadrature_powers_equal_the_subcarrier_sum(name):
     cfg = QUADRATURE_CONFIGS[name]
     book = polar_grid(cfg, 40, 3)
     rows, users = _user_rows(cfg, 8)
-    nodes, weights = band_quadrature(cfg, float(book.rings.max()))
+    nodes, weights = band_quadrature(cfg, float(book.rings.max()),
+                                     float(np.abs(book.thetas).max()))
     assert len(nodes) < cfg.n_subcarriers and (weights > 0).all()
     got, want = band_powers(book, *users), _subcarrier_powers(book, 8, rows)
     assert np.max(np.abs(got - want) / want.max(axis=1, keepdims=True)) < 1e-12
     assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
 
 
+@pytest.mark.parametrize("theta_max", [0.5, math.sin(math.pi / 3), 1.0],
+                         ids=["0.5", "sin 60", "1"])
 @pytest.mark.parametrize("name", list(QUADRATURE_CONFIGS))
-def test_band_quadrature_residual_bound_holds_on_a_fine_grid(name):
+def test_band_quadrature_residual_bound_holds_on_a_fine_grid(name, theta_max):
     # K(x) = sum_m (f_c / f_m)^2 e^{j k_m x} against the nodes' weighted sum
-    # on 20001 points of [-X, X], four times finer than the rule's own check
+    # on 20001 points of [-X, X], X = D (1 + theta_max) + (D / 2)^2 alpha_max,
+    # four times finer than the rule's own check
     cfg = QUADRATURE_CONFIGS[name]
-    nodes, weights = band_quadrature(cfg, cfg.alpha_max)
+    nodes, weights = band_quadrature(cfg, cfg.alpha_max, theta_max)
     freqs = cfg.subcarrier_freqs()
     aperture = (cfg.n_antennas - 1) * cfg.spacing
-    reach = 2 * aperture + (aperture / 2) ** 2 * cfg.alpha_max
+    reach = aperture * (1 + theta_max) + (aperture / 2) ** 2 * cfg.alpha_max
     x = np.linspace(-reach, reach, 20001)
     k_c = cfg.wavenumber(cfg.carrier_freq)
 
@@ -694,17 +698,31 @@ def test_band_quadrature_residual_bound_holds_on_a_fine_grid(name):
     assert np.max(np.abs(residual)) <= 1e-13 * amp.sum()
 
 
+@pytest.mark.parametrize("spec, n_nodes", [(desk_experiment_spec(), 39),
+                                            (fullscale_experiment_spec(), 87)],
+                         ids=["desk", "full scale"])
+def test_band_quadrature_node_counts_of_the_default_grids(spec, n_nodes):
+    # the least J whose residual passes, over the reach of the default
+    # codebook's largest |theta| (sin 60 degrees) and ring
+    plan = design(spec.design)
+    grid = scheme_table(plan, (), spec.bank_angles, spec.bank_rings)["exhaustive"].probes
+    nodes, weights = band_quadrature(plan.cfg, float(grid.rings.max()),
+                                     float(np.abs(grid.thetas).max()))
+    assert len(nodes) == len(weights) == n_nodes
+
+
 def test_band_quadrature_with_few_subcarriers_is_the_exact_sum():
     # J would reach M: the subcarriers with unit weights, and powers bit for
     # bit those of the per-subcarrier pass; one subcarrier is such a config
     cfg = SystemConfig(63, 30e9, 5e9, 24, distance_range=(2.0, 10.0))
     book = polar_grid(cfg, 16, 3)
-    nodes, weights = band_quadrature(cfg, float(book.rings.max()))
+    nodes, weights = band_quadrature(cfg, float(book.rings.max()),
+                                     float(np.abs(book.thetas).max()))
     assert np.array_equal(nodes, cfg.subcarrier_freqs()) and np.array_equal(weights, np.ones(24))
     rows, users = _user_rows(cfg, 5)
     assert np.array_equal(band_powers(book, *users), _subcarrier_powers(book, 5, rows))
     one = SystemConfig(63, 30e9, 5e9, 1, distance_range=(2.0, 10.0))
-    assert np.array_equal(band_quadrature(one, 0.25)[0], one.subcarrier_freqs())
+    assert np.array_equal(band_quadrature(one, 0.25, 1.0)[0], one.subcarrier_freqs())
 
 
 def test_band_powers_are_never_negative(monkeypatch):
@@ -715,8 +733,10 @@ def test_band_powers_are_never_negative(monkeypatch):
     book = polar_grid(cfg, 48, 4)
     _, users = _user_rows(cfg, 40)
     assert (band_powers(book, *users) >= 0).all()
-    nodes, weights = band_quadrature(cfg, float(book.rings.max()))
-    monkeypatch.setattr(training, "band_quadrature", lambda cfg, alpha_max: (nodes, -weights))
+    nodes, weights = band_quadrature(cfg, float(book.rings.max()),
+                                     float(np.abs(book.thetas).max()))
+    monkeypatch.setattr(training, "band_quadrature",
+                        lambda cfg, alpha_max, theta_max: (nodes, -weights))
     clipped = band_powers(book, *users)
     assert np.array_equal(clipped, np.zeros_like(clipped))
     a, b, c = exhaustive_moments(clipped, cfg.n_subcarriers, np.random.default_rng(0))
