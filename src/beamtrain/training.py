@@ -419,37 +419,59 @@ def _by_product(grid: PolarCodebook, n_rows: int) -> bool:
             < 16 * rows * n_fft * math.log2(n_fft))
 
 
-def codeword_powers(codebook: PolarCodebook, h: np.ndarray, f) -> np.ndarray:
-    """Noiseless power |sqrt(P_t) sum_n h_n conj(b_n)|^2 of every codeword b
-    of the polar grid: channel rows h (C, T, N_t) at frequencies f (C,) give
-    (C, T, G), columns in codeword order, no codeword vector formed.  As
-    _by_product picks, one _chirp_z per (row, ring) over the rows pre-chirped
-    by the _grid_phases, or per frequency the rows h e^{-j k polar_phase(
-    theta_0, alpha_r)} (T R, N_t) times e^{-j k d dtheta n a} (N_t, A), the
-    _powers of N_t exponentials.  The bank is the chirp-z over the pilots."""
+def codeword_powers(codebook: PolarCodebook, h: np.ndarray, f, weights, total: np.ndarray,
+                    work=None) -> None:
+    """Add to total (T, R, A), ring-major, the noiseless powers |sqrt(P_t)
+    sum_n h_n conj(b_n)|^2 of every codeword b of the polar grid, for channel
+    rows h (C, T, N_t) at frequencies f (C,), times weights (C,) and summed
+    over the C frequencies, no codeword vector formed.  As _by_product picks,
+    one _chirp_z per (row, ring) over the rows pre-chirped by the
+    _grid_phases, a block of rows at a time, or per frequency the rows h
+    e^{-j k polar_phase(theta_0, alpha_r)} (T R, N_t) times e^{-j k d dtheta
+    n a} (N_t, A), the _powers of N_t exponentials, into work: a complex and
+    a real buffer of at least C T R A entries each, made here when None.
+    The powers are squared, scaled and weighted in place; summed over the
+    frequencies, in order, before they are added, they are bit for bit
+    (|.|^2 P_t / N_t weights).sum(axis=0).  The bank is the chirp-z over the
+    pilots."""
     cfg = codebook.cfg
     k = cfg.wavenumber(np.asarray(f, dtype=float))[:, None, None]
     (c, t, n), r, n_out = h.shape, len(codebook.rings), len(codebook.thetas)
+    weights = np.reshape(weights, (c, 1, 1, 1))
+
+    def add(mag, rows):  # mag (C, rows, R, A), squared: scaled, weighted, summed, added
+        mag *= TX_POWER / n
+        mag *= weights
+        for power in mag[1:]:
+            mag[0] += power
+        total[rows] += mag[0]
+
     if _by_product(codebook, t):
         rows = h[:, :, None] * np.exp(-1j * k * cfg.polar_phase(codebook.thetas[0],
                                                                  codebook.rings))[:, None]
         steps = _powers(np.exp(-1j * cfg.spacing * codebook.step * k[:, 0] * np.arange(n)), n_out)
-        sums = rows.reshape(c, t * r, n) @ np.swapaxes(steps, 1, 2)  # (C, T R, A)
-        mag = np.swapaxes((sums.real ** 2 + sums.imag ** 2).reshape(c, t, r, n_out), 2, 3)
+        size = c * t * r * n_out
+        sums, mag = work or (np.empty(size, dtype=complex), np.empty(size))
+        sums = np.matmul(rows.reshape(c, t * r, n), np.swapaxes(steps, 1, 2),
+                         out=sums[:size].reshape(c, t * r, n_out))
+        mag = np.multiply(sums.real, sums.real, out=mag[:size].reshape(sums.shape))
+        mag += np.square(sums.imag, out=sums.imag)
+        add(mag.reshape(c, t, r, n_out), slice(None))
     else:
         profile, chirp = _grid_phases(codebook)
         # C order keeps each FFT row contiguous whatever the layout of h
         pre = np.multiply(h[:, :, None, :], np.exp(1j * k * profile)[:, None], order="C")
         kernel = np.fft.fft(np.exp(1j * k[:, None] * chirp))
-        mag = np.empty((c, t, n_out, r))  # angle-major, as the codewords
         for rows in blocks(t, c * r * len(chirp)):  # blocks of rows: small FFT buffers
-            mag[:, rows] = np.swapaxes(_chirp_z(pre[:, rows], kernel, n_out), 2, 3)
-        mag *= mag
-    return mag.reshape(c, t, -1) * (TX_POWER / cfg.n_antennas)
+            mag = _chirp_z(pre[:, rows], kernel, n_out)
+            mag *= mag
+            add(mag, rows)
 
 
 def _power_entries(grid: PolarCodebook, n_rows: int) -> int:
-    """Entries of codeword_powers' temporaries per frequency, on its path."""
+    """Entries of codeword_powers' temporaries per frequency, on its path:
+    the rows, steps and sums of the product, or the FFT rows of the chirp-z.
+    band_powers sizes its chunks of nodes by them."""
     rows, a = n_rows * len(grid.rings), len(grid.thetas)
     if _by_product(grid, n_rows):
         return (rows + a) * grid.cfg.n_antennas + rows * a
@@ -600,18 +622,26 @@ def band_powers(codebook: PolarCodebook, beta_c, lengths) -> np.ndarray:
     beta_c (T,) at element path lengths (T, N_t): the weighted sum of
     codeword_powers of their channel_rows over the nodes of band_quadrature
     for the codebook's largest ring and |theta|, on the path _by_product
-    picks for T, in blocks of _power_entries.  A power that rounds below 0 is clipped to 0,
-    as exhaustive_moments takes its square root.  With the subcarriers as
-    nodes the sum is exact, bit for bit the per-subcarrier pass."""
-    cfg, n_trials = codebook.cfg, len(beta_c)
+    picks for T, in chunks of nodes of _power_entries.  Each chunk adds its
+    weighted powers into one ring-major (T, R, A) total, reordered to
+    codeword order once per call; the product path reuses one pair of
+    buffers, made for the first chunk, the largest.  A power that rounds
+    below 0 is clipped to 0, as exhaustive_moments takes its square root.
+    With the subcarriers as nodes the sum is exact, bit for bit the
+    per-subcarrier pass."""
+    cfg, n_trials, n_out = codebook.cfg, len(beta_c), len(codebook.thetas)
     nodes, weights = band_quadrature(cfg, float(codebook.rings.max()),
                                      float(np.abs(codebook.thetas).max()))
-    out = np.zeros((n_trials, len(codebook)))
-    for chunk in blocks(len(nodes), _power_entries(codebook, n_trials)):
+    chunks = blocks(len(nodes), _power_entries(codebook, n_trials))
+    work = None
+    if _by_product(codebook, n_trials):
+        size = (chunks[0].stop - chunks[0].start) * n_trials * len(codebook)
+        work = np.empty(size, dtype=complex), np.empty(size)
+    total = np.zeros((n_trials, len(codebook.rings), n_out))
+    for chunk in chunks:
         rows = channel_rows(cfg, beta_c, lengths, nodes[chunk, None])
-        powers = codeword_powers(codebook, rows, nodes[chunk])
-        powers *= weights[chunk, None, None]
-        out += powers.sum(axis=0)
+        codeword_powers(codebook, rows, nodes[chunk], weights[chunk], total, work)
+    out = np.swapaxes(total, 1, 2).reshape(n_trials, -1)  # codeword order, a copy
     return np.maximum(out, 0.0, out=out)
 
 

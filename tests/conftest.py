@@ -6,7 +6,7 @@ import pytest
 
 from beamtrain import Channel, DesignInputs, PolarCodebook, PolarLocation, SystemConfig, design
 from beamtrain.arrays import _uniform_samples, path_loss
-from beamtrain.training import observe_params
+from beamtrain.training import codeword_powers, observe_params
 from beamtrain.harness import (
     desk_config,
     desk_experiment_spec,
@@ -92,6 +92,15 @@ def polar_grid(cfg, angles: int, rings: int, band=None) -> PolarCodebook:
     band = (cfg.alpha_min, cfg.alpha_max) if band is None else band
     return PolarCodebook(cfg, _uniform_samples(*cfg.angle_range, angles),
                          _uniform_samples(*band, rings))
+
+
+def codeword_order_powers(book, h, freqs) -> np.ndarray:
+    """codeword_powers of channel rows h (C, T, N_t) at each frequency of
+    freqs (C,) alone, at unit weight: (C, T, G), in codeword order."""
+    total = np.zeros((len(freqs), h.shape[1], len(book.rings), len(book.thetas)))
+    for i in range(len(freqs)):
+        codeword_powers(book, h[i:i + 1], freqs[i:i + 1], np.ones(1), total[i])
+    return np.swapaxes(total, 2, 3).reshape(len(freqs), h.shape[1], -1)
 
 
 def grid_locations(grid) -> list:

@@ -12,9 +12,8 @@ from beamtrain import (
     los_channel,
 )
 from beamtrain.arrays import channel_rows, element_distances, los_rows, path_loss
-from beamtrain.training import codeword_powers
 
-from conftest import grid_locations, polar_grid, quadratic_channel
+from conftest import codeword_order_powers, grid_locations, polar_grid, quadratic_channel
 
 
 @pytest.fixture()
@@ -146,7 +145,7 @@ def test_codebook_factors_are_approximate_steering(cfg, shape):
     rng = np.random.default_rng(1)
     rows = (2, 3, cfg.n_antennas)
     h = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
-    got = codeword_powers(book, h, freqs)
+    got = codeword_order_powers(book, h, freqs)
     assert got.shape == (2, 3, len(book))
     thetas = np.array([loc.theta for loc in grid_locations(book)])
     alphas = np.array([loc.alpha for loc in grid_locations(book)])

@@ -14,9 +14,9 @@ from beamtrain import SystemConfig
 from beamtrain.arrays import approx_steering
 from beamtrain.harness import desk_config, fullscale_config
 from beamtrain import training
-from beamtrain.training import codeword_powers, exhaustive_moments
+from beamtrain.training import exhaustive_moments
 
-from conftest import grid_locations, polar_grid
+from conftest import codeword_order_powers, grid_locations, polar_grid
 
 DRAWS = 200_000
 
@@ -84,7 +84,7 @@ def test_chirp_z_powers_match_the_steering_contraction(cfg, angles, rings, by_pr
     rng = np.random.default_rng(angles)
     rows = (len(freqs), 4, cfg.n_antennas)
     h = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
-    got = codeword_powers(book, h, freqs)
+    got = codeword_order_powers(book, h, freqs)
     assert got.shape == (len(freqs), 4, len(book))
     for i, f in enumerate(freqs):
         want = _contraction(cfg, book, h[i], f)

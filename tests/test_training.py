@@ -62,7 +62,8 @@ from beamtrain.training import (
     scheme_table,
 )
 
-from conftest import grid_locations, observe_plan, polar_grid, quadratic_channel
+from conftest import (codeword_order_powers, grid_locations, observe_plan, polar_grid,
+                      quadratic_channel)
 
 NOISELESS = float("inf")
 
@@ -582,7 +583,7 @@ def test_codeword_responses_match_the_steering_contraction(rings):
     h = rng.standard_normal((3, 5, 63)) + 1j * rng.standard_normal((3, 5, 63))
     thetas = np.array([loc.theta for loc in grid_locations(book)])
     alphas = np.array([loc.alpha for loc in grid_locations(book)])
-    got = codeword_powers(book, h, freqs)
+    got = codeword_order_powers(book, h, freqs)
     assert got.shape == (3, 5, len(book))
     for i, f in enumerate(freqs):
         want = np.abs(h[i] @ approx_steering(cfg, (thetas, alphas), f).conj().T) ** 2
@@ -652,13 +653,13 @@ def _user_rows(cfg, n_users, seed=3):
 
 
 def _subcarrier_powers(book, n_users, rows):
-    """The oracle: codeword_powers summed over every subcarrier, in the
-    subcarrier chunks of _power_entries."""
+    """The oracle: codeword_powers summed over every subcarrier at unit
+    weight, in the subcarrier chunks of _power_entries, in codeword order."""
     freqs = book.cfg.subcarrier_freqs()
-    out = np.zeros((n_users, len(book)))
+    total = np.zeros((n_users, len(book.rings), len(book.thetas)))
     for chunk in blocks(len(freqs), _power_entries(book, n_users)):
-        out += codeword_powers(book, rows(freqs[chunk]), freqs[chunk]).sum(axis=0)
-    return out
+        codeword_powers(book, rows(freqs[chunk]), freqs[chunk], np.ones(len(freqs[chunk])), total)
+    return np.swapaxes(total, 1, 2).reshape(n_users, -1)
 
 
 @pytest.mark.parametrize("name", list(QUADRATURE_CONFIGS))
@@ -741,6 +742,25 @@ def test_band_powers_are_never_negative(monkeypatch):
     assert np.array_equal(clipped, np.zeros_like(clipped))
     a, b, c = exhaustive_moments(clipped, cfg.n_subcarriers, np.random.default_rng(0))
     assert np.isfinite(b).all()
+
+
+def test_band_powers_peak_memory_stays_near_its_output():
+    # the desk grid at T = 40, on the product path: the weighted powers are
+    # added in place into one ring-major total, and the product's sums and
+    # squares are buffers made once a call, so the traced peak stays within
+    # 6x the powers; per-node copies around the product would exceed it
+    cfg = desk_config()
+    book = polar_grid(cfg, 192, 8)
+    _, users = _user_rows(cfg, 40)
+    band_powers(book, *users)  # the band quadrature is cached before the trace
+    tracemalloc.start()
+    try:
+        out = band_powers(book, *users)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (40, len(book))
+    assert peak <= 6 * out.nbytes
 
 
 # rainbow sweeps -------------------------------------------------------------
