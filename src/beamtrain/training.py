@@ -35,7 +35,7 @@ exponentials per element of a user or a beam: 3 T N_t for the users and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
@@ -371,6 +371,7 @@ class MatchFilterBank:
 
     signatures: np.ndarray
     grid: PolarCodebook
+    _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.signatures.shape[-1] != len(self.grid):
@@ -378,6 +379,15 @@ class MatchFilterBank:
 
     def __len__(self) -> int:
         return len(self.grid)
+
+    def norms(self, budget=None) -> np.ndarray:
+        """Norms (G,) of the first `budget` pilots' signatures over their
+        (pilot, subcarrier) entries, made once per budget and kept."""
+        if budget not in self._norms:
+            sig = self.signatures[:budget]
+            sig = sig.reshape(-1, sig.shape[-1])  # (budget M, G), a view
+            self._norms[budget] = np.sqrt(np.einsum("ig,ig->g", sig, sig))
+        return self._norms[budget]
 
 
 def _chirp_z(pre: np.ndarray, kernel: np.ndarray, n_out: int) -> np.ndarray:
@@ -515,11 +525,12 @@ def match_filter_estimate(mags: np.ndarray, bank: MatchFilterBank, budget=None
     """Grid point whose signature best correlates with each trial's
     observation over the first `budget` pilots, both unit-normalized (cosine
     similarity); first index wins ties.  The budget's signatures are a view
-    of the bank and the correlations are divided by their norms, so the bank
-    is not copied.  The pick is the grid index."""
+    of the bank and the correlations are divided by their norms, bank.norms,
+    made once per budget, so the bank is not copied.  The pick is the grid
+    index."""
     sig = bank.signatures[:budget]
     sig = sig.reshape(-1, sig.shape[-1])  # (budget M, G), a view
-    sig_norms = np.sqrt(np.einsum("ig,ig->g", sig, sig))
+    sig_norms = bank.norms(budget)
     flat = np.swapaxes(mags[..., :budget], 1, 2).reshape(len(mags), -1)
     norms = np.linalg.norm(flat, axis=1, keepdims=True)
     flat = flat / np.where(norms == 0, 1.0, norms)

@@ -450,6 +450,26 @@ def test_match_filter_picks_equal_a_unit_copy_reference_at_every_budget(desk_cfg
         assert np.array_equal(match_filter_estimate(mags, bank, budget).pick, want), budget
 
 
+def test_match_filter_signature_norms_are_made_once_per_budget(desk_cfg, monkeypatch):
+    # the sweep runs the estimator at every SNR point over one bank: each
+    # budget's signature norms are made at its first call and kept, and the
+    # picks are bit for bit those of a fresh bank
+    plan = design(DesignInputs(cfg=desk_cfg, gamma=0.5, k_override=3))
+    bank = _bank(plan, 48, 4)
+    mags = np.random.default_rng(1).random((5, desk_cfg.n_subcarriers, plan.K))
+    einsum, calls = np.einsum, []
+    monkeypatch.setattr(np, "einsum",
+                        lambda *args, **kw: calls.append(args[0]) or einsum(*args, **kw))
+    picks = {budget: [match_filter_estimate(mags, bank, budget).pick for _ in range(4)]
+             for budget in (1, 2, None)}
+    assert calls.count("ig,ig->g") == 3
+    monkeypatch.undo()
+    for budget, got in picks.items():
+        fresh = MatchFilterBank(bank.signatures, bank.grid)
+        want = match_filter_estimate(mags, fresh, budget).pick
+        assert all(np.array_equal(pick, want) for pick in got), budget
+
+
 def test_match_filter_budget_reads_the_bank_without_a_copy(desk_cfg):
     # the signatures are pilot-major, so a budget below K is a view: the
     # estimate's peak allocation stays far below one pilot's signatures
