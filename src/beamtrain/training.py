@@ -15,7 +15,8 @@ chirp-z sum over it with the grid's phases, _grid_phases: the match-filter
 bank makes it over its pilot beams through the giant and baby steps of the
 subcarriers; codeword_powers squares it over channel rows, or on a small
 grid takes one matrix product per frequency.  The codebook's powers summed
-over the band are a weighted sum over the nodes of band_quadrature.
+over the band are a weighted sum over the nodes of band_quadrature, added
+in place into one ring-major total.
 
 scheme_table holds one row per scheme (probe family, probes, estimator,
 pilot count); the sweep engine runs its rows over T drawn users and
@@ -381,11 +382,9 @@ class MatchFilterBank:
         return len(self.grid)
 
     def norms(self, budget=None) -> np.ndarray:
-        """Norms (G,) of the first `budget` pilots' signatures over their
-        (pilot, subcarrier) entries, made once per budget and kept."""
+        """Norms (G,) of the first `budget` pilots' signatures, made once a budget."""
         if budget not in self._norms:
-            sig = self.signatures[:budget]
-            sig = sig.reshape(-1, sig.shape[-1])  # (budget M, G), a view
+            sig = self.signatures[:budget].reshape(-1, len(self))  # (budget M, G), a view
             self._norms[budget] = np.sqrt(np.einsum("ig,ig->g", sig, sig))
         return self._norms[budget]
 
@@ -429,29 +428,22 @@ def _by_product(grid: PolarCodebook, n_rows: int) -> bool:
             < 16 * rows * n_fft * math.log2(n_fft))
 
 
-def codeword_powers(codebook: PolarCodebook, h: np.ndarray, f, weights, total: np.ndarray,
-                    work=None) -> None:
-    """Add to total (T, R, A), ring-major, the noiseless powers |sqrt(P_t)
-    sum_n h_n conj(b_n)|^2 of every codeword b of the polar grid, for channel
-    rows h (C, T, N_t) at frequencies f (C,), times weights (C,) and summed
-    over the C frequencies, no codeword vector formed.  As _by_product picks,
-    one _chirp_z per (row, ring) over the rows pre-chirped by the
-    _grid_phases, a block of rows at a time, or per frequency the rows h
-    e^{-j k polar_phase(theta_0, alpha_r)} (T R, N_t) times e^{-j k d dtheta
-    n a} (N_t, A), the _powers of N_t exponentials, into work: a complex and
-    a real buffer of at least C T R A entries each, made here when None.
-    The powers are squared, scaled and weighted in place; summed over the
-    frequencies, in order, before they are added, they are bit for bit
-    (|.|^2 P_t / N_t weights).sum(axis=0).  The bank is the chirp-z over the
-    pilots."""
+def codeword_powers(codebook: PolarCodebook, h, f, weights, total, work=None) -> None:
+    """Add to total (T, R, A), ring-major, the powers |sqrt(P_t) sum_n h_n
+    conj(b_n)|^2 of every codeword b of the polar grid at channel rows h
+    (C, T, N_t) and frequencies f (C,), times weights (C,), summed over C.
+    As _by_product picks, one _chirp_z per (row, ring) over the rows
+    pre-chirped by the _grid_phases, a block of rows at a time, or per
+    frequency the rows h e^{-j k polar_phase(theta_0, alpha_r)} (T R, N_t)
+    times e^{-j k d dtheta n a} (N_t, A), the _powers of N_t exponentials,
+    into work: complex and real buffers of C T R A entries, made when None."""
     cfg = codebook.cfg
     k = cfg.wavenumber(np.asarray(f, dtype=float))[:, None, None]
     (c, t, n), r, n_out = h.shape, len(codebook.rings), len(codebook.thetas)
-    weights = np.reshape(weights, (c, 1, 1, 1))
 
-    def add(mag, rows):  # mag (C, rows, R, A), squared: scaled, weighted, summed, added
+    def add(mag, rows):  # squared (C, rows, R, A): scaled, weighted and summed in place
         mag *= TX_POWER / n
-        mag *= weights
+        mag *= weights[:, None, None, None]
         for power in mag[1:]:
             mag[0] += power
         total[rows] += mag[0]
@@ -480,8 +472,7 @@ def codeword_powers(codebook: PolarCodebook, h: np.ndarray, f, weights, total: n
 
 def _power_entries(grid: PolarCodebook, n_rows: int) -> int:
     """Entries of codeword_powers' temporaries per frequency, on its path:
-    the rows, steps and sums of the product, or the FFT rows of the chirp-z.
-    band_powers sizes its chunks of nodes by them."""
+    rows, steps and sums of the product, or FFT rows of the chirp-z."""
     rows, a = n_rows * len(grid.rings), len(grid.thetas)
     if _by_product(grid, n_rows):
         return (rows + a) * grid.cfg.n_antennas + rows * a
@@ -525,11 +516,9 @@ def match_filter_estimate(mags: np.ndarray, bank: MatchFilterBank, budget=None
     """Grid point whose signature best correlates with each trial's
     observation over the first `budget` pilots, both unit-normalized (cosine
     similarity); first index wins ties.  The budget's signatures are a view
-    of the bank and the correlations are divided by their norms, bank.norms,
-    made once per budget, so the bank is not copied.  The pick is the grid
-    index."""
-    sig = bank.signatures[:budget]
-    sig = sig.reshape(-1, sig.shape[-1])  # (budget M, G), a view
+    of the bank and the correlations are divided by their bank.norms, so the
+    bank is not copied.  The pick is the grid index."""
+    sig = bank.signatures[:budget].reshape(-1, len(bank))  # (budget M, G), a view
     sig_norms = bank.norms(budget)
     flat = np.swapaxes(mags[..., :budget], 1, 2).reshape(len(mags), -1)
     norms = np.linalg.norm(flat, axis=1, keepdims=True)
@@ -564,25 +553,24 @@ def band_quadrature(cfg: SystemConfig, alpha_max: float, theta_max: float
     subcarriers in a codebook's powers summed over the band.
 
     With v_n = -r_n + u_n^2 alpha_g - u_n theta_g, a codeword's power summed
-    over the band is beta_c^2 sum_{n,n'} K(v_n - v_n'), where
-    K(x) = sum_m (f_c / f_m)^2 e^{j k_m x}.  For any user the triangle
-    inequality gives |r_n - r_n'| <= |u_n - u_n'| <= D, D = (N_t - 1) d; the
-    linear phase spreads over at most D |theta_g| and the quadratic one over
-    (D / 2)^2 alpha_g, so |x| <= X = D (1 + theta_max) + (D / 2)^2 alpha_max
-    for codewords of |theta| up to theta_max and rings up to alpha_max.  On
-    |x| <= X, K is band-limited, so J Chebyshev nodes nu_j over
-    [f_1, f_M] with weights w_j, fitted by least squares, give K(x) ~
-    sum_j w_j (f_c / nu_j)^2 e^{j k(nu_j) x}; then the summed power is
-    sum_j w_j times the codeword power at nu_j (generalized Gaussian
-    quadrature for band-limited functions, Xiao, Rokhlin & Yarvin 2001).  J
-    is the least count whose largest residual of K on an 8x oversampled
-    grid of [0, X] is at most 1e-13 sum_m (f_c / f_m)^2 (K(-x) is conj K(x)
-    on both sides): from ceil((k_M - k_1) X / 4) + 16 up in steps of 8, then
-    the last step bisected, at most three more fits.  The fit runs on a 2x
-    oversampled grid, and K is built in blocks of x.  When J would reach M,
-    the subcarriers with unit weights are returned: the exact sum.  Every
-    wavenumber is taken less the band's middle one, which keeps the phases
-    small.  The arrays are cached and read-only.
+    over the band is beta_c^2 sum_{n,n'} K(v_n - v_n'), where K(x) = sum_m
+    (f_c / f_m)^2 e^{j k_m x} and |x| <= X = D (1 + theta_max) + (D / 2)^2
+    alpha_max, D = (N_t - 1) d, for codewords up to theta_max and alpha_max:
+    any user's |r_n - r_n'| <= |u_n - u_n'| <= D (triangle inequality), u_n
+    theta_g spreads over D theta_max and u_n^2 alpha_g over (D / 2)^2
+    alpha_max.  On |x| <= X, K is band-limited, so J Chebyshev nodes nu_j over
+    [f_1, f_M] with weights w_j, fitted by least squares, give K(x) ~ sum_j
+    w_j (f_c / nu_j)^2 e^{j k(nu_j) x}; then the summed power is sum_j w_j
+    times the codeword power at nu_j (generalized Gaussian quadrature for
+    band-limited functions, Xiao, Rokhlin & Yarvin 2001).  J goes from
+    ceil((k_M - k_1) X / 4) + 16 up by 8, then bisects the last step, to the
+    least count whose largest residual of K on an 8x oversampled grid of
+    [0, X] is at most 1e-13 sum_m (f_c / f_m)^2 (K(-x) is conj K(x) on both
+    sides); the fit runs on a 2x oversampled grid, and K is built in blocks
+    of x.  When J would reach M, the subcarriers with unit weights are
+    returned: the exact sum.  Every wavenumber is taken less the band's
+    middle one, which keeps the phases small.  The arrays are cached and
+    read-only.
     """
     freqs = cfg.subcarrier_freqs()
     k = cfg.wavenumber(freqs)
@@ -611,17 +599,13 @@ def band_quadrature(cfg: SystemConfig, alpha_max: float, theta_max: float
                             np.concatenate([fit_target.real, fit_target.imag]), rcond=None)[0]
         if np.max(np.abs(check_target - kernel(check_x, k_nodes, c))) <= 1e-13 * amp.sum():
             return candidate, c * np.square(candidate / cfg.carrier_freq)
-        return None
 
-    failed, n_nodes, rule = None, math.ceil(width * reach / 4) + 16, None
+    n_nodes, rule = math.ceil(width * reach / 4) + 16, None
     while n_nodes < len(freqs) and (rule := fit(n_nodes)) is None:
-        failed, n_nodes = n_nodes, n_nodes + 8
-    while rule is not None and failed is not None and n_nodes - failed > 1:  # bisect the step
-        mid = (failed + n_nodes) // 2
-        if (trial := fit(mid)) is None:
-            failed = mid
-        else:
-            n_nodes, rule = mid, trial
+        n_nodes += 8
+    for step in (4, 2, 1) if rule else ():  # bisect the last step of 8
+        if (trial := fit(n_nodes - step)) is not None:
+            n_nodes, rule = n_nodes - step, trial
     nodes, weights = rule or (freqs, np.ones(len(freqs)))
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
@@ -629,26 +613,22 @@ def band_quadrature(cfg: SystemConfig, alpha_max: float, theta_max: float
 
 def band_powers(codebook: PolarCodebook, beta_c, lengths) -> np.ndarray:
     """Noiseless powers (T, G) of every codeword summed over the M
-    subcarriers, sum_m codeword_powers, for T users of center path gains
-    beta_c (T,) at element path lengths (T, N_t): the weighted sum of
-    codeword_powers of their channel_rows over the nodes of band_quadrature
-    for the codebook's largest ring and |theta|, on the path _by_product
-    picks for T, in chunks of nodes of _power_entries.  Each chunk adds its
-    weighted powers into one ring-major (T, R, A) total, reordered to
-    codeword order once per call; the product path reuses one pair of
-    buffers, made for the first chunk, the largest.  A power that rounds
-    below 0 is clipped to 0, as exhaustive_moments takes its square root.
-    With the subcarriers as nodes the sum is exact, bit for bit the
-    per-subcarrier pass."""
-    cfg, n_trials, n_out = codebook.cfg, len(beta_c), len(codebook.thetas)
+    subcarriers, for T users of center path gains beta_c (T,) at element
+    path lengths (T, N_t): codeword_powers of their channel_rows weighted
+    over the nodes of band_quadrature for the codebook's largest ring and
+    |theta|, in chunks of _power_entries, added into one ring-major total
+    (the product's buffers made once) put in codeword order once.  A power
+    that rounds below 0 is clipped to 0, as exhaustive_moments takes its
+    square root.  With the subcarriers as nodes the sum is exact, bit for
+    bit the per-subcarrier pass."""
+    cfg, n_trials = codebook.cfg, len(beta_c)
     nodes, weights = band_quadrature(cfg, float(codebook.rings.max()),
                                      float(np.abs(codebook.thetas).max()))
     chunks = blocks(len(nodes), _power_entries(codebook, n_trials))
-    work = None
-    if _by_product(codebook, n_trials):
-        size = (chunks[0].stop - chunks[0].start) * n_trials * len(codebook)
-        work = np.empty(size, dtype=complex), np.empty(size)
-    total = np.zeros((n_trials, len(codebook.rings), n_out))
+    size = (chunks[0].stop - chunks[0].start) * n_trials * len(codebook)
+    work = ((np.empty(size, dtype=complex), np.empty(size))
+            if _by_product(codebook, n_trials) else None)
+    total = np.zeros((n_trials, len(codebook.rings), len(codebook.thetas)))
     for chunk in chunks:
         rows = channel_rows(cfg, beta_c, lengths, nodes[chunk, None])
         codeword_powers(codebook, rows, nodes[chunk], weights[chunk], total, work)
