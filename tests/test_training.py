@@ -696,9 +696,13 @@ def test_band_quadrature_powers_equal_the_subcarrier_sum(name):
     assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
 
 
-@pytest.mark.parametrize("theta_max", [0.5, math.sin(math.pi / 3), 1.0],
-                         ids=["0.5", "sin 60", "1"])
-@pytest.mark.parametrize("name", list(QUADRATURE_CONFIGS))
+# theta_max = 1 under each config's name, then 0.5 and sin 60 degrees
+@pytest.mark.parametrize("name, theta_max",
+                         [(name, t) for t in (1.0, 0.5, math.sin(math.pi / 3))
+                          for name in QUADRATURE_CONFIGS],
+                         ids=list(QUADRATURE_CONFIGS)
+                         + [f"{name}-theta {t}" for t in ("0.5", "sin 60")
+                            for name in QUADRATURE_CONFIGS])
 def test_band_quadrature_residual_bound_holds_on_a_fine_grid(name, theta_max):
     # K(x) = sum_m (f_c / f_m)^2 e^{j k_m x} against the nodes' weighted sum
     # on 20001 points of [-X, X], X = D (1 + theta_max) + (D / 2)^2 alpha_max,
