@@ -30,6 +30,11 @@ changes).  In each tree a child process, with that tree's `src/` and
 - the JSON, `json.dumps(to_dict(), indent=2)`, and `spec_hash()` of the
   default desk and full-scale specs
 - each plan and spec JSON read back through `from_dict` and written again
+- the raw kernel arrays, one row per line (kernel_items): the bank
+  signatures of the desk plan on its 192 x 8 grid and of the full-scale
+  plan on the fullscale_grid 32 x 2 grid, and the `band_powers` of the desk
+  codebook for 40 users drawn from seed 0, so a kernel change shows its
+  largest relative change even where no pick moves
 
 Each item is reported as identical, or with the count of changed lines and
 the largest relative change of a number on them ("inf" where a changed line
@@ -54,6 +59,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from bench_pairs import export
 
@@ -159,6 +166,37 @@ def report_line(name: str, summary: dict) -> str:
             f"largest relative change {summary['max_rel_change']:.3g}{schemes}")
 
 
+def _rows_text(array) -> str:
+    """One line per row of the array's last axis, each number by repr, so
+    equal bits give equal text."""
+    return "".join(",".join(map(repr, row)) + "\n"
+                   for row in array.reshape(-1, array.shape[-1]).tolist())
+
+
+def kernel_items(desk_plan, fullscale_plan) -> dict:
+    """Text of the raw kernel arrays: the bank signatures (K M lines of G)
+    of the desk plan on its 192 x 8 grid and of the full-scale plan on the
+    fullscale_grid 32 x 2 grid, the grids the scheme table builds; and the
+    band_powers (40 lines of G) of the desk codebook for 40 users drawn
+    from np.random.default_rng(0) as the sweep draws them."""
+    from beamtrain import build_match_filter_bank, harness
+    from beamtrain.arrays import element_distances
+    from beamtrain.training import band_powers, scheme_table
+
+    items, grids = {}, {}
+    for name, plan, angles, rings in (("desk", desk_plan, 192, 8),
+                                      ("full-scale", fullscale_plan, 32, 2)):
+        grids[name] = grid = scheme_table(plan, (), angles, rings)["exhaustive"].probes
+        items[f"{name} bank signatures {angles} x {rings}"] = _rows_text(
+            build_match_filter_bank(plan, grid).signatures)
+    cfg = desk_plan.cfg
+    users = harness._draw_users(cfg, np.random.default_rng(0), 40)
+    lengths = element_distances(cfg, users["theta"][:, None], users["r"][:, None])
+    items["desk band_powers 192 x 8, 40 users"] = _rows_text(
+        band_powers(grids["desk"], users["beta_c"], lengths))
+    return items
+
+
 def dump(out: str) -> None:
     """Write every item's text of the tree on the path, as JSON, to out."""
     import workloads
@@ -201,6 +239,7 @@ def dump(out: str) -> None:
             work.close()
     config_a = SystemConfig(n_antennas=128, carrier_freq=10e9, bandwidth=2e9,
                             n_subcarriers=512, distance_range=(5.0, 200.0))
+    plans = {}
     for name, inputs in (("desk", desk().design_inputs()),
                          ("full-scale", harness.fullscale_experiment_spec().design_inputs()),
                          ("config-A", DesignInputs(cfg=config_a, gamma=1.0))):
@@ -212,6 +251,8 @@ def dump(out: str) -> None:
         items[f"{name} plan summary"] = plan.summary()
         items[f"{name} plan derived values"] = json.dumps(
             {key: getattr(plan, key) for key in PLAN_VALUES}, indent=2)
+        plans[name] = plan
+    items.update(kernel_items(plans["desk"], plans["full-scale"]))
     for name, spec in (("desk", desk()), ("full-scale", harness.fullscale_experiment_spec())):
         items[f"{name} spec JSON"] = text = json.dumps(spec.to_dict(), indent=2)
         items[f"{name} spec hash"] = spec.spec_hash()

@@ -92,10 +92,11 @@ class PolarCodebook:
     Every angle carries the same alpha rings; grid points run angle-major,
     then ring, so point g is (thetas[g // R], rings[g % R]) with R rings.
     The codeword of a point on subcarrier m is its approximate steering
-    vector, approx_steering.  training.codeword_powers sums each ring over
-    the angle axis by a chirp-z transform or a matrix product of the powers
-    of one angle step, without codewords, so the angles must be uniform.
-    The exhaustive codebook and the match-filter bank both stand on this grid.
+    vector, approx_steering.  training.codeword_powers (the exhaustive
+    codebook's powers) and training.build_match_filter_bank sum each ring
+    over the angle axis by a chirp-z transform, or the codebook by a matrix
+    product of the powers of one angle step, without codewords, so the
+    angles must be uniform.
     """
 
     def __init__(self, cfg: SystemConfig, thetas, rings):

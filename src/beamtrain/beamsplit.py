@@ -77,7 +77,7 @@ class BeamFocus:
 
 
 def element_delays(cfg: SystemConfig, theta_t: float, alpha_t: float) -> np.ndarray:
-    """Per-element delays tau_n = (n d theta_t - n^2 d^2 alpha_t) / c."""
+    """Per-element delays (n d theta_t - n^2 d^2 alpha_t) / c; theta_t, alpha_t broadcast."""
     return cfg.polar_phase(theta_t, alpha_t) / SPEED_OF_LIGHT
 
 
@@ -123,8 +123,7 @@ def wavenumber_steps(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     baby[s], giant[a] = k_{ab+1} and baby[s] = s dk, so a sum of e^{j k_m x}
     over the band is a product of a = ceil(M / b) giant and b baby steps per
     x (Rabiner, Schafer & Rader 1969), which phase_steps makes from three
-    exponentials per x.  subcarrier_gains, _pilot_pass and the bank split
-    here.  The arrays are cached and read-only."""
+    exponentials per x.  The arrays are cached and read-only."""
     m = cfg.n_subcarriers
     b = math.isqrt(m - 1) + 1
     giant = cfg.wavenumber(cfg.subcarrier_freqs()[::b])
@@ -150,9 +149,10 @@ def phase_steps(cfg: SystemConfig, x) -> tuple[np.ndarray, np.ndarray]:
     """Giant steps e^{j k_{ab+1} x} (..., a, N) and baby steps e^{j s dk x}
     (..., b, N) of wavenumber_steps at the phases x (..., N): e^{j k_1 x}
     times the powers of e^{j b dk x}, and the powers of e^{j dk x}, filled
-    by doubling.  Three exponentials per entry of x and a + b products, not
-    a + b exponentials; an entry depends on its own x alone, and is exactly
-    1 where x = 0.  subcarrier_gains and _pilot_pass build their steps here."""
+    by doubling: three exponentials per entry of x, not a + b; an entry
+    depends on its own x alone, and is exactly 1 where x = 0.  The one maker
+    of band phase tables, for subcarrier_gains, training._pilot_pass and
+    training.build_match_filter_bank."""
     giant, baby = wavenumber_steps(cfg)
     dk = baby[1] if len(baby) > 1 else 0.0
     steps = _powers(np.exp(1j * (len(baby) * dk) * x), len(giant))

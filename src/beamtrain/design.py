@@ -356,9 +356,6 @@ class FixedTdNetwork:
 
 
 def fixed_td_network(plan: PilotPlan) -> FixedTdNetwork:
-    """Materialize the per-element delay table for every pilot of the plan."""
-    cols = [
-        element_delays(plan.cfg, plan.theta_t_list[k], plan.alpha_t)
-        for k in range(plan.K)
-    ]
-    return FixedTdNetwork(delays=np.stack(cols, axis=1))
+    """Materialize the per-element delay table (N_t, K) of every pilot of the plan."""
+    return FixedTdNetwork(delays=element_delays(plan.cfg, np.array(plan.theta_t_list),
+                                                plan.alpha_t).T)

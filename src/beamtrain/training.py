@@ -12,11 +12,12 @@ observations, and estimates the user's polar location.  Estimators:
 
 The two grid searches stand on one grid type, arrays.PolarCodebook, and one
 chirp-z sum over it with the grid's phases, _grid_phases: the match-filter
-bank makes it over its pilot beams through the giant and baby steps of the
-subcarriers; codeword_powers squares it over channel rows, or on a small
-grid takes one matrix product per frequency.  The codebook's powers summed
-over the band are a weighted sum over the nodes of band_quadrature, added
-in place into one ring-major total.
+bank makes it over its pilot beams through the giant and baby steps of
+beamsplit.phase_steps, in one loop over blocks of subcarriers;
+codeword_powers squares it over channel rows, or on a small grid takes one
+matrix product per frequency, and adds the weighted squares over its
+frequencies into one ring-major total.  band_powers, the codebook's powers
+summed over the band, is codeword_powers over the nodes of band_quadrature.
 
 scheme_table holds one row per scheme (probe family, probes, estimator,
 pilot count); the sweep engine runs its rows over T drawn users and
@@ -44,8 +45,7 @@ import numpy as np
 
 from .config import PolarLocation, Record, SystemConfig, curvature_law
 from .arrays import Channel, PolarCodebook, _uniform_samples, channel_rows, path_loss
-from .beamsplit import (TdPsParams, _powers, blocks, ellipse_coefficients, phase_steps,
-                        wavenumber_steps)
+from .beamsplit import TdPsParams, _powers, blocks, ellipse_coefficients, phase_steps
 from .design import PilotPlan
 
 TX_POWER = 1.0
@@ -149,7 +149,7 @@ def _pilot_pass(cfg: SystemConfig, pilots: dict, beta_c, lengths) -> dict:
     """Noiseless observations sqrt(P_t) h_m^T w_{m,k} of each pilot family
     of _observe, one C-contiguous (T, M, K) array per family.
 
-    With wavenumber_steps, m - 1 = a b + s, the sum over the elements of row
+    With m - 1 = a b + s as in phase_steps, the sum over the elements of row
     (user t, beam k) at subcarrier m is sum_n G[a, n] S[s, n]: the giant
     steps G = e^{-j k_{ab+1} L} e^{-j (k_{ab+1} A + k_c B)} sqrt(P_t / N_t)
     and the baby steps S = e^{-j s dk L} e^{-j s dk A}, L the user's element
@@ -428,86 +428,84 @@ def _by_product(grid: PolarCodebook, n_rows: int) -> bool:
             < 16 * rows * n_fft * math.log2(n_fft))
 
 
-def codeword_powers(codebook: PolarCodebook, h, f, weights, total, work=None) -> None:
-    """Add to total (T, R, A), ring-major, the powers |sqrt(P_t) sum_n h_n
-    conj(b_n)|^2 of every codeword b of the polar grid at channel rows h
-    (C, T, N_t) and frequencies f (C,), times weights (C,), summed over C.
-    As _by_product picks, one _chirp_z per (row, ring) over the rows
-    pre-chirped by the _grid_phases, a block of rows at a time, or per
-    frequency the rows h e^{-j k polar_phase(theta_0, alpha_r)} (T R, N_t)
-    times e^{-j k d dtheta n a} (N_t, A), the _powers of N_t exponentials,
-    into work: complex and real buffers of C T R A entries, made when None."""
+def codeword_powers(codebook: PolarCodebook, n_rows: int, rows, f, weights) -> np.ndarray:
+    """Powers (T, G), in codeword order and clipped at 0, of |sqrt(P_t)
+    sum_n h_n conj(b_n)|^2 for every codeword b, summed over frequencies f
+    (C,) times weights (C,), h the T = n_rows rows(f[chunk]) (chunk, T, N_t).
+    On the path _by_product picks, per frequency the rows h e^{-j k
+    polar_phase(theta_0, alpha_r)} (T R, N_t) times e^{-j k d dtheta n a}
+    (N_t, A) into two buffers made once, or one _chirp_z per (row, ring)
+    pre-chirped by the _grid_phases, a block of rows at a time; each chunk
+    of frequencies (blocks) is added in order into one ring-major total."""
     cfg = codebook.cfg
-    k = cfg.wavenumber(np.asarray(f, dtype=float))[:, None, None]
-    (c, t, n), r, n_out = h.shape, len(codebook.rings), len(codebook.thetas)
+    n, r, n_out = cfg.n_antennas, len(codebook.rings), len(codebook.thetas)
+    total = np.zeros((n_rows, r, n_out))
+    by_product = _by_product(codebook, n_rows)
+    profile, chirp = _grid_phases(codebook)
+    per_freq = ((n_rows * r + n_out) * n + n_rows * r * n_out if by_product
+                else n_rows * r * len(chirp))
+    chunks = blocks(len(f), per_freq)
+    size = (chunks[0].stop - chunks[0].start) * n_rows * r * n_out
+    work = (np.empty(size, dtype=complex), np.empty(size)) if by_product else None
 
-    def add(mag, rows):  # squared (C, rows, R, A): scaled, weighted and summed in place
+    def add(mag, w, rows):  # squared (C, rows, R, A): scaled, weighted and summed in place
         mag *= TX_POWER / n
-        mag *= weights[:, None, None, None]
+        mag *= w[:, None, None, None]
         for power in mag[1:]:
             mag[0] += power
         total[rows] += mag[0]
 
-    if _by_product(codebook, t):
-        rows = h[:, :, None] * np.exp(-1j * k * cfg.polar_phase(codebook.thetas[0],
-                                                                 codebook.rings))[:, None]
+    def product(h, k, w):
+        c = len(k)
         steps = _powers(np.exp(-1j * cfg.spacing * codebook.step * k[:, 0] * np.arange(n)), n_out)
-        size = c * t * r * n_out
-        sums, mag = work or (np.empty(size, dtype=complex), np.empty(size))
-        sums = np.matmul(rows.reshape(c, t * r, n), np.swapaxes(steps, 1, 2),
-                         out=sums[:size].reshape(c, t * r, n_out))
-        mag = np.multiply(sums.real, sums.real, out=mag[:size].reshape(sums.shape))
+        pre = h[:, :, None] * np.exp(-1j * k * cfg.polar_phase(codebook.thetas[0],
+                                                                codebook.rings))[:, None]
+        sums = np.matmul(pre.reshape(c, n_rows * r, n), np.swapaxes(steps, 1, 2),
+                         out=work[0][:c * n_rows * r * n_out].reshape(c, n_rows * r, n_out))
+        mag = np.multiply(sums.real, sums.real, out=work[1][:sums.size].reshape(sums.shape))
         mag += np.square(sums.imag, out=sums.imag)
-        add(mag.reshape(c, t, r, n_out), slice(None))
-    else:
-        profile, chirp = _grid_phases(codebook)
+        add(mag.reshape(c, n_rows, r, n_out), w, slice(None))
+
+    def chirp_z(h, k, w):
         # C order keeps each FFT row contiguous whatever the layout of h
         pre = np.multiply(h[:, :, None, :], np.exp(1j * k * profile)[:, None], order="C")
         kernel = np.fft.fft(np.exp(1j * k[:, None] * chirp))
-        for rows in blocks(t, c * r * len(chirp)):  # blocks of rows: small FFT buffers
-            mag = _chirp_z(pre[:, rows], kernel, n_out)
+        for block in blocks(n_rows, len(k) * r * len(chirp)):  # small FFT buffers
+            mag = _chirp_z(pre[:, block], kernel, n_out)
             mag *= mag
-            add(mag, rows)
+            add(mag, w, block)
 
-
-def _power_entries(grid: PolarCodebook, n_rows: int) -> int:
-    """Entries of codeword_powers' temporaries per frequency, on its path:
-    rows, steps and sums of the product, or FFT rows of the chirp-z."""
-    rows, a = n_rows * len(grid.rings), len(grid.thetas)
-    if _by_product(grid, n_rows):
-        return (rows + a) * grid.cfg.n_antennas + rows * a
-    return rows * len(_grid_phases(grid)[1])
+    for chunk in chunks:
+        (product if by_product else chirp_z)(
+            rows(f[chunk]), cfg.wavenumber(f[chunk])[:, None, None], weights[chunk])
+    out = np.swapaxes(total, 1, 2).reshape(n_rows, -1)  # codeword order, a copy
+    return np.maximum(out, 0.0, out=out)
 
 
 def build_match_filter_bank(plan: PilotPlan, grid: PolarCodebook) -> MatchFilterBank:
     """Signature bank of the plan's pilots over a polar grid: the array gain
     |a(theta, alpha)^T w_{m,k}| of every pilot beam at every grid point.  With
-    m - 1 = a b + s (wavenumber_steps), A, B the _beam_profiles and P, x the
-    _grid_phases, _chirp_z sums a row's entries e^{j (k_{ab+1} (A + P) + k_c
-    B)} e^{j s dk (A + P)} / N_t under its chirp e^{j k_{ab+1} x} e^{j s dk x}:
-    (M / b + b)(K R N_t + n_fft) exponentials.  Its giant steps are made one
-    at a time, not by phase_steps: the bank's time goes to the FFTs, and a
-    whole giant table would add K R a N_t entries to its peak memory.  No bit
-    depends on the blocks."""
+    m - 1 = a b + s, A, B the _beam_profiles and P, x the _grid_phases,
+    _chirp_z sums a row's entries e^{j (k_{ab+1} (A + P) + k_c B)} e^{j s dk
+    (A + P)} / N_t under its chirp e^{j k_{ab+1} x} e^{j s dk x}: the giant
+    and baby steps of phase_steps over A + P and over x, 3 (K R N_t + n_fft)
+    exponentials, then one loop over blocks of subcarriers.  No bit depends
+    on the blocks."""
     cfg, n_out = plan.cfg, len(grid.thetas)
-    giant, baby = wavenumber_steps(cfg)
-    kc, b = cfg.wavenumber(cfg.carrier_freq), len(baby)
     params = plan.params(np.arange(1, plan.K + 1))
     delay, shift = (p[:, None] for p in _beam_profiles(cfg, params))  # (K, 1, N_t)
     profile, chirp = _grid_phases(grid)
-    entries = plan.K * len(grid.rings) * len(chirp)
-    psi = delay + profile  # (K, R, N_t)
-    baby_pre = np.exp(1j * baby[:, None, None, None] * psi)
-    baby_chirp = np.exp(1j * baby[:, None] * chirp)
+    # (a, K, R, N_t) and (b, K, R, N_t) views
+    giant_pre, baby_pre = (np.moveaxis(x, 2, 0) for x in phase_steps(cfg, delay + profile))
+    giant_pre *= np.exp(1j * cfg.wavenumber(cfg.carrier_freq) * shift) / cfg.n_antennas
+    giant_chirp, baby_chirp = phase_steps(cfg, chirp)  # (a, n_fft), (b, n_fft)
     sig = np.empty((plan.K, cfg.n_subcarriers, len(grid)))
     angle_major = sig.reshape(plan.K, cfg.n_subcarriers, n_out, -1)  # a view
-    for a in range(len(giant)):
-        giant_pre = np.exp(1j * (giant[a] * psi + kc * shift)) / cfg.n_antennas
-        giant_chirp = np.exp(1j * giant[a] * chirp)
-        for s in blocks(min(b, cfg.n_subcarriers - a * b), entries):
-            kernel = np.fft.fft(giant_chirp * baby_chirp[s])[:, None, None]
-            mag = _chirp_z(giant_pre * baby_pre[s], kernel, n_out)  # (C, K, R, A)
-            angle_major[:, a * b + s.start:a * b + s.stop] = mag.transpose(1, 0, 3, 2)
+    for block in blocks(cfg.n_subcarriers, plan.K * len(grid.rings) * len(chirp)):
+        a, s = np.divmod(np.arange(block.start, block.stop), len(baby_chirp))
+        kernel = np.fft.fft(giant_chirp[a] * baby_chirp[s])[:, None, None]
+        mag = _chirp_z(giant_pre[a] * baby_pre[s], kernel, n_out)  # (C, K, R, A)
+        angle_major[:, block] = mag.transpose(1, 0, 3, 2)
     return MatchFilterBank(signatures=sig, grid=grid)
 
 
@@ -614,26 +612,17 @@ def band_quadrature(cfg: SystemConfig, alpha_max: float, theta_max: float
 def band_powers(codebook: PolarCodebook, beta_c, lengths) -> np.ndarray:
     """Noiseless powers (T, G) of every codeword summed over the M
     subcarriers, for T users of center path gains beta_c (T,) at element
-    path lengths (T, N_t): codeword_powers of their channel_rows weighted
-    over the nodes of band_quadrature for the codebook's largest ring and
-    |theta|, in chunks of _power_entries, added into one ring-major total
-    (the product's buffers made once) put in codeword order once.  A power
-    that rounds below 0 is clipped to 0, as exhaustive_moments takes its
-    square root.  With the subcarriers as nodes the sum is exact, bit for
-    bit the per-subcarrier pass."""
-    cfg, n_trials = codebook.cfg, len(beta_c)
+    path lengths (T, N_t): codeword_powers of their channel_rows over the
+    nodes and weights of band_quadrature for the codebook's largest ring and
+    |theta|.  A power that rounds below 0 is clipped to 0, as
+    exhaustive_moments takes its square root.  With the subcarriers as nodes
+    the sum is exact, bit for bit the per-subcarrier pass."""
+    cfg = codebook.cfg
     nodes, weights = band_quadrature(cfg, float(codebook.rings.max()),
                                      float(np.abs(codebook.thetas).max()))
-    chunks = blocks(len(nodes), _power_entries(codebook, n_trials))
-    size = (chunks[0].stop - chunks[0].start) * n_trials * len(codebook)
-    work = ((np.empty(size, dtype=complex), np.empty(size))
-            if _by_product(codebook, n_trials) else None)
-    total = np.zeros((n_trials, len(codebook.rings), len(codebook.thetas)))
-    for chunk in chunks:
-        rows = channel_rows(cfg, beta_c, lengths, nodes[chunk, None])
-        codeword_powers(codebook, rows, nodes[chunk], weights[chunk], total, work)
-    out = np.swapaxes(total, 1, 2).reshape(n_trials, -1)  # codeword order, a copy
-    return np.maximum(out, 0.0, out=out)
+    return codeword_powers(codebook, len(beta_c),
+                           lambda f: channel_rows(cfg, beta_c, lengths, f[:, None]),
+                           nodes, weights)
 
 
 def exhaustive_moments(a: np.ndarray, n_subcarriers: int, rng):

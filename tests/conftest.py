@@ -97,10 +97,8 @@ def polar_grid(cfg, angles: int, rings: int, band=None) -> PolarCodebook:
 def codeword_order_powers(book, h, freqs) -> np.ndarray:
     """codeword_powers of channel rows h (C, T, N_t) at each frequency of
     freqs (C,) alone, at unit weight: (C, T, G), in codeword order."""
-    total = np.zeros((len(freqs), h.shape[1], len(book.rings), len(book.thetas)))
-    for i in range(len(freqs)):
-        codeword_powers(book, h[i:i + 1], freqs[i:i + 1], np.ones(1), total[i])
-    return np.swapaxes(total, 2, 3).reshape(len(freqs), h.shape[1], -1)
+    return np.stack([codeword_powers(book, h.shape[1], lambda f, i=i: h[i:i + 1],
+                                     freqs[i:i + 1], np.ones(1)) for i in range(len(freqs))])
 
 
 def grid_locations(grid) -> list:

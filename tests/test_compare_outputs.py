@@ -5,6 +5,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -108,3 +110,27 @@ def test_a_value_near_zero_is_scaled_by_its_column():
     assert math.isclose(rate["max_rel_change"], 1e-05 / 2.5)
     # a value that turns infinite still reads as infinite
     assert COMPARE.summarize(CSV, CSV.replace("2.5", "inf"))["max_rel_change"] == math.inf
+
+
+def test_kernel_items_write_the_raw_arrays_one_row_per_line(desk_plan):
+    # the bank signatures and codebook powers a kernel change moves: one
+    # line per row, every number by repr, so the text reads back bit for bit
+    from beamtrain import build_match_filter_bank, design
+    from beamtrain.harness import fullscale_experiment_spec
+    from beamtrain.training import scheme_table
+
+    fullscale = design(fullscale_experiment_spec().design_inputs())
+    items = COMPARE.kernel_items(desk_plan, fullscale)
+    assert list(items) == ["desk bank signatures 192 x 8", "full-scale bank signatures 32 x 2",
+                           "desk band_powers 192 x 8, 40 users"]
+    m_desk, m_full = desk_plan.cfg.n_subcarriers, fullscale.cfg.n_subcarriers
+    shapes = [(desk_plan.K * m_desk, 192 * 8), (fullscale.K * m_full, 32 * 2), (40, 192 * 8)]
+    for text, (n_lines, n_fields) in zip(items.values(), shapes):
+        lines = text.splitlines()
+        assert text.endswith("\n") and len(lines) == n_lines
+        assert {len(line.split(",")) for line in lines} == {n_fields}
+    grid = scheme_table(fullscale, (), 32, 2)["exhaustive"].probes
+    sig = build_match_filter_bank(fullscale, grid).signatures
+    read = np.array([[float(x) for x in line.split(",")]
+                     for line in items["full-scale bank signatures 32 x 2"].splitlines()])
+    assert np.array_equal(read, sig.reshape(-1, len(grid)))

@@ -27,7 +27,7 @@ from beamtrain import (
 )
 from beamtrain import beamsplit, training
 from beamtrain.arrays import approx_steering, element_distances, los_rows, path_loss
-from beamtrain.beamsplit import TdPsParams, blocks, ellipse_coefficients, gain_kernel
+from beamtrain.beamsplit import TdPsParams, ellipse_coefficients, gain_kernel
 from beamtrain.config import curvature_law
 from beamtrain.harness import (
     _STREAM_USERS,
@@ -46,7 +46,6 @@ from beamtrain.training import (
     TX_POWER,
     MatchFilterBank,
     _observe,
-    _power_entries,
     _unit_noise,
     aux_pair_estimate,
     band_powers,
@@ -551,7 +550,9 @@ def test_bank_at_the_edges_of_the_split(n_subcarriers, n_pilots, monkeypatch):
     # b = ceil(sqrt M): two baby steps of one giant step (M = 2), a square
     # M = b^2 = 16, M = b^2 + 1 = 17 with a last giant step of one subcarrier,
     # and M = 200, which b = 15 does not divide; within rounding of the gain
-    # kernel, and bit for bit the same at any block budget
+    # kernel, and bit for bit the same at any block budget: a few subcarriers
+    # a block, b + 1 a block (so block edges fall in the middle of giant
+    # steps), or every subcarrier in one block
     cfg = SystemConfig(n_antennas=7 + n_pilots, n_subcarriers=n_subcarriers,
                        distance_range=(2.0, 10.0))
     plan = _random_pilots(cfg, n_pilots, n_subcarriers)
@@ -561,7 +562,9 @@ def test_bank_at_the_edges_of_the_split(n_subcarriers, n_pilots, monkeypatch):
     assert got.shape == (n_pilots, n_subcarriers, len(grid))
     assert np.max(np.abs(got.reshape(n_pilots, n_subcarriers, 5, 3)
                          - want.transpose(1, 0, 3, 2))) < 1e-10
-    for budget in (1 << 8, 1 << 22):
+    b = len(beamsplit.wavenumber_steps(cfg)[1])
+    per_subcarrier = n_pilots * len(grid.rings) * len(training._grid_phases(grid)[1])
+    for budget in (1 << 8, (b + 1) * per_subcarrier, 1 << 22):
         monkeypatch.setattr(beamsplit, "_CHUNK_ENTRIES", budget)
         assert np.array_equal(build_match_filter_bank(plan, grid).signatures, got), budget
 
@@ -674,12 +677,9 @@ def _user_rows(cfg, n_users, seed=3):
 
 def _subcarrier_powers(book, n_users, rows):
     """The oracle: codeword_powers summed over every subcarrier at unit
-    weight, in the subcarrier chunks of _power_entries, in codeword order."""
+    weight, in codeword order."""
     freqs = book.cfg.subcarrier_freqs()
-    total = np.zeros((n_users, len(book.rings), len(book.thetas)))
-    for chunk in blocks(len(freqs), _power_entries(book, n_users)):
-        codeword_powers(book, rows(freqs[chunk]), freqs[chunk], np.ones(len(freqs[chunk])), total)
-    return np.swapaxes(total, 1, 2).reshape(n_users, -1)
+    return codeword_powers(book, n_users, rows, freqs, np.ones(len(freqs)))
 
 
 @pytest.mark.parametrize("name", list(QUADRATURE_CONFIGS))
