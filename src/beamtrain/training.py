@@ -457,9 +457,9 @@ def codeword_powers(codebook: PolarCodebook, n_rows: int, rows, f, weights) -> n
 
     def product(h, k, w):
         c = len(k)
-        steps = _powers(np.exp(-1j * cfg.spacing * codebook.step * k[:, 0] * np.arange(n)), n_out)
         pre = h[:, :, None] * np.exp(-1j * k * cfg.polar_phase(codebook.thetas[0],
                                                                 codebook.rings))[:, None]
+        steps = _powers(np.exp(-1j * cfg.spacing * codebook.step * k[:, 0] * np.arange(n)), n_out)
         sums = np.matmul(pre.reshape(c, n_rows * r, n), np.swapaxes(steps, 1, 2),
                          out=work[0][:c * n_rows * r * n_out].reshape(c, n_rows * r, n_out))
         mag = np.multiply(sums.real, sums.real, out=work[1][:sums.size].reshape(sums.shape))
