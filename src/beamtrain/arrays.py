@@ -92,11 +92,10 @@ class PolarCodebook:
     Every angle carries the same alpha rings; grid points run angle-major,
     then ring, so point g is (thetas[g // R], rings[g % R]) with R rings.
     The codeword of a point on subcarrier m is its approximate steering
-    vector, approx_steering.  training.codeword_powers (the exhaustive
-    codebook's powers) and training.build_match_filter_bank sum each ring
-    over the angle axis by a chirp-z transform, or the codebook by a matrix
-    product of the powers of one angle step, without codewords, so the
-    angles must be uniform.
+    vector, approx_steering.  The exhaustive codebook's codeword_powers and
+    the match-filter bank sum each ring over the angle axis by a chirp-z
+    transform (the codebook also by a matrix product of one angle step's
+    powers), without codewords, so the angles must be uniform.
     """
 
     def __init__(self, cfg: SystemConfig, thetas, rings):

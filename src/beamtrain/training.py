@@ -489,8 +489,9 @@ def build_match_filter_bank(plan: PilotPlan, grid: PolarCodebook) -> MatchFilter
     _chirp_z sums a row's entries e^{j (k_{ab+1} (A + P) + k_c B)} e^{j s dk
     (A + P)} / N_t under its chirp e^{j k_{ab+1} x} e^{j s dk x}: the giant
     and baby steps of phase_steps over A + P and over x, 3 (K R N_t + n_fft)
-    exponentials, then one loop over blocks of subcarriers.  No bit depends
-    on the blocks."""
+    exponentials, then one loop over blocks of subcarriers, sized by their
+    giant, baby and product rows and two FFT buffers.  No bit depends on
+    the blocks."""
     cfg, n_out = plan.cfg, len(grid.thetas)
     params = plan.params(np.arange(1, plan.K + 1))
     delay, shift = (p[:, None] for p in _beam_profiles(cfg, params))  # (K, 1, N_t)
@@ -501,7 +502,8 @@ def build_match_filter_bank(plan: PilotPlan, grid: PolarCodebook) -> MatchFilter
     giant_chirp, baby_chirp = phase_steps(cfg, chirp)  # (a, n_fft), (b, n_fft)
     sig = np.empty((plan.K, cfg.n_subcarriers, len(grid)))
     angle_major = sig.reshape(plan.K, cfg.n_subcarriers, n_out, -1)  # a view
-    for block in blocks(cfg.n_subcarriers, plan.K * len(grid.rings) * len(chirp)):
+    per_subcarrier = plan.K * len(grid.rings) * (3 * cfg.n_antennas + 2 * len(chirp))
+    for block in blocks(cfg.n_subcarriers, per_subcarrier):
         a, s = np.divmod(np.arange(block.start, block.stop), len(baby_chirp))
         kernel = np.fft.fft(giant_chirp[a] * baby_chirp[s])[:, None, None]
         mag = _chirp_z(giant_pre[a] * baby_pre[s], kernel, n_out)  # (C, K, R, A)

@@ -563,7 +563,8 @@ def test_bank_at_the_edges_of_the_split(n_subcarriers, n_pilots, monkeypatch):
     assert np.max(np.abs(got.reshape(n_pilots, n_subcarriers, 5, 3)
                          - want.transpose(1, 0, 3, 2))) < 1e-10
     b = len(beamsplit.wavenumber_steps(cfg)[1])
-    per_subcarrier = n_pilots * len(grid.rings) * len(training._grid_phases(grid)[1])
+    n_fft = len(training._grid_phases(grid)[1])
+    per_subcarrier = n_pilots * len(grid.rings) * (3 * cfg.n_antennas + 2 * n_fft)
     for budget in (1 << 8, (b + 1) * per_subcarrier, 1 << 22):
         monkeypatch.setattr(beamsplit, "_CHUNK_ENTRIES", budget)
         assert np.array_equal(build_match_filter_bank(plan, grid).signatures, got), budget
