@@ -448,12 +448,12 @@ def codeword_powers(codebook: PolarCodebook, n_rows: int, rows, f, weights) -> n
     size = (chunks[0].stop - chunks[0].start) * n_rows * r * n_out
     work = (np.empty(size, dtype=complex), np.empty(size)) if by_product else None
 
-    def add(mag, w, rows):  # squared (C, rows, R, A): scaled, weighted and summed in place
+    def add(mag, w, block):  # squared (C, rows, R, A): scaled, weighted and summed in place
         mag *= TX_POWER / n
         mag *= w[:, None, None, None]
         for power in mag[1:]:
             mag[0] += power
-        total[rows] += mag[0]
+        total[block] += mag[0]
 
     def product(h, k, w):
         c = len(k)
