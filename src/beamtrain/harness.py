@@ -12,6 +12,8 @@ import hashlib
 import itertools
 import json
 import math
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -174,7 +176,8 @@ def read_csv(columns, text: str) -> list:
 @dataclass
 class SweepResult(Record):
     """Rows of (scheme, axis value) -> mean rate, plus metadata that the
-    spec determines and facts of the run (its wall-clock time) kept apart,
+    spec determines and facts of the run (its wall-clock time and
+    _Engine.stage_s, the seconds of each stage) kept apart,
     so that rows and metadata of two runs of one spec compare equal."""
 
     metadata: dict = field(default_factory=dict)
@@ -208,14 +211,29 @@ def _draw_users(cfg: SystemConfig, rng, n: int, r_fixed: float | None = None):
     return {"theta": theta, "alpha": alpha, "r": r, "beta_c": beta_c}
 
 
+@contextmanager
+def _clock(times: dict, stage: str):
+    """Add the time.perf_counter seconds the block takes to times[stage]."""
+    start = time.perf_counter()
+    yield
+    times[stage] = times.get(stage, 0.0) + time.perf_counter() - start
+
+
 class _Engine:
-    """Precomputed state shared across axis points of one sweep."""
+    """Precomputed state shared across axis points of one sweep, and the
+    seconds each stage of its sweeps took, stage_s: "design" (the design and
+    scheme table, its bank included), "observe" (_observe: pilot pass,
+    codebook powers and noise draws), "magnitudes" (each point's noisy
+    observations), "estimate" (a dict by scheme) and "rate" (the rate pass)."""
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
         self.cfg = spec.cfg
-        self.plan = design(spec.design)
-        self.table = scheme_table(self.plan, spec.schemes, spec.bank_angles, spec.bank_rings)
+        self.stage_s = {}
+        with _clock(self.stage_s, "design"):
+            self.plan = design(spec.design)
+            self.table = scheme_table(self.plan, spec.schemes, spec.bank_angles,
+                                      spec.bank_rings)
 
     def _point(self, idx, value):
         """(snr in dB, pilot budget, draw key, fixed user distance) of one axis
@@ -236,8 +254,9 @@ class _Engine:
         requested = [self.table[name] for name in self.spec.schemes]
         families = {row.family: row.probes for row in requested if row.family is not None}
         lengths = element_distances(self.cfg, users["theta"][:, None], users["r"][:, None])
-        return _observe(self.cfg, families, users["beta_c"], lengths,
-                        lambda family: _rng(seed, _STREAMS[family], *key))
+        with _clock(self.stage_s, "observe"):
+            return _observe(self.cfg, families, users["beta_c"], lengths,
+                            lambda family: _rng(seed, _STREAMS[family], *key))
 
     def run(self) -> SweepResult:
         spec = self.spec
@@ -253,7 +272,7 @@ class _Engine:
             "n_trials": spec.n_trials,
             "plan_K": self.plan.K,
         }
-        run = {"created": datetime.now(timezone.utc).isoformat()}
+        run = {"created": datetime.now(timezone.utc).isoformat(), "stage_s": self.stage_s}
         return SweepResult(rows=rows, metadata=meta, run=run)
 
     def _key_rows(self, key, points):
@@ -269,7 +288,9 @@ class _Engine:
             snrs, estimates = zip(*trained)
             theta_hat = np.array([est.theta for est in estimates])
             alpha_hat = np.array([est.alpha for est in estimates])
-            rates = iter(_distinct_rates(self.cfg, users, np.array(snrs), theta_hat, alpha_hat))
+            with _clock(self.stage_s, "rate"):
+                rates = iter(_distinct_rates(self.cfg, users, np.array(snrs), theta_hat,
+                                             alpha_hat))
         return [self._row(name, value,
                           np.full(t, math.log2(1.0 + snr)) if est is None else next(rates),
                           pilots)
@@ -282,7 +303,7 @@ class _Engine:
         observations before the next point's are made, so that they never
         coexist."""
         draws = self._draw(users, key)
-        picks = []
+        picks, estimate_s = [], self.stage_s.setdefault("estimate", {})
         for value, snr_db, budget, _, _ in points:
             snr = 10 ** (snr_db / 10)
             sg = np.sqrt(noise_power(self.cfg, users["beta_c"], snr))[:, None, None]
@@ -293,8 +314,10 @@ class _Engine:
                 est = None
                 if row.family is not None:
                     if row.family not in observed:
-                        observed[row.family] = draws[row.family](sg)
-                    est = row.estimate(observed[row.family], pilots)
+                        with _clock(self.stage_s, "magnitudes"):
+                            observed[row.family] = draws[row.family](sg)
+                    with _clock(estimate_s, name):
+                        est = row.estimate(observed[row.family], pilots)
                 picks.append((value, name, pilots, snr, est))
         return picks
 

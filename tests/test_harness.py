@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -266,11 +267,24 @@ def test_sweep_is_deterministic():
 
 
 def test_sweep_json_rows_and_metadata_are_byte_stable():
-    # the wall-clock time sits under "run"; the rest depends on the spec only
-    a, b = (json.loads(run_sweep(_tiny_spec()).to_json()) for _ in range(2))
+    # the wall-clock time and the stage times sit under "run"; the rest
+    # depends on the spec only
+    spec, runs = _tiny_spec(), []
+    for _ in range(2):
+        start = time.perf_counter()
+        result = run_sweep(spec)
+        runs.append((json.loads(result.to_json()), time.perf_counter() - start))
+    (a, _), (b, _) = runs
     assert "created" in a["run"] and "created" not in a["metadata"]
     assert (json.dumps([a["metadata"], a["rows"]])
             == json.dumps([b["metadata"], b["rows"]]))
+    for summary, wall in runs:
+        stages = summary["run"]["stage_s"]
+        assert "stage_s" not in summary["metadata"]
+        assert set(stages) == {"design", "observe", "magnitudes", "estimate", "rate"}
+        assert set(stages["estimate"]) == set(spec.schemes) - {"perfect_csi"}
+        times = [stages[k] for k in stages if k != "estimate"] + [*stages["estimate"].values()]
+        assert all(s > 0 for s in times) and sum(times) <= wall
 
 
 def test_overhead_rows_report_the_pilots_spent():
