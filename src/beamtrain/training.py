@@ -110,14 +110,16 @@ def noise_power(cfg: SystemConfig, beta_c, snr: float):
 
 
 def _unit_noise(rng, shape) -> np.ndarray:
-    """CN(0, 1) entries: the real parts of all entries, then the imaginary,
-    each draw times 1 / sqrt(2) written straight into its part, bit for bit
-    (x + 1j y) / sqrt(2), since NumPy divides a complex by a real as the
-    product with its reciprocal."""
-    out = np.empty(shape, dtype=complex)
-    for part in (out.real, out.imag):
-        np.multiply(rng.standard_normal(shape), 1 / math.sqrt(2), out=part)
-    return out
+    """CN(0, 1) entries as two contiguous float planes (2,) + shape: the real
+    parts of all entries, then the imaginary, each drawn straight into its
+    plane and scaled there by 1 / sqrt(2), bit for bit the parts of (x + 1j
+    y) / sqrt(2), since NumPy divides a complex by a real as the product with
+    its reciprocal."""
+    planes = np.empty((2, *shape))
+    for plane in planes:
+        rng.standard_normal(out=plane)
+        plane *= 1 / math.sqrt(2)
+    return planes
 
 
 def _beam_profiles(cfg: SystemConfig, params: TdPsParams):
@@ -155,11 +157,13 @@ def _pilot_pass(cfg: SystemConfig, pilots: dict, beta_c, lengths) -> dict:
     and the baby steps S = e^{-j s dk L} e^{-j s dk A}, L the user's element
     path lengths and A, B the _beam_profiles.  The beam steps of every
     family's beams are made once, in one table, by phase_steps over -A; the
-    user steps by phase_steps over -L, one block of users at a time, and one
-    batched matrix product per block gives every row's ceil(M / b) b sums,
-    the first M of which, times the path gain beta_c f_c / f_m, are its
-    observations: (3 T + 4 K) N_t exponentials in all.  A row's bits depend
-    on neither its block nor the beams beside it."""
+    user steps by phase_steps over -L, once per user: (3 T + 4 K) N_t
+    exponentials in all.  Then one row at a time, the two elementwise
+    products and the matrix product (a, N_t) (N_t, b) of its ceil(M / b) b
+    sums go into three buffers made once per call (128, 128 and 16 KB at
+    full scale, within a core's L2 cache), and the first M sums, times the
+    path gain beta_c f_c / f_m, are written into the family's column.  A
+    row's bits depend on neither the users nor the beams beside it."""
     freqs, (n_trials, n_t) = cfg.subcarrier_freqs(), np.shape(lengths)
     out = {name: np.empty((n_trials, len(freqs), len(p)), dtype=complex)
            for name, p in pilots.items()}
@@ -170,16 +174,16 @@ def _pilot_pass(cfg: SystemConfig, pilots: dict, beta_c, lengths) -> dict:
     delay, shift = (np.concatenate(x) for x in zip(*profiles))  # (K, N_t)
     beam_giant, beam_baby = phase_steps(cfg, -delay)  # (K, a, N_t), (K, b, N_t)
     beam_giant *= (np.exp(-1j * kc * shift) * math.sqrt(TX_POWER / n_t))[:, None]
-    (k, a, _), b = beam_giant.shape, beam_baby.shape[1]
     gain = (cfg.carrier_freq / freqs) * beta_c[:, None]  # (T, M)
-    ends = np.cumsum([0] + [len(p) for p in pilots.values()])
-    for t in blocks(n_trials, k * (n_t * (a + b) + a * b)):
-        user_giant, user_baby = phase_steps(cfg, -lengths[t])  # (t, a, N_t), (t, b, N_t)
-        sums = np.matmul(user_giant[:, None] * beam_giant,
-                         np.swapaxes(user_baby[:, None] * beam_baby, 2, 3))
-        rows = sums.reshape(len(sums), k, a * b)[:, :, :len(freqs)]  # (t, K, M)
-        for name, lo, hi in zip(out, ends, ends[1:]):
-            np.multiply(np.swapaxes(rows[:, lo:hi], 1, 2), gain[t, :, None], out=out[name][t])
+    columns = [obs[..., j] for obs in out.values() for j in range(obs.shape[2])]  # (T, M)
+    giant, baby = np.empty_like(beam_giant[0]), np.empty_like(beam_baby[0])
+    sums = np.empty((len(giant), len(baby)), dtype=complex)
+    for t in range(n_trials):
+        user_giant, user_baby = phase_steps(cfg, -lengths[t])  # (a, N_t), (b, N_t)
+        for column, beam_g, beam_b in zip(columns, beam_giant, beam_baby):
+            np.matmul(np.multiply(user_giant, beam_g, out=giant),
+                      np.multiply(user_baby, beam_b, out=baby).T, out=sums)
+            np.multiply(sums.reshape(-1)[:len(freqs)], gain[t], out=column[t])
     return out
 
 
@@ -205,12 +209,17 @@ def _observe(cfg: SystemConfig, families: dict, beta_c, lengths, rng_of) -> dict
         if name in books:
             a, b, c = exhaustive_moments(x, cfg.n_subcarriers, rng_of(name))
             return lambda sg: a + 2 * sg[:, :, 0] * b + sg[:, :, 0] * sg[:, :, 0] * c
-        noise = _unit_noise(rng_of(name), x.shape)
+        re, im = _unit_noise(rng_of(name), x.shape)
 
-        def magnitudes(sg):
-            z = sg * noise
-            z += x
-            return np.abs(z)
+        def magnitudes(sg):  # through a complex scratch of one block of users
+            out, users = np.empty(x.shape), blocks(len(x), x[0].size)
+            z = np.empty((users[0].stop, *x.shape[1:]), dtype=complex)
+            for t in users:
+                zt = z[:t.stop - t.start]
+                for part, plane, xp in ((zt.real, re, x.real), (zt.imag, im, x.imag)):
+                    np.add(np.multiply(sg[t], plane[t], out=part), xp[t], out=part)
+                np.abs(zt, out=out[t])
+            return out
         return magnitudes
 
     return {name: noisy(name, out[name]) for name in families}

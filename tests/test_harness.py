@@ -627,9 +627,10 @@ def test_pilot_families_are_contiguous_and_independent_of_the_families_beside(n_
 
 
 def test_pilot_pass_peak_memory_stays_near_its_output():
-    # full scale, 200 users, one beam: the user steps are made one block of
-    # users at a time, so the traced peak stays within 5x the observations;
-    # a table of b T N_t user steps held for the whole pass would exceed it
+    # full scale, 200 users, one beam: the user steps are made once per user
+    # and each row's sums go into buffers made once, so the traced peak stays
+    # within 5x the observations; a table of b T N_t user steps held for the
+    # whole pass would exceed it
     cfg = fullscale_config()
     users = _draw_users(cfg, _rng(3, 0), 200)
     lengths = _lengths(cfg, users)
@@ -642,6 +643,52 @@ def test_pilot_pass_peak_memory_stays_near_its_output():
         tracemalloc.stop()
     assert out["far"].shape == (200, cfg.n_subcarriers, 1)
     assert peak <= 5 * out["far"].nbytes
+
+
+@pytest.mark.parametrize("n_trials", [1, 9, 200])
+def test_magnitudes_are_the_noisy_sums_bit_for_bit(monkeypatch, n_trials):
+    # each point's magnitudes, made one block of users at a time from the
+    # noise's two planes, are bit for bit |x + sigma (re + 1j im)| over the
+    # pilot pass, at the default block budget and at 2^8 and 2^22 entries
+    cfg, families, _, users, lengths = _synthesis_inputs(n_trials)
+    seeds = {name: i for i, name in enumerate(families)}
+    pilots = training._pilot_pass(cfg, families, users["beta_c"], lengths)
+    sg = np.sqrt(training.noise_power(cfg, users["beta_c"], 10.0))[:, None, None]
+    for budget in (beamsplit._CHUNK_ENTRIES, 1 << 8, 1 << 22):
+        monkeypatch.setattr(beamsplit, "_CHUNK_ENTRIES", budget)
+        observed = _observe(cfg, families, users["beta_c"], lengths,
+                            lambda name: np.random.default_rng(seeds[name]))
+        for name, x in pilots.items():
+            re, im = training._unit_noise(np.random.default_rng(seeds[name]), x.shape)
+            want = np.abs(x + sg * (re + 1j * im))
+            assert observed[name](sg).tobytes() == want.tobytes(), (name, budget)
+
+
+def test_observe_and_magnitudes_peak_memory_stay_near_the_magnitudes():
+    # full scale, 200 users, the far rainbow's one beam, magnitudes at one
+    # sigma.  The noise is drawn straight into two float planes and the
+    # magnitudes go through a complex scratch of one block of users, so no
+    # (T, M, K) complex temporary is made.  Traced peaks over the magnitudes'
+    # bytes: _observe 4.0x (5.0x with one complex noise array and its draw
+    # temporary), the magnitudes call 1.7x (3.0x with one complex sum)
+    cfg = fullscale_config()
+    users = _draw_users(cfg, _rng(3, 0), 200)
+    lengths = _lengths(cfg, users)
+    sg = np.sqrt(training.noise_power(cfg, users["beta_c"], 10.0))[:, None, None]
+    tracemalloc.start()
+    try:
+        draws = _observe(cfg, {"far": rainbow_probes(cfg, FAR_RINGS)}, users["beta_c"],
+                         lengths, lambda _: np.random.default_rng(0))
+        observe_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        mags = draws["far"](sg)
+        magnitudes_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert mags.shape == (200, cfg.n_subcarriers, 1)
+    assert observe_peak <= 4.5 * mags.nbytes
+    assert magnitudes_peak <= 2.3 * mags.nbytes
 
 
 def test_exhaustive_moments_do_not_depend_on_the_families_alongside():

@@ -124,19 +124,24 @@ def test_observe_plan_is_the_sweep_simulator_at_one_trial(plan_name, request):
                     * (los_rows(cfg, users["theta"], users["r"], users["beta_c"], f)
                        @ pilot_beamformers(cfg, probes, f))
                     for f in cfg.subcarrier_freqs()], axis=1)
-    want = np.abs(sig + sigma * _unit_noise(np.random.default_rng(seed), sig.shape))
+    re, im = _unit_noise(np.random.default_rng(seed), sig.shape)
+    want = np.abs(sig + sigma * (re + 1j * im))
     assert np.max(np.abs(got - want[0])) <= 1e-9 * math.sqrt(cfg.n_antennas) * chan.beta_c
 
 
 @pytest.mark.parametrize("shape", [(1,), (3, 5), (2, 7, 3), (20, 64, 14)])
 def test_unit_noise_is_the_complex_quotient_bit_for_bit(shape):
-    # the real parts of all entries are drawn first, then the imaginary
+    # the real parts of all entries are drawn first, then the imaginary, each
+    # into its own contiguous float plane
     for seed in range(4):
         rng = np.random.default_rng(seed)
         x, y = rng.standard_normal(shape), rng.standard_normal(shape)
         got = _unit_noise(np.random.default_rng(seed), shape)
-        assert got.shape == shape and got.dtype == complex
-        assert got.tobytes() == ((x + 1j * y) / math.sqrt(2)).tobytes()
+        want = (x + 1j * y) / math.sqrt(2)
+        assert got.shape == (2, *shape) and got.dtype == float
+        assert got[0].flags.c_contiguous and got[1].flags.c_contiguous
+        assert got[0].tobytes() == want.real.tobytes()
+        assert got[1].tobytes() == want.imag.tobytes()
 
 
 def test_noiseless_magnitude_is_scaled_array_gain(desk_cfg, desk_plan):
