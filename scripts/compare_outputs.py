@@ -32,9 +32,11 @@ changes).  In each tree a child process, with that tree's `src/` and
 - each plan and spec JSON read back through `from_dict` and written again
 - the raw kernel arrays, one row per line (kernel_items): the bank
   signatures of the desk plan on its 192 x 8 grid and of the full-scale
-  plan on the fullscale_grid 32 x 2 grid, and the `band_powers` of the desk
-  codebook for 40 users drawn from seed 0, so a kernel change shows its
-  largest relative change even where no pick moves
+  plan on the fullscale_grid 32 x 2 grid, the `band_powers` of the desk
+  codebook for 40 users drawn from seed 0, the complex pilot-pass
+  observations of the fullscale_distance families for 4 users drawn from
+  seed 0, and the noisy magnitudes of the desk pilot families, so a kernel
+  change shows its largest relative change even where no pick moves
 
 Each item is reported as identical, or with the count of changed lines and
 the largest relative change of a number on them ("inf" where a changed line
@@ -173,15 +175,31 @@ def _rows_text(array) -> str:
                    for row in array.reshape(-1, array.shape[-1]).tolist())
 
 
+def _pilot_families(plan, spec) -> dict:
+    """Probe family -> probes of the pilot schemes of the spec's scheme table
+    (plan, near and far), in that order."""
+    from beamtrain.training import scheme_table
+
+    table = scheme_table(plan, (), spec.bank_angles, spec.bank_rings)
+    return {table[name].family: table[name].probes
+            for name in ("ongrid", "nearfield_rainbow", "farfield_rainbow")}
+
+
 def kernel_items(desk_plan, fullscale_plan) -> dict:
     """Text of the raw kernel arrays: the bank signatures (K M lines of G)
     of the desk plan on its 192 x 8 grid and of the full-scale plan on the
-    fullscale_grid 32 x 2 grid, the grids the scheme table builds; and the
+    fullscale_grid 32 x 2 grid, the grids the scheme table builds; the
     band_powers (40 lines of G) of the desk codebook for 40 users drawn
-    from np.random.default_rng(0) as the sweep draws them."""
+    from np.random.default_rng(0) as the sweep draws them; the complex
+    _pilot_pass observations (4 M lines of 14) of the fullscale_distance
+    families, the default full-scale spec's plan, near and far beams side by
+    side, for 4 users drawn from np.random.default_rng(0); and the noisy
+    magnitudes (40 M lines of K + 9) of the default desk spec's three pilot
+    families at 10 dB for the band_powers users, each family's noise drawn
+    from np.random.default_rng of its sweep stream tag."""
     from beamtrain import build_match_filter_bank, harness
     from beamtrain.arrays import element_distances
-    from beamtrain.training import band_powers, scheme_table
+    from beamtrain.training import _observe, _pilot_pass, band_powers, noise_power, scheme_table
 
     items, grids = {}, {}
     for name, plan, angles, rings in (("desk", desk_plan, 192, 8),
@@ -194,6 +212,18 @@ def kernel_items(desk_plan, fullscale_plan) -> dict:
     lengths = element_distances(cfg, users["theta"][:, None], users["r"][:, None])
     items["desk band_powers 192 x 8, 40 users"] = _rows_text(
         band_powers(grids["desk"], users["beta_c"], lengths))
+    families = _pilot_families(desk_plan, harness.desk_experiment_spec())
+    draws = _observe(cfg, families, users["beta_c"], lengths,
+                     lambda family: np.random.default_rng(harness._STREAMS[family]))
+    sigma = np.sqrt(noise_power(cfg, users["beta_c"], 10.0))[:, None, None]
+    items["desk noisy magnitudes plan, near, far, 40 users at 10 dB"] = _rows_text(
+        np.concatenate([draws[family](sigma) for family in families], axis=2))
+    cfg = fullscale_plan.cfg
+    users = harness._draw_users(cfg, np.random.default_rng(0), 4)
+    lengths = element_distances(cfg, users["theta"][:, None], users["r"][:, None])
+    families = _pilot_families(fullscale_plan, harness.fullscale_experiment_spec())
+    items["full-scale pilot pass plan, near, far, 4 users"] = _rows_text(np.concatenate(
+        list(_pilot_pass(cfg, families, users["beta_c"], lengths).values()), axis=2))
     return items
 
 

@@ -113,18 +113,23 @@ def test_a_value_near_zero_is_scaled_by_its_column():
 
 
 def test_kernel_items_write_the_raw_arrays_one_row_per_line(desk_plan):
-    # the bank signatures and codebook powers a kernel change moves: one
-    # line per row, every number by repr, so the text reads back bit for bit
-    from beamtrain import build_match_filter_bank, design
+    # the bank signatures, codebook powers, pilot-pass observations and
+    # noisy magnitudes a kernel change moves: one line per row, every number
+    # by repr, so the text reads back bit for bit
+    from beamtrain import build_match_filter_bank, design, harness
+    from beamtrain.arrays import element_distances
     from beamtrain.harness import fullscale_experiment_spec
-    from beamtrain.training import scheme_table
+    from beamtrain.training import _pilot_pass, scheme_table
 
     fullscale = design(fullscale_experiment_spec().design_inputs())
     items = COMPARE.kernel_items(desk_plan, fullscale)
     assert list(items) == ["desk bank signatures 192 x 8", "full-scale bank signatures 32 x 2",
-                           "desk band_powers 192 x 8, 40 users"]
+                           "desk band_powers 192 x 8, 40 users",
+                           "desk noisy magnitudes plan, near, far, 40 users at 10 dB",
+                           "full-scale pilot pass plan, near, far, 4 users"]
     m_desk, m_full = desk_plan.cfg.n_subcarriers, fullscale.cfg.n_subcarriers
-    shapes = [(desk_plan.K * m_desk, 192 * 8), (fullscale.K * m_full, 32 * 2), (40, 192 * 8)]
+    shapes = [(desk_plan.K * m_desk, 192 * 8), (fullscale.K * m_full, 32 * 2), (40, 192 * 8),
+              (40 * m_desk, desk_plan.K + 8 + 1), (4 * m_full, fullscale.K + 10 + 1)]
     for text, (n_lines, n_fields) in zip(items.values(), shapes):
         lines = text.splitlines()
         assert text.endswith("\n") and len(lines) == n_lines
@@ -134,3 +139,14 @@ def test_kernel_items_write_the_raw_arrays_one_row_per_line(desk_plan):
     read = np.array([[float(x) for x in line.split(",")]
                      for line in items["full-scale bank signatures 32 x 2"].splitlines()])
     assert np.array_equal(read, sig.reshape(-1, len(grid)))
+    cfg = fullscale.cfg
+    users = harness._draw_users(cfg, np.random.default_rng(0), 4)
+    lengths = element_distances(cfg, users["theta"][:, None], users["r"][:, None])
+    table = scheme_table(fullscale, (), 1024, 10)
+    families = {table[name].family: table[name].probes
+                for name in ("ongrid", "nearfield_rainbow", "farfield_rainbow")}
+    obs = np.concatenate(list(_pilot_pass(cfg, families, users["beta_c"], lengths).values()), 2)
+    read = np.array([[complex(x) for x in line.split(",")]
+                     for line in items["full-scale pilot pass plan, near, far, 4 users"]
+                     .splitlines()])
+    assert np.array_equal(read, obs.reshape(-1, obs.shape[-1]))
