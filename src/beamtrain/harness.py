@@ -176,8 +176,8 @@ def read_csv(columns, text: str) -> list:
 @dataclass
 class SweepResult(Record):
     """Rows of (scheme, axis value) -> mean rate, plus metadata that the
-    spec determines and facts of the run (its wall-clock time and
-    _Engine.stage_s, the seconds of each stage) kept apart,
+    spec determines and facts of the run (its wall-clock time and stage
+    seconds, _Engine.stage_s) kept apart,
     so that rows and metadata of two runs of one spec compare equal."""
 
     metadata: dict = field(default_factory=dict)
@@ -220,11 +220,9 @@ def _clock(times: dict, stage: str):
 
 
 class _Engine:
-    """Precomputed state shared across axis points of one sweep, and the
-    seconds each stage of its sweeps took, stage_s: "design" (the design and
-    scheme table, its bank included), "observe" (_observe: pilot pass,
-    codebook powers and noise draws), "magnitudes" (each point's noisy
-    observations), "estimate" (a dict by scheme) and "rate" (the rate pass)."""
+    """Precomputed state shared across axis points of one sweep, and stage_s,
+    the seconds of its stages: "design" (and scheme table), "observe"
+    (_observe), "magnitudes", "estimate" (by scheme) and "rate"."""
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
@@ -232,8 +230,7 @@ class _Engine:
         self.stage_s = {}
         with _clock(self.stage_s, "design"):
             self.plan = design(spec.design)
-            self.table = scheme_table(self.plan, spec.schemes, spec.bank_angles,
-                                      spec.bank_rings)
+            self.table = scheme_table(self.plan, spec.schemes, spec.bank_angles, spec.bank_rings)
 
     def _point(self, idx, value):
         """(snr in dB, pilot budget, draw key, fixed user distance) of one axis

@@ -28,11 +28,11 @@ N_t beta_c^2 / sigma^2 equals the requested SNR at the center subcarrier.
 One observation function, _observe, simulates every probe family, pilot
 parameter sets and the polar codebook alike, for the sweep engine (T drawn
 users) and observe_params, the single-trial observation (T = 1).  Its pilot
-families share one pass, _pilot_pass: one row per (user, beam), whose sums
-over the subcarriers are one product of giant and baby steps, made for one
-block of users at a time.  The steps come from beamsplit.phase_steps, three
-exponentials per element of a user or a beam: 3 T N_t for the users and
-4 K N_t for the K beams, with the phase shifters, whatever M.
+families share one pass, _pilot_pass: one row per (user, beam) at a time,
+whose sums over the subcarriers are one product of giant and baby steps,
+3 T N_t + 4 K N_t exponentials from beamsplit.phase_steps whatever M.  The
+noise is drawn into two float planes, and the magnitudes are made from
+them one block of users at a time.
 """
 from __future__ import annotations
 
@@ -110,11 +110,10 @@ def noise_power(cfg: SystemConfig, beta_c, snr: float):
 
 
 def _unit_noise(rng, shape) -> np.ndarray:
-    """CN(0, 1) entries as two contiguous float planes (2,) + shape: the real
-    parts of all entries, then the imaginary, each drawn straight into its
-    plane and scaled there by 1 / sqrt(2), bit for bit the parts of (x + 1j
-    y) / sqrt(2), since NumPy divides a complex by a real as the product with
-    its reciprocal."""
+    """CN(0, 1) entries as two contiguous float planes (2,) + shape, the real
+    parts, then the imaginary, each drawn into its plane and scaled there by
+    1 / sqrt(2): bit for bit the parts of (x + 1j y) / sqrt(2), since NumPy
+    divides a complex by a real as the product with its reciprocal."""
     planes = np.empty((2, *shape))
     for plane in planes:
         rng.standard_normal(out=plane)
@@ -158,12 +157,11 @@ def _pilot_pass(cfg: SystemConfig, pilots: dict, beta_c, lengths) -> dict:
     path lengths and A, B the _beam_profiles.  The beam steps of every
     family's beams are made once, in one table, by phase_steps over -A; the
     user steps by phase_steps over -L, once per user: (3 T + 4 K) N_t
-    exponentials in all.  Then one row at a time, the two elementwise
-    products and the matrix product (a, N_t) (N_t, b) of its ceil(M / b) b
-    sums go into three buffers made once per call (128, 128 and 16 KB at
-    full scale, within a core's L2 cache), and the first M sums, times the
-    path gain beta_c f_c / f_m, are written into the family's column.  A
-    row's bits depend on neither the users nor the beams beside it."""
+    exponentials.  One row at a time, the two products and the matrix
+    product (a, N_t) (N_t, b) go into three buffers made once per call (128,
+    128 and 16 KB at full scale, inside a core's L2), and the first M sums,
+    times the path gain beta_c f_c / f_m, into the family's column.  A row's
+    bits depend on neither the users nor the beams beside it."""
     freqs, (n_trials, n_t) = cfg.subcarrier_freqs(), np.shape(lengths)
     out = {name: np.empty((n_trials, len(freqs), len(p)), dtype=complex)
            for name, p in pilots.items()}
@@ -196,8 +194,9 @@ def _observe(cfg: SystemConfig, families: dict, beta_c, lengths, rng_of) -> dict
     sigma z| (T, M, K) of pilots, every pilot family in one _pilot_pass,
     which returns each family's own contiguous array ((3 T + 4 K) N_t
     exponentials), or a codebook's noise-law powers (T, G) over band_powers,
-    each family's noise drawn from rng_of(name); a pilot family's
-    observations are added in place to its scaled noise sigma z.  The sweep
+    each family's noise drawn from rng_of(name): for pilots two float planes,
+    from which the magnitudes are made one block of users at a time through
+    a complex scratch, so no (T, M, K) complex temporary is made.  The sweep
     engine and observe_params (T = 1) observe here.
     """
     books = {name for name, p in families.items() if isinstance(p, PolarCodebook)}
