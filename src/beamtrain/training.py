@@ -156,12 +156,12 @@ def _pilot_pass(cfg: SystemConfig, pilots: dict, beta_c, lengths) -> dict:
     and the baby steps S = e^{-j s dk L} e^{-j s dk A}, L the user's element
     path lengths and A, B the _beam_profiles.  The beam steps of every
     family's beams are made once, in one table, by phase_steps over -A; the
-    user steps by phase_steps over -L, once per user: (3 T + 4 K) N_t
-    exponentials.  One row at a time, the two products and the matrix
-    product (a, N_t) (N_t, b) go into three buffers made once per call (128,
-    128 and 16 KB at full scale, inside a core's L2), and the first M sums,
-    times the path gain beta_c f_c / f_m, into the family's column.  A row's
-    bits depend on neither the users nor the beams beside it."""
+    user steps by phase_steps over -L, one block of users at a time
+    (blocks): (3 T + 4 K) N_t exponentials.  One row at a time, the two
+    products and the matrix product (a, N_t) (N_t, b) go into three buffers
+    made once per call (128, 128 and 16 KB at full scale, inside a core's
+    L2), and the first M sums, times the path gain beta_c f_c / f_m, into
+    the family's column.  No bit depends on the blocks or the beams beside."""
     freqs, (n_trials, n_t) = cfg.subcarrier_freqs(), np.shape(lengths)
     out = {name: np.empty((n_trials, len(freqs), len(p)), dtype=complex)
            for name, p in pilots.items()}
@@ -172,16 +172,22 @@ def _pilot_pass(cfg: SystemConfig, pilots: dict, beta_c, lengths) -> dict:
     delay, shift = (np.concatenate(x) for x in zip(*profiles))  # (K, N_t)
     beam_giant, beam_baby = phase_steps(cfg, -delay)  # (K, a, N_t), (K, b, N_t)
     beam_giant *= (np.exp(-1j * kc * shift) * math.sqrt(TX_POWER / n_t))[:, None]
-    gain = (cfg.carrier_freq / freqs) * beta_c[:, None]  # (T, M)
-    columns = [obs[..., j] for obs in out.values() for j in range(obs.shape[2])]  # (T, M)
+    ratio = cfg.carrier_freq / freqs  # of the path gain beta_c f_c / f_m, (M,)
+    # each beam's (T, M) output column and its steps
+    beams = list(zip([obs[..., j] for obs in out.values() for j in range(obs.shape[2])],
+                     beam_giant, beam_baby))
     giant, baby = np.empty_like(beam_giant[0]), np.empty_like(beam_baby[0])
     sums = np.empty((len(giant), len(baby)), dtype=complex)
-    for t in range(n_trials):
-        user_giant, user_baby = phase_steps(cfg, -lengths[t])  # (a, N_t), (b, N_t)
-        for column, beam_g, beam_b in zip(columns, beam_giant, beam_baby):
-            np.matmul(np.multiply(user_giant, beam_g, out=giant),
-                      np.multiply(user_baby, beam_b, out=baby).T, out=sums)
-            np.multiply(sums.reshape(-1)[:len(freqs)], gain[t], out=column[t])
+    baby_t, first = baby.T, sums.reshape(-1)[:len(freqs)]
+    for users in blocks(n_trials, n_t * (len(giant) + len(baby))):
+        for t, user_giant, user_baby in zip(range(n_trials)[users],
+                                            *phase_steps(cfg, -lengths[users])):
+            gain = ratio * beta_c[t]
+            for column, beam_g, beam_b in beams:
+                np.multiply(user_giant, beam_g, out=giant)
+                np.multiply(user_baby, beam_b, out=baby)
+                np.matmul(giant, baby_t, out=sums)
+                np.multiply(first, gain, out=column[t])
     return out
 
 
@@ -215,8 +221,9 @@ def _observe(cfg: SystemConfig, families: dict, beta_c, lengths, rng_of) -> dict
             z = np.empty((users[0].stop, *x.shape[1:]), dtype=complex)
             for t in users:
                 zt = z[:t.stop - t.start]
-                for part, plane, xp in ((zt.real, re, x.real), (zt.imag, im, x.imag)):
-                    np.add(np.multiply(sg[t], plane[t], out=part), xp[t], out=part)
+                np.multiply(sg[t], re[t], out=zt.real)
+                np.multiply(sg[t], im[t], out=zt.imag)
+                zt += x[t]
                 np.abs(zt, out=out[t])
             return out
         return magnitudes

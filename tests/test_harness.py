@@ -627,10 +627,10 @@ def test_pilot_families_are_contiguous_and_independent_of_the_families_beside(n_
 
 
 def test_pilot_pass_peak_memory_stays_near_its_output():
-    # full scale, 200 users, one beam: the user steps are made once per user
-    # and each row's sums go into buffers made once, so the traced peak stays
-    # within 5x the observations; a table of b T N_t user steps held for the
-    # whole pass would exceed it
+    # full scale, 200 users, one beam: the user steps are made one block of
+    # users at a time and each row's sums go into buffers made once, so the
+    # traced peak stays within 5x the observations; a table of b T N_t user
+    # steps held for the whole pass would exceed it
     cfg = fullscale_config()
     users = _draw_users(cfg, _rng(3, 0), 200)
     lengths = _lengths(cfg, users)
