@@ -176,8 +176,7 @@ def read_csv(columns, text: str) -> list:
 @dataclass
 class SweepResult(Record):
     """Rows of (scheme, axis value) -> mean rate, plus metadata that the
-    spec determines and facts of the run (its wall-clock time and stage
-    seconds, _Engine.stage_s) kept apart,
+    spec determines and facts of the run (its wall-clock and stage times) kept apart,
     so that rows and metadata of two runs of one spec compare equal."""
 
     metadata: dict = field(default_factory=dict)
@@ -220,9 +219,8 @@ def _clock(times: dict, stage: str):
 
 
 class _Engine:
-    """Precomputed state shared across axis points of one sweep, and stage_s,
-    the seconds of its stages: "design" (and scheme table), "observe"
-    (_observe), "magnitudes", "estimate" (by scheme) and "rate"."""
+    """Precomputed state shared across axis points of one sweep, and stage_s, the seconds
+    of its stages: design, observe, magnitudes, estimate (by scheme) and rate."""
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
@@ -281,13 +279,12 @@ class _Engine:
                             t, r_fixed=points[0][4])
         picks = self._estimates(users, key, points)
         trained = [(snr, est) for _, _, _, snr, est in picks if est is not None]
-        if trained:
-            snrs, estimates = zip(*trained)
-            theta_hat = np.array([est.theta for est in estimates])
-            alpha_hat = np.array([est.alpha for est in estimates])
-            with _clock(self.stage_s, "rate"):
-                rates = iter(_distinct_rates(self.cfg, users, np.array(snrs), theta_hat,
-                                             alpha_hat))
+        with _clock(self.stage_s, "rate"):
+            if trained:
+                snrs, estimates = zip(*trained)
+                theta_hat = np.array([est.theta for est in estimates])
+                alpha_hat = np.array([est.alpha for est in estimates])
+                rates = iter(_distinct_rates(self.cfg, users, snrs, theta_hat, alpha_hat))
         return [self._row(name, value,
                           np.full(t, math.log2(1.0 + snr)) if est is None else next(rates),
                           pilots)

@@ -142,9 +142,8 @@ def test_kernel_items_write_the_raw_arrays_one_row_per_line(desk_plan):
     cfg = fullscale.cfg
     users = harness._draw_users(cfg, np.random.default_rng(0), 4)
     lengths = element_distances(cfg, users["theta"][:, None], users["r"][:, None])
-    table = scheme_table(fullscale, (), 1024, 10)
-    families = {table[name].family: table[name].probes
-                for name in ("ongrid", "nearfield_rainbow", "farfield_rainbow")}
+    families = COMPARE._pilot_families(fullscale, fullscale_experiment_spec())
+    assert [len(p) for p in families.values()] == [fullscale.K, 10, 1]
     obs = np.concatenate(list(_pilot_pass(cfg, families, users["beta_c"], lengths).values()), 2)
     read = np.array([[complex(x) for x in line.split(",")]
                      for line in items["full-scale pilot pass plan, near, far, 4 users"]
