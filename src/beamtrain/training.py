@@ -217,15 +217,15 @@ def _observe(cfg: SystemConfig, families: dict, beta_c, lengths, rng_of) -> dict
         re, im = _unit_noise(rng_of(name), x.shape)
 
         def magnitudes(sg):  # through a complex scratch of one block of users
-            out, users = np.empty(x.shape), blocks(len(x), x[0].size)
+            mags, users = np.empty(x.shape), blocks(len(x), x[0].size)
             z = np.empty((users[0].stop, *x.shape[1:]), dtype=complex)
             for t in users:
                 zt = z[:t.stop - t.start]
                 np.multiply(sg[t], re[t], out=zt.real)
                 np.multiply(sg[t], im[t], out=zt.imag)
                 zt += x[t]
-                np.abs(zt, out=out[t])
-            return out
+                np.abs(zt, out=mags[t])
+            return mags
         return magnitudes
 
     return {name: noisy(name, out[name]) for name in families}
