@@ -9,11 +9,13 @@ changes).  In each tree a child process, with that tree's `src/` and
 
 - `to_csv()` of every sweep spec the perfbench sweep workloads
   (desk_snr_sweep, fullscale_grid, fullscale_distance) build at seeds 0-3
-- `to_csv()` of the default desk spec, and of the desk overhead axis
-  (budgets 1, 2, 4, 8) and distance axis (3, 6, 9 m) at 60 trials, and of
-  each of these three its `to_json()` without the `run` key (the wall-clock
-  facts of the run): the JSON rows show each value's Python type, which the
-  CSV does not
+- `to_csv()` of the default desk spec, of the desk overhead axis (budgets
+  1, 2, 4, 8) and distance axis (3, 6, 9 m) at 60 trials, and of the
+  fullscale_distance schemes at 10, 40 and 160 m over 60 trials (several
+  blocks of users per key, partial last blocks, three keys on one
+  workspace), and of each of these four its `to_json()` without the `run`
+  key (the wall-clock facts of the run): the JSON rows show each value's
+  Python type, which the CSV does not
 - `to_csv()` of the full-scale match filter on the overhead axis (budgets 1,
   2, 3) at 20 trials: the one full-scale path where a pilot budget below K
   reads the bank
@@ -227,6 +229,27 @@ def kernel_items(desk_plan, fullscale_plan) -> dict:
     return items
 
 
+def named_specs() -> dict:
+    """Name -> spec of each sweep written with its JSON: the default desk
+    spec, the desk overhead and distance axes, and the fullscale_distance
+    workload's schemes at 10, 40 and 160 m over 60 trials, whose three
+    draw keys share one workspace, whose pilot pass runs 15 blocks of users
+    a key, and whose magnitudes and rate pass end in a partial block."""
+    import workloads
+    from beamtrain import harness
+
+    desk = harness.desk_experiment_spec
+    return {
+        "desk default spec": desk(),
+        "desk overhead 1, 2, 4, 8 at 60 trials": desk(
+            sweep_axis="overhead", axis_values=(1.0, 2.0, 4.0, 8.0), n_trials=60),
+        "desk distance 3, 6, 9 m at 60 trials": desk(
+            sweep_axis="distance_m", axis_values=(3.0, 6.0, 9.0), n_trials=60),
+        "full-scale distance 10, 40, 160 m at 60 trials": workloads.sweep_spec(
+            "fullscale_distance", 0, {"n_trials": 60}),
+    }
+
+
 def dump(out: str) -> None:
     """Write every item's text of the tree on the path, as JSON, to out."""
     import workloads
@@ -239,13 +262,7 @@ def dump(out: str) -> None:
                 for spec in workloads.SweepWorkload(name, seed, False, tmp).specs:
                     items[f"{name} master_seed {spec.master_seed}"] = (
                         harness.run_sweep(spec).to_csv())
-        desk = harness.desk_experiment_spec
-        for name, spec in (
-                ("desk default spec", desk()),
-                ("desk overhead 1, 2, 4, 8 at 60 trials", desk(
-                    sweep_axis="overhead", axis_values=(1.0, 2.0, 4.0, 8.0), n_trials=60)),
-                ("desk distance 3, 6, 9 m at 60 trials", desk(
-                    sweep_axis="distance_m", axis_values=(3.0, 6.0, 9.0), n_trials=60))):
+        for name, spec in named_specs().items():
             result = harness.run_sweep(spec)
             items[name] = result.to_csv()
             summary = json.loads(result.to_json())
@@ -270,6 +287,7 @@ def dump(out: str) -> None:
     config_a = SystemConfig(n_antennas=128, carrier_freq=10e9, bandwidth=2e9,
                             n_subcarriers=512, distance_range=(5.0, 200.0))
     plans = {}
+    desk = harness.desk_experiment_spec
     for name, inputs in (("desk", desk().design_inputs()),
                          ("full-scale", harness.fullscale_experiment_spec().design_inputs()),
                          ("config-A", DesignInputs(cfg=config_a, gamma=1.0))):

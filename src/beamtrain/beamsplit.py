@@ -29,7 +29,9 @@ _CHUNK_ENTRIES = 1 << 16
 
 def blocks(n: int, entries_per_item: int) -> list:
     """Slices of range(n), each of at least one item and about _CHUNK_ENTRIES
-    temporary entries: the block rule of every loop that bounds them."""
+    temporary entries: the block rule of every loop that bounds them.  An
+    item's temporaries are all the arrays its loop makes or fills per item,
+    tables, phases and sums alike, counted in entries of any dtype."""
     step = max(1, _CHUNK_ENTRIES // max(1, entries_per_item))
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
@@ -132,10 +134,11 @@ def wavenumber_steps(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     return giant, baby
 
 
-def _powers(base: np.ndarray, n: int) -> np.ndarray:
-    """base^i for i < n, stacked on a new second-to-last axis: 1, then each
-    slice [s, 2s) is the slice [0, s) times base^s, base^2s its square."""
-    out = np.empty(base.shape[:-1] + (n,) + base.shape[-1:], dtype=complex)
+def _powers(base: np.ndarray, n: int, out=None) -> np.ndarray:
+    """base^i for i < n on a new second-to-last axis, in out if given: 1,
+    then each slice [s, 2s) is the slice [0, s) times base^s, base^2s its square."""
+    if out is None:
+        out = np.empty(base.shape[:-1] + (n,) + base.shape[-1:], dtype=complex)
     out[..., 0, :] = 1.0
     s, step = 1, base
     while s < n:
@@ -145,19 +148,21 @@ def _powers(base: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def phase_steps(cfg: SystemConfig, x) -> tuple[np.ndarray, np.ndarray]:
+def phase_steps(cfg: SystemConfig, x, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Giant steps e^{j k_{ab+1} x} (..., a, N) and baby steps e^{j s dk x}
     (..., b, N) of wavenumber_steps at the phases x (..., N): e^{j k_1 x}
     times the powers of e^{j b dk x}, and the powers of e^{j dk x}, filled
     by doubling: three exponentials per entry of x, not a + b; an entry
-    depends on its own x alone, and is exactly 1 where x = 0.  The one maker
-    of band phase tables, for subcarrier_gains, training._pilot_pass and
-    training.build_match_filter_bank."""
+    depends on its own x alone, and is exactly 1 where x = 0; written into
+    the first len(x) rows of out, tables (B, a, N) and (B, b, N), if given.
+    The one maker of band phase tables, for subcarrier_gains,
+    training._pilot_pass and training.build_match_filter_bank."""
     giant, baby = wavenumber_steps(cfg)
     dk = baby[1] if len(baby) > 1 else 0.0
-    steps = _powers(np.exp(1j * (len(baby) * dk) * x), len(giant))
+    giant_out, baby_out = (None, None) if out is None else (t[:len(x)] for t in out)
+    steps = _powers(np.exp(1j * (len(baby) * dk) * x), len(giant), giant_out)
     steps *= np.exp(1j * giant[0] * x)[..., None, :]
-    return steps, _powers(np.exp(1j * dk * x), len(baby))
+    return steps, _powers(np.exp(1j * dk * x), len(baby), baby_out)
 
 
 def subcarrier_gains(cfg: SystemConfig, dtheta: np.ndarray, dalpha: np.ndarray) -> np.ndarray:
@@ -168,15 +173,20 @@ def subcarrier_gains(cfg: SystemConfig, dtheta: np.ndarray, dalpha: np.ndarray) 
     A row's M sums over n of e^{j k_m phi_n}, phi_n = n d dtheta -
     (n d)^2 dalpha, are one matrix product of the giant steps
     e^{j k_{ab+1} phi_n} and the baby steps e^{j s dk phi_n} of phase_steps:
-    3 N_t exponentials per row.  Rows run in blocks, and a row's gains do
-    not depend on the rows that share its block.
+    3 N_t exponentials per row.  Rows run in blocks of N_t (a + b + 4) + a b
+    temporary entries a row (step tables, phases, exponentials, sums): 3
+    rows at full scale, whose tables, made once per call, stay in a core's
+    L2 cache.  A row's gains do not depend on the rows beside it.
     """
     m, n_t = cfg.n_subcarriers, cfg.n_antennas
-    out = np.empty((len(dtheta), m))
-    for block in blocks(len(dtheta), n_t * len(wavenumber_steps(cfg)[1])):
-        giant, baby = phase_steps(cfg, cfg.polar_phase(dtheta[block], dalpha[block]))
-        sums = giant @ np.swapaxes(baby, 1, 2)
-        out[block] = np.abs(sums.reshape(len(sums), -1)[:, :m]) / n_t
+    a, b = (len(steps) for steps in wavenumber_steps(cfg))
+    out, rows = np.empty((len(dtheta), m)), blocks(len(dtheta), n_t * (a + b + 4) + a * b)
+    size = rows[0].stop if rows else 0
+    *steps, sums = (np.empty((size, *s), dtype=complex) for s in ((a, n_t), (b, n_t), (a, b)))
+    for block in rows:
+        giant, baby = phase_steps(cfg, cfg.polar_phase(dtheta[block], dalpha[block]), steps)
+        np.matmul(giant, np.swapaxes(baby, 1, 2), out=sums[:len(giant)])
+        out[block] = np.abs(sums[:len(giant)].reshape(len(giant), -1)[:, :m]) / n_t
     return out
 
 

@@ -149,6 +149,10 @@ def _cmd_sweep(args):
     except OSError as exc:
         _fail(f"cannot write output: {exc}")
     print(f"{len(result.rows)} rows written to {csv_path}; summary in {json_path}")
+    if args.verbose:  # the engine's stage times, the estimate stage by scheme
+        for stage, s in result.run["stage_s"].items():
+            for name, t in (s.items() if isinstance(s, dict) else [("", s)]):
+                print(f"{stage} {name}".rstrip() + f": {1e3 * t:.3f} ms", file=sys.stderr)
     return 0
 
 
@@ -191,6 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, help="override the trial count")
     p.add_argument("--full-scale", action="store_true",
                    help="use the full-scale default spec when --spec is omitted")
+    p.add_argument("--verbose", action="store_true",
+                   help="print the sweep's stage times in ms to stderr")
     p.set_defaults(func=_cmd_sweep)
     return parser
 

@@ -219,13 +219,14 @@ def _clock(times: dict, stage: str):
 
 
 class _Engine:
-    """Precomputed state shared across axis points of one sweep, and stage_s, the seconds
-    of its stages: design, observe, magnitudes, estimate (by scheme) and rate."""
+    """Precomputed state shared across axis points of one sweep, work, the
+    workspace of training._observe, and stage_s, the seconds of its stages:
+    design, observe, magnitudes, estimate (by scheme) and rate."""
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
         self.cfg = spec.cfg
-        self.stage_s = {}
+        self.work, self.stage_s = {}, {}
         with _clock(self.stage_s, "design"):
             self.plan = design(spec.design)
             self.table = scheme_table(self.plan, spec.schemes, spec.bank_angles, spec.bank_rings)
@@ -243,15 +244,15 @@ class _Engine:
 
     def _draw(self, users, key):
         """training._observe of every probe family of the spec over the drawn
-        users' element path lengths, one pass per draw key; each family's
-        noise comes from its own keyed stream."""
+        users' element path lengths, one pass per draw key in the sweep's
+        workspace; each family's noise comes from its own keyed stream."""
         seed = self.spec.master_seed
         requested = [self.table[name] for name in self.spec.schemes]
         families = {row.family: row.probes for row in requested if row.family is not None}
         lengths = element_distances(self.cfg, users["theta"][:, None], users["r"][:, None])
         with _clock(self.stage_s, "observe"):
             return _observe(self.cfg, families, users["beta_c"], lengths,
-                            lambda family: _rng(seed, _STREAMS[family], *key))
+                            lambda family: _rng(seed, _STREAMS[family], *key), self.work)
 
     def run(self) -> SweepResult:
         spec = self.spec

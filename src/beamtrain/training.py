@@ -109,16 +109,23 @@ def noise_power(cfg: SystemConfig, beta_c, snr: float):
     return TX_POWER * cfg.n_antennas * np.square(beta_c) / snr
 
 
-def _unit_noise(rng, shape) -> np.ndarray:
-    """CN(0, 1) entries as two contiguous float planes (2,) + shape, the real
-    parts, then the imaginary, each drawn into its plane and scaled there by
-    1 / sqrt(2): bit for bit the parts of (x + 1j y) / sqrt(2), since NumPy
-    divides a complex by a real as the product with its reciprocal."""
-    planes = np.empty((2, *shape))
+def _unit_noise(rng, shape, out=None) -> np.ndarray:
+    """CN(0, 1) entries as two contiguous float planes (2,) + shape, or out:
+    the real parts, then the imaginary, each drawn into its plane and scaled
+    there by 1 / sqrt(2): bit for bit the parts of (x + 1j y) / sqrt(2),
+    since NumPy divides a complex by a real as the product with its reciprocal."""
+    planes = np.empty((2, *shape)) if out is None else out
     for plane in planes:
         rng.standard_normal(out=plane)
         plane *= 1 / math.sqrt(2)
     return planes
+
+
+def _buffer(work: dict, key, shape, dtype=float) -> np.ndarray:
+    """The leading entries of work[key] in this shape; made anew if too small."""
+    if key not in work or work[key].size < math.prod(shape):
+        work[key] = np.empty(math.prod(shape), dtype)
+    return work[key][:math.prod(shape)].reshape(shape)
 
 
 def _beam_profiles(cfg: SystemConfig, params: TdPsParams):
@@ -146,32 +153,36 @@ def pilot_beamformers(cfg: SystemConfig, params: TdPsParams, f) -> np.ndarray:
     return np.exp(1j * phase) / np.sqrt(cfg.n_antennas)
 
 
-def _pilot_pass(cfg: SystemConfig, pilots: dict, beta_c, lengths) -> dict:
+def _pilot_pass(cfg: SystemConfig, pilots: dict, beta_c, lengths, work=None) -> dict:
     """Noiseless observations sqrt(P_t) h_m^T w_{m,k} of each pilot family
-    of _observe, one C-contiguous (T, M, K) array per family.
+    of _observe, one C-contiguous (T, M, K) array per family, in work.
 
     With m - 1 = a b + s as in phase_steps, the sum over the elements of row
     (user t, beam k) at subcarrier m is sum_n G[a, n] S[s, n]: the giant
     steps G = e^{-j k_{ab+1} L} e^{-j (k_{ab+1} A + k_c B)} sqrt(P_t / N_t)
     and the baby steps S = e^{-j s dk L} e^{-j s dk A}, L the user's element
     path lengths and A, B the _beam_profiles.  The beam steps of every
-    family's beams are made once, in one table, by phase_steps over -A; the
+    family's beams are one table by phase_steps over -A, kept in work; the
     user steps by phase_steps over -L, one block of users at a time
-    (blocks): (3 T + 4 K) N_t exponentials.  One row at a time, the two
-    products and the matrix product (a, N_t) (N_t, b) go into three buffers
-    made once per call (128, 128 and 16 KB at full scale, inside a core's
-    L2), and the first M sums, times the path gain beta_c f_c / f_m, into
-    the family's column.  No bit depends on the blocks or the beams beside."""
+    (blocks), into tables made once per call: (3 T + 4 K) N_t exponentials.
+    One row at a time, the two products and the matrix product (a, N_t)
+    (N_t, b) go into three buffers made once per call (128, 128 and 16 KB at
+    full scale, inside a core's L2), and the first M sums, times the path
+    gain beta_c f_c / f_m, into the family's column.  No bit depends on the
+    blocks or the beams beside."""
+    work = {} if work is None else work
     freqs, (n_trials, n_t) = cfg.subcarrier_freqs(), np.shape(lengths)
-    out = {name: np.empty((n_trials, len(freqs), len(p)), dtype=complex)
+    out = {name: _buffer(work, ("observations", name), (n_trials, len(freqs), len(p)), complex)
            for name, p in pilots.items()}
     if not pilots:
         return out
-    kc = cfg.wavenumber(cfg.carrier_freq)
-    profiles = [_beam_profiles(cfg, p) for p in pilots.values()]
-    delay, shift = (np.concatenate(x) for x in zip(*profiles))  # (K, N_t)
-    beam_giant, beam_baby = phase_steps(cfg, -delay)  # (K, a, N_t), (K, b, N_t)
-    beam_giant *= (np.exp(-1j * kc * shift) * math.sqrt(TX_POWER / n_t))[:, None]
+    if (key := ("beam steps", *pilots)) not in work:
+        kc = cfg.wavenumber(cfg.carrier_freq)
+        profiles = [_beam_profiles(cfg, p) for p in pilots.values()]
+        delay, shift = (np.concatenate(x) for x in zip(*profiles))  # (K, N_t)
+        beam_giant, _ = work[key] = phase_steps(cfg, -delay)  # (K, a, N_t), (K, b, N_t)
+        beam_giant *= (np.exp(-1j * kc * shift) * math.sqrt(TX_POWER / n_t))[:, None]
+    beam_giant, beam_baby = work[key]
     ratio = cfg.carrier_freq / freqs  # of the path gain beta_c f_c / f_m, (M,)
     # each beam's (T, M) output column and its steps
     beams = list(zip([obs[..., j] for obs in out.values() for j in range(obs.shape[2])],
@@ -179,9 +190,11 @@ def _pilot_pass(cfg: SystemConfig, pilots: dict, beta_c, lengths) -> dict:
     giant, baby = np.empty_like(beam_giant[0]), np.empty_like(beam_baby[0])
     sums = np.empty((len(giant), len(baby)), dtype=complex)
     baby_t, first = baby.T, sums.reshape(-1)[:len(freqs)]
-    for users in blocks(n_trials, n_t * (len(giant) + len(baby))):
+    users_of = blocks(n_trials, n_t * (len(giant) + len(baby)))
+    tables = [np.empty((users_of[0].stop, *x.shape), dtype=complex) for x in (giant, baby)]
+    for users in users_of:
         for t, user_giant, user_baby in zip(range(n_trials)[users],
-                                            *phase_steps(cfg, -lengths[users])):
+                                            *phase_steps(cfg, -lengths[users], tables)):
             gain = ratio * beta_c[t]
             for column, beam_g, beam_b in beams:
                 np.multiply(user_giant, beam_g, out=giant)
@@ -191,34 +204,37 @@ def _pilot_pass(cfg: SystemConfig, pilots: dict, beta_c, lengths) -> dict:
     return out
 
 
-def _observe(cfg: SystemConfig, families: dict, beta_c, lengths, rng_of) -> dict:
+def _observe(cfg: SystemConfig, families: dict, beta_c, lengths, rng_of, work=None) -> dict:
     """Noisy observations of every probe family for T users of center path
     gains beta_c (T,) at element path lengths (T, N_t).  families maps a
     family name to its probes: a pilot parameter set (TdPsParams) or a
     PolarCodebook.  Returns family name -> map from the per-user noise std
     (T, 1, 1) to the observations: magnitudes |sqrt(P_t) h_m^T w_{m,k} +
-    sigma z| (T, M, K) of pilots, every pilot family in one _pilot_pass,
-    which returns each family's own contiguous array ((3 T + 4 K) N_t
-    exponentials), or a codebook's noise-law powers (T, G) over band_powers,
-    each family's noise drawn from rng_of(name): for pilots two float planes,
-    from which the magnitudes are made one block of users at a time through
-    a complex scratch, so no (T, M, K) complex temporary is made.  The sweep
-    engine and observe_params (T = 1) observe here.
+    sigma z| (T, M, K) of pilots, every pilot family in one _pilot_pass
+    ((3 T + 4 K) N_t exponentials), or a codebook's noise-law powers (T, G)
+    over band_powers, each family's noise drawn from rng_of(name): for
+    pilots two float planes, from which the magnitudes are made one block of
+    users at a time through a complex scratch, so no (T, M, K) complex
+    temporary is made.  The observations, planes and scratch live in work,
+    the workspace dict one sweep passes to every call (a fresh one if None),
+    and each call rewrites them.  The sweep engine and observe_params (T =
+    1, a fresh workspace) observe here.
     """
+    work = {} if work is None else work
     books = {name for name, p in families.items() if isinstance(p, PolarCodebook)}
     out = _pilot_pass(cfg, {name: p for name, p in families.items() if name not in books},
-                      beta_c, lengths)
+                      beta_c, lengths, work)
     out.update({name: band_powers(families[name], beta_c, lengths) for name in books})
 
     def noisy(name, x):
         if name in books:
             a, b, c = exhaustive_moments(x, cfg.n_subcarriers, rng_of(name))
             return lambda sg: a + 2 * sg[:, :, 0] * b + sg[:, :, 0] * sg[:, :, 0] * c
-        re, im = _unit_noise(rng_of(name), x.shape)
+        re, im = _unit_noise(rng_of(name), x.shape, _buffer(work, ("noise", name), (2, *x.shape)))
 
         def magnitudes(sg):  # through a complex scratch of one block of users
             mags, users = np.empty(x.shape), blocks(len(x), x[0].size)
-            z = np.empty((users[0].stop, *x.shape[1:]), dtype=complex)
+            z = _buffer(work, "scratch", (users[0].stop, *x.shape[1:]), complex)
             for t in users:
                 zt = z[:t.stop - t.start]
                 np.multiply(sg[t], re[t], out=zt.real)
@@ -238,11 +254,12 @@ def observe_params(cfg: SystemConfig, channel: Channel, probes, snr: float, rng)
     a pilot parameter set (TdPsParams), or the codeword powers (G,) of a
     PolarCodebook, whose band quadrature observes the same channel at
     frequencies between the subcarriers.  Every draw comes from the one
-    generator np.random.default_rng(rng), so a fixed seed is reproducible."""
+    generator np.random.default_rng(rng), so a fixed seed is reproducible,
+    and each call observes in a fresh workspace."""
     gen = np.random.default_rng(rng)
     sigma = np.sqrt(noise_power(cfg, channel.beta_c, snr)).reshape(1, 1, 1)
     return _observe(cfg, {None: probes}, np.array([channel.beta_c]), channel.lengths[None],
-                    lambda _: gen)[None](sigma)[0]
+                    lambda _: gen, work={})[None](sigma)[0]
 
 
 class BatchEstimate(NamedTuple):

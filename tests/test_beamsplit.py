@@ -306,6 +306,22 @@ def test_phase_steps_equal_the_direct_exponentials(n_subcarriers, bandwidth):
             assert np.all(got_giant[0, 0] == 1.0) and np.all(got_baby[0, 0] == 1.0)
 
 
+def test_phase_steps_into_tables_are_views_of_them_bit_for_bit():
+    # given a pair of tables of B rows, a block of B phase rows and a partial
+    # last block of fewer are written into the tables' first rows, and the
+    # returned views equal the fresh tables bit for bit
+    cfg = SystemConfig(16, 30e9, 5e9, 33, distance_range=(2.0, 10.0))
+    a, b = (len(steps) for steps in wavenumber_steps(cfg))
+    tables = [np.full((4, n, cfg.n_antennas), np.nan, dtype=complex) for n in (a, b)]
+    x = np.random.default_rng(7).uniform(-1.0, 1.0, (6, cfg.n_antennas))
+    for block in (x[:4], x[4:]):
+        got = phase_steps(cfg, block, tables)
+        for view, table, fresh in zip(got, tables, phase_steps(cfg, block)):
+            # the view starts at the table's first row
+            assert view.__array_interface__["data"][0] == table.__array_interface__["data"][0]
+            assert view.shape == fresh.shape and view.tobytes() == fresh.tobytes()
+
+
 @pytest.mark.parametrize("n_antennas", [64, 256])
 @pytest.mark.parametrize("n_angles", [32, 192])
 def test_powers_equal_the_direct_exponentials_at_codebook_sizes(n_angles, n_antennas):
@@ -326,7 +342,7 @@ def test_powers_equal_the_direct_exponentials_at_codebook_sizes(n_angles, n_ante
 
 
 def test_subcarrier_gains_of_a_row_do_not_depend_on_its_block():
-    # desk scale runs 64 rows a block: 150 rows span three blocks, and the
+    # desk scale runs 25 rows a block: 150 rows span six blocks, and the
     # reversed order gives every row other neighbours
     cfg = SystemConfig(64, 30e9, 5e9, 256, distance_range=(2.0, 10.0))
     rng = np.random.default_rng(5)

@@ -355,6 +355,31 @@ def test_sweep_writes_csv_and_json(tmp_path):
     assert {r["scheme"] for r in payload["rows"]} == {"perfect_csi", "ongrid"}
 
 
+def test_sweep_verbose_prints_the_stage_times_to_stderr(tmp_path, capsys):
+    # one line per stage of the JSON's run.stage_s, the estimate stage by
+    # scheme, in ms; stdout, the CSV and the rows and metadata are unchanged
+    spec_path = _small_spec_file(tmp_path)
+    outputs = []
+    for prefix, extra in ((tmp_path / "plain", ()), (tmp_path / "verbose", ("--verbose",))):
+        assert cli.main(["sweep", "--spec", str(spec_path), "--out", str(prefix), *extra]) == 0
+        payload = json.loads(prefix.with_suffix(".json").read_text())
+        outputs.append((capsys.readouterr(), prefix.with_suffix(".csv").read_text(),
+                        payload.pop("run")["stage_s"], payload))
+    (plain, plain_csv, _, plain_json), (verbose, csv, stages, payload) = outputs
+    assert plain.err == ""
+    assert verbose.out == plain.out.replace("plain", "verbose")
+    assert csv == plain_csv and payload == plain_json
+    labels = [stage for stage, s in stages.items() if not isinstance(s, dict)]
+    labels += [f"estimate {name}" for name in stages["estimate"]]
+    lines = verbose.err.splitlines()
+    assert sorted(line.rsplit(": ", 1)[0] for line in lines) == sorted(labels)
+    assert {"design", "observe", "magnitudes", "rate", "estimate ongrid"} <= set(labels)
+    for line in lines:
+        label, ms = line.rsplit(": ", 1)
+        seconds = stages[label] if label in stages else stages["estimate"][label.split()[1]]
+        assert ms.endswith(" ms") and float(ms[:-3]) == pytest.approx(1e3 * seconds, abs=1e-3)
+
+
 def test_sweep_rejects_bad_spec(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text("{\"config\": {\"n_antennas\": 0}}")

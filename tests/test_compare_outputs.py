@@ -149,3 +149,23 @@ def test_kernel_items_write_the_raw_arrays_one_row_per_line(desk_plan):
                      for line in items["full-scale pilot pass plan, near, far, 4 users"]
                      .splitlines()])
     assert np.array_equal(read, obs.reshape(-1, obs.shape[-1]))
+
+
+def test_named_specs_include_the_full_scale_distance_sweep():
+    # the sweeps written with their JSON include the fullscale_distance
+    # workload's schemes at its three distances over 60 trials
+    sys.path.insert(0, str(ROOT / "perfbench"))  # named_specs imports workloads
+    try:
+        import workloads
+
+        specs = COMPARE.named_specs()
+        bench = workloads.sweep_spec("fullscale_distance", 0, {"n_trials": 20})
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    assert list(specs) == ["desk default spec", "desk overhead 1, 2, 4, 8 at 60 trials",
+                           "desk distance 3, 6, 9 m at 60 trials",
+                           "full-scale distance 10, 40, 160 m at 60 trials"]
+    spec = specs["full-scale distance 10, 40, 160 m at 60 trials"]
+    assert spec.schemes == bench.schemes and spec.cfg == bench.cfg
+    assert spec.sweep_axis == "distance_m" and spec.axis_values == (10.0, 40.0, 160.0)
+    assert spec.n_trials == 60

@@ -645,6 +645,47 @@ def test_pilot_pass_peak_memory_stays_near_its_output():
     assert peak <= 5 * out["far"].nbytes
 
 
+def test_gains_and_pilot_pass_are_bit_for_bit_at_every_block_budget(monkeypatch):
+    # subcarrier_gains and _pilot_pass fill tables made once per call, block
+    # by block; at 2^8 entries (a row or user a block), the default (60 rows
+    # in 25, 25 and 10; 40 users in 32 and 8) and 2^22 (one block) every
+    # output bit is the same
+    cfg, families, _, users, lengths = _synthesis_inputs(40)
+    rng = np.random.default_rng(2)
+    dtheta, dalpha = rng.uniform(-0.2, 0.2, 60), rng.uniform(-0.05, 0.05, 60)
+
+    def outputs():
+        observed = training._pilot_pass(cfg, families, users["beta_c"], lengths)
+        return [subcarrier_gains(cfg, dtheta, dalpha).tobytes(),
+                *(x.tobytes() for x in observed.values())]
+
+    want = outputs()
+    for budget in (1 << 8, 1 << 22):
+        monkeypatch.setattr(beamsplit, "_CHUNK_ENTRIES", budget)
+        assert outputs() == want, budget
+
+
+def test_distance_sweep_makes_the_beam_steps_once_and_rewrites_one_workspace(monkeypatch):
+    # the engine keeps one workspace for the sweep: over three distance
+    # points (three draw keys) the pilot pass makes its beam steps, the one
+    # phase_steps call without output tables, once, and keys 2 and 3 write
+    # their observations into key 1's arrays
+    spec = desk_experiment_spec(
+        sweep_axis="distance_m", axis_values=(3.0, 6.0, 9.0), n_trials=6,
+        schemes=("perfect_csi", "ongrid", "nearfield_rainbow", "farfield_rainbow"))
+    steps, pilot_pass, fresh, passes = training.phase_steps, training._pilot_pass, [], []
+    monkeypatch.setattr(training, "phase_steps",
+                        lambda cfg, x, out=None: fresh.append(out is None) or steps(cfg, x, out))
+    monkeypatch.setattr(training, "_pilot_pass",
+                        lambda *args: passes.append(pilot_pass(*args)) or passes[-1])
+    run_sweep(spec)
+    assert fresh.count(True) == 1 and fresh.count(False) == 3
+    assert len(passes) == 3 and list(passes[0]) == ["plan", "near", "far"]
+    first = {name: obs.__array_interface__["data"][0] for name, obs in passes[0].items()}
+    for later in passes[1:]:
+        assert {name: obs.__array_interface__["data"][0] for name, obs in later.items()} == first
+
+
 @pytest.mark.parametrize("n_trials", [1, 9, 200])
 def test_magnitudes_are_the_noisy_sums_bit_for_bit(monkeypatch, n_trials):
     # each point's magnitudes, made one block of users at a time from the

@@ -1,6 +1,11 @@
 """Training simulation and the six location estimators."""
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -452,6 +457,43 @@ def test_match_filter_picks_equal_a_unit_copy_reference_at_every_budget(desk_cfg
         flat = flat / np.linalg.norm(flat, axis=1, keepdims=True)
         want = np.argmax(flat @ unit.T, axis=1)
         assert np.array_equal(match_filter_estimate(mags, bank, budget).pick, want), budget
+
+
+# train each scheme named on the command line over the desk plan for one user,
+# printing one JSON record per call
+_TRAIN_CALLS = """
+import json, sys
+from beamtrain import PolarLocation, design, los_channel
+from beamtrain.harness import desk_experiment_spec
+from beamtrain.training import scheme_table, train
+plan = design(desk_experiment_spec().design_inputs())
+loc = PolarLocation.from_angle_distance(0.3, 4.0)
+channel = los_channel(plan.cfg, loc)
+for scheme in sys.argv[1:]:
+    row = scheme_table(plan, (scheme,), 96, 8)[scheme]
+    print(json.dumps(train(row, scheme, plan.cfg, channel, 10 ** 1.5, 3).to_dict()))
+"""
+
+
+def test_train_calls_in_one_process_each_give_their_single_call_output():
+    # observe_params observes in a fresh workspace per call, so a process
+    # that trains on-grid, both rainbows and on-grid again gives each call
+    # the output of that call alone in a fresh process; arrays kept across
+    # calls by family name would serve one scheme's beams to the next
+    schemes = ("ongrid", "nearfield_rainbow", "farfield_rainbow", "ongrid")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def calls(*names):
+        out = subprocess.run([sys.executable, "-c", _TRAIN_CALLS, *names], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        return [json.loads(line) for line in out.splitlines()]
+
+    together = calls(*schemes)
+    alone = {scheme: calls(scheme)[0] for scheme in set(schemes)}
+    assert [record["scheme"] for record in together] == list(schemes)
+    assert together == [alone[scheme] for scheme in schemes]
+    assert len({json.dumps(alone[scheme]) for scheme in alone}) == 3
 
 
 def test_match_filter_signature_norms_are_made_once_per_budget(desk_cfg, monkeypatch):
