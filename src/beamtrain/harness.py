@@ -294,9 +294,9 @@ class _Engine:
     def _estimates(self, users, key, points) -> list:
         """(axis value, scheme, pilots used, linear snr, the estimator's
         BatchEstimate or None without training) per point and scheme, in row
-        order.  The key's draws are dropped on return, and each point's
-        observations before the next point's are made, so that they never
-        coexist."""
+        order.  The next key's draws rewrite this key's in the workspace, and
+        each point's magnitudes are dropped before the next point's are
+        made, so that they never coexist."""
         draws = self._draw(users, key)
         picks, estimate_s = [], self.stage_s.setdefault("estimate", {})
         for value, snr_db, budget, _, _ in points:
