@@ -13,9 +13,11 @@ changes).  In each tree a child process, with that tree's `src/` and
   1, 2, 4, 8) and distance axis (3, 6, 9 m) at 60 trials, and of the
   fullscale_distance schemes at 10, 40 and 160 m over 60 trials (several
   blocks of users per key, partial last blocks, three keys on one
-  workspace), and of each of these four its `to_json()` without the `run`
-  key (the wall-clock facts of the run): the JSON rows show each value's
-  Python type, which the CSV does not
+  workspace), and of the desk SNR axis at 15, 5, 10 dB and distance axis
+  at 9, 3, 6 m over 20 trials (unsorted values: rows in the values' order,
+  distance draws keyed by index), and of each of these six its `to_json()`
+  without the `run` key (the wall-clock facts of the run): the JSON rows
+  show each value's Python type, which the CSV does not
 - `to_csv()` of the full-scale match filter on the overhead axis (budgets 1,
   2, 3) at 20 trials: the one full-scale path where a pilot budget below K
   reads the bank
@@ -231,10 +233,12 @@ def kernel_items(desk_plan, fullscale_plan) -> dict:
 
 def named_specs() -> dict:
     """Name -> spec of each sweep written with its JSON: the default desk
-    spec, the desk overhead and distance axes, and the fullscale_distance
+    spec, the desk overhead and distance axes, the fullscale_distance
     workload's schemes at 10, 40 and 160 m over 60 trials, whose three
     draw keys share one workspace, whose pilot pass runs 15 blocks of users
-    a key, and whose magnitudes and rate pass end in a partial block."""
+    a key, and whose magnitudes and rate pass end in a partial block, and
+    desk SNR and distance axes in unsorted order, whose rows follow the
+    values' order and whose distance draws are keyed by index, not value."""
     import workloads
     from beamtrain import harness
 
@@ -247,6 +251,9 @@ def named_specs() -> dict:
             sweep_axis="distance_m", axis_values=(3.0, 6.0, 9.0), n_trials=60),
         "full-scale distance 10, 40, 160 m at 60 trials": workloads.sweep_spec(
             "fullscale_distance", 0, {"n_trials": 60}),
+        "desk SNR 15, 5, 10 dB at 20 trials": desk(axis_values=(15.0, 5.0, 10.0), n_trials=20),
+        "desk distance 9, 3, 6 m at 20 trials": desk(
+            sweep_axis="distance_m", axis_values=(9.0, 3.0, 6.0), n_trials=20),
     }
 
 

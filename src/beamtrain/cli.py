@@ -31,7 +31,7 @@ from .harness import (
     run_sweep,
 )
 from .training import (SCHEME_AUX, SCHEME_EXHAUSTIVE, SCHEME_FAR_RAINBOW, SCHEME_MATCH,
-                       SCHEME_NEAR_RAINBOW, SCHEME_ONGRID, scheme_table, train)
+                       SCHEME_NEAR_RAINBOW, SCHEME_ONGRID, linear_snr, scheme_table, train)
 
 TRAIN_SCHEMES = (SCHEME_ONGRID, SCHEME_AUX, SCHEME_MATCH, SCHEME_EXHAUSTIVE,
                  SCHEME_NEAR_RAINBOW, SCHEME_FAR_RAINBOW)
@@ -92,6 +92,10 @@ def _cmd_train(args):
     if not math.isfinite(args.snr_db):
         _fail(f"--snr-db must be finite, got {args.snr_db}")
     try:
+        snr = linear_snr(args.snr_db)
+    except ValueError as exc:
+        _fail(f"invalid --snr-db: {exc}")
+    try:
         plan = PilotPlan.from_json(Path(args.plan).read_text())
     except (OSError, ValueError, TypeError) as exc:
         _fail(f"invalid plan: {exc}")
@@ -106,7 +110,6 @@ def _cmd_train(args):
         channel = los_channel(cfg, loc, args.distance)  # alpha = 0 at endfire
     except ValueError as exc:
         _fail(f"invalid user location: {exc}")
-    snr = 10 ** (args.snr_db / 10)
     try:
         row = scheme_table(plan, (args.scheme,), args.bank_angles, args.bank_rings)[args.scheme]
         est = train(row, args.scheme, cfg, channel, snr, args.seed)

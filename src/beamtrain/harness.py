@@ -9,7 +9,6 @@ schemes are compared on identical user draws.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import time
@@ -24,7 +23,7 @@ from .config import (DEFAULTS_IF_MISSING, PolarLocation, Record, SystemConfig, c
 from .arrays import element_distances, path_loss
 from .beamsplit import blocks, subcarrier_gains
 from .design import DesignInputs, PilotPlan, design
-from .training import ALL_SCHEMES, _observe, noise_power, scheme_table
+from .training import ALL_SCHEMES, _observe, linear_snr, noise_power, scheme_table
 
 AXES = ("snr_db", "overhead", "distance_m")
 
@@ -111,6 +110,14 @@ class ExperimentSpec(Record):
         if len(self.axis_values) == 0:
             raise ValueError("need at least one axis value")
         check_finite(self, "axis_values", "snr_db")
+        # a repeated scheme or axis value would write rows that repeat, or
+        # on the distance axis disagree, at one (scheme, axis value)
+        if len(set(self.schemes)) < len(self.schemes):
+            raise ValueError(f"schemes repeat: {self.schemes}")
+        if len(set(self.axis_values)) < len(self.axis_values):
+            raise ValueError(f"axis values repeat: {self.axis_values}")
+        for snr_db in self.axis_values if self.sweep_axis == "snr_db" else (self.snr_db,):
+            linear_snr(snr_db)
         if self.sweep_axis == "overhead" and any(v < 1 or v % 1 for v in self.axis_values):
             raise ValueError("overhead budgets must be whole numbers >= 1")
         if self.sweep_axis == "distance_m" and any(v <= 0 for v in self.axis_values):
@@ -219,9 +226,10 @@ def _clock(times: dict, stage: str):
 
 
 class _Engine:
-    """Precomputed state shared across axis points of one sweep, work, the
+    """Precomputed state shared across the draws of one sweep, work, the
     workspace of training._observe, and stage_s, the seconds of its stages:
-    design, observe, magnitudes, estimate (by scheme) and rate."""
+    design, observe, magnitudes, estimate (by scheme) and rate.  _keys maps
+    the axis values to draws, and _key_rows turns each draw into its rows."""
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
@@ -230,37 +238,34 @@ class _Engine:
         with _clock(self.stage_s, "design"):
             self.plan = design(spec.design)
             self.table = scheme_table(self.plan, spec.schemes, spec.bank_angles, spec.bank_rings)
+        requested = [self.table[name] for name in spec.schemes]
+        self.families = {row.family: row.probes for row in requested if row.family is not None}
 
-    def _point(self, idx, value):
-        """(snr in dB, pilot budget, draw key, fixed user distance) of one axis
-        point.  The draw key extends the rng keys: the SNR and overhead axes
-        share one draw, the distance axis redraws per point."""
+    def _keys(self) -> list:
+        """The sweep's draws in row order, each (draw key, fixed user distance
+        or None, points), a point (axis value, snr in dB, pilot budget).  The
+        draw key extends the rng keys: the SNR and overhead axes share one
+        draw, the distance axis redraws per point, keyed by its index."""
         spec = self.spec
         if spec.sweep_axis == "snr_db":
-            return value, math.inf, (), None
+            return [((), None, [(v, v, math.inf) for v in spec.axis_values])]
         if spec.sweep_axis == "overhead":
-            return spec.snr_db, int(value), (), None
-        return spec.snr_db, math.inf, (idx,), value
+            return [((), None, [(v, spec.snr_db, int(v)) for v in spec.axis_values])]
+        return [((i,), v, [(v, spec.snr_db, math.inf)]) for i, v in enumerate(spec.axis_values)]
 
     def _draw(self, users, key):
         """training._observe of every probe family of the spec over the drawn
         users' element path lengths, one pass per draw key in the sweep's
         workspace; each family's noise comes from its own keyed stream."""
         seed = self.spec.master_seed
-        requested = [self.table[name] for name in self.spec.schemes]
-        families = {row.family: row.probes for row in requested if row.family is not None}
         lengths = element_distances(self.cfg, users["theta"][:, None], users["r"][:, None])
         with _clock(self.stage_s, "observe"):
-            return _observe(self.cfg, families, users["beta_c"], lengths,
+            return _observe(self.cfg, self.families, users["beta_c"], lengths,
                             lambda family: _rng(seed, _STREAMS[family], *key), self.work)
 
     def run(self) -> SweepResult:
         spec = self.spec
-        points = [(value, *self._point(idx, value))
-                  for idx, value in enumerate(spec.axis_values)]
-        rows = []
-        for key, group in itertools.groupby(points, key=lambda point: point[3]):
-            rows += self._key_rows(key, list(group))
+        rows = [row for draw in self._keys() for row in self._key_rows(*draw)]
         meta = {
             "spec_hash": spec.spec_hash(),
             "master_seed": spec.master_seed,
@@ -271,50 +276,40 @@ class _Engine:
         run = {"created": datetime.now(timezone.utc).isoformat(), "stage_s": self.stage_s}
         return SweepResult(rows=rows, metadata=meta, run=run)
 
-    def _key_rows(self, key, points):
-        """Rows of the axis points (value, snr in dB, budget, key, distance)
-        that share one draw key: every scheme's estimates first, then one
-        rate pass over them all."""
+    def _key_rows(self, key, r_fixed, points):
+        """Rows of one draw's points, scheme by scheme: every estimate on the
+        draw's users first, then one rate pass over them all.  The next key's
+        draws rewrite this key's in the workspace, and each point's
+        magnitudes are dropped before the next point's are made, so that
+        they never coexist."""
         t = self.spec.n_trials
-        users = _draw_users(self.cfg, _rng(self.spec.master_seed, _STREAM_USERS, *key),
-                            t, r_fixed=points[0][4])
-        picks = self._estimates(users, key, points)
-        trained = [(snr, est) for _, _, _, snr, est in picks if est is not None]
-        with _clock(self.stage_s, "rate"):
-            if trained:
-                snrs, estimates = zip(*trained)
-                theta_hat = np.array([est.theta for est in estimates])
-                alpha_hat = np.array([est.alpha for est in estimates])
-                rates = iter(_distinct_rates(self.cfg, users, snrs, theta_hat, alpha_hat))
-        return [self._row(name, value,
-                          np.full(t, math.log2(1.0 + snr)) if est is None else next(rates),
-                          pilots)
-                for value, name, pilots, snr, est in picks]
-
-    def _estimates(self, users, key, points) -> list:
-        """(axis value, scheme, pilots used, linear snr, the estimator's
-        BatchEstimate or None without training) per point and scheme, in row
-        order.  The next key's draws rewrite this key's in the workspace, and
-        each point's magnitudes are dropped before the next point's are
-        made, so that they never coexist."""
+        users = _draw_users(self.cfg, _rng(self.spec.master_seed, _STREAM_USERS, *key), t,
+                            r_fixed)
         draws = self._draw(users, key)
-        picks, estimate_s = [], self.stage_s.setdefault("estimate", {})
-        for value, snr_db, budget, _, _ in points:
-            snr = 10 ** (snr_db / 10)
+        picks, trained, estimate_s = [], [], self.stage_s.setdefault("estimate", {})
+        for value, snr_db, budget in points:
+            snr = linear_snr(snr_db)
             sg = np.sqrt(noise_power(self.cfg, users["beta_c"], snr))[:, None, None]
             observed = {}
             for name in self.spec.schemes:
                 row = self.table[name]
                 pilots = min(budget, row.pilots)
-                est = None
                 if row.family is not None:
                     if row.family not in observed:
                         with _clock(self.stage_s, "magnitudes"):
                             observed[row.family] = draws[row.family](sg)
                     with _clock(estimate_s, name):
                         est = row.estimate(observed[row.family], pilots)
-                picks.append((value, name, pilots, snr, est))
-        return picks
+                    trained.append((snr, est.theta, est.alpha))
+                picks.append((value, name, pilots, snr, row.family is None))
+        with _clock(self.stage_s, "rate"):
+            if trained:
+                snrs, theta_hat, alpha_hat = map(np.array, zip(*trained))
+                rates = iter(_distinct_rates(self.cfg, users, snrs, theta_hat, alpha_hat))
+        return [self._row(name, value,
+                          np.full(t, math.log2(1.0 + snr)) if untrained else next(rates),
+                          pilots)
+                for value, name, pilots, snr, untrained in picks]
 
     def _row(self, scheme, value, rates, pilots_used):
         rates = np.asarray(rates, dtype=float)

@@ -98,6 +98,19 @@ class TrainingEstimate(Record):
                    pilots_used, bool(batch.clamped[0]), bool(batch.fallback[0]))
 
 
+def linear_snr(snr_db: float) -> float:
+    """The linear SNR 10^(snr_db / 10); raises ValueError unless it is
+    finite and positive, which it is not above about 3082 dB, nor below
+    about -3236 dB, where it rounds to 0."""
+    try:
+        snr = 10 ** (float(snr_db) / 10)
+    except OverflowError:
+        snr = math.inf
+    if not 0 < snr < math.inf:  # also NaN
+        raise ValueError(f"an SNR of {snr_db} dB has no finite, positive linear value")
+    return snr
+
+
 def noise_power(cfg: SystemConfig, beta_c, snr: float):
     """Noise variance sigma^2 = P_t N_t beta_c^2 / snr, so that the linear
     snr holds at the center subcarrier; 0 when snr = inf.  beta_c is the

@@ -313,6 +313,22 @@ def test_train_rejects_a_non_finite_snr_before_reading_the_plan(plan_file, monke
     assert json.loads(capsys.readouterr().err)["error"] == f"--snr-db must be finite, got {value}"
 
 
+@pytest.mark.parametrize("value", ["4000", "-4000"])
+def test_train_rejects_an_snr_without_a_finite_linear_value(plan_file, monkeypatch, capsys,
+                                                            value):
+    # 4000 dB overflowed 10 ** (snr_db / 10) in a traceback
+    def read_plan(text):
+        raise AssertionError("the plan was read before the SNR was checked")
+
+    monkeypatch.setattr(cli.PilotPlan, "from_json", read_plan)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", f"--plan={plan_file}", "--theta=0.2", "--distance=4",
+                  f"--snr-db={value}"])
+    assert exc.value.code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error.startswith("invalid --snr-db") and "no finite, positive linear value" in error
+
+
 def test_rainbow_on_one_subcarrier_names_the_cause(tmp_path):
     # a design needs two subcarriers, so edit the count into a written plan
     cfg = dataclasses.replace(desk_config(), n_subcarriers=2)
@@ -404,6 +420,18 @@ def test_sweep_rejects_an_ill_typed_value(tmp_path):
     spec_path = _small_spec_file(tmp_path, lambda p: p["config"].update(n_antennas="64"))
     out = run_cli("sweep", "--spec", str(spec_path), "--out", str(tmp_path / "x"))
     assert "invalid experiment spec" in _error(out)
+
+
+@pytest.mark.parametrize("field, value", [("schemes", ["ongrid", "ongrid"]),
+                                          ("axis_values", [10.0, 10.0])])
+def test_sweep_rejects_a_spec_whose_rows_would_repeat(tmp_path, capsys, field, value):
+    spec_path = _small_spec_file(tmp_path, lambda p: p.update({field: value}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error.startswith("invalid experiment spec") and "repeat" in error
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_rejects_a_spec_the_design_cannot_serve(tmp_path):

@@ -164,8 +164,18 @@ def test_named_specs_include_the_full_scale_distance_sweep():
         sys.path.remove(str(ROOT / "perfbench"))
     assert list(specs) == ["desk default spec", "desk overhead 1, 2, 4, 8 at 60 trials",
                            "desk distance 3, 6, 9 m at 60 trials",
-                           "full-scale distance 10, 40, 160 m at 60 trials"]
+                           "full-scale distance 10, 40, 160 m at 60 trials",
+                           "desk SNR 15, 5, 10 dB at 20 trials",
+                           "desk distance 9, 3, 6 m at 20 trials"]
     spec = specs["full-scale distance 10, 40, 160 m at 60 trials"]
     assert spec.schemes == bench.schemes and spec.cfg == bench.cfg
     assert spec.sweep_axis == "distance_m" and spec.axis_values == (10.0, 40.0, 160.0)
     assert spec.n_trials == 60
+    # unsorted values pin the row order and the draw keys by index
+    for name, axis, values in (("desk SNR 15, 5, 10 dB at 20 trials", "snr_db",
+                                (15.0, 5.0, 10.0)),
+                               ("desk distance 9, 3, 6 m at 20 trials", "distance_m",
+                                (9.0, 3.0, 6.0))):
+        spec = specs[name]
+        assert spec.cfg == specs["desk default spec"].cfg
+        assert (spec.sweep_axis, spec.axis_values, spec.n_trials) == (axis, values, 20)

@@ -138,6 +138,17 @@ def test_default_experiment_specs():
         dict(k_override=0),
         # a budget of 4.9 would run budget 4 a second time
         dict(sweep_axis="overhead", axis_values=(4.0, 4.9)),
+        # a repeated scheme or axis value writes rows that repeat, or on the
+        # distance axis, where each index draws its own users, disagree
+        dict(schemes=("ongrid", "ongrid")),
+        dict(axis_values=(5.0, 5.0)),
+        dict(sweep_axis="overhead", axis_values=(2.0, 2.0)),
+        dict(sweep_axis="distance_m", axis_values=(5.0, 5.0)),
+        # finite in dB, but the linear SNR overflows or rounds to 0, which
+        # failed mid-run, after the design
+        dict(axis_values=(10.0, 4000.0)),
+        dict(axis_values=(-4000.0,)),
+        dict(sweep_axis="distance_m", axis_values=(3.0,), snr_db=-4000.0),
         # a non-finite design bound or override is named, not left to
         # overflow or fail on NaN inside the design
         dict(alpha_min=math.nan),
@@ -374,6 +385,34 @@ def test_distance_axis_redraws_users_per_point():
     assert sweep_rate(result, "perfect_csi", 3.0) == sweep_rate(
         result, "perfect_csi", 8.0
     )
+
+
+@pytest.mark.parametrize("axis, values, keys", [
+    ("snr_db", (10.0, 20.0), [((), None, [(10.0, 10.0, math.inf), (20.0, 20.0, math.inf)])]),
+    ("overhead", (1.0, 2.0, 8.0), [((), None, [(1.0, 12.0, 1), (2.0, 12.0, 2), (8.0, 12.0, 8)])]),
+    ("distance_m", (3.0, 6.0), [((0,), 3.0, [(3.0, 12.0, math.inf)]),
+                                ((1,), 6.0, [(6.0, 12.0, math.inf)])]),
+])
+def test_key_table_maps_each_axis_value_to_its_draw(monkeypatch, axis, values, keys):
+    # the SNR and overhead axes share one draw, key (), the budgets running
+    # at spec.snr_db; the distance axis draws once per point, keyed by index
+    spec = _tiny_spec(sweep_axis=axis, axis_values=values, snr_db=12.0,
+                      schemes=("perfect_csi", "ongrid"), n_trials=4)
+    engine = _Engine(spec)
+    assert engine._keys() == keys
+    budgets = [budget for _, _, points in engine._keys() for _, _, budget in points]
+    assert all(type(b) is int for b in budgets if b != math.inf)
+    calls = []
+
+    def observe(*args):
+        calls.append(args)
+        return training._observe(*args)
+
+    monkeypatch.setattr(harness, "_observe", observe)
+    rows = engine.run().rows
+    assert len(calls) == len(keys)
+    assert [(r["scheme"], r["axis_value"]) for r in rows] == [
+        (scheme, value) for value in values for scheme in spec.schemes]
 
 
 def _peak_bytes(spec) -> int:
