@@ -23,6 +23,12 @@ changes).  In each tree a child process, with that tree's `src/` and
   reads the bank
 - the stdout of every `beamtrain train` call of the cli_train workload at
   seeds 0-9, one item per seed
+- "cli errors": the stderr and exit code of `cli.main` for each invocation of
+  CLI_ERRORS, a failure the library reports (a missing plan, an unknown key
+  in design inputs, a design below the coverage slope bound, bad train
+  flags, a spec with repeated schemes, a sweep into a missing directory, a
+  one-subcarrier rainbow plan), run in a directory of their input files by
+  relative paths, so no message names a temporary directory
 - the beam-pattern CSV, `dump_beam_pattern`, the delay-table CSV,
   `fixed_td_network(plan).to_csv()`, the plan JSON, `to_json()`, the plan
   `summary()`, and the plan's derived values as JSON (`K`, `p1`,
@@ -56,6 +62,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -76,6 +83,23 @@ CLI_SEEDS = range(10)
 PLAN_VALUES = ("K", "p1", "pM", "ending_directions", "alpha_t_interval", "alpha_slope_min",
                "alpha_slope")
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+TRAIN_ARGS = ("train", "--plan=plan.json", "--theta=0.2", "--distance=4")
+CLI_ERRORS = (
+    ("train", "--plan=missing.json", "--theta=0.2", "--distance=4"),
+    ("design", "--inputs=inputs-unknown-key.json"),
+    ("design", "--inputs=inputs-below-slope-bound.json"),
+    (*TRAIN_ARGS, "--bank-angles=0"),
+    (*TRAIN_ARGS, "--snr-db=nan"),
+    (*TRAIN_ARGS, "--snr-db=4000"),
+    ("train", "--plan=plan.json", "--theta=1.5", "--distance=4"),
+    ("train", "--plan=plan.json", "--theta=0.2", "--distance=inf"),
+    (*TRAIN_ARGS, "--seed=-1"),
+    ("sweep", "--spec=spec-repeated-schemes.json", "--out=x"),
+    ("sweep", "--trials=2", "--out=missing/x"),
+    ("train", "--plan=plan-one-subcarrier.json", "--scheme=farfield_rainbow", "--theta=0.2",
+     "--distance=4"),
+)
 
 EXIT_LINE = re.compile(r"^exit .*$", re.M)
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
@@ -231,6 +255,38 @@ def kernel_items(desk_plan, fullscale_plan) -> dict:
     return items
 
 
+def cli_error_items() -> dict:
+    """"cli errors": the stderr, then an `exit N` line, of cli.main for each
+    invocation of CLI_ERRORS, run in the current directory after writing the
+    files they read there: the desk plan, that plan with one subcarrier (a
+    design needs two), desk design inputs with an unknown key and with an
+    alpha_p_override below the coverage slope bound, and a desk spec whose
+    schemes repeat."""
+    from beamtrain import DesignInputs, cli, design, harness
+
+    spec = harness.desk_experiment_spec()
+    inputs = spec.design_inputs().to_dict()
+    plan = design(spec.design_inputs()).to_dict()
+    two = dataclasses.replace(harness.desk_config(), n_subcarriers=2)
+    one_subcarrier = design(DesignInputs(two, gamma=0.5)).to_dict()
+    one_subcarrier["config"]["n_subcarriers"] = 1
+    for name, payload in (("plan", plan), ("plan-one-subcarrier", one_subcarrier),
+                          ("inputs-unknown-key", {**inputs, "n_trails": 3}),
+                          ("inputs-below-slope-bound", {**inputs, "alpha_p_override": 1e-6}),
+                          ("spec-repeated-schemes",
+                           {**spec.to_dict(), "schemes": ["ongrid", "ongrid"]})):
+        Path(f"{name}.json").write_text(json.dumps(payload))
+    err = io.StringIO()
+    for argv in CLI_ERRORS:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        print(f"exit {code}", file=err)
+    return {"cli errors": err.getvalue()}
+
+
 def named_specs() -> dict:
     """Name -> spec of each sweep written with its JSON: the default desk
     spec, the desk overhead and distance axes, the fullscale_distance
@@ -291,6 +347,13 @@ def dump(out: str) -> None:
                 print(f"exit {code}", file=text)
             items[f"cli_train seed {seed}"] = text.getvalue()
             work.close()
+        errors_dir, cwd = Path(tmp, "cli-errors"), os.getcwd()
+        errors_dir.mkdir()
+        os.chdir(errors_dir)
+        try:
+            items.update(cli_error_items())
+        finally:
+            os.chdir(cwd)
     config_a = SystemConfig(n_antennas=128, carrier_freq=10e9, bandwidth=2e9,
                             n_subcarriers=512, distance_range=(5.0, 200.0))
     plans = {}

@@ -6,11 +6,12 @@ Subcommands:
   train    run one noisy training trial and print the estimate as JSON
   sweep    run a Monte-Carlo sweep, write CSV rows and a JSON summary
 
-Errors exit nonzero with a machine-readable JSON object on stderr.
+Every error, usage errors included, exits 2 with a JSON object on stderr.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from .config import PolarLocation
 from .arrays import los_channel
-from .design import DesignInputs, PilotPlan, fixed_td_network
+from .design import DesignInputs, PilotPlan, design as run_design, fixed_td_network
 from .harness import (
     ExperimentSpec,
     check_grid_sizes,
@@ -42,24 +43,32 @@ def _fail(message: str):
     raise SystemExit(2)
 
 
-def _cmd_design(args):
+@contextlib.contextmanager
+def _failing(prefix: str = ""):
+    """Report the block's OSError, ValueError or TypeError through _fail."""
     try:
-        inputs = DesignInputs.from_json(Path(args.inputs).read_text())
+        yield
     except (OSError, ValueError, TypeError) as exc:
-        _fail(f"invalid design inputs: {exc}")
-    from .design import design as run_design
+        _fail(f"{prefix}: {exc}" if prefix else str(exc))
 
-    try:
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors through _fail; its subparsers inherit the class."""
+
+    def error(self, message):
+        _fail(f"{self.prog}: {message}")
+
+
+def _cmd_design(args):
+    with _failing("invalid design inputs"):
+        inputs = DesignInputs.from_json(Path(args.inputs).read_text())
+    with _failing("design failed"):
         plan = run_design(inputs)
-    except ValueError as exc:
-        _fail(f"design failed: {exc}")
-    try:
+    with _failing("cannot write output"):
         if args.out:
             plan.to_json(args.out)
         if args.delays_csv:
             fixed_td_network(plan).to_csv(args.delays_csv)
-    except OSError as exc:
-        _fail(f"cannot write output: {exc}")
     print(plan.summary())
     if args.delays_csv:
         print(f"delay table written to {args.delays_csv}")
@@ -69,14 +78,10 @@ def _cmd_design(args):
 
 
 def _cmd_pattern(args):
-    try:
+    with _failing("invalid plan"):
         plan = PilotPlan.from_json(Path(args.plan).read_text())
-    except (OSError, ValueError, TypeError) as exc:
-        _fail(f"invalid plan: {exc}")
-    try:
+    with _failing("cannot write output"):
         rows, text = dump_beam_pattern(plan, out=args.out)
-    except OSError as exc:
-        _fail(f"cannot write output: {exc}")
     if args.out:
         print(f"{len(rows)} rows written to {args.out}")
     else:
@@ -85,36 +90,24 @@ def _cmd_pattern(args):
 
 
 def _cmd_train(args):
-    try:
+    with _failing():
         check_grid_sizes(args, lambda name: "--" + name.replace("_", "-"))
-    except ValueError as exc:
-        _fail(str(exc))
     if not math.isfinite(args.snr_db):
         _fail(f"--snr-db must be finite, got {args.snr_db}")
-    try:
+    with _failing("invalid --snr-db"):
         snr = linear_snr(args.snr_db)
-    except ValueError as exc:
-        _fail(f"invalid --snr-db: {exc}")
-    try:
+    with _failing("invalid plan"):
         plan = PilotPlan.from_json(Path(args.plan).read_text())
-    except (OSError, ValueError, TypeError) as exc:
-        _fail(f"invalid plan: {exc}")
     cfg = plan.cfg
-    if (args.theta is None) == (args.angle_deg is None):
-        _fail("give exactly one of --theta or --angle-deg")
-    try:
+    with _failing("invalid user location"):
         if args.theta is not None:
             loc = PolarLocation.from_angle_distance(args.theta, args.distance)
         else:
             loc = PolarLocation.from_physical(args.angle_deg, args.distance)
         channel = los_channel(cfg, loc, args.distance)  # alpha = 0 at endfire
-    except ValueError as exc:
-        _fail(f"invalid user location: {exc}")
-    try:
+    with _failing("training failed"):
         row = scheme_table(plan, (args.scheme,), args.bank_angles, args.bank_rings)[args.scheme]
         est = train(row, args.scheme, cfg, channel, snr, args.seed)
-    except ValueError as exc:
-        _fail(f"training failed: {exc}")
     result = {**est.to_dict(), "true_theta": loc.theta, "true_alpha": loc.alpha,
               "snr_db": args.snr_db, "seed": args.seed, "rate": rate_metric(cfg, loc, est, snr)}
     print(json.dumps(result, indent=2))
@@ -122,7 +115,7 @@ def _cmd_train(args):
 
 
 def _cmd_sweep(args):
-    try:
+    with _failing("invalid experiment spec"):
         if args.spec:
             spec = ExperimentSpec.from_json(Path(args.spec).read_text())
         elif args.full_scale:
@@ -135,8 +128,6 @@ def _cmd_sweep(args):
         if args.trials is not None:
             overrides["n_trials"] = args.trials
         spec = dataclasses.replace(spec, **overrides)
-    except (OSError, ValueError, TypeError) as exc:
-        _fail(f"invalid experiment spec: {exc}")
     # fail before the sweep, not after minutes of it
     if os.path.basename(args.out) in ("", ".", ".."):  # "DIR/" would write DIR/.csv
         _fail(f"cannot write output: prefix {args.out!r} has no file name")
@@ -146,11 +137,9 @@ def _cmd_sweep(args):
     result = run_sweep(spec)
     csv_path = args.out + ".csv"
     json_path = args.out + ".json"
-    try:
+    with _failing("cannot write output"):
         result.to_csv(csv_path)
         result.to_json(json_path)
-    except OSError as exc:
-        _fail(f"cannot write output: {exc}")
     print(f"{len(result.rows)} rows written to {csv_path}; summary in {json_path}")
     if args.verbose:  # the engine's stage times, the estimate stage by scheme
         for stage, s in result.run["stage_s"].items():
@@ -160,7 +149,7 @@ def _cmd_sweep(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="beamtrain",
         description="Wideband near-field beam training: pilot design and simulation",
     )
@@ -180,8 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="run one noisy training trial")
     p.add_argument("--plan", required=True, help="PilotPlan JSON file")
     p.add_argument("--scheme", choices=TRAIN_SCHEMES, default=SCHEME_ONGRID)
-    p.add_argument("--theta", type=float, help="user sine-angle in [-1, 1]")
-    p.add_argument("--angle-deg", type=float, help="user physical angle in degrees")
+    angle = p.add_mutually_exclusive_group(required=True)
+    angle.add_argument("--theta", type=float, help="user sine-angle in [-1, 1]")
+    angle.add_argument("--angle-deg", type=float, help="user physical angle in degrees")
     p.add_argument("--distance", type=float, required=True, help="user distance in m")
     p.add_argument("--snr-db", type=float, default=15.0)
     p.add_argument("--seed", type=int, default=0)
@@ -192,12 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("sweep", help="run a Monte-Carlo sweep")
-    p.add_argument("--spec", help="ExperimentSpec JSON file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--spec", help="ExperimentSpec JSON file")
+    source.add_argument("--full-scale", action="store_true",
+                        help="use the full-scale default spec")
     p.add_argument("--out", required=True, help="output prefix for .csv/.json")
     p.add_argument("--seed", type=int, help="override the master seed")
     p.add_argument("--trials", type=int, help="override the trial count")
-    p.add_argument("--full-scale", action="store_true",
-                   help="use the full-scale default spec when --spec is omitted")
     p.add_argument("--verbose", action="store_true",
                    help="print the sweep's stage times in ms to stderr")
     p.set_defaults(func=_cmd_sweep)

@@ -47,8 +47,19 @@ class Record:
 
     @classmethod
     def from_json(cls, text: str):
-        """Parse JSON text (read files with Path.read_text)."""
-        return cls.from_dict(json.loads(text))
+        """Parse JSON text (read files with Path.read_text).  Raises
+        ValueError on a key repeated in one object."""
+        return cls.from_dict(json.loads(text, object_pairs_hook=_unique_keys))
+
+
+def _unique_keys(pairs: list) -> dict:
+    """The dict of a JSON object's (key, value) pairs; raises ValueError
+    naming the keys that repeat, which json.loads would read as the last."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError("repeated key(s) " + ", ".join(repr(k) for k in out if keys.count(k) > 1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -149,11 +160,12 @@ class SystemConfig(Record):
 
 def check_finite(record, *names: str) -> None:
     """Reject any field among names of record that holds a non-finite
-    number: a tuple entry by entry; None passes."""
+    number or a bool (JSON true reads as one): a tuple entry by entry; None
+    passes."""
     for name in names:
         value = getattr(record, name)
-        if not all(map(math.isfinite, value if isinstance(value, tuple)
-                       else () if value is None else (value,))):
+        entries = value if isinstance(value, tuple) else () if value is None else (value,)
+        if any(isinstance(x, bool) for x in entries) or not all(map(math.isfinite, entries)):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 

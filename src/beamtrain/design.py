@@ -55,7 +55,7 @@ class DesignInputs(Record):
     def __post_init__(self):
         if not 0 < self.gamma <= 1:
             raise ValueError("gamma must lie in (0, 1]")
-        check_finite(self, "alpha_min", "alpha_max", "alpha_p_override")
+        check_finite(self, "gamma", "alpha_min", "alpha_max", "alpha_p_override")
         lo, hi = self.alpha_bounds
         if not 0 <= lo < hi:
             raise ValueError("need 0 <= alpha_min < alpha_max")

@@ -313,7 +313,7 @@ class _Engine:
 
     def _row(self, scheme, value, rates, pilots_used):
         rates = np.asarray(rates, dtype=float)
-        se = rates.std(ddof=1) / math.sqrt(len(rates)) if len(rates) > 1 else 0.0
+        se = rates.std(ddof=1) / math.sqrt(len(rates))
         return _typed_row(_SWEEP_COLUMNS, (scheme, self.spec.sweep_axis, value, rates.mean(),
                                            se, pilots_used, len(rates)))
 

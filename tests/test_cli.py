@@ -481,6 +481,41 @@ def test_sweep_requires_out_prefix():
     assert out.returncode != 0
 
 
+# usage -----------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, prog", [
+    ([], "beamtrain"),
+    (["bogus"], "beamtrain"),
+    (["sweep"], "beamtrain sweep"),
+    (["train", "--plan=p.json", "--theta=0.2", "--distance=4", "--snr-db", "abc"],
+     "beamtrain train"),
+    (["train", "--plan=p.json", "--theta=0.2", "--distance=4", "--scheme", "bogus"],
+     "beamtrain train"),
+    (["train", "--plan=p.json", "--theta=0.2", "--angle-deg=10", "--distance=4"],
+     "beamtrain train"),
+    (["train", "--plan=p.json", "--distance=4"], "beamtrain train"),
+    # --full-scale beside --spec was silently ignored
+    (["sweep", "--spec=spec.json", "--full-scale", "--out=x"], "beamtrain sweep"),
+], ids=["no subcommand", "unknown subcommand", "sweep without --out", "train --snr-db abc",
+        "train --scheme bogus", "train both angles", "train no angle", "sweep spec full-scale"])
+def test_usage_errors_are_one_json_object_on_stderr(capsys, argv, prog):
+    # argparse printed its usage text and exited 2, outside the JSON contract
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    error = json.loads(out.err)["error"]  # one object, nothing else
+    assert error.startswith(f"{prog}: ")
+
+
+def test_a_usage_error_names_the_subcommand_and_the_argument(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["train", "--plan=p.json", "--theta=0.2", "--distance=4", "--snr-db", "abc"])
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "beamtrain train: argument --snr-db: invalid float value: 'abc'"}
+
+
 def test_full_scale_flag_parses():
     args = build_parser().parse_args(["sweep", "--out", "x", "--full-scale"])
     assert args.full_scale is True

@@ -179,3 +179,18 @@ def test_named_specs_include_the_full_scale_distance_sweep():
         spec = specs[name]
         assert spec.cfg == specs["desk default spec"].cfg
         assert (spec.sweep_axis, spec.axis_values, spec.n_trials) == (axis, values, 20)
+
+
+def test_cli_errors_record_one_json_error_and_exit_2_per_call(tmp_path, monkeypatch):
+    # every invocation fails the way the library reports it, and the files
+    # it reads are named by relative paths, so no message names a directory
+    monkeypatch.chdir(tmp_path)
+    items = COMPARE.cli_error_items()
+    assert list(items) == ["cli errors"]
+    lines = items["cli errors"].splitlines()
+    assert len(lines) == 2 * len(COMPARE.CLI_ERRORS)
+    assert lines[1::2] == ["exit 2"] * len(COMPARE.CLI_ERRORS)
+    for line in lines[::2]:
+        error = json.loads(line)
+        assert isinstance(error, dict) and list(error) == ["error"]
+    assert str(tmp_path) not in items["cli errors"]

@@ -125,6 +125,11 @@ def test_default_angle_range_symmetric():
         dict(n_antennas=True),
         dict(n_subcarriers=16.0),
         dict(n_subcarriers=True),
+        # a JSON true is no number: (true, 200) read as a 1-200 m range
+        dict(distance_range=(True, 200.0)),
+        dict(angle_range=(-0.5, True)),
+        dict(carrier_freq=True),
+        dict(antenna_spacing=True),
     ],
 )
 def test_config_validation(kwargs):
@@ -133,7 +138,10 @@ def test_config_validation(kwargs):
     with pytest.raises(ValueError) as err:
         SystemConfig(**base)
     for name, value in kwargs.items():
-        if not np.all(np.isfinite(value)):
+        entries = value if isinstance(value, tuple) else (value,)
+        holds_bool = name not in ("n_antennas", "n_subcarriers") and any(
+            isinstance(x, bool) for x in entries)
+        if holds_bool or not np.all(np.isfinite(value)):
             assert f"{name} must be finite" in str(err.value)
 
 

@@ -48,6 +48,9 @@ def test_gamma_validation(config_a):
         DesignInputs(cfg=config_a, gamma=0.0)
     with pytest.raises(ValueError):
         DesignInputs(cfg=config_a, gamma=1.5)
+    # a JSON true lies in (0, 1] as 1, but is no number
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        DesignInputs(cfg=config_a, gamma=True)
 
 
 def test_alpha_bounds_default_to_config(config_a):

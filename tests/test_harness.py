@@ -90,6 +90,11 @@ def test_default_experiment_specs():
     assert f.design.gamma == 0.95 and f.design.k_override == 3
 
 
+def _holds_bool(value) -> bool:
+    """Whether a field value, or an entry of a tuple one, is a bool."""
+    return any(isinstance(x, bool) for x in (value if isinstance(value, tuple) else (value,)))
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -123,6 +128,11 @@ def test_default_experiment_specs():
         dict(config=dict(carrier_freq=math.nan)),
         dict(config=dict(bandwidth=math.nan)),
         dict(config=dict(distance_range=(2.0, math.inf))),
+        # a JSON true is no number: it would construct, as 1, and write back
+        # as true
+        dict(snr_db=True),
+        dict(axis_values=(True, 10.0)),
+        dict(config=dict(distance_range=(True, 200.0))),
         # integer fields are integers: 4.0 or True would construct, then
         # fail inside NumPy mid-run (k_override=True would design K = True)
         dict(n_trials=4.0),
@@ -165,7 +175,8 @@ def test_spec_validation(overrides):
         _tiny_spec(**overrides)
     named = [*dict(overrides.get("config", ())),
              *(name for name in ("alpha_min", "alpha_max", "alpha_p_override")
-               if not math.isfinite(overrides.get(name, 0.0)))]
+               if not math.isfinite(overrides.get(name, 0.0))),
+             *(name for name in ("snr_db", "axis_values") if _holds_bool(overrides.get(name)))]
     for name in named:
         assert f"{name} must be finite" in str(err.value)
 
@@ -205,6 +216,25 @@ def test_a_nested_config_is_rejected(nested):
     data[nested]["config"] = data["config"]
     with pytest.raises(ValueError, match="DesignInputs: unknown key\\(s\\) 'config'"):
         type(record).from_dict(data)
+
+
+@pytest.mark.parametrize("kind, key, inside", [
+    ("inputs", "gamma", "{"),
+    ("plan", "alpha_p", "{"),
+    ("spec", "n_trials", "{"),
+    ("spec", "gamma", '"design": {'),
+    ("spec", "n_antennas", '"config": {'),
+    ("plan", "n_antennas", '"config": {'),
+])
+def test_a_repeated_key_is_rejected(kind, key, inside):
+    # JSON readers would keep the last value of a repeated key, so a file
+    # could say two things and be read as one of them
+    spec = _tiny_spec()
+    record = {"inputs": spec.design, "plan": design(spec.design), "spec": spec}[kind]
+    text = record.to_json().replace(inside, f'{inside}"{key}": 3, ', 1)
+    assert text.count(f'"{key}"') == 2
+    with pytest.raises(ValueError, match=f"repeated key\\(s\\) '{key}'"):
+        type(record).from_json(text)
 
 
 @pytest.mark.parametrize("nested", ["design", "inputs"])
@@ -455,8 +485,11 @@ def test_row_stderr_formula():
     assert row["stderr"] == pytest.approx(
         rates.std(ddof=1) / math.sqrt(37), rel=1e-12
     )
-    single = engine._row("perfect_csi", 10.0, [2.0], 0)
-    assert single["stderr"] == 0.0
+    # one rate has no standard error; the spec's n_trials >= 2 keeps the
+    # engine from asking for one
+    with pytest.warns(RuntimeWarning):
+        single = engine._row("perfect_csi", 10.0, [2.0], 0)
+    assert math.isnan(single["stderr"])
 
 
 def test_stderr_shrinks_like_root_n():
