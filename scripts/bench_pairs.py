@@ -17,13 +17,17 @@ ratio change / parent - 1, and with two or more pairs the quartiles of both
 sides and `median_gap_exceeds_parent_iqr`: whether the medians lie further
 apart than the parent's interquartile range.  Untraced pairs go under
 "pairs", traced ones under "per_layer_traced"; "runs" keeps every run's
-command, its unscaled timing line and its JSON output.
+command, its unscaled timing line and its JSON output.  An untraced
+workload also summarizes, under "unscaled", the figures of that line:
+wall_s, call_p50_ms and call_p90_ms before perfbench's speed scaling, and
+the speed scale itself.
 """
 from __future__ import annotations
 
 import argparse
 import io
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -32,6 +36,11 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# the line perfbench/run.py prints for an untraced run
+UNSCALED = re.compile(r"unscaled: wall_s (\S+) s, call_p50_ms (\S+) ms, "
+                      r"call_p90_ms (\S+) ms; speed scale (\S+)")
+UNSCALED_NAMES = ("wall_s", "call_p50_ms", "call_p90_ms", "speed_scale")
 
 
 def seeds_of(text: str) -> list[int]:
@@ -98,6 +107,22 @@ def summarize(parent: list[float], change: list[float]) -> dict:
     return out
 
 
+def unscaled_figures(line: str | None) -> dict:
+    """Name -> value of each figure of UNSCALED_NAMES in a run's unscaled line."""
+    match = UNSCALED.fullmatch(line or "")
+    if match is None:
+        raise ValueError(f"not an unscaled timing line: {line!r}")
+    return dict(zip(UNSCALED_NAMES, map(float, match.groups())))
+
+
+def unscaled_summary(runs: dict) -> dict:
+    """runs: tree -> untraced runs; their unscaled figures, summarized like
+    the metrics."""
+    figures = {tree: [unscaled_figures(r["unscaled"]) for r in rs] for tree, rs in runs.items()}
+    return {name: summarize(*([f[name] for f in figures[tree]] for tree in ("parent", "change")))
+            for name in UNSCALED_NAMES}
+
+
 def workload_summary(seeds: list[int], runs: dict) -> dict:
     """runs: tree -> the runs of one pair spec, in seed order."""
     outputs = {tree: [r["output"] for r in rs] for tree, rs in runs.items()}
@@ -135,8 +160,8 @@ def main(argv=None) -> int:
             "at a time, each as long as perfbench/run.py's default; one pair per seed, which "
             "tree ran first alternating from pair to pair, parent first in each workload's "
             "first pair; timings are scaled to reference machine speed by perfbench/speed.py "
-            "(unscaled figures in 'runs'); 'change_lower_in' counts the pairs where the "
-            "change read lower")
+            "(unscaled figures in 'runs', and summarized under each untraced workload's "
+            "'unscaled'); 'change_lower_in' counts the pairs where the change read lower")
         for workload, seeds, trace in args.pairs:
             order = ("parent", "change")
             runs = {"parent": [], "change": []}
@@ -149,8 +174,11 @@ def main(argv=None) -> int:
                     print(f"{tree:<6} {workload} seed={seed} trace={trace}: "
                           f"{run['unscaled'] or 'traced'}", file=sys.stderr)
                 order = order[::-1]
-            section = "per_layer_traced" if trace else "pairs"
-            result[section][workload] = workload_summary(seeds, runs)
+            if trace:
+                result["per_layer_traced"][workload] = workload_summary(seeds, runs)
+            else:
+                result["pairs"][workload] = {**workload_summary(seeds, runs),
+                                             "unscaled": unscaled_summary(runs)}
     result["machine"] = all_runs[0]["machine"] if all_runs else {}
     for run in all_runs:
         del run["machine"]

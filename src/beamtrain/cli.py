@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import PolarLocation
+from .config import PolarLocation, check_integer
 from .arrays import los_channel
 from .design import DesignInputs, PilotPlan, design as run_design, fixed_td_network
 from .harness import (
@@ -31,11 +31,9 @@ from .harness import (
     rate_metric,
     run_sweep,
 )
-from .training import (SCHEME_AUX, SCHEME_EXHAUSTIVE, SCHEME_FAR_RAINBOW, SCHEME_MATCH,
-                       SCHEME_NEAR_RAINBOW, SCHEME_ONGRID, linear_snr, scheme_table, train)
+from .training import ALL_SCHEMES, linear_snr, scheme_table, train
 
-TRAIN_SCHEMES = (SCHEME_ONGRID, SCHEME_AUX, SCHEME_MATCH, SCHEME_EXHAUSTIVE,
-                 SCHEME_NEAR_RAINBOW, SCHEME_FAR_RAINBOW)
+TRAIN_SCHEMES = ALL_SCHEMES[1:]  # all but perfect_csi, the one scheme served untrained
 
 
 def _fail(message: str):
@@ -92,6 +90,7 @@ def _cmd_pattern(args):
 def _cmd_train(args):
     with _failing():
         check_grid_sizes(args, lambda name: "--" + name.replace("_", "-"))
+        check_integer(args, "seed", 0, "--seed")
     if not math.isfinite(args.snr_db):
         _fail(f"--snr-db must be finite, got {args.snr_db}")
     with _failing("invalid --snr-db"):
@@ -168,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="run one noisy training trial")
     p.add_argument("--plan", required=True, help="PilotPlan JSON file")
-    p.add_argument("--scheme", choices=TRAIN_SCHEMES, default=SCHEME_ONGRID)
+    p.add_argument("--scheme", choices=TRAIN_SCHEMES, default="ongrid")
     angle = p.add_mutually_exclusive_group(required=True)
     angle.add_argument("--theta", type=float, help="user sine-angle in [-1, 1]")
     angle.add_argument("--angle-deg", type=float, help="user physical angle in degrees")

@@ -169,15 +169,17 @@ def check_finite(record, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def check_integer(record, name: str, least: int, label: str | None = None) -> None:
+def check_integer(record, name: str, least: int | None, label: str | None = None) -> None:
     """Reject field `name` of the frozen dataclass record unless it is an
-    integer >= least, and store it as a Python int (JSON writes Python ints
-    only).  NumPy integers are Integral; bools are not counts.  The error
-    names the field as label, by default its name."""
+    integer >= least (any integer when least is None), and store it as a
+    Python int (JSON writes Python ints only).  NumPy integers are Integral;
+    bools are not counts.  The error names the field as label, by default
+    its name."""
     value, label = getattr(record, name), label or name
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{label} must be an integer >= {least}, got {value!r}")
-    if value < least:
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{label} must be an integer{bound}, got {value!r}")
+    if least is not None and value < least:
         raise ValueError(f"{label} must be >= {least}, got {value!r}")
     object.__setattr__(record, name, int(value))
 

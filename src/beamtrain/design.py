@@ -209,6 +209,9 @@ class PilotPlan(Record):
     q: int
 
     def __post_init__(self):
+        check_finite(self, "theta_p", "theta_t_list", "alpha_p", "alpha_t")
+        for name in ("pM", "q"):  # the slope check below rules on pM's sign
+            check_integer(self, name, None)
         if not self.theta_t_list:
             raise ValueError("a plan needs at least one delay intercept")
         if not 0 < self.theta_p + 2 * self.pM:

@@ -53,23 +53,9 @@ TX_POWER = 1.0
 # the far-field rainbow is a near-field rainbow with one ring, at alpha = 0
 FAR_RINGS = (0.0,)
 
-SCHEME_PERFECT = "perfect_csi"
-SCHEME_EXHAUSTIVE = "exhaustive"
-SCHEME_MATCH = "match_filter"
-SCHEME_ONGRID = "ongrid"
-SCHEME_AUX = "aux_pair"
-SCHEME_NEAR_RAINBOW = "nearfield_rainbow"
-SCHEME_FAR_RAINBOW = "farfield_rainbow"
-
-ALL_SCHEMES = (
-    SCHEME_PERFECT,
-    SCHEME_EXHAUSTIVE,
-    SCHEME_MATCH,
-    SCHEME_ONGRID,
-    SCHEME_AUX,
-    SCHEME_NEAR_RAINBOW,
-    SCHEME_FAR_RAINBOW,
-)
+# the sweep's row order, and part of the default spec's JSON and spec_hash
+ALL_SCHEMES = ("perfect_csi", "exhaustive", "match_filter", "ongrid", "aux_pair",
+               "nearfield_rainbow", "farfield_rainbow")
 
 
 @dataclass(frozen=True)
@@ -320,7 +306,7 @@ def ongrid_estimate(mags: np.ndarray, plan: PilotPlan, budget=None) -> BatchEsti
 def ongrid_train(mags: np.ndarray, plan: PilotPlan) -> TrainingEstimate:
     """Strongest beam's predicted focus in mags (M, K); ties go to smaller m, then k."""
     return TrainingEstimate.from_batch(ongrid_estimate(mags[None], plan),
-                                       SCHEME_ONGRID, plan.K)
+                                       "ongrid", plan.K)
 
 
 def aux_pair_estimate(mags: np.ndarray, plan: PilotPlan, budget=None) -> BatchEstimate:
@@ -402,7 +388,7 @@ def aux_pair_train(mags: np.ndarray, plan: PilotPlan) -> TrainingEstimate:
     case of aux_pair_estimate over mags (M, K), flagged fallback when it
     keeps the on-grid answer."""
     return TrainingEstimate.from_batch(aux_pair_estimate(mags[None], plan),
-                                       SCHEME_AUX, plan.K)
+                                       "aux_pair", plan.K)
 
 
 @dataclass(frozen=True)
@@ -576,7 +562,7 @@ def match_filter_train(mags: np.ndarray, bank: MatchFilterBank) -> TrainingEstim
     """Grid point whose signature best correlates with mags (M, K), both
     unit-normalized (cosine similarity); first index wins ties."""
     return TrainingEstimate.from_batch(match_filter_estimate(mags[None], bank),
-                                       SCHEME_MATCH, len(bank.signatures))
+                                       "match_filter", len(bank.signatures))
 
 
 def exhaustive_estimate(powers: np.ndarray, codebook, budget=None) -> BatchEstimate:
@@ -688,7 +674,7 @@ def exhaustive_polar_train(channel: Channel, codebook, snr: float, rng) -> Train
     """One pilot per codeword; pick the codeword with the largest power summed
     across subcarriers: the sweep's codebook pass and noise law at T = 1.
     Ties go to the smaller grid index."""
-    return train(_exhaustive_row(codebook), SCHEME_EXHAUSTIVE, codebook.cfg, channel, snr, rng)
+    return train(_exhaustive_row(codebook), "exhaustive", codebook.cfg, channel, snr, rng)
 
 
 def rainbow_sweep_params(cfg: SystemConfig) -> TdPsParams:
@@ -738,14 +724,14 @@ def nearfield_rainbow_train(
     if n_rings < 1:
         raise ValueError("need at least one ring")
     rings = _uniform_samples(cfg.alpha_min, cfg.alpha_max, n_rings)
-    return train(_rainbow_row("near", cfg, rings), SCHEME_NEAR_RAINBOW, cfg, channel, snr, rng)
+    return train(_rainbow_row("near", cfg, rings), "nearfield_rainbow", cfg, channel, snr, rng)
 
 
 def farfield_rainbow_train(
     channel: Channel, cfg: SystemConfig, snr: float, rng
 ) -> TrainingEstimate:
     """Single frequency sweep, curvature ignored (alpha estimate is 0)."""
-    return train(_rainbow_row("far", cfg, FAR_RINGS), SCHEME_FAR_RAINBOW, cfg, channel, snr, rng)
+    return train(_rainbow_row("far", cfg, FAR_RINGS), "farfield_rainbow", cfg, channel, snr, rng)
 
 
 # scheme table and the single-trial runner -----------------------------------
@@ -785,17 +771,17 @@ def scheme_table(plan: PilotPlan, schemes, bank_angles: int, bank_rings: int) ->
     cfg = plan.cfg
     grid = PolarCodebook(cfg, _uniform_samples(*cfg.angle_range, bank_angles),
                          _uniform_samples(*plan.inputs.alpha_bounds, bank_rings))
-    bank = build_match_filter_bank(plan, grid) if SCHEME_MATCH in schemes else None
+    bank = build_match_filter_bank(plan, grid) if "match_filter" in schemes else None
     # the designed pilots' rows share their family, probes and pilot count
     plan_row = partial(Scheme, "plan", plan.params(np.arange(1, plan.K + 1)), pilots=plan.K)
     return {
-        SCHEME_PERFECT: Scheme(None, None, None, 0),
-        SCHEME_ONGRID: plan_row(lambda obs, budget: ongrid_estimate(obs, plan, budget)),
-        SCHEME_AUX: plan_row(lambda obs, budget: aux_pair_estimate(obs, plan, budget)),
-        SCHEME_MATCH: plan_row(lambda obs, budget: match_filter_estimate(obs, bank, budget)),
-        SCHEME_EXHAUSTIVE: _exhaustive_row(grid),
-        SCHEME_NEAR_RAINBOW: _rainbow_row("near", cfg, grid.rings),
-        SCHEME_FAR_RAINBOW: _rainbow_row("far", cfg, FAR_RINGS),
+        "perfect_csi": Scheme(None, None, None, 0),
+        "ongrid": plan_row(lambda obs, budget: ongrid_estimate(obs, plan, budget)),
+        "aux_pair": plan_row(lambda obs, budget: aux_pair_estimate(obs, plan, budget)),
+        "match_filter": plan_row(lambda obs, budget: match_filter_estimate(obs, bank, budget)),
+        "exhaustive": _exhaustive_row(grid),
+        "nearfield_rainbow": _rainbow_row("near", cfg, grid.rings),
+        "farfield_rainbow": _rainbow_row("far", cfg, FAR_RINGS),
     }
 
 

@@ -40,3 +40,26 @@ def test_summary_of_one_pair_has_no_quartiles():
     assert summary["change_lower_in"] == 1 and summary["pairs"] == 1
     assert summary["change_vs_parent_median"] == -0.25
     assert "parent_quartiles" not in summary
+
+
+def test_unscaled_lines_of_the_stored_bench_34_runs_parse_and_summarize():
+    # BENCH_34.json kept each untraced run's unscaled line but no summary of it
+    bench = _script()
+    stored = json.loads((ROOT / "BENCH_34.json").read_text())
+    for workload, pairs in stored["pairs"].items():
+        runs = {tree: [r for r in stored["runs"] if r["workload"] == workload
+                       and r["tree"] == tree and not r["trace"]] for tree in ("parent", "change")}
+        summary = bench.unscaled_summary(runs)
+        assert list(summary) == list(bench.UNSCALED_NAMES)
+        for name, figures in summary.items():
+            assert figures["pairs"] == len(pairs["seeds"]), (workload, name)
+            assert figures["parent"] == [round(bench.unscaled_figures(r["unscaled"])[name], 4)
+                                         for r in runs["parent"]]
+    first = bench.unscaled_figures(stored["runs"][0]["unscaled"])
+    assert first == {"wall_s": 0.0371301, "call_p50_ms": 2.11981, "call_p90_ms": 3.32764,
+                     "speed_scale": 1.421}
+
+
+def test_an_unscaled_line_that_does_not_parse_is_an_error():
+    with pytest.raises(ValueError, match="not an unscaled timing line"):
+        _script().unscaled_figures(None)

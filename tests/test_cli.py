@@ -15,6 +15,7 @@ from beamtrain import DesignInputs, FixedTdNetwork, PilotPlan, design, dump_beam
 from beamtrain import cli
 from beamtrain.cli import build_parser
 from beamtrain.harness import desk_config, desk_experiment_spec
+from beamtrain.training import ALL_SCHEMES, scheme_table
 
 if sys.version_info >= (3, 11):
     import tomllib
@@ -296,6 +297,28 @@ def test_train_rejects_a_grid_size_below_one_before_any_work(plan_file, monkeypa
         assert exc.value.code == 2
         error = json.loads(capsys.readouterr().err)["error"]
         assert error == f"{flag} must be >= 1, got {value}"
+
+
+def test_train_rejects_a_negative_seed_before_reading_the_plan(plan_file, monkeypatch, capsys):
+    # NumPy rejected it only after the plan and the scheme table, as
+    # "training failed: expected non-negative integer"
+    def read_plan(text):
+        raise AssertionError("the plan was read before the seed was checked")
+
+    monkeypatch.setattr(cli.PilotPlan, "from_json", read_plan)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", f"--plan={plan_file}", "--theta=0.2", "--distance=4", "--seed=-1"])
+    assert exc.value.code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "--seed must be >= 0, got -1"
+
+
+def test_train_runs_every_scheme_but_perfect_csi_in_the_sweep_order(desk_plan):
+    # perfect_csi is the only row without probes; a scheme added to
+    # ALL_SCHEMES is offered by `beamtrain train` with no second edit
+    assert cli.TRAIN_SCHEMES == ALL_SCHEMES[1:]
+    rows = scheme_table(desk_plan, ALL_SCHEMES, 8, 2)
+    assert all(rows[scheme].family is not None for scheme in cli.TRAIN_SCHEMES)
+    assert rows["perfect_csi"].family is None
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

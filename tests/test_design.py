@@ -160,6 +160,22 @@ def test_plan_with_a_nonpositive_angle_sweep_slope_is_rejected(plan_a):
         PilotPlan.from_json(json.dumps(data))
 
 
+@pytest.mark.parametrize("key, edit, error", [
+    # NaN failed every comparison of the ending rule, so the file loaded and
+    # training then reported an angle outside [-1, 1]
+    ("theta_t_list", lambda value: [math.nan] * len(value), "theta_t_list must be finite"),
+    # 9.0 loaded, and the plan wrote it back as 9.0
+    ("pM", float, r"^pM must be an integer, got 9\.0$"),
+    # the desk plan's q is 0, which false equals
+    ("q", bool, "^q must be an integer, got False$"),
+], ids=["nan intercept", "float pM", "boolean q"])
+def test_plan_with_an_ambiguous_number_is_rejected(desk_plan, key, edit, error):
+    data = desk_plan.to_dict()
+    data[key] = edit(data[key])
+    with pytest.raises(ValueError, match=error):
+        PilotPlan.from_json(json.dumps(data))
+
+
 def test_plan_alpha_t_outside_its_interval_is_rejected(plan_a):
     lo, hi = plan_a.alpha_t_interval
     for alpha_t in (lo, hi):

@@ -69,6 +69,14 @@ some rates, standard errors and aux-pair estimates moved, by at most
 9.4e-14 relative.  No pick, count or other byte changed, and the design,
 beam-pattern and spec files kept every byte.
 
+`train.json` was rewritten when `cli.TRAIN_SCHEMES` came to be
+`training.ALL_SCHEMES` without `perfect_csi`, in the sweep's scheme order:
+its desk entries moved from the CLI's old order (ongrid, aux_pair,
+match_filter, exhaustive, nearfield_rainbow, farfield_rainbow) to that one.
+Only the key order changed: every entry's value is byte for byte the same,
+the file loads to the same JSON object, and every other file kept every
+byte.
+
 Running this file as a script rewrites the stored files from the current
 code: `PYTHONPATH=src python tests/test_golden_outputs.py`.
 """
