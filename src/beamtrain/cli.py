@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -147,6 +148,8 @@ def _cmd_sweep(args):
     return 0
 
 
+# ~1 ms a build, a third of a cheap train call; tests and perfbench call main in-process
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="beamtrain",

@@ -161,9 +161,13 @@ class SystemConfig(Record):
 def check_finite(record, *names: str) -> None:
     """Reject any field among names of record that holds a non-finite
     number or a bool (JSON true reads as one): a tuple entry by entry; None
-    passes."""
+    passes.  A list is stored as a tuple, as a file read gives it, so the
+    record equals and hashes like the one read back."""
     for name in names:
         value = getattr(record, name)
+        if isinstance(value, list):
+            value = tuple(value)
+            object.__setattr__(record, name, value)
         entries = value if isinstance(value, tuple) else () if value is None else (value,)
         if any(isinstance(x, bool) for x in entries) or not all(map(math.isfinite, entries)):
             raise ValueError(f"{name} must be finite, got {value!r}")

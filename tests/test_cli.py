@@ -539,6 +539,30 @@ def test_a_usage_error_names_the_subcommand_and_the_argument(capsys):
         "error": "beamtrain train: argument --snr-db: invalid float value: 'abc'"}
 
 
+def test_main_reuses_one_parser_and_prints_what_a_fresh_one_would(plan_file, tmp_path,
+                                                                  monkeypatch, capsys):
+    # the parser is built on the first call, not on every call
+    assert build_parser() is build_parser()
+    train = ["train", f"--plan={plan_file}", "--theta=0.2", "--distance=4", "--seed=3"]
+    calls = [train, [*train, "--snr-db", "abc"],
+             ["train", f"--plan={tmp_path / 'missing.json'}", "--theta=0.2", "--distance=4"],
+             train]
+
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    reused = [run(argv) for argv in calls]
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    assert [run(argv) for argv in calls] == reused
+    assert [code for code, _, _ in reused] == [0, 2, 2, 0] and reused[3] == reused[0]
+    assert json.loads(reused[2][2])["error"].startswith("invalid plan: ")
+
+
 def test_full_scale_flag_parses():
     args = build_parser().parse_args(["sweep", "--out", "x", "--full-scale"])
     assert args.full_scale is True

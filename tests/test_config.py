@@ -1,10 +1,12 @@
 """System geometry, subcarrier grid, and polar-coordinate conversions."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from beamtrain import SPEED_OF_LIGHT, PolarLocation, SystemConfig
+from beamtrain.harness import desk_experiment_spec
 
 
 def test_default_spacing_is_half_carrier_wavelength():
@@ -150,6 +152,21 @@ def test_numpy_integer_counts_are_accepted():
     assert len(cfg.element_indices()) == 64 and len(cfg.subcarrier_freqs()) == 16
     # stored as Python ints, so the config and any spec holding it write JSON
     assert SystemConfig.from_json(cfg.to_json()) == cfg
+
+
+@pytest.mark.parametrize("field", ["angle_range", "theta_t_list", "axis_values"])
+def test_a_list_in_a_tuple_field_is_stored_as_a_tuple(desk_plan, field):
+    # raised "TypeError: must be real number, not list", naming neither the
+    # field nor the value, where a file read gives a tuple
+    record = {"angle_range": desk_plan.cfg, "theta_t_list": desk_plan,
+              "axis_values": desk_experiment_spec()}[field]
+    value = getattr(record, field)
+    again = dataclasses.replace(record, **{field: list(value)})
+    assert getattr(again, field) == value and isinstance(getattr(again, field), tuple)
+    assert again == record and hash(again) == hash(record)
+    assert type(record).from_json(again.to_json()) == again
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        dataclasses.replace(record, **{field: [math.nan, *value[1:]]})
 
 
 def test_config_json_round_trip():
